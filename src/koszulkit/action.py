@@ -3,13 +3,19 @@ semidirect (smash) products and Takiff-type Lie (super)algebras.
 
 Two kinds of acting objects are supported:
   * a finite-dimensional bialgebra given by structure constants, acting on
-    the generator space V on the right, extended to tensor powers by
-    distributing the iterated comultiplication across the factors;
+    the generator space V on the right;
   * a finite-dimensional Lie algebra acting by derivations; it stands in
     for its (infinite-dimensional) enveloping algebra, which is never
-    materialized: primitivity of the generators determines the extension
-    to tensor powers (Leibniz sums), and all smash-product identities are
-    checked in their derivation form.
+    materialized, and all smash-product identities are checked in their
+    derivation form.
+
+One Sweedler rule extends every action to tensor products:
+tensor_action makes a basis element b act on W1 (x) W2 as the sum over
+its legs c (x) c1 (x) c2 of c * (action of c1) (x) (action of c2).  The
+legs of a bialgebra element are read from its comultiplication; a Lie
+element is primitive, with legs b (x) 1 and 1 (x) b, and the unit acts as
+the identity.  Tensor powers iterate the rule, since the iterated
+comultiplication satisfies Delta^(r) = (Delta^(r-1) (x) id) o Delta.
 
 Side and comultiplication bookkeeping: every action is stored as plain
 matrices (one per basis element of the acting object) together with a
@@ -23,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from koszulkit.exactlin import (
-    F0, F1, Mat, Subspace, kron, kron_list, rat_from_str, rat_to_str,
+    F0, F1, Mat, kron, kron_sum, rat_from_str, rat_to_str,
 )
 
 
@@ -68,18 +74,6 @@ class Bialgebra:
 
     def is_cocommutative(self):
         return self.cop().comult == self.comult
-
-    def delta_power(self, r):
-        """Matrix of the iterated comultiplication into r tensor legs.
-
-        r = 0 gives the counit, r = 1 the identity."""
-        d = self.dim
-        if r == 0:
-            return self.counit
-        m = Mat.identity(d)
-        for k in range(1, r):
-            m = kron(self.comult, Mat.identity(d ** (k - 1))) @ m
-        return m
 
     def to_json_obj(self):
         d = self.dim
@@ -304,6 +298,7 @@ class ActionProvider:
         self.space_dim = self.mats[0].rows if self.mats else 0
         self.side = side
         self.cop = cop
+        self._tensor = []
 
     @property
     def basis_size(self):
@@ -317,59 +312,77 @@ class ActionProvider:
     def from_lie(l):
         return ActionProvider("lie", l, [m.scale(-1) for m in l.rho])
 
+    def tensor_mats(self, r):
+        """Matrices of the acting basis on the r-th tensor power of the
+        space, memoized.  Power r lets b act as the sum over its legs of
+        T[r-1][c1] (x) mats[c2], as Delta^(r) = (Delta^(r-1) (x) id) o Delta
+        does, so no coassociativity is needed; with cop set the factors
+        are laid out in reverse, mats[c2] (x) T[r-1][c1]."""
+        T = self._tensor
+        while len(T) <= r:
+            k = len(T)
+            if k == 0:
+                T.append([Mat(1, 1, [[self.base.counit.data[0][b]
+                                      if self.kind == "bialgebra" else F0]])
+                          for b in range(self.basis_size)])
+            elif k == 1:
+                T.append(self.mats)
+            elif self.cop:
+                T.append(tensor_action(self, self.mats, T[k - 1],
+                                       reverse=True))
+            else:
+                T.append(tensor_action(self, T[k - 1], self.mats))
+        return T[r]
+
     def act_on_tensor(self, elem, r):
         """Matrix of the action of the element (a coefficient vector over
         the acting basis) on the r-th tensor power of the space."""
-        n = self.space_dim
-        if self.kind == "lie":
-            if r == 0:
-                return Mat.zeros(1, 1)
-            m = self.base.rep_of(self.mats, elem)
-            total = Mat.zeros(n ** r, n ** r)
-            for pos in range(r):
-                total = total + kron_list(
-                    [Mat.identity(n ** pos), m,
-                     Mat.identity(n ** (r - 1 - pos))])
-            return total
-        d = self.base.dim
-        if r == 0:
-            val = sum(self.base.counit.data[0][b] * x
-                      for b, x in enumerate(elem))
-            return Mat(1, 1, [[val]])
-        legs = self.base.delta_power(r).apply(list(elem))
-        total = Mat.zeros(n ** r, n ** r)
-        for idx, coeff in enumerate(legs):
-            if coeff:
-                letters = []
-                rem = idx
-                for _ in range(r):
-                    letters.append(rem % d)
-                    rem //= d
-                letters.reverse()
-                if self.cop:
-                    letters.reverse()
-                total = total + kron_list(
-                    [self.mats[b] for b in letters]).scale(coeff)
-        return total
+        T = self.tensor_mats(r)
+        # the sum of x * kron(T[b], 1), accumulated in place
+        one = Mat.identity(1)
+        return kron_sum([(x, T[b], one) for b, x in enumerate(elem) if x],
+                        T[0].rows, T[0].cols)
 
     def act_basis_on_tensor(self, b, r):
-        elem = [F0] * self.basis_size
-        elem[b] = F1
-        return self.act_on_tensor(elem, r)
+        return self.tensor_mats(r)[b]
 
     def act_on_component(self, alg, elem, i):
         """Induced action matrix on the quotient component H_i."""
         return alg.proj[i] @ self.act_on_tensor(elem, i) @ alg.sect[i]
 
     def act_basis_on_component(self, alg, b, i):
-        elem = [F0] * self.basis_size
-        elem[b] = F1
-        return self.act_on_component(alg, elem, i)
+        return alg.proj[i] @ self.act_basis_on_tensor(b, i) @ alg.sect[i]
 
-    def unit_vector(self):
-        if self.kind == "bialgebra":
-            return list(self.base.unit)
-        return None
+
+def legs(provider, b):
+    """Sweedler legs (coeff, c1, c2) of the comultiplication of basis
+    element b; None stands for the unit, which acts as the identity."""
+    if provider.kind == "lie":
+        return [(F1, b, None), (F1, None, b)]
+    d = provider.base.dim
+    return [(val, idx // d, idx % d)
+            for idx, val in enumerate(provider.base.comult.col(b)) if val]
+
+
+def tensor_action(provider, mats1, mats2, reverse=False):
+    """Matrices of the acting basis on W1 (x) W2, given its matrices on W1
+    and on W2: b acts as the sum over its legs of
+    coeff * kron(mats1[c1], mats2[c2]), or kron(mats1[c2], mats2[c1])
+    when reverse is set."""
+    d1, d2 = mats1[0].rows, mats2[0].rows
+    id1 = id2 = None
+    if provider.kind == "lie":
+        id1, id2 = Mat.identity(d1), Mat.identity(d2)
+    out = []
+    for b in range(provider.basis_size):
+        terms = []
+        for coeff, c1, c2 in legs(provider, b):
+            if reverse:
+                c1, c2 = c2, c1
+            terms.append((coeff, id1 if c1 is None else mats1[c1],
+                          id2 if c2 is None else mats2[c2]))
+        out.append(kron_sum(terms, d1 * d2, d1 * d2))
+    return out
 
 
 def dual_action(provider):
@@ -467,11 +480,14 @@ class SmashAlgebra:
         key = (b, i)
         m = self._act_h.get(key)
         if m is None:
-            elem = [F0] * self.provider.basis_size
-            elem[b] = F1
-            m = self.provider.act_on_component(self.alg, elem, i)
+            m = self.provider.act_basis_on_component(self.alg, b, i)
             self._act_h[key] = m
         return m
+
+    def _legs(self, b):
+        """Legs of b in the order the provider's tensor extension uses."""
+        return [(c, c2, c1) if self.provider.cop else (c, c1, c2)
+                for c, c1, c2 in legs(self.provider, b)]
 
     def mult(self, i, j):
         """Multiplication tensor of components i and j (explicit case)."""
@@ -484,7 +500,6 @@ class SmashAlgebra:
         hi, hj, hij = (self.alg.hdim(i), self.alg.hdim(j),
                        self.alg.hdim(i + j))
         base = self.provider.base
-        bialg = base.cop() if self.provider.cop else base
         mh = self.alg.mult(i, j)
         m = Mat(d * hij if self.side == "right" else hij * d,
                 self.comp_dim(i) * self.comp_dim(j))
@@ -494,11 +509,7 @@ class SmashAlgebra:
                     for mj in range(hj):
                         if self.side == "right":
                             col = ((b * hi + mi) * d + bp) * hj + mj
-                            legs = bialg.comult.col(bp)  # (c1, c2) pairs
-                            for idx, coeff in enumerate(legs):
-                                if not coeff:
-                                    continue
-                                c1, c2 = idx // d, idx % d
+                            for coeff, c1, c2 in self._legs(bp):
                                 eb = [F1 if t == b else F0 for t in range(d)]
                                 ec = [F1 if t == c1 else F0 for t in range(d)]
                                 a0_part = base.mult_vec(eb, ec)
@@ -514,11 +525,7 @@ class SmashAlgebra:
                                                     coeff * xv * yv
                         else:
                             col = ((mi * d + b) * hj + mj) * d + bp
-                            legs = bialg.comult.col(b)
-                            for idx, coeff in enumerate(legs):
-                                if not coeff:
-                                    continue
-                                c1, c2 = idx // d, idx % d
+                            for coeff, c1, c2 in self._legs(b):
                                 hv = self._component_action(c1, j).col(mj)
                                 prod_in = [(F1 if t == mi else F0) * x
                                            for t in range(hi) for x in hv]

@@ -65,9 +65,6 @@ class Mat:
         return (isinstance(other, Mat) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
-
     def __repr__(self):
         return "Mat(%d, %d, %r)" % (self.rows, self.cols,
                                     [[str(x) for x in row] for row in self.data])
@@ -154,27 +151,32 @@ def hstack(mats):
     return Mat(rows, sum(m.cols for m in mats), data)
 
 
+def kron_sum(terms, rows, cols):
+    """Sum of c * kron(A, B) over the (c, A, B) in terms, a rows x cols
+    matrix, accumulated in place: only nonzero products are written."""
+    out = Mat(rows, cols)
+    odata = out.data
+    for c, m1, m2 in terms:
+        unit = c == 1
+        for i1, row1 in enumerate(m1.data):
+            for j1, a in enumerate(row1):
+                if a:
+                    ca = a if unit else c * a
+                    base_i = i1 * m2.rows
+                    base_j = j1 * m2.cols
+                    for i2, row2 in enumerate(m2.data):
+                        orow = odata[base_i + i2]
+                        for j2, b in enumerate(row2):
+                            if b:
+                                k = base_j + j2
+                                v = orow[k]
+                                orow[k] = v + ca * b if v else ca * b
+    return out
+
+
 def kron(m1, m2):
     """Kronecker product under the fixed row-major basis ordering."""
-    out = Mat(m1.rows * m2.rows, m1.cols * m2.cols)
-    for i1, row1 in enumerate(m1.data):
-        for j1, a in enumerate(row1):
-            if a:
-                base_i = i1 * m2.rows
-                base_j = j1 * m2.cols
-                for i2, row2 in enumerate(m2.data):
-                    orow = out.data[base_i + i2]
-                    for j2, b in enumerate(row2):
-                        if b:
-                            orow[base_j + j2] = a * b
-    return out
-
-
-def kron_list(mats):
-    out = mats[0]
-    for m in mats[1:]:
-        out = kron(out, m)
-    return out
+    return kron_sum([(F1, m1, m2)], m1.rows * m2.rows, m1.cols * m2.cols)
 
 
 def _sparse_rows(m):
@@ -332,10 +334,6 @@ def kernel(m):
 def image(m):
     """Canonical basis of the column span of m (as a subspace of Q^rows)."""
     return Subspace.from_rows(m.rows, m.transpose().data)
-
-
-def row_space(m):
-    return Subspace.from_rows(m.cols, m.data)
 
 
 def intersect(s1, s2):

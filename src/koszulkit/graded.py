@@ -12,7 +12,7 @@ of the constructors in the quadratic/duality modules.
 
 from __future__ import annotations
 
-from koszulkit.exactlin import Mat, kernel, rank
+from koszulkit.exactlin import Mat, rank
 
 
 class GradedSpace:
@@ -180,8 +180,3 @@ def homology(c):
                          "valid": c.cell_valid(r, s)}
     return HomologyReport(cells)
 
-
-def homology_kernel_basis(c, r, s):
-    """Canonical basis of ker d at (r, s), for building explicit cycles."""
-    d_out = c.d(r, s)
-    return kernel(d_out)

@@ -5,7 +5,7 @@ import pytest
 from koszulkit.action import (
     ActionProvider, Bialgebra, LieAction, SmashAlgebra,
     action_bundle_from_json, action_bundle_to_json, dual_action, smash,
-    takiff, takiff_graded_dims, validate_action_multiplicative,
+    takiff, takiff_graded_dims, tensor_action, validate_action_multiplicative,
     validate_bialgebra, validate_jacobi, validate_left_modules, validate_lie,
     validate_module_algebra,
 )
@@ -14,7 +14,7 @@ from koszulkit.fixtures import (
     c2_group_algebra, c2_modules, c2_sign_provider, dual_numbers_presentation,
     ext_presentation, sl2_lie_action, sl2_provider, sweedler_bialgebra,
     sweedler_modules, sweedler_provider, sym_presentation,
-    trivial_bialgebra,
+    trivial_bialgebra, trivial_provider,
 )
 from koszulkit.quadratic import (
     grow, presentation_from_relation_rows, quadratic_dual, reversal_perm,
@@ -69,8 +69,30 @@ def test_act_on_tensor_lie_leibniz():
     p = sl2_provider()
     e = [F1, F0, F0]
     t1 = p.act_on_tensor(e, 1)
-    t2 = p.act_on_tensor(e, 2)
-    assert t2 == kron(t1, Mat.identity(3)) + kron(Mat.identity(3), t1)
+    for r in (2, 3, 4):
+        want = Mat.zeros(3 ** r, 3 ** r)
+        for pos in range(r):
+            want = want + kron(kron(Mat.identity(3 ** pos), t1),
+                               Mat.identity(3 ** (r - 1 - pos)))
+        assert p.act_on_tensor(e, r) == want
+
+
+def test_tensor_mats_coassociative():
+    # tensor powers split the leftmost leg; by coassociativity, splitting
+    # the rightmost leg gives the same matrices.  Sweedler's algebra on a
+    # two-dimensional space is the case where the leg order shows.
+    two_dim = ActionProvider.from_bialgebra(
+        sweedler_bialgebra(), sweedler_modules()["two_dim"])
+    for base in (trivial_provider(2), c2_sign_provider(),
+                 sweedler_provider(), two_dim):
+        for p in (base, dual_action(base)):
+            for r in range(2, 5):
+                below = p.tensor_mats(r - 1)
+                if p.cop:
+                    other = tensor_action(p, below, p.mats, reverse=True)
+                else:
+                    other = tensor_action(p, p.mats, below)
+                assert p.tensor_mats(r) == other
 
 
 def test_action_multiplicative():

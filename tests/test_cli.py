@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import koszulkit
 from koszulkit.cli import main, property_cases_report
 
 
@@ -145,3 +148,61 @@ def test_validation_failure_exit_code(tmp_path):
     code = run(["check", "--input", pres, "--action", str(bad),
                 "--checks", "validate"])
     assert code == 1
+
+
+def test_check_non_koszul_reports_failing_degree(tmp_path):
+    # k<x1,x2>/(x1^2 + x2x1 + x2^2, x1x2): dims 1, 2, 2, 1, 0, 0; the Euler
+    # identity and the Koszul complex both fail at internal degree 4
+    pres = tmp_path / "nk.json"
+    pres.write_text(json.dumps({"generators": ["x1", "x2"], "relations": [
+        {"terms": [{"c": "1", "m": ["x1", "x1"]},
+                   {"c": "1", "m": ["x2", "x1"]},
+                   {"c": "1", "m": ["x2", "x2"]}]},
+        {"terms": [{"c": "1", "m": ["x1", "x2"]}]}]}))
+    out = tmp_path / "r.json"
+    code = run(["check", "--input", str(pres), "--checks", "all",
+                "--max-degree", "5", "--out", str(out)])
+    assert code == 1
+    report = json.loads(out.read_text())
+    koszul = report["checks"]["koszul"]
+    assert koszul["status"] == "pass"
+    assert koszul["details"]["koszul_up_to_N"] is False
+    assert koszul["details"]["first_failure"][1] == 4
+    assert koszul["details"]["verdict"] == "not Koszul at degree 4"
+    assert report["checks"]["hilbert"]["status"] == "fail"
+
+
+# Grows sym_2, then replaces H_1 (x) H_1 -> H_2 by a map that does not kill
+# the commutator, so the right Koszul complex fails d^2 = 0.
+CORRUPT_KOSZUL = """
+import sys
+import koszulkit.cli as cli
+from koszulkit.exactlin import F1, Mat
+from koszulkit.quadratic import grow
+
+def corrupt_grow(pres, N):
+    alg = grow(pres, N)
+    bad = Mat(alg.hdim(2), alg.n ** 2)
+    bad.data[0][1] = F1
+    alg._mult[(1, 1)] = bad
+    return alg
+
+cli.grow = corrupt_grow
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_koszul_d_squared_failure_is_internal_error(tmp_path):
+    pres, _ = emit(tmp_path, "sym_2")
+    out = tmp_path / "r.json"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(koszulkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    # -O strips asserts: the invariant must still give exit 3
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CORRUPT_KOSZUL, "check", "--input", pres,
+         "--checks", "koszul", "--max-degree", "3", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    report = json.loads(out.read_text())
+    assert report["checks"]["koszul"]["status"] == "internal-error"
+    assert "square to zero" in report["checks"]["koszul"]["details"]["failure"]
