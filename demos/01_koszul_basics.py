@@ -6,7 +6,7 @@ Run with:  python3 demos/01_koszul_basics.py
 from koszulkit.fixtures import ext_presentation, sym_presentation
 from koszulkit.graded import check_d_squared, hilbert, homology
 from koszulkit.quadratic import (
-    grow, koszulity_check, quadratic_dual, right_koszul_complex,
+    grow, koszul_complex, koszulity_check, quadratic_dual,
 )
 
 N = 6
@@ -27,7 +27,7 @@ print("matches ext_3:", dual.hdims() == grow(ext_presentation(3), N).hdims())
 
 print()
 print("== The Koszul complex certifies Koszulity ==")
-cx = right_koszul_complex(alg)
+cx = koszul_complex(alg, "right")
 print("d^2 = 0:", check_d_squared(cx)[0])
 rep = homology(cx)
 print("homology is one-dimensional and concentrated at (0, 0):",

@@ -32,7 +32,7 @@ from koszulkit.exactlin import (
     kron, perm_matrix, quotient,
 )
 from koszulkit.graded import BigradedComplex, check_d_squared, homology
-from koszulkit.quadratic import m_bar, m_bar_left
+from koszulkit.quadratic import m_bar
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +540,7 @@ def I_complex(X, N=None):
             entries = {}
             for (i, j, d) in blocks[(r, s)]:
                 if i >= 1 and alg.kdim(r + 1) * alg.hdim(i - 1):
-                    dm = m_bar(alg, r + 1, i - 1)
+                    dm = m_bar(alg, r + 1, i - 1, "right")
                     entries[((i, j), (i - 1, j))] = kron(
                         Mat.identity(X.dim(j)), dm.transpose())
                 if X.dim(j + 1) and alg.kdim(r + 1):
@@ -620,7 +620,7 @@ def P_complex(X, N=None):
             for (i, j, d) in blocks[(-r, s)]:
                 if alg.kdim(r - 1):
                     if i + 1 <= N and alg.hdim(i + 1):
-                        m = kron(m_bar_left(alg, i, r),
+                        m = kron(m_bar(alg, r, i, "left"),
                                  Mat.identity(X.dim(j)))
                         entries[((i, j), (i + 1, j))] = m.scale((-1) ** r)
                     if X.dim(j + 1):
@@ -1120,8 +1120,8 @@ def roundtrip_A(provider, pairing, mats_x, N=None):
             if (r, p) not in phi or (r - 1, p + 1) not in phi:
                 continue
             d_hom = kron(Mat.identity(dX),
-                         m_bar(alg, p + 1, r - 1).transpose())
-            d_mod = kron(m_bar(dual, r, p), Mat.identity(dX))
+                         m_bar(alg, p + 1, r - 1, "right").transpose())
+            d_mod = kron(m_bar(dual, r, p, "right"), Mat.identity(dX))
             if phi[(r - 1, p + 1)] @ d_hom != d_mod @ phi[(r, p)]:
                 checks["chain"] = False
                 first = first or ("chain", r, p)

@@ -179,6 +179,23 @@ def kron(m1, m2):
     return kron_sum([(F1, m1, m2)], m1.rows * m2.rows, m1.cols * m2.cols)
 
 
+def mul_kron_identity(m1, m2, n):
+    """m1 @ kron(m2, I_n), without forming the Kronecker product: only
+    nonzero products are written."""
+    assert m1.cols == m2.rows * n, (m1.cols, m2.rows, n)
+    nz = [[(j, b) for j, b in enumerate(row) if b] for row in m2.data]
+    out = Mat(m1.rows, m2.cols * n)
+    for row1, orow in zip(m1.data, out.data):
+        for k, a in enumerate(row1):
+            if a:
+                t, c = divmod(k, n)
+                for j, b in nz[t]:
+                    idx = j * n + c
+                    v = orow[idx]
+                    orow[idx] = v + a * b if v else a * b
+    return out
+
+
 def _sparse_rows(m):
     return [{j: x for j, x in enumerate(row) if x} for row in m.data]
 
@@ -424,4 +441,13 @@ def rat_to_str(x):
 
 
 def rat_from_str(s):
-    return Fraction(s)
+    """Exact rational from an int or a string such as "-2/5" or "0.25".
+
+    Raises ValueError for anything else: a float is not exact, and a zero
+    denominator is no number."""
+    if isinstance(s, bool) or not isinstance(s, (int, str)):
+        raise ValueError("not an exact rational: %r" % (s,))
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (s,)) from None

@@ -161,18 +161,28 @@ class HomologyReport:
                                     key=lambda kv: (kv[0][1], kv[0][0]))]}
 
 
+class DSquaredError(ValueError):
+    """A differential that does not square to zero; where = (r, s) of the
+    first cell at which d o d is nonzero."""
+
+    def __init__(self, where):
+        super().__init__("differential does not square to zero at %r"
+                         % (where,))
+        self.where = where
+
+
 def homology(c):
-    """Homology dimensions of every cell; requires d squared == 0."""
+    """Homology dimensions of every cell; raises DSquaredError unless
+    d squared == 0."""
     ok, where = check_d_squared(c)
     if not ok:
-        raise ValueError("differential does not square to zero at %r" % (where,))
+        raise DSquaredError(where)
+    ranks = {key: rank(m) for key, m in c.differentials.items()}
     cells = {}
     for r, s in c.cells():
         dim_here = c.dim(r, s)
-        d_out = c.differentials.get((r, s))
-        rk_out = rank(d_out) if d_out is not None else 0
-        d_in = c.differentials.get((r - 1, s))
-        rk_in = rank(d_in) if d_in is not None else 0
+        rk_out = ranks.get((r, s), 0)
+        rk_in = ranks.get((r - 1, s), 0)
         ker = dim_here - rk_out
         h = ker - rk_in
         assert h >= 0, (r, s, ker, rk_in)

@@ -1,16 +1,21 @@
 """Quadratic algebras over the rationals, truncated to a finite degree.
 
 A quadratic presentation is a generator basis V together with a relation
-subspace R inside V (x) V.  From it we grow the graded algebra H (normal
-monomial bases as quotients of tensor powers), the Koszul subspaces K_i,
-the quadratic dual, the left/right Koszul complexes, the contraction
-actions of the dual on the Koszul subspaces, and the pairing-transport
-matrices psi_bar used by the duality module.
+subspace R inside V (x) V.  From it we grow the graded algebra H degree by
+degree in quotient coordinates: H_i is H_{i-1} (x) V modulo the image of
+H_{i-2} (x) R, with the normal words as basis, so no relation ideal is
+ever formed on the tensor power V^(x)i.  The module also builds the
+Koszul subspaces K_i (each inside K_{i-1} (x) V), the quadratic dual, the
+left/right Koszul complexes, the contraction actions of the dual on the
+Koszul subspaces, and the pairing-transport matrices psi_bar used by the
+duality module.
 
 Conventions (fixed once, everything else is derived from them):
   * monomials of V^(x)i are ordered lexicographically by generator index,
     flattened row-major: word (a_1..a_i) has index sum a_k n^(i-k);
-  * normal monomials = non-pivot words of the RREF relation span;
+  * a word is normal when it is not the lowest-index word of any element
+    of the degree-i relation ideal; H_i has the normal words as basis, in
+    increasing order, and proj[i] sends every word to its normal form;
   * the pairing of dual words with words is order-reversing:
     <xi_1(x)...(x)xi_r , v_1(x)...(x)v_r> = prod_k xi_k(v_{r+1-k}).
 The mandatory intertwiner self-test (verify_psi_intertwiner) fails loudly
@@ -19,11 +24,9 @@ if any construction drifts from these conventions.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from koszulkit.exactlin import (
-    F0, F1, Mat, Subspace, inverse, kernel, kron, perm_matrix, quotient,
-    rat_from_str, rat_to_str,
+    F0, F1, Mat, Subspace, inverse, kernel, kron, mul_kron_identity,
+    perm_matrix, quotient, rat_from_str, rat_to_str,
 )
 from koszulkit.graded import BigradedComplex, GradedSpace
 
@@ -95,7 +98,11 @@ class QuadraticPresentation:
 
     @staticmethod
     def from_json_obj(obj):
-        gens = list(obj["generators"])
+        gens = obj["generators"]
+        if not (isinstance(gens, list)
+                and all(isinstance(g, str) for g in gens)):
+            raise ValueError("generators must be a list of names, got %r"
+                             % (gens,))
         if len(set(gens)) != len(gens):
             raise ValueError("duplicate generator names")
         n = len(gens)
@@ -106,7 +113,8 @@ class QuadraticPresentation:
             for term in rel["terms"]:
                 c = rat_from_str(term["c"])
                 m = term["m"]
-                if len(m) != 2 or m[0] not in pos or m[1] not in pos:
+                if (not isinstance(m, list) or len(m) != 2
+                        or m[0] not in pos or m[1] not in pos):
                     raise ValueError("bad monomial %r" % (m,))
                 v[pos[m[0]] * n + pos[m[1]]] += c
             rows.append(v)
@@ -122,22 +130,28 @@ def presentation_from_relation_rows(gen_names, rows):
 # growth
 
 class TruncatedGradedAlgebra:
-    """H_i = V^(x)i / Rel_i for i <= N, with Koszul subspaces K_i.
+    """A = T(V)/(R) truncated at degree N, grown by normal words.
 
-    proj[i]/sect[i] are the quotient projection/section (normal-monomial
-    basis); rel[i] is the degree-i component of the relation ideal.
+    H_i = V^(x)i / I_i, where I_i is the degree-i part of the two-sided
+    ideal generated by R.  Its basis is the normal words of degree i, the
+    words that are not the leading (lowest-index) word of any element of
+    I_i; words[i] lists their flat indices in increasing order.  proj[i]
+    (hdim x n^i) sends every word to its normal form, and sect[i] embeds
+    the normal words.  K[i] is the Koszul subspace of V^(x)i, held by its
+    canonical basis, and incl_right(i) gives its coordinates in
+    K_{i-1} (x) V.
     """
 
-    def __init__(self, pres, N, rel, proj, sect, K):
+    def __init__(self, pres, N, words, proj, K, incl_right):
         self.pres = pres
         self.N = N
         self.n = pres.n
-        self.rel = rel
+        self.words = words
         self.proj = proj
-        self.sect = sect
+        self.sect = [_embedding(self.n ** i, w) for i, w in enumerate(words)]
         self.K = K
+        self._incl_right = incl_right
         self._mult = {}
-        self._incl_right = {}
         self._incl_left = {}
 
     def hdim(self, i):
@@ -161,12 +175,8 @@ class TruncatedGradedAlgebra:
     def normal_monomials(self, i):
         """Labels of the normal-monomial basis of H_i."""
         names = self.pres.gen_names
-        free = [j for j in range(self.n ** i) if any(self.sect[i].data[j])]
-        out = []
-        for idx in free:
-            out.append("*".join(names[a] for a in index_word(idx, self.n, i))
-                       or "1")
-        return out
+        return ["*".join(names[a] for a in index_word(idx, self.n, i)) or "1"
+                for idx in self.words[i]]
 
     def mult(self, i, j):
         """Matrix of H_i (x) H_j -> H_{i+j} (concatenation of monomials)."""
@@ -174,30 +184,15 @@ class TruncatedGradedAlgebra:
         m = self._mult.get(key)
         if m is None:
             assert i + j <= self.N
-            m = self.proj[i + j] @ kron(self.sect[i], self.sect[j])
+            m = _concat(self.proj[i + j], self.words[i], self.words[j],
+                        self.n ** j)
             self._mult[key] = m
         return m
 
     def incl_right(self, i):
         """Coordinates of the inclusion K_i -> K_{i-1} (x) V."""
-        m = self._incl_right.get(i)
-        if m is None:
-            assert 1 <= i <= self.N
-            d_prev = self.kdim(i - 1)
-            n = self.n
-            m = Mat(d_prev * n, self.kdim(i))
-            prev = self.K[i - 1]
-            for col, row_vec in enumerate(self.K[i].basis.data):
-                # reshape as n^(i-1) x n; each column lives in K_{i-1}
-                for a in range(n):
-                    slice_a = [row_vec[u * n + a] for u in range(n ** (i - 1))]
-                    coords = prev.coordinates(slice_a)
-                    assert coords is not None, "K_%d not inside K_%d (x) V" % (i, i - 1)
-                    for t, c in enumerate(coords):
-                        if c:
-                            m.data[t * n + a][col] = c
-            self._incl_right[i] = m
-        return m
+        assert 1 <= i <= self.N
+        return self._incl_right[i]
 
     def incl_left(self, i):
         """Coordinates of the inclusion K_i -> V (x) K_{i-1}."""
@@ -225,56 +220,71 @@ class TruncatedGradedAlgebra:
         return self.K[i].basis.transpose()
 
 
+def _embedding(dim, words):
+    """dim x len(words) matrix sending basis vector k to e_{words[k]}."""
+    m = Mat(dim, len(words))
+    for k, w in enumerate(words):
+        m.data[w][k] = F1
+    return m
+
+
+def _concat(proj, left, right, stride):
+    """Columns of proj at the concatenations u.v (flat index u * stride + v)
+    of u in left and v in right, ordered with u the slow index: the matrix
+    of H_i (x) H_j -> H_{i+j} when proj is proj[i + j]."""
+    cols = [u * stride + v for u in left for v in right]
+    return Mat(proj.rows, len(cols), [[row[c] for c in cols]
+                                      for row in proj.data])
+
+
 def grow(pres, N):
-    """Materialize H and K up to degree N from a quadratic presentation."""
+    """Materialize H and K up to degree N from a quadratic presentation.
+
+    Growth by normal words (Anick, Trans. AMS 296, 1986; Ufnarovski): a
+    word with a non-normal prefix is not normal, so the normal words of
+    degree i lie among the candidates NW_{i-1} x V.  In the coordinates of
+    H_{i-1} (x) V, H_i is the quotient by (m (x) id)(H_{i-2} (x) R), with m
+    the multiplication H_{i-2} (x) V -> H_{i-1}; its non-pivot columns are
+    the normal words, and NF_i = (quotient) o (NF_{i-1} (x) id).  K_i is
+    solved in K_{i-1} (x) V coordinates.  Every elimination is over a
+    space of dimension hdim * n or kdim * n, never n^i."""
     assert N >= 0
     n = pres.n
     R = pres.relations
-    rel = [Subspace.zero(1)]
+    words, proj = [[0]], [Mat.identity(1)]
+    K, incl = [Subspace.full(1)], [None]
     if N >= 1:
-        rel.append(Subspace.zero(n))
-    for i in range(2, N + 1):
-        rows = []
-        prev = rel[i - 1].basis
-        dim_lower = n ** (i - 1)
-        for a in range(n):
-            base = a * dim_lower
-            for brow in prev.data:
-                v = [F0] * (n ** i)
-                for j, x in enumerate(brow):
-                    if x:
-                        v[base + j] = x
-                rows.append(v)
-        tail = n ** (i - 2)
-        for rrow in R.basis.data:
-            for w in range(tail):
-                v = [F0] * (n ** i)
-                for p, x in enumerate(rrow):
-                    if x:
-                        v[p * tail + w] = x
-                rows.append(v)
-        rel.append(Subspace.from_rows(n ** i, rows))
-
-    proj, sect = [], []
-    for i in range(N + 1):
-        p, s = quotient(n ** i, rel[i])
-        proj.append(p)
-        sect.append(s)
-
-    K = [Subspace.full(1)]
-    if N >= 1:
+        words.append(list(range(n)))
+        proj.append(Mat.identity(n))
         K.append(Subspace.full(n))
-    if N >= 2:
-        q_R, _ = quotient(n * n, R)
-        for i in range(2, N + 1):
-            prev = K[i - 1]
-            emb = kron(prev.basis.transpose(), Mat.identity(n))
-            cond = kron(Mat.identity(n ** (i - 2)), q_R) @ emb
-            coeffs = kernel(cond)
-            rows = (coeffs.basis @ kron(prev.basis, Mat.identity(n))).data
-            K.append(Subspace.from_rows(n ** i, rows))
+        incl.append(Mat.identity(n))
+    q_R, _ = quotient(n * n, R)
+    for i in range(2, N + 1):
+        # H_i: pivots of the relations in H_{i-1} (x) V are the candidates
+        # that are not normal
+        m = _concat(proj[i - 1], words[i - 2], words[1], n)
+        rows = mul_kron_identity(
+            kron(Mat.identity(len(words[i - 2])), R.basis), m.transpose(), n)
+        rel = Subspace.from_rows(m.rows * n, rows)
+        q, _ = quotient(rel.ambient_dim, rel)
+        proj.append(mul_kron_identity(q, proj[i - 1], n))
+        pivots = set(rel.pivots)
+        words.append([words[i - 1][c // n] * n + c % n
+                      for c in range(rel.ambient_dim) if c not in pivots])
+        # K_i = (K_{i-1} (x) V) /\ (K_{i-2} (x) R) in K_{i-1} (x) V
+        # coordinates; the canonical coefficient basis times the canonical
+        # basis of K_{i-1} (x) V is again in RREF
+        cond = mul_kron_identity(
+            kron(Mat.identity(K[i - 2].dim), q_R), incl[i - 1], n)
+        coeffs = kernel(cond)
+        prev = K[i - 1]
+        K.append(Subspace(n ** i,
+                          mul_kron_identity(coeffs.basis, prev.basis, n),
+                          [prev.pivots[c // n] * n + c % n
+                           for c in coeffs.pivots]))
+        incl.append(coeffs.basis.transpose())
 
-    return TruncatedGradedAlgebra(pres, N, rel, proj, sect, K)
+    return TruncatedGradedAlgebra(pres, N, words, proj, K, incl)
 
 
 # ---------------------------------------------------------------------------
@@ -300,26 +310,25 @@ def quadratic_dual(pres):
 # ---------------------------------------------------------------------------
 # Koszul complexes
 
-def m_bar(alg, j, i):
-    """Matrix of K_j (x) H_i -> K_{j-1} (x) H_{i+1} (include, then multiply)."""
+def m_bar(alg, j, i, side):
+    """Strip-and-multiply matrix of the Koszul complex on the given side:
+    K_j (x) H_i -> K_{j-1} (x) H_{i+1} for side "right" (include K_j in
+    K_{j-1} (x) V, then multiply V into H from the left), and its mirror
+    H_i (x) K_j -> H_{i+1} (x) K_{j-1} for side "left"."""
     assert 1 <= j <= alg.N and 0 <= i and i + 1 <= alg.N
-    h = alg.hdim(i)
-    return (kron(Mat.identity(alg.kdim(j - 1)), alg.mult(1, i))
-            @ kron(alg.incl_right(j), Mat.identity(h)))
+    ik = Mat.identity(alg.kdim(j - 1))
+    ih = Mat.identity(alg.hdim(i))
+    if side == "right":
+        return kron(ik, alg.mult(1, i)) @ kron(alg.incl_right(j), ih)
+    assert side == "left", side
+    return kron(alg.mult(i, 1), ik) @ kron(ih, alg.incl_left(j))
 
 
-def m_bar_left(alg, i, j):
-    """Matrix of H_i (x) K_j -> H_{i+1} (x) K_{j-1} (mirror of m_bar)."""
-    assert 1 <= j <= alg.N and 0 <= i and i + 1 <= alg.N
-    h = alg.hdim(i)
-    return (kron(alg.mult(i, 1), Mat.identity(alg.kdim(j - 1)))
-            @ kron(Mat.identity(h), alg.incl_left(j)))
-
-
-def right_koszul_complex(alg):
-    """Components (-i, s) = K_i (x) H_{s-i}; differential strips one tensor
-    factor off K and multiplies it into H.  All cells with s <= N are
-    genuinely complete, so the whole window is valid."""
+def koszul_complex(alg, side):
+    """The Koszul complex of alg on the given side: components (-i, s) =
+    K_i (x) H_{s-i} ("right") or H_{s-i} (x) K_i ("left"); the
+    differential is m_bar.  All cells with s <= N are genuinely complete,
+    so the whole window is valid."""
     N = alg.N
     comps = {}
     diffs = {}
@@ -327,19 +336,7 @@ def right_koszul_complex(alg):
         for i in range(s + 1):
             comps[(-i, s)] = alg.kdim(i) * alg.hdim(s - i)
         for i in range(1, s + 1):
-            diffs[(-i, s)] = m_bar(alg, i, s - i)
-    return BigradedComplex((-N - 1, 1), (0, N), comps, diffs)
-
-
-def left_koszul_complex(alg):
-    N = alg.N
-    comps = {}
-    diffs = {}
-    for s in range(N + 1):
-        for i in range(s + 1):
-            comps[(-i, s)] = alg.hdim(s - i) * alg.kdim(i)
-        for i in range(1, s + 1):
-            diffs[(-i, s)] = m_bar_left(alg, s - i, i)
+            diffs[(-i, s)] = m_bar(alg, i, s - i, side)
     return BigradedComplex((-N - 1, 1), (0, N), comps, diffs)
 
 
@@ -348,11 +345,11 @@ def koszulity_check(pres, N, alg=None):
 
     Returns a dict with per-degree verdicts and the first failing cell;
     only ever asserts Koszulity up to the truncation degree.  Raises
-    ValueError, from homology, if the differential fails d^2 = 0."""
+    DSquaredError, from homology, if the differential fails d^2 = 0."""
     from koszulkit.graded import homology
     if alg is None:
         alg = grow(pres, N)
-    cx = right_koszul_complex(alg)
+    cx = koszul_complex(alg, "right")
     rep = homology(cx)
     per_degree = {}
     first_failure = None
@@ -541,8 +538,9 @@ def verify_psi_intertwiner(pairing, max_total):
         for j in range(0, max_total - i + 1):
             if j + 1 > alg.N:
                 continue
-            lhs = pairing.psi_bar(i - 1, j + 1) @ m_bar(alg, j + 1, i - 1).transpose()
-            rhs = m_bar(dual, i, j) @ pairing.psi_bar(i, j)
+            lhs = (pairing.psi_bar(i - 1, j + 1)
+                   @ m_bar(alg, j + 1, i - 1, "right").transpose())
+            rhs = m_bar(dual, i, j, "right") @ pairing.psi_bar(i, j)
             if lhs != rhs:
                 return False, (i, j)
     return True, None

@@ -29,8 +29,8 @@ from koszulkit.fixtures import (
 )
 from koszulkit.graded import check_d_squared, hilbert, homology
 from koszulkit.quadratic import (
-    DualityPairing, grow, koszulity_check, quadratic_dual,
-    right_koszul_complex, verify_psi_intertwiner,
+    DualityPairing, grow, koszul_complex, koszulity_check, quadratic_dual,
+    verify_psi_intertwiner,
 )
 
 
@@ -63,7 +63,7 @@ def test_criterion_01_koszul_complex_homology_sym():
     for n in (1, 2, 3):
         t0 = time.monotonic()
         alg = grow(sym_presentation(n), 6)
-        cx = right_koszul_complex(alg)
+        cx = koszul_complex(alg, "right")
         good = check_d_squared(cx)[0]
         for s in range(7):
             for i in range(s + 1):

@@ -136,6 +136,29 @@ def test_property_cases_small():
     assert json.dumps(r, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
+def _one_relation(c, m=("x", "y")):
+    return {"generators": ["x", "y"],
+            "relations": [{"terms": [{"c": c, "m": m}]}]}
+
+
+@pytest.mark.parametrize("obj, message", [
+    (_one_relation("1/0"), "zero denominator"),
+    (_one_relation(0.5), "not an exact rational"),
+    (_one_relation(True), "not an exact rational"),
+    ({"generators": "xy", "relations": []}, "list of names"),
+    ({"generators": ["x", 1], "relations": []}, "list of names"),
+    (_one_relation("1", "xy"), "bad monomial"),
+])
+def test_malformed_presentation_is_parse_error(tmp_path, capsys, obj,
+                                               message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert run(["check", "--input", str(path), "--checks", "validate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: bad presentation")
+    assert message in err
+
+
 def test_validation_failure_exit_code(tmp_path):
     # an action whose matrices break the module-algebra law must fail
     # validate with exit 1

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 from koszulkit.exactlin import (
     Mat, Subspace, basis_vector, hstack, image, intersect, intersect_all,
-    inverse, kernel, kron, perm_matrix, quotient, rank, rat_from_str,
-    rat_to_str, rref, solve, vstack,
+    inverse, kernel, kron, mul_kron_identity, perm_matrix, quotient, rank,
+    rat_from_str, rat_to_str, rref, solve, vstack,
 )
 
 
@@ -51,6 +51,15 @@ def test_kron_small():
     n = kron(Mat(2, 2, [[0, 1], [0, 0]]), Mat.identity(2))
     v = basis_vector(4, 2)
     assert n.apply(v) == basis_vector(4, 0)
+
+
+def test_mul_kron_identity_matches_kron():
+    rng = random.Random(3)
+    for rows, inner, cols, n in ((3, 2, 4, 3), (5, 4, 1, 2), (2, 3, 3, 1),
+                                 (0, 2, 3, 2), (2, 0, 3, 2)):
+        m1 = rand_mat(rng, rows, inner * n)
+        m2 = rand_mat(rng, inner, cols)
+        assert mul_kron_identity(m1, m2, n) == m1 @ kron(m2, Mat.identity(n))
 
 
 def test_quotient():

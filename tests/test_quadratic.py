@@ -1,19 +1,23 @@
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from koszulkit.exactlin import F0, F1, Mat, Subspace, basis_vector
+from koszulkit.cli import _random_presentation
+from koszulkit.exactlin import (
+    F0, F1, Mat, Subspace, basis_vector, kernel, kron, quotient,
+)
 from koszulkit.fixtures import (
-    dual_numbers_presentation, ext_presentation, free_presentation,
-    sym_presentation,
+    FIXTURE_NAMES, dual_numbers_presentation, ext_presentation,
+    fixture_bundle, free_presentation, sym_presentation,
 )
 from koszulkit.graded import check_d_squared, hilbert, homology
 from koszulkit.quadratic import (
     DualityPairing, QuadraticPresentation, contract_left, contract_right,
-    euler_identity, grow, index_word, koszulity_check, left_koszul_complex,
-    m_bar, quadratic_dual, reversal_perm, right_koszul_complex,
-    validate_contractions, verify_psi_intertwiner, word_index,
+    euler_identity, grow, index_word, koszul_complex, koszulity_check,
+    quadratic_dual, reversal_perm, validate_contractions,
+    verify_psi_intertwiner, word_index,
 )
 
 
@@ -55,6 +59,60 @@ def test_hilbert_series_oracles():
         [1, 1, 0, 0, 0]
 
 
+def _ambient_grow(pres, N):
+    """Reference growth on the ambient V^(x)i: the relation ideal
+    I_i = I_{i-1} (x) V + V^(i-2) (x) R in canonical RREF, its quotient
+    projection and section, and K_i = (K_{i-1} (x) V) meet (V^(i-2) (x) R)
+    as a kernel on V^(x)i."""
+    n = pres.n
+    R = pres.relations
+    rel = [Subspace.zero(n ** i) for i in range(min(N, 1) + 1)]
+    K = [Subspace.full(n ** i) for i in range(min(N, 1) + 1)]
+    q_R, _ = quotient(n * n, R)
+    for i in range(2, N + 1):
+        rows = (kron(rel[i - 1].basis, Mat.identity(n)).data
+                + kron(Mat.identity(n ** (i - 2)), R.basis).data)
+        rel.append(Subspace.from_rows(n ** i, rows))
+        emb = kron(K[i - 1].basis, Mat.identity(n))
+        coeffs = kernel(kron(Mat.identity(n ** (i - 2)), q_R)
+                        @ emb.transpose())
+        K.append(Subspace.from_rows(n ** i, (coeffs.basis @ emb).data))
+    proj, sect = zip(*(quotient(n ** i, rel[i]) for i in range(N + 1)))
+    return proj, sect, K
+
+
+def _non_koszul_presentation():
+    # k<x1,x2>/(x1^2 + x2x1 + x2^2, x1x2), first inexact at degree 4
+    return QuadraticPresentation.from_json_obj(
+        {"generators": ["x1", "x2"], "relations": [
+            {"terms": [{"c": "1", "m": ["x1", "x1"]},
+                       {"c": "1", "m": ["x2", "x1"]},
+                       {"c": "1", "m": ["x2", "x2"]}]},
+            {"terms": [{"c": "1", "m": ["x1", "x2"]}]}]})
+
+
+def test_grow_matches_ambient_ideal():
+    fixtures = [QuadraticPresentation.from_json_obj(
+        fixture_bundle(name)["presentation"]) for name in FIXTURE_NAMES]
+    rng = random.Random(4)
+    cases = ([(p, 4) for p in fixtures]
+             + [(quadratic_dual(p), 4) for p in fixtures]
+             + [(_random_presentation(rng), 4) for _ in range(30)]
+             + [(_non_koszul_presentation(), 5)])
+    for pres, N in cases:
+        alg = grow(pres, N)
+        proj, sect, K = _ambient_grow(pres, N)
+        assert alg.proj == list(proj), pres
+        assert alg.sect == list(sect), pres
+        assert alg.K == K, pres
+        for i in range(1, N + 1):
+            ambient = kron(K[i - 1].basis, Mat.identity(alg.n))
+            assert alg.incl_right(i).transpose() @ ambient == K[i].basis
+        for i in range(N + 1):
+            for j in range(N + 1 - i):
+                assert alg.mult(i, j) == proj[i + j] @ kron(sect[i], sect[j])
+
+
 def test_koszul_subspace_dims_sym():
     alg = grow(sym_presentation(3), 5)
     assert alg.kdims() == [comb(3, i) for i in range(6)]
@@ -69,7 +127,6 @@ def test_koszul_subspace_inclusions():
         alg = grow(pres, 4)
         for i in range(1, 5):
             # both inclusion coordinate systems must reproduce the basis
-            from koszulkit.exactlin import kron
             right = kron(alg.K[i - 1].basis, Mat.identity(alg.n))
             assert alg.incl_right(i).transpose() @ right == alg.K[i].basis
             left = kron(Mat.identity(alg.n), alg.K[i - 1].basis)
@@ -107,7 +164,7 @@ def test_dim_K_equals_dim_dual_H():
 
 def test_right_koszul_complex_sym3():
     alg = grow(sym_presentation(3), 6)
-    cx = right_koszul_complex(alg)
+    cx = koszul_complex(alg, "right")
     ok, _ = check_d_squared(cx)
     assert ok
     for s in range(7):
@@ -121,7 +178,7 @@ def test_right_koszul_complex_sym3():
 def test_left_koszul_complex():
     for pres in (sym_presentation(2), ext_presentation(2),
                  dual_numbers_presentation()):
-        cx = left_koszul_complex(grow(pres, 5))
+        cx = koszul_complex(grow(pres, 5), "left")
         assert check_d_squared(cx)[0]
         rep = homology(cx)
         assert rep.nonzero_valid_cells() == [(0, 0)]
@@ -129,7 +186,7 @@ def test_left_koszul_complex():
 
 def test_koszul_complex_dual_numbers_dims():
     alg = grow(dual_numbers_presentation(), 5)
-    cx = right_koszul_complex(alg)
+    cx = koszul_complex(alg, "right")
     for s in range(6):
         for i in range(s + 1):
             expect = 1 if i in (s, s - 1) else 0
