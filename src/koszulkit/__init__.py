@@ -1,7 +1,8 @@
 """koszulkit: exact rational toolkit for quadratic algebras and Koszul duality.
 
 Submodules:
-  exactlin  -- Fraction matrices, canonical (RREF) subspaces, kernels, kron
+  exactlin  -- exact int-or-Fraction matrices, canonical (RREF) subspaces,
+               kernels, kron
   graded    -- graded spaces, bigraded complexes, homology with windows
   quadratic -- quadratic algebras, duals, Koszul complexes, contractions
   action    -- bialgebras, Lie actions, module algebras, smash products, Takiff

@@ -26,10 +26,8 @@ the dual action on V* requires.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from koszulkit.exactlin import (
-    F0, F1, Mat, kron, kron_sum, rat_from_str, rat_to_str,
+    F0, F1, Mat, _exact, kron, kron_sum, rat_from_str, rat_to_str,
 )
 
 
@@ -51,7 +49,7 @@ class Bialgebra:
         assert counit.rows == 1 and counit.cols == dim
         assert len(unit) == dim
         self.mult = mult
-        self.unit = [Fraction(x) for x in unit]
+        self.unit = [_exact(x) for x in unit]
         self.comult = comult
         self.counit = counit
         self.names = list(names) if names else ["b%d" % i for i in range(dim)]
@@ -154,7 +152,7 @@ class LieAction:
     def __init__(self, names, brackets, rho, modules=None):
         self.names = list(names)
         self.dim = len(self.names)
-        self.brackets = {k: [Fraction(x) for x in v]
+        self.brackets = {k: [_exact(x) for x in v]
                          for k, v in brackets.items() if any(v)}
         self.rho = list(rho)
         self.v_dim = self.rho[0].rows if self.rho else 0

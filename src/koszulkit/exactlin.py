@@ -1,13 +1,18 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices of ``fractions.Fraction`` entries, canonical subspaces
-(reduced row echelon bases), kernels, intersections, quotients and
-Kronecker products.  Everything downstream computes with these, so the
-canonical forms here make all reported bases deterministic.
+Dense matrices of exact rational entries, canonical subspaces (reduced
+row echelon bases), kernels, intersections, quotients and Kronecker
+products.  Everything downstream computes with these, so the canonical
+forms here make all reported bases deterministic.
 
 Conventions:
-  * vectors are plain lists of Fraction, matrices act on the left (m @ v);
-  * a Subspace is represented by the unique RREF basis of its row span;
+  * an entry is a Python int when it is integral and a
+    ``fractions.Fraction`` with denominator > 1 otherwise; the public
+    constructors normalize their input to this form once, and every
+    result computed here keeps it;
+  * vectors are plain lists of entries, matrices act on the left (m @ v);
+  * a Subspace is represented by the unique RREF basis of its row span,
+    computed by fraction-free elimination on primitive integer rows;
   * kron uses row-major flattening: basis vector (i, j) of U (x) W has
     flat index i * dim(W) + j, i.e. the left factor is the slow index.
 """
@@ -15,17 +20,52 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, compress
+from math import gcd, lcm
 
-F0 = Fraction(0)
-F1 = Fraction(1)
+F0 = 0
+F1 = 1
 
 
-def _frac(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _exact(x):
+    """x as an entry: an int when integral, else a Fraction (a float
+    goes through Fraction(x))."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _ints(data):
+    """Turn, in place, the integral Fractions (zero among them) that
+    arithmetic on Fraction entries leaves in freshly computed rows into
+    ints; returns data."""
+    if Fraction in set(map(type, chain.from_iterable(data))):
+        for row in data:
+            for j, x in enumerate(row):
+                if type(x) is Fraction and x.denominator == 1:
+                    row[j] = x.numerator
+    return data
+
+
+def _nonzeros(row):
+    """[(column, entry)] of the nonzero entries of a row."""
+    return [(j, row[j]) for j in compress(range(len(row)), row)]
+
+
+def _mat(rows, cols, data):
+    """A Mat around rows computed here: exact entries of the right shape,
+    so nothing is re-wrapped or re-checked."""
+    m = Mat.__new__(Mat)
+    m.rows = rows
+    m.cols = cols
+    m.data = data
+    return m
 
 
 class Mat:
-    """Dense rows x cols matrix with Fraction entries."""
+    """Dense rows x cols matrix with exact (int or Fraction) entries."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -33,10 +73,10 @@ class Mat:
         self.rows = rows
         self.cols = cols
         if data is None:
-            self.data = [[F0] * cols for _ in range(rows)]
+            self.data = [[0] * cols for _ in range(rows)]
         else:
             assert len(data) == rows
-            self.data = [[_frac(x) for x in row] for row in data]
+            self.data = [[_exact(x) for x in row] for row in data]
             for row in self.data:
                 assert len(row) == cols
 
@@ -51,7 +91,7 @@ class Mat:
     def identity(n):
         m = Mat(n, n)
         for i in range(n):
-            m.data[i][i] = F1
+            m.data[i][i] = 1
         return m
 
     @staticmethod
@@ -59,7 +99,7 @@ class Mat:
         return Mat(rows, cols)
 
     def copy(self):
-        return Mat(self.rows, self.cols, [row[:] for row in self.data])
+        return _mat(self.rows, self.cols, [row[:] for row in self.data])
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.rows == other.rows
@@ -70,56 +110,58 @@ class Mat:
                                     [[str(x) for x in row] for row in self.data])
 
     def is_zero(self):
-        return all(x == 0 for row in self.data for x in row)
+        return not any(map(any, self.data))
 
     def __add__(self, other):
         assert self.rows == other.rows and self.cols == other.cols
-        return Mat(self.rows, self.cols,
-                   [[a + b for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(self.data, other.data)])
+        return _mat(self.rows, self.cols,
+                    _ints([[a + b for a, b in zip(r1, r2)]
+                           for r1, r2 in zip(self.data, other.data)]))
 
     def __sub__(self, other):
         assert self.rows == other.rows and self.cols == other.cols
-        return Mat(self.rows, self.cols,
-                   [[a - b for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(self.data, other.data)])
+        return _mat(self.rows, self.cols,
+                    _ints([[a - b for a, b in zip(r1, r2)]
+                           for r1, r2 in zip(self.data, other.data)]))
 
     def __neg__(self):
-        return Mat(self.rows, self.cols, [[-a for a in r] for r in self.data])
+        return _mat(self.rows, self.cols, [[-a for a in r] for r in self.data])
 
     def scale(self, c):
-        c = _frac(c)
-        return Mat(self.rows, self.cols, [[c * a for a in r] for r in self.data])
+        c = _exact(c)
+        return _mat(self.rows, self.cols,
+                    _ints([[c * a for a in r] for r in self.data]))
 
     def __matmul__(self, other):
         assert self.cols == other.rows, (self.cols, other.rows)
-        out = [[F0] * other.cols for _ in range(self.rows)]
         odata = other.data
-        for i, row in enumerate(self.data):
-            orow_acc = out[i]
-            for k, a in enumerate(row):
-                if a:
-                    for j, b in enumerate(odata[k]):
-                        if b:
-                            orow_acc[j] += a * b
-        return Mat(self.rows, other.cols, out)
+        nz = [None] * other.rows    # nonzeros of the rows of other in use
+        cols = other.cols
+        ks = range(self.cols)
+        out = []
+        for row in self.data:
+            acc = [0] * cols
+            for k in compress(ks, row):
+                a = row[k]
+                nzrow = nz[k]
+                if nzrow is None:
+                    nzrow = nz[k] = _nonzeros(odata[k])
+                for j, b in nzrow:
+                    acc[j] += a * b
+            out.append(acc)
+        return _mat(self.rows, cols, _ints(out))
 
     def apply(self, vec):
         """Matrix times column vector (a list)."""
         assert len(vec) == self.cols
-        out = []
-        for row in self.data:
-            s = F0
-            for a, x in zip(row, vec):
-                if a and x:
-                    s += a * x
-            out.append(s)
-        return out
+        nz = _nonzeros(vec)
+        return _ints([[sum(row[k] * x for k, x in nz)
+                       for row in self.data]])[0]
 
     def transpose(self):
-        return Mat(self.cols, self.rows,
-                   [[self.data[i][j] for i in range(self.rows)]
-                    for j in range(self.cols)])
+        if not self.rows:
+            return Mat(self.cols, 0)
+        return _mat(self.cols, self.rows, [list(c) for c in zip(*self.data)])
 
     def row(self, i):
         return self.data[i][:]
@@ -136,7 +178,7 @@ def vstack(mats):
     for m in mats:
         assert m.cols == cols
         rows.extend(r[:] for r in m.data)
-    return Mat(len(rows), cols, rows)
+    return _mat(len(rows), cols, rows)
 
 
 def hstack(mats):
@@ -148,61 +190,85 @@ def hstack(mats):
         assert m.rows == rows
         for i in range(rows):
             data[i].extend(m.data[i])
-    return Mat(rows, sum(m.cols for m in mats), data)
+    return _mat(rows, sum(m.cols for m in mats), data)
 
 
 def kron_sum(terms, rows, cols):
     """Sum of c * kron(A, B) over the (c, A, B) in terms, a rows x cols
     matrix, accumulated in place: only nonzero products are written."""
-    out = Mat(rows, cols)
-    odata = out.data
+    out = [[0] * cols for _ in range(rows)]
     for c, m1, m2 in terms:
-        unit = c == 1
+        nz2 = [_nonzeros(row) for row in m2.data]
+        r2, c2 = m2.rows, m2.cols
+        js = range(m1.cols)
         for i1, row1 in enumerate(m1.data):
-            for j1, a in enumerate(row1):
-                if a:
-                    ca = a if unit else c * a
-                    base_i = i1 * m2.rows
-                    base_j = j1 * m2.cols
-                    for i2, row2 in enumerate(m2.data):
-                        orow = odata[base_i + i2]
-                        for j2, b in enumerate(row2):
-                            if b:
-                                k = base_j + j2
-                                v = orow[k]
-                                orow[k] = v + ca * b if v else ca * b
-    return out
+            orows = out[i1 * r2:(i1 + 1) * r2]
+            for j1 in compress(js, row1):
+                ca = c * row1[j1]
+                base_j = j1 * c2
+                for orow, nzrow in zip(orows, nz2):
+                    for j2, b in nzrow:
+                        orow[base_j + j2] += ca * b
+    return _mat(rows, cols, _ints(out))
 
 
 def kron(m1, m2):
     """Kronecker product under the fixed row-major basis ordering."""
-    return kron_sum([(F1, m1, m2)], m1.rows * m2.rows, m1.cols * m2.cols)
+    return kron_sum([(1, m1, m2)], m1.rows * m2.rows, m1.cols * m2.cols)
 
 
 def mul_kron_identity(m1, m2, n):
     """m1 @ kron(m2, I_n), without forming the Kronecker product: only
     nonzero products are written."""
     assert m1.cols == m2.rows * n, (m1.cols, m2.rows, n)
-    nz = [[(j, b) for j, b in enumerate(row) if b] for row in m2.data]
-    out = Mat(m1.rows, m2.cols * n)
-    for row1, orow in zip(m1.data, out.data):
-        for k, a in enumerate(row1):
-            if a:
-                t, c = divmod(k, n)
-                for j, b in nz[t]:
-                    idx = j * n + c
-                    v = orow[idx]
-                    orow[idx] = v + a * b if v else a * b
+    nz = [_nonzeros(row) for row in m2.data]
+    ks = range(m1.cols)
+    out = []
+    for row1 in m1.data:
+        orow = [0] * (m2.cols * n)
+        for k in compress(ks, row1):
+            a = row1[k]
+            t, c = divmod(k, n)
+            for j, b in nz[t]:
+                orow[j * n + c] += a * b
+        out.append(orow)
+    return _mat(m1.rows, m2.cols * n, _ints(out))
+
+
+def _primitive(r):
+    """Divide the integer row r ({col: int}, nonzero) by its content."""
+    g = gcd(*r.values())
+    if g != 1:
+        for j, v in r.items():
+            r[j] = v // g
+    return r
+
+
+def _int_rows(data):
+    """The nonzero rows of data as primitive integer rows {col: int}, each
+    a nonzero rational multiple of its row, so the row span is kept."""
+    out = []
+    for row in data:
+        r = dict(_nonzeros(row))
+        if not r:
+            continue
+        dens = [x.denominator for x in r.values() if type(x) is not int]
+        if dens:
+            d = lcm(*dens)
+            r = {j: x.numerator * (d // x.denominator) for j, x in r.items()}
+        out.append(_primitive(r))
     return out
 
 
-def _sparse_rows(m):
-    return [{j: x for j, x in enumerate(row) if x} for row in m.data]
+def _rref_sparse(live, cols):
+    """Fraction-free Gauss-Jordan elimination on primitive integer rows
+    {col: int}.  Returns (pivot_col, row) in pivot order; each row is a
+    primitive integer multiple of the matching row of the RREF.
 
-
-def _rref_sparse(srows, cols):
-    """RREF on dict-of-column rows; returns list of (pivot_col, row_dict)."""
-    live = [r for r in srows if r]
+    The pivot of each column is the shortest live row holding it.  A row
+    r with entry c in the pivot column becomes (a/g) r - (c/g) piv, where
+    a is the pivot entry and g = gcd(a, c), then loses its content: a
+    nonzero multiple of r - (c/a) piv, with the same support."""
     done = []
     for col in range(cols):
         best = None
@@ -214,20 +280,23 @@ def _rref_sparse(srows, cols):
         if best is None:
             continue
         piv = live.pop(best)
-        inv = F1 / piv[col]
-        if inv != 1:
-            piv = {j: v * inv for j, v in piv.items()}
-        for group in (live, None):
-            rows_iter = live if group is live else [d for _, d in done]
-            for r in rows_iter:
-                c = r.get(col)
-                if c:
-                    for j, v in piv.items():
-                        nv = r.get(j, F0) - c * v
-                        if nv:
-                            r[j] = nv
-                        elif j in r:
-                            del r[j]
+        a = piv[col]
+        for r in live + [d for _, d in done]:
+            c = r.get(col)
+            if c:
+                g = gcd(a, c)
+                s, t = a // g, c // g
+                if s != 1:
+                    for j, v in r.items():
+                        r[j] = v * s
+                for j, v in piv.items():
+                    nv = r.get(j, 0) - t * v
+                    if nv:
+                        r[j] = nv
+                    else:
+                        del r[j]
+                if r:
+                    _primitive(r)
         live = [r for r in live if r]
         done.append((col, piv))
     return done
@@ -236,16 +305,22 @@ def _rref_sparse(srows, cols):
 def rref(m):
     """Unique reduced row echelon form with zero rows removed.
 
-    Returns (Mat, pivot_column_list); rank == len(pivots).
+    Returns (Mat, pivot_column_list); rank == len(pivots).  Fractions are
+    made only here, to scale each pivot row to pivot 1.
     """
-    done = _rref_sparse(_sparse_rows(m), m.cols)
-    pivots = [c for c, _ in done]
-    out = Mat(len(done), m.cols)
-    for i, (_, r) in enumerate(done):
-        row = out.data[i]
+    done = _rref_sparse(_int_rows(m.data), m.cols)
+    data = []
+    for col, r in done:
+        p = r[col]
+        row = [0] * m.cols
         for j, v in r.items():
-            row[j] = v
-    return out, pivots
+            if p == 1 or p == -1:
+                row[j] = v * p
+            else:
+                q = Fraction(v) / p
+                row[j] = q.numerator if q.denominator == 1 else q
+        data.append(row)
+    return _mat(len(done), m.cols, data), [c for c, _ in done]
 
 
 def rank(m):
@@ -293,17 +368,15 @@ class Subspace:
     def reduce(self, vec):
         """Residue of vec modulo this subspace (zero at pivot coordinates)."""
         v = list(vec)
-        for k, p in enumerate(self.pivots):
+        for p, row in zip(self.pivots, self.basis.data):
             c = v[p]
             if c:
-                row = self.basis.data[k]
-                for j, b in enumerate(row):
-                    if b:
-                        v[j] -= c * b
-        return v
+                for j, b in _nonzeros(row):
+                    v[j] -= c * b
+        return _ints([v])[0]
 
     def contains(self, vec):
-        return all(x == 0 for x in self.reduce(vec))
+        return not any(self.reduce(vec))
 
     def contains_subspace(self, other):
         assert self.ambient_dim == other.ambient_dim
@@ -328,7 +401,7 @@ class Subspace:
     def add(self, other):
         assert self.ambient_dim == other.ambient_dim
         return Subspace.from_rows(
-            self.ambient_dim, self.basis.data + other.basis.data)
+            self.ambient_dim, vstack([self.basis, other.basis]))
 
 
 def kernel(m):
@@ -338,19 +411,19 @@ def kernel(m):
     free = [j for j in range(m.cols) if j not in pivset]
     rows = []
     for f in free:
-        v = [F0] * m.cols
-        v[f] = F1
+        v = [0] * m.cols
+        v[f] = 1
         for k, p in enumerate(pivots):
             c = b.data[k][f]
             if c:
                 v[p] = -c
         rows.append(v)
-    return Subspace.from_rows(m.cols, rows)
+    return Subspace.from_rows(m.cols, _mat(len(rows), m.cols, rows))
 
 
 def image(m):
     """Canonical basis of the column span of m (as a subspace of Q^rows)."""
-    return Subspace.from_rows(m.rows, m.transpose().data)
+    return Subspace.from_rows(m.rows, m.transpose())
 
 
 def intersect(s1, s2):
@@ -359,13 +432,12 @@ def intersect(s1, s2):
         raise ValueError("ambient-dimension mismatch: %d vs %d"
                          % (s1.ambient_dim, s2.ambient_dim))
     if s2.dim == s2.ambient_dim:
-        return Subspace.from_rows(s1.ambient_dim, s1.basis.data)
+        return Subspace.from_rows(s1.ambient_dim, s1.basis)
     proj2, _ = quotient(s2.ambient_dim, s2)
     # x = c . B1 lies in s2  iff  proj2 @ B1^T c = 0.
     mat = proj2 @ s1.basis.transpose()
     coeffs = kernel(mat)
-    rows = (coeffs.basis @ s1.basis).data
-    return Subspace.from_rows(s1.ambient_dim, rows)
+    return Subspace.from_rows(s1.ambient_dim, coeffs.basis @ s1.basis)
 
 
 def intersect_all(subspaces):
@@ -390,8 +462,8 @@ def quotient(ambient_dim, s):
     proj = Mat(len(free), ambient_dim)
     sect = Mat(ambient_dim, len(free))
     for i, q in enumerate(free):
-        proj.data[i][q] = F1
-        sect.data[q][i] = F1
+        proj.data[i][q] = 1
+        sect.data[q][i] = 1
         for k, p in enumerate(s.pivots):
             c = s.basis.data[k][q]
             if c:
@@ -405,7 +477,7 @@ def solve(a, b):
     red, pivots = rref(aug)
     if a.cols in pivots:
         return None
-    x = [F0] * a.cols
+    x = [0] * a.cols
     for k, p in enumerate(pivots):
         x[p] = red.data[k][a.cols]
     return x
@@ -418,7 +490,7 @@ def inverse(m):
     red, pivots = rref(aug)
     if pivots != list(range(m.rows)):
         raise ValueError("matrix is singular")
-    return Mat(m.rows, m.rows, [row[m.rows:] for row in red.data])
+    return _mat(m.rows, m.rows, [row[m.rows:] for row in red.data])
 
 
 def perm_matrix(perm):
@@ -426,28 +498,28 @@ def perm_matrix(perm):
     n = len(perm)
     m = Mat(n, n)
     for j, i in enumerate(perm):
-        m.data[i][j] = F1
+        m.data[i][j] = 1
     return m
 
 
 def basis_vector(n, i):
-    v = [F0] * n
-    v[i] = F1
+    v = [0] * n
+    v[i] = 1
     return v
 
 
 def rat_to_str(x):
-    return str(_frac(x))
+    return str(_exact(x))
 
 
 def rat_from_str(s):
-    """Exact rational from an int or a string such as "-2/5" or "0.25".
+    """Exact entry from an int or a string such as "-2/5" or "0.25".
 
     Raises ValueError for anything else: a float is not exact, and a zero
     denominator is no number."""
     if isinstance(s, bool) or not isinstance(s, (int, str)):
         raise ValueError("not an exact rational: %r" % (s,))
     try:
-        return Fraction(s)
+        return _exact(Fraction(s))
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % (s,)) from None

@@ -7,8 +7,6 @@ classical letter is clearer (t for one variable, e/h/f for sl2).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from koszulkit.exactlin import F0, F1, Subspace
 from koszulkit.quadratic import QuadraticPresentation, word_index
 
@@ -76,7 +74,7 @@ PRESENTATION_FIXTURES = {
 
 def _m(rows):
     from koszulkit.exactlin import Mat
-    return Mat.from_rows([[Fraction(x) for x in row] for row in rows])
+    return Mat.from_rows(rows)
 
 
 def trivial_bialgebra():
@@ -99,7 +97,7 @@ def sweedler_bialgebra():
     with g*g = 1, x*x = 0, x*g = -g*x, comultiplication g group-like and
     x skew-primitive (x |-> x (x) 1 + g (x) x)."""
     from koszulkit.action import Bialgebra
-    from koszulkit.exactlin import F0, Mat
+    from koszulkit.exactlin import Mat
     names = ["1", "g", "x", "gx"]
     table = {
         (0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (0, 3): {3: 1},
@@ -110,15 +108,15 @@ def sweedler_bialgebra():
     mult = Mat(4, 16)
     for (a, b), out in table.items():
         for c, v in out.items():
-            mult.data[c][a * 4 + b] = Fraction(v)
+            mult.data[c][a * 4 + b] = v
     comult = Mat(16, 4)
     # columns: images of 1, g, x, gx in the 16-dim tensor square
-    comult.data[0 * 4 + 0][0] = Fraction(1)          # 1 (x) 1
-    comult.data[1 * 4 + 1][1] = Fraction(1)          # g (x) g
-    comult.data[2 * 4 + 0][2] = Fraction(1)          # x (x) 1
-    comult.data[1 * 4 + 2][2] = Fraction(1)          # g (x) x
-    comult.data[3 * 4 + 1][3] = Fraction(1)          # gx (x) g
-    comult.data[0 * 4 + 3][3] = Fraction(1)          # 1 (x) gx
+    comult.data[0 * 4 + 0][0] = 1          # 1 (x) 1
+    comult.data[1 * 4 + 1][1] = 1          # g (x) g
+    comult.data[2 * 4 + 0][2] = 1          # x (x) 1
+    comult.data[1 * 4 + 2][2] = 1          # g (x) x
+    comult.data[3 * 4 + 1][3] = 1          # gx (x) g
+    comult.data[0 * 4 + 3][3] = 1          # 1 (x) gx
     counit = _m([[1, 1, 0, 0]])
     return Bialgebra(4, mult, [1, 0, 0, 0], comult, counit, names)
 

@@ -314,14 +314,44 @@ def m_bar(alg, j, i, side):
     """Strip-and-multiply matrix of the Koszul complex on the given side:
     K_j (x) H_i -> K_{j-1} (x) H_{i+1} for side "right" (include K_j in
     K_{j-1} (x) V, then multiply V into H from the left), and its mirror
-    H_i (x) K_j -> H_{i+1} (x) K_{j-1} for side "left"."""
+    H_i (x) K_j -> H_{i+1} (x) K_{j-1} for side "left".
+
+    With a in K_{j-1}, v in V, p in K_j, q in H_i and b in H_{i+1}, the
+    right entry ((a, b), (p, q)) is
+    sum_v incl_right(j)[(a, v), p] * mult(1, i)[b, (v, q)], and the left
+    entry ((b, a), (q, p)) is
+    sum_v mult(i, 1)[b, (q, v)] * incl_left(j)[(v, a), p]; both are
+    assembled directly, without Kronecker products."""
     assert 1 <= j <= alg.N and 0 <= i and i + 1 <= alg.N
-    ik = Mat.identity(alg.kdim(j - 1))
-    ih = Mat.identity(alg.hdim(i))
+    n = alg.n
+    kp, kj = alg.kdim(j - 1), alg.kdim(j)
+    hi, hn = alg.hdim(i), alg.hdim(i + 1)
+    # the flat indices of (a, v) in incl, of (v, q) in mult, and of
+    # (a, b) and (p, q) in the result
     if side == "right":
-        return kron(ik, alg.mult(1, i)) @ kron(alg.incl_right(j), ih)
-    assert side == "left", side
-    return kron(alg.mult(i, 1), ik) @ kron(ih, alg.incl_left(j))
+        incl, mult = alg.incl_right(j), alg.mult(1, i)
+        legs = [divmod(r, n) for r in range(n * kp)]
+        mcol = [[v * hi + q for q in range(hi)] for v in range(n)]
+        orow = [[a * hn + b for b in range(hn)] for a in range(kp)]
+        ocol = [[p * hi + q for q in range(hi)] for p in range(kj)]
+    else:
+        assert side == "left", side
+        incl, mult = alg.incl_left(j), alg.mult(i, 1)
+        legs = [(r % kp, r // kp) for r in range(n * kp)]
+        mcol = [[q * n + v for q in range(hi)] for v in range(n)]
+        orow = [[b * kp + a for b in range(hn)] for a in range(kp)]
+        ocol = [[q * kj + p for q in range(hi)] for p in range(kj)]
+    mnz = [[(b, x) for b, x in enumerate(col) if x]
+           for col in mult.transpose().data]
+    out = [[0] * (kj * hi) for _ in range(kp * hn)]
+    for (a, v), irow in zip(legs, incl.data):
+        rows_a = orow[a]
+        for p, c in enumerate(irow):
+            if c:
+                for mc, oc in zip(mcol[v], ocol[p]):
+                    for b, x in mnz[mc]:
+                        out[rows_a[b]][oc] += c * x
+    return Mat(kp * hn, kj * hi, out)
 
 
 def koszul_complex(alg, side):
@@ -514,14 +544,20 @@ class DualityPairing:
         return self._g2inv[j]
 
     def psi_bar(self, i, j):
-        """Invertible matrix (K_j (x) H_i)* -> K!_i (x) H!_j."""
+        """Invertible matrix (K_j (x) H_i)* -> K!_i (x) H!_j.
+
+        g1(i) has rows H_i and columns K!_i, so the K!_i coordinates of the
+        dual basis of H_i are the columns of g1(i)^-1; g2(j) has rows H!_j
+        and columns K_j, so the H!_j coordinates of the dual basis of K_j
+        are the columns of (g2(j)^-1)^T."""
         kj = self.alg.kdim(j)
         hi = self.alg.hdim(i)
         swap = [0] * (kj * hi)
         for p in range(kj):
             for q in range(hi):
                 swap[p * hi + q] = q * kj + p
-        return kron(self.g1_inv(i), self.g2_inv(j)) @ perm_matrix(swap)
+        return (kron(self.g1_inv(i), self.g2_inv(j).transpose())
+                @ perm_matrix(swap))
 
 
 def verify_psi_intertwiner(pairing, max_total):

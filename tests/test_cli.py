@@ -127,6 +127,19 @@ def test_check_without_action_runs_duality_with_trivial_provider(tmp_path):
     assert "k" in report["checks"]["duality"]["details"]["modules"]
 
 
+def test_check_all_ext3_passes(tmp_path):
+    # the pairing g2 of ext_3 is not symmetric, so its round trip depends
+    # on the orientation of g2 in psi_bar
+    pres, _ = emit(tmp_path, "ext_3")
+    out = str(tmp_path / "r.json")
+    code = run(["check", "--input", pres, "--max-degree", "4",
+                "--checks", "all", "--out", out])
+    assert code == 0
+    report = json.loads(open(out).read())
+    assert report["checks"]["roundtrip"]["status"] == "pass"
+    assert report["verdict"] == "pass"
+
+
 def test_property_cases_small():
     r = property_cases_report(7, 40)
     assert r["ok"]

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from koszulkit.exactlin import (
     Mat, Subspace, basis_vector, hstack, image, intersect, intersect_all,
     inverse, kernel, kron, mul_kron_identity, perm_matrix, quotient, rank,
@@ -117,3 +120,197 @@ def test_random_properties():
         lhs = kron(a, b).apply([x * y for x in v1 for y in v2])
         rhs = [x * y for x in a.apply(v1) for y in b.apply(v2)]
         assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# Property tests against a plain-Fraction reference: dense rows of Fraction,
+# Gauss-Jordan elimination with a Fraction division per pivot row.
+
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True,
+                    database=None)
+
+
+def ref_rref(rows, cols):
+    """RREF of a list of rows (any exact entries), by Fraction arithmetic;
+    returns (rows, pivots) with zero rows dropped."""
+    live = [[Fraction(x) for x in r] for r in rows]
+    done = []
+    pivots = []
+    for col in range(cols):
+        best = next((r for r in live if r[col]), None)
+        if best is None:
+            continue
+        live.remove(best)
+        piv = [x / best[col] for x in best]
+        for r in live + done:
+            c = r[col]
+            if c:
+                for j in range(cols):
+                    r[j] -= c * piv[j]
+        live = [r for r in live if any(r)]
+        done.append(piv)
+        pivots.append(col)
+    return done, pivots
+
+
+def ref_kernel(rows, cols):
+    b, pivots = ref_rref(rows, cols)
+    basis = []
+    for f in (j for j in range(cols) if j not in pivots):
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for k, p in enumerate(pivots):
+            v[p] = -b[k][f]
+        basis.append(v)
+    return ref_rref(basis, cols)[0]
+
+
+def ref_matmul(a, b, cols):
+    return [[sum((Fraction(x) * Fraction(rb[j]) for x, rb in zip(ra, b)),
+                 Fraction(0)) for j in range(cols)] for ra in a]
+
+
+def ref_kron(a, b):
+    return [[Fraction(x) * Fraction(y) for x in ra for y in rb]
+            for ra in a for rb in b]
+
+
+def assert_exact(values):
+    """Every entry is an int (not a bool) or a non-integral Fraction."""
+    for x in values:
+        assert type(x) is int or (type(x) is Fraction and x.denominator > 1), \
+            repr(x)
+
+
+def assert_exact_mat(m):
+    assert len(m.data) == m.rows
+    for row in m.data:
+        assert len(row) == m.cols
+        assert_exact(row)
+
+
+ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-6, 6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    # integral Fractions such as Fraction(4, 2)
+    st.builds(lambda n, d: Fraction(n * d, d), st.integers(-4, 4),
+              st.integers(1, 3)),
+)
+
+
+@st.composite
+def row_lists(draw, rows=None, cols=None):
+    """Rows of ENTRIES, some replaced by zero rows or by combinations of
+    the rows before them."""
+    rows = draw(st.integers(0, 5)) if rows is None else rows
+    cols = draw(st.integers(0, 5)) if cols is None else cols
+    data = [draw(st.lists(ENTRIES, min_size=cols, max_size=cols))
+            for _ in range(rows)]
+    for k in range(rows):
+        kind = draw(st.sampled_from(("free", "free", "zero", "combination")))
+        if kind == "zero":
+            data[k] = [0] * cols
+        elif kind == "combination" and k:
+            coeffs = draw(st.lists(ENTRIES, min_size=k, max_size=k))
+            data[k] = [sum((Fraction(c) * Fraction(r[j])
+                            for c, r in zip(coeffs, data[:k])), Fraction(0))
+                       for j in range(cols)]
+    return data
+
+
+def _raw_mat(rows, cols):
+    """A Mat holding rows as given, past the normalizing constructor, as
+    code that writes into Mat.data in place leaves it."""
+    m = Mat(len(rows), cols)
+    m.data = [list(r) for r in rows]
+    return m
+
+
+def test_integral_fraction_rows_explicit():
+    rows = [[Fraction(4, 2), Fraction(6, 3), 0],
+            [Fraction(-2, 2), Fraction(1, 2), Fraction(9, 3)],
+            [0, 0, 0]]
+    m = Mat(3, 3, rows)
+    assert m.data == [[2, 2, 0], [-1, Fraction(1, 2), 3], [0, 0, 0]]
+    assert_exact_mat(m)
+    assert_exact_mat(Mat(1, 3, [[0.5, 2.0, True]]))
+    for m in (Mat(3, 3, rows), _raw_mat(rows, 3)):
+        b, pivots = rref(m)
+        assert (b.data, pivots) == ref_rref(rows, 3)
+        assert_exact_mat(b)
+        assert kernel(m).basis.data == ref_kernel(rows, 3)
+        assert_exact_mat(kernel(m).basis)
+
+
+@PROPERTY
+@given(row_lists())
+def test_rref_rank_kernel_match_reference(rows):
+    cols = len(rows[0]) if rows else 0
+    for m in (Mat(len(rows), cols, rows), _raw_mat(rows, cols)):
+        b, pivots = rref(m)
+        assert (b.data, pivots) == ref_rref(rows, cols)
+        assert_exact_mat(b)
+        assert rank(m) == len(pivots)
+        k = kernel(m)
+        assert k.basis.data == ref_kernel(rows, cols)
+        assert_exact_mat(k.basis)
+        assert (m @ k.basis.transpose()).is_zero()
+
+
+@PROPERTY
+@given(st.integers(0, 4).flatmap(lambda n: row_lists(rows=n, cols=n)))
+def test_inverse_matches_reference(rows):
+    n = len(rows)
+    m = Mat(n, n, rows)
+    aug = [list(r) + [int(i == j) for j in range(n)]
+           for i, r in enumerate(rows)]
+    red, pivots = ref_rref(aug, 2 * n)
+    if pivots != list(range(n)):
+        with pytest.raises(ValueError):
+            inverse(m)
+        return
+    inv = inverse(m)
+    assert inv.data == [r[n:] for r in red]
+    assert_exact_mat(inv)
+    assert m @ inv == Mat.identity(n)
+
+
+@PROPERTY
+@given(st.integers(1, 4).flatmap(
+    lambda r: st.tuples(row_lists(rows=r),
+                        st.lists(ENTRIES, min_size=r, max_size=r))))
+def test_solve_matches_reference(args):
+    rows, rhs = args
+    cols = len(rows[0])
+    a = Mat(len(rows), cols, rows)
+    x = solve(a, rhs)
+    red, pivots = ref_rref([list(r) + [y] for r, y in zip(rows, rhs)],
+                           cols + 1)
+    if cols in pivots:
+        assert x is None
+        return
+    want = [Fraction(0)] * cols
+    for k, p in enumerate(pivots):
+        want[p] = red[k][cols]
+    assert x == want
+    assert_exact(x)
+    assert a.apply(x) == rhs
+
+
+@PROPERTY
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                 st.integers(0, 4)).flatmap(
+    lambda s: st.tuples(row_lists(rows=s[0], cols=s[1]),
+                        row_lists(rows=s[1], cols=s[2]), st.just(s[2]))))
+def test_matmul_and_kron_match_reference(args):
+    ra, rb, cols = args
+    for a, b in ((Mat(len(ra), len(rb), ra), Mat(len(rb), cols, rb)),
+                 (_raw_mat(ra, len(rb)), _raw_mat(rb, cols))):
+        prod = a @ b
+        assert prod.data == ref_matmul(ra, rb, cols)
+        assert_exact_mat(prod)
+        k = kron(a, b)
+        assert k.rows == a.rows * b.rows and k.cols == a.cols * b.cols
+        assert k.data == ref_kron(ra, rb)
+        assert_exact_mat(k)

@@ -16,7 +16,7 @@ from koszulkit.graded import check_d_squared, hilbert, homology
 from koszulkit.quadratic import (
     DualityPairing, QuadraticPresentation, contract_left, contract_right,
     euler_identity, grow, index_word, koszul_complex, koszulity_check,
-    quadratic_dual, reversal_perm, validate_contractions,
+    m_bar, quadratic_dual, reversal_perm, validate_contractions,
     verify_psi_intertwiner, word_index,
 )
 
@@ -193,6 +193,26 @@ def test_koszul_complex_dual_numbers_dims():
             assert cx.dim(-i, s) == expect
 
 
+def test_m_bar_matches_kron_expression():
+    # m_bar is assembled entry by entry; the two-kron products are its
+    # definition
+    for name in FIXTURE_NAMES:
+        pres = QuadraticPresentation.from_json_obj(
+            fixture_bundle(name)["presentation"])
+        for p in (pres, quadratic_dual(pres)):
+            alg = grow(p, 4)
+            for j in range(1, 5):
+                ik = Mat.identity(alg.kdim(j - 1))
+                for i in range(4):
+                    ih = Mat.identity(alg.hdim(i))
+                    assert m_bar(alg, j, i, "right") == (
+                        kron(ik, alg.mult(1, i))
+                        @ kron(alg.incl_right(j), ih)), (name, j, i)
+                    assert m_bar(alg, j, i, "left") == (
+                        kron(alg.mult(i, 1), ik)
+                        @ kron(ih, alg.incl_left(j))), (name, j, i)
+
+
 def test_koszulity_check():
     assert koszulity_check(sym_presentation(3), 6)["koszul_up_to_N"]
     assert koszulity_check(ext_presentation(2), 6)["koszul_up_to_N"]
@@ -258,12 +278,16 @@ def test_psi_bar_degenerate_edges():
 
 
 def test_psi_intertwiner_sym2_ext2():
-    for pres in (sym_presentation(2), ext_presentation(2)):
-        alg = grow(pres, 5)
-        dual = grow(quadratic_dual(pres), 5)
-        pairing = DualityPairing(alg, dual)
-        ok, where = verify_psi_intertwiner(pairing, 5)
-        assert ok, where
+    # sym_n and ext_n for n = 2, 3, 4, in both directions; on the exterior
+    # algebras of 3 and 4 generators (ext_n, and the dual of sym_n) g2 is
+    # not symmetric, so its orientation in psi_bar shows
+    for n in (2, 3, 4):
+        for pres in (sym_presentation(n), ext_presentation(n)):
+            for a, b in ((pres, quadratic_dual(pres)),
+                         (quadratic_dual(pres), pres)):
+                pairing = DualityPairing(grow(a, 5), grow(b, 5))
+                ok, where = verify_psi_intertwiner(pairing, 5)
+                assert ok, (n, a.gen_names, where)
 
 
 def test_presentation_json_roundtrip():
