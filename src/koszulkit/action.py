@@ -17,6 +17,17 @@ element is primitive, with legs b (x) 1 and 1 (x) b, and the unit acts as
 the identity.  Tensor powers iterate the rule, since the iterated
 comultiplication satisfies Delta^(r) = (Delta^(r-1) (x) id) o Delta.
 
+The actions on the graded pieces H_i and the Koszul subspaces K_r follow
+the same rule one degree at a time, in quotient coordinates, and are
+memoized per algebra: H_i is a quotient of H_{i-1} (x) V and K_r a
+subspace of K_{r-1} (x) V, so the action in degree i is tensor_action of
+the action in degree i - 1 with the action on V, projected by the
+multiplication H_{i-1} (x) V -> H_i or read off at the pivot rows of the
+inclusion of K_r.  With the cop flag the legs are laid out in reverse and
+the first letter is split off instead (V (x) H_{i-1}, V (x) K_{r-1}).
+Nothing on the tensor power V^(x)i is formed; the tensor powers
+themselves (tensor_mats) serve only the validators, which need r <= 2.
+
 Side and comultiplication bookkeeping: every action is stored as plain
 matrices (one per basis element of the acting object) together with a
 side flag and a cop flag.  The cop flag says the extension to tensor
@@ -27,7 +38,7 @@ the dual action on V* requires.
 from __future__ import annotations
 
 from koszulkit.exactlin import (
-    F0, F1, Mat, _exact, kron, kron_sum, rat_from_str, rat_to_str,
+    F0, F1, Mat, _columns, _exact, kron, kron_sum, rat_from_str, rat_to_str,
 )
 
 
@@ -44,10 +55,11 @@ class Bialgebra:
 
     def __init__(self, dim, mult, unit, comult, counit, names=None):
         self.dim = dim
-        assert mult.rows == dim and mult.cols == dim * dim
-        assert comult.rows == dim * dim and comult.cols == dim
-        assert counit.rows == 1 and counit.cols == dim
-        assert len(unit) == dim
+        if ((mult.rows, mult.cols, comult.rows, comult.cols, counit.rows,
+             counit.cols, len(unit))
+                != (dim, dim * dim, dim * dim, dim, 1, dim, dim)):
+            raise ValueError("bialgebra structure maps do not fit dimension %d"
+                             % dim)
         self.mult = mult
         self.unit = [_exact(x) for x in unit]
         self.comult = comult
@@ -156,8 +168,9 @@ class LieAction:
                          for k, v in brackets.items() if any(v)}
         self.rho = list(rho)
         self.v_dim = self.rho[0].rows if self.rho else 0
-        for m in self.rho:
-            assert m.rows == m.cols == self.v_dim
+        if any(m.rows != self.v_dim or m.cols != self.v_dim
+               for m in self.rho):
+            raise ValueError("the action matrices are not square of one size")
         # modules: name -> list of matrices, one per Lie basis element
         self.modules = {k: list(v) for k, v in (modules or {}).items()}
 
@@ -215,15 +228,13 @@ class LieAction:
         for (a, b) in list(given):
             if a != b and (b, a) not in given:
                 brackets[(b, a)] = [-x for x in brackets[(a, b)]]
-        rho = [Mat.from_rows([[rat_from_str(x) for x in row]
-                              for row in obj["action"][name]])
-               for name in names]
+        rho = _mats_from_json([(name, obj["action"][name]) for name in names],
+                              "action of")
         modules = {}
         for mname, mobj in (modules_obj or {}).items():
-            mats = [Mat.from_rows([[rat_from_str(x) for x in row]
-                                   for row in mobj["action"][name]])
-                    for name in names]
-            modules[mname] = mats
+            modules[mname] = _mats_from_json(
+                [(name, mobj["action"][name]) for name in names],
+                "module %r, action of" % mname, mobj.get("dim"))
         return LieAction(names, brackets, rho, modules)
 
 
@@ -297,6 +308,8 @@ class ActionProvider:
         self.side = side
         self.cop = cop
         self._tensor = []
+        self._on = {}
+        self._dual = None
 
     @property
     def basis_size(self):
@@ -344,12 +357,56 @@ class ActionProvider:
     def act_basis_on_tensor(self, b, r):
         return self.tensor_mats(r)[b]
 
-    def act_on_component(self, alg, elem, i):
-        """Induced action matrix on the quotient component H_i."""
-        return alg.proj[i] @ self.act_on_tensor(elem, i) @ alg.sect[i]
+    def h_action(self, alg, i):
+        """Matrices of the acting basis on H_i, in normal-word coordinates,
+        memoized per algebra.
 
-    def act_basis_on_component(self, alg, b, i):
-        return alg.proj[i] @ self.act_basis_on_tensor(b, i) @ alg.sect[i]
+        Degree i follows from degree i - 1 by the rule of tensor_mats,
+        projected by the quotient: b acts on the normal word u.v through
+        tensor_action(H_{i-1}, V) and mult(i - 1, 1), read at the columns
+        split_last(i).  With cop set the legs are laid out in reverse, so
+        the first letter is split off instead: V (x) H_{i-1}, mult(1, i - 1)
+        and split_first(i).  Both are the projections of tensor_mats(i),
+        as the normal form of a word is that of its normal prefix (or
+        suffix) followed by the rest."""
+        return self._grown(alg, "H", i)
+
+    def k_action(self, alg, r):
+        """Matrices of the acting basis on K_r, in K-coordinates, memoized
+        per algebra: tensor_action on K_{r-1} (x) V (V (x) K_{r-1} with cop
+        set) restricted to the columns of incl_right(r) (incl_left(r)).
+
+        Raises ValueError, naming the degree, if K_r is not invariant."""
+        return self._grown(alg, "K", r)
+
+    def _grown(self, alg, space, i):
+        """The actions on H ("H") or K ("K") up to degree i, each grown
+        from the one below and memoized for alg."""
+        grown = self._on.setdefault((space, alg), [])
+        while len(grown) <= i:
+            k = len(grown)
+            if k <= 1:
+                grown.append(self.tensor_mats(k))
+                continue
+            if self.cop:
+                wide = tensor_action(self, self.mats, grown[k - 1],
+                                     reverse=True)
+            else:
+                wide = tensor_action(self, grown[k - 1], self.mats)
+            if space == "H":
+                quot, cols = ((alg.mult(1, k - 1), alg.split_first(k))
+                              if self.cop else
+                              (alg.mult(k - 1, 1), alg.split_last(k)))
+                grown.append([quot @ _columns(m, cols) for m in wide])
+            else:
+                side = "left" if self.cop else "right"
+                incl = alg.incl_left(k) if self.cop else alg.incl_right(k)
+                mats = [alg.k_coordinates(k, m @ incl, side) for m in wide]
+                if any(m is None for m in mats):
+                    raise ValueError("subspace K_%d is not invariant under "
+                                     "the action" % k)
+                grown.append(mats)
+        return grown[i]
 
 
 def legs(provider, b):
@@ -385,18 +442,26 @@ def tensor_action(provider, mats1, mats2, reverse=False):
 
 def dual_action(provider):
     """Transport to the dual space: matrices transpose, the side flips,
-    and (for bialgebras) tensor extensions switch to the reversed legs."""
-    side = "left" if provider.side == "right" else "right"
-    return ActionProvider(provider.kind, provider.base,
-                          [m.transpose() for m in provider.mats],
-                          side=side, cop=not provider.cop)
+    and (for bialgebras) tensor extensions switch to the reversed legs.
+    Built once per provider, so the dual's memoized actions are shared,
+    and the dual of the dual is the provider itself."""
+    if provider._dual is None:
+        side = "left" if provider.side == "right" else "right"
+        dual = ActionProvider(provider.kind, provider.base,
+                              [m.transpose() for m in provider.mats],
+                              side=side, cop=not provider.cop)
+        dual._dual = provider
+        provider._dual = dual
+    return provider._dual
 
 
 def validate_module_algebra(provider, pres):
     """R-stability under the degree-2 action plus the unit law on V."""
     R = pres.relations
     n = pres.n
-    assert provider.space_dim == n
+    if provider.space_dim != n:
+        raise ValueError("the action is on dimension %d, not %d"
+                         % (provider.space_dim, n))
     for b in range(provider.basis_size):
         T = provider.act_basis_on_tensor(b, 2)
         for row in R.basis.data:
@@ -465,7 +530,6 @@ class SmashAlgebra:
         self.explicit = provider.kind == "bialgebra"
         self.d0 = provider.base.dim if self.explicit else None
         self._mult = {}
-        self._act_h = {}
         if self.explicit:
             assert (side == "right") == (provider.side == "right"), \
                 "side of the smash must match the side of the action"
@@ -475,12 +539,7 @@ class SmashAlgebra:
         return self.d0 * h if self.explicit else h
 
     def _component_action(self, b, i):
-        key = (b, i)
-        m = self._act_h.get(key)
-        if m is None:
-            m = self.provider.act_basis_on_component(self.alg, b, i)
-            self._act_h[key] = m
-        return m
+        return self.provider.h_action(self.alg, i)[b]
 
     def _legs(self, b):
         """Legs of b in the order the provider's tensor extension uses."""
@@ -574,7 +633,7 @@ def _lie_component_bracket_ok(smash_alg, r):
             ta = smash_alg._component_action(a, r)
             tb = smash_alg._component_action(b, r)
             elem = prov.base.bracket_basis(a, b)
-            tbr = prov.act_on_component(alg, elem, r)
+            tbr = prov.base.rep_of(prov.h_action(alg, r), elem)
             want = tb @ ta - ta @ tb if prov.side == "right" else \
                 ta @ tb - tb @ ta
             if tbr != want:
@@ -700,8 +759,24 @@ def _mat_to_json(m):
     return [[rat_to_str(x) for x in row] for row in m.data]
 
 
-def _mat_from_json(rows):
-    return Mat.from_rows([[rat_from_str(x) for x in row] for row in rows])
+def _mats_from_json(items, what, dim=None):
+    """Square matrices of one size, dim when given (else that of the
+    first), from (label, JSON rows) pairs; raises ValueError naming the
+    first matrix that is not."""
+    mats = []
+    for label, rows in items:
+        if not (isinstance(rows, list)
+                and all(isinstance(r, list) and len(r) == len(rows)
+                        for r in rows)):
+            raise ValueError("%s %s is not a square matrix" % (what, label))
+        if dim is None:
+            dim = len(rows)
+        if len(rows) != dim:
+            raise ValueError("%s %s is %d x %d, expected %r x %r"
+                             % (what, label, len(rows), len(rows), dim, dim))
+        mats.append(Mat.from_rows([[rat_from_str(x) for x in r]
+                                   for r in rows], dim))
+    return mats
 
 
 def action_bundle_to_json(provider, modules=None):
@@ -735,13 +810,16 @@ def action_bundle_from_json(obj):
     names to lists of left-action matrices aligned with the acting basis."""
     if "bialgebra" in obj:
         b = Bialgebra.from_json_obj(obj["bialgebra"])
-        mats = [_mat_from_json(m) for m in obj.get("action", [])]
+        mats = _mats_from_json(enumerate(obj.get("action", [])),
+                               "action matrix")
         if len(mats) != b.dim:
             raise ValueError("need one action matrix per basis element")
         provider = ActionProvider.from_bialgebra(b, mats)
         modules = {}
         for name, mobj in obj.get("modules", {}).items():
-            mmats = [_mat_from_json(m) for m in mobj["action"]]
+            mmats = _mats_from_json(enumerate(mobj["action"]),
+                                    "module %r, matrix" % name,
+                                    mobj.get("dim"))
             if len(mmats) != b.dim:
                 raise ValueError("module %r: wrong matrix count" % name)
             modules[name] = mmats

@@ -71,7 +71,7 @@ def _load_presentation(path):
         obj = obj["presentation"]
     try:
         return QuadraticPresentation.from_json_obj(obj)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
         raise ParseFailure("bad presentation in %s: %s" % (path, exc))
 
 
@@ -80,7 +80,7 @@ def _load_action(path):
     obj = _load_json(path)
     try:
         return action_bundle_from_json(obj)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
         raise ParseFailure("bad action bundle in %s: %s" % (path, exc))
 
 
@@ -200,20 +200,31 @@ def _check_takiff(provider):
     return "pass", details
 
 
-def _modules_for(provider, modules, n):
+def _duality_inputs(provider, modules, alg, dual_alg):
+    """What the duality and roundtrip checks share in one run: one
+    pairing, the acting object (the trivial one when none is given) with
+    its modules, the failure of its R-stability if any, and the complexes
+    built so far, by module name."""
+    from koszulkit.action import validate_module_algebra
     from koszulkit.fixtures import trivial_provider
     if provider is None:
-        return trivial_provider(n), {"k": [Mat.identity(1)]}
-    return provider, modules
+        provider, modules = trivial_provider(alg.n), {"k": [Mat.identity(1)]}
+    ok, where = validate_module_algebra(provider, alg.pres)
+    return {"pairing": DualityPairing(alg, dual_alg), "provider": provider,
+            "modules": modules, "complexes": {},
+            "unstable": None if ok else "relations not stable: %r" % (where,)}
 
 
-def _check_duality(provider, modules, alg, dual_alg, N):
+def _check_duality(shared, N):
     from koszulkit.duality import (
-        degree_zero_module, diagonal_vanishing, identify_socI, identify_topP,
+        degree_zero_module, identify_socI, identify_topP,
         koszulity_via_duality, socI_model_module, validate_module,
     )
-    pairing = DualityPairing(alg, dual_alg)
-    provider, modules = _modules_for(provider, modules, alg.n)
+    if shared["unstable"]:
+        return "fail", {"failure": shared["unstable"]}
+    pairing, provider = shared["pairing"], shared["provider"]
+    modules = shared["modules"]
+    alg = pairing.alg
     details = {"modules": {}}
     status = "pass"
     for name in sorted(modules):
@@ -245,6 +256,9 @@ def _check_duality(provider, modules, alg, dual_alg, N):
         Y = socI_model_module(provider, pairing, mats, N)
         top = identify_topP(Y, pairing, N)
         entry["top_identification"] = top["ok"]
+        shared["complexes"][name] = {"icx": res["complexes"]["I"],
+                                     "pcx": res["complexes"]["P"],
+                                     "zcx": top["complex"]}
         if not (soc["ok"] and top["ok"]):
             raise InternalInvariant(
                 "identification failed for module %r at %r" %
@@ -257,18 +271,23 @@ def _check_duality(provider, modules, alg, dual_alg, N):
     return status, details
 
 
-def _check_roundtrip(provider, modules, alg, dual_alg, N):
+def _check_roundtrip(shared, N):
     from koszulkit.duality import roundtrip_A, roundtrip_B
-    pairing = DualityPairing(alg, dual_alg)
-    provider, modules = _modules_for(provider, modules, alg.n)
+    if shared["unstable"]:
+        return "fail", {"failure": shared["unstable"]}
+    pairing, provider = shared["pairing"], shared["provider"]
     ok_psi, where = verify_psi_intertwiner(pairing, min(N, 4))
     if not ok_psi:
         raise InternalInvariant("pairing intertwiner fails at %r" % (where,))
     details = {"modules": {}}
-    for name in sorted(modules):
-        mats = modules[name]
-        ra = roundtrip_A(provider, pairing, mats, N)
-        rb = roundtrip_B(provider, pairing, mats, N)
+    for name in sorted(shared["modules"]):
+        mats = shared["modules"][name]
+        # each complex is dropped once its round trip has used it, so
+        # that the complexes of all modules are not alive together
+        built = shared["complexes"].pop(name, {})
+        ra = roundtrip_A(provider, pairing, mats, N, built.pop("icx", None),
+                         built.pop("zcx", None))
+        rb = roundtrip_B(provider, pairing, mats, N, built.pop("pcx", None))
         details["modules"][name] = {
             "injective_side": ra["checks"], "cells_A": ra["cells"],
             "projective_side": rb["checks"], "cells_B": rb["cells"],
@@ -371,6 +390,11 @@ def run_check(args):
     provider, modules = (None, {})
     if args.action:
         provider, modules = _load_action(args.action)
+        if provider.space_dim != pres.n:
+            raise ParseFailure(
+                "the action in %s is on a space of dimension %d, but the "
+                "presentation has %d generators"
+                % (args.action, provider.space_dim, pres.n))
         if args.module:
             if args.module not in modules:
                 raise ParseFailure("module %r not in action bundle"
@@ -395,7 +419,7 @@ def run_check(args):
         "checks": {},
     }
     timing = {}
-    alg = dual_alg = None
+    alg = dual_alg = shared = None
 
     def need_alg():
         nonlocal alg, dual_alg
@@ -403,6 +427,12 @@ def run_check(args):
             alg = grow(pres, N)
             dual_alg = grow(quadratic_dual(pres), N)
         return alg, dual_alg
+
+    def need_shared():
+        nonlocal shared
+        if shared is None:
+            shared = _duality_inputs(provider, modules, *need_alg())
+        return shared
 
     overall = "pass"
     for name in order:
@@ -426,11 +456,9 @@ def run_check(args):
             elif name == "takiff":
                 status, details = _check_takiff(provider)
             elif name == "duality":
-                a, d = need_alg()
-                status, details = _check_duality(provider, modules, a, d, N)
+                status, details = _check_duality(need_shared(), N)
             elif name == "roundtrip":
-                a, d = need_alg()
-                status, details = _check_roundtrip(provider, modules, a, d, N)
+                status, details = _check_roundtrip(need_shared(), N)
         except InternalInvariant as exc:
             report["checks"][name] = {"status": "internal-error",
                                       "details": {"failure": str(exc)}}

@@ -28,8 +28,8 @@ from koszulkit.action import (
     dual_action, legs, tensor_action, validate_left_modules,
 )
 from koszulkit.exactlin import (
-    F0, F1, Mat, Subspace, basis_vector, hstack, image, inverse, kernel,
-    kron, perm_matrix, quotient,
+    F0, F1, Mat, Subspace, hstack, image, inverse, kernel,
+    kron, perm_matrix, quotient, rank,
 )
 from koszulkit.graded import BigradedComplex, check_d_squared, homology
 from koszulkit.quadratic import m_bar
@@ -44,6 +44,11 @@ def _e_col(n, i):
     return m
 
 
+def _bijective(m):
+    """Whether the matrix m is square and invertible."""
+    return m.rows == m.cols and rank(m) == m.rows
+
+
 def _swap_mat(a, b):
     """Permutation matrix from (x slow, w fast) to (w slow, x fast)."""
     perm = [0] * (a * b)
@@ -51,31 +56,6 @@ def _swap_mat(a, b):
         for w in range(b):
             perm[x * b + w] = w * a + x
     return perm_matrix(perm)
-
-
-def _restrict(sub, T):
-    """Matrix of T restricted to an invariant subspace, in its coordinates.
-
-    Raises ValueError if the subspace is not invariant."""
-    amb = T @ sub.basis.transpose()
-    rows = []
-    for c in range(amb.cols):
-        coords = sub.coordinates(amb.col(c))
-        if coords is None:
-            raise ValueError("subspace is not invariant under the action")
-        rows.append(coords)
-    return Mat.from_rows(rows, sub.dim).transpose()
-
-
-def _k_action_mats(provider, alg, r):
-    """Action of every acting basis element on K_r, in K-coordinates."""
-    return [_restrict(alg.K[r], provider.act_basis_on_tensor(b, r))
-            for b in range(provider.basis_size)]
-
-
-def _h_action_mats(provider, alg, i):
-    return [provider.act_basis_on_component(alg, b, i)
-            for b in range(provider.basis_size)]
 
 
 def _hom_action(provider, arg_right_mats, inner_left_mats):
@@ -149,7 +129,7 @@ def _induced_left_action_bialg(provider, mid_right_mats, inner_left_mats,
 def _component_left_action(provider, alg, i, inner_left_mats, inner_dim):
     """Left action of the degree-zero part on the model H_i (x) Inner of
     the induced module (A_i tensored over A0 with Inner)."""
-    hmats = _h_action_mats(provider, alg, i)
+    hmats = provider.h_action(alg, i)
     if provider.side == "left":
         return tensor_action(provider, hmats, inner_left_mats, reverse=True)
     if provider.kind == "lie":
@@ -245,7 +225,7 @@ def I0(provider, alg, mats):
     for i in range(N + 1):
         dims[-i] = dX * alg.hdim(i)
         if dims[-i]:
-            act0[-i] = _hom_action(provider, _h_action_mats(provider, alg, i),
+            act0[-i] = _hom_action(provider, provider.h_action(alg, i),
                                    list(mats))
     for i in range(1, N + 1):
         if not (dims[-i] and dims[-i + 1]):
@@ -509,7 +489,7 @@ def I_complex(X, N=None):
     jmin, jmax = X.jmin, X.jmax
     s_lo, s_hi = jmax - N, jmax
     comps, blocks, complete = {}, {}, {}
-    kacts = {r: _k_action_mats(prov, alg, r) for r in range(N + 1)}
+    kacts = {r: prov.k_action(alg, r) for r in range(N + 1)}
     hacts = {}
     for s in range(s_lo, s_hi + 1):
         for r in range(0, N + 1):
@@ -530,7 +510,7 @@ def I_complex(X, N=None):
             per_block = {}
             for (i, j, d) in blocks[(r, s)]:
                 if i not in hacts:
-                    hacts[i] = _h_action_mats(prov, alg, i)
+                    hacts[i] = prov.h_action(alg, i)
                 arg = tensor_action(prov, kacts[r], hacts[i])
                 per_block[(i, j)] = _hom_action(prov, arg, X.act0_mats(j))
             act0[(r, s)] = _blockdiag_act(blocks[(r, s)], per_block,
@@ -587,7 +567,7 @@ def P_complex(X, N=None):
             blocks[(-r, s)] = bl
             comps[(-r, s)] = sum(d for *_k, d in bl)
             complete[(-r, s)] = (not X.truncated_above) or (s - r <= jmax)
-    kacts = {r: _k_action_mats(prov, alg, r) for r in range(N + 1)}
+    kacts = {r: prov.k_action(alg, r) for r in range(N + 1)}
     inner_cache = {}
 
     def inner_action(r, j):
@@ -653,7 +633,6 @@ def socI_complex(X, N=None):
     if X.truncated_above:
         raise ValueError("input module must be genuinely bounded above")
     n = alg.n
-    from koszulkit.quadratic import contract_right
     jmin, jmax = X.jmin, X.jmax
     s_lo, s_hi = jmin - N, jmax
     comps, blocks, complete = {}, {}, {}
@@ -665,7 +644,7 @@ def socI_complex(X, N=None):
             blocks[(r, s)] = bl
             comps[(r, s)] = d
             complete[(r, s)] = (not X.truncated_below) or (j >= jmin)
-    kacts = {r: _k_action_mats(prov, alg, r) for r in range(N + 1)}
+    kacts = {r: prov.k_action(alg, r) for r in range(N + 1)}
     diffs, act0, deg1 = {}, {}, {}
     for s in range(s_lo, s_hi + 1):
         for r in range(0, N + 1):
@@ -680,7 +659,7 @@ def socI_complex(X, N=None):
                 if comps[(r, s)] and alg.kdim(r + 1) and X.dim(j):
                     mats = []
                     for a in range(n):
-                        c = contract_right(alg, r + 1, basis_vector(n, a), 1)
+                        c = alg.contraction(r + 1, a, "right")
                         mats.append(kron(Mat.identity(X.dim(j)),
                                          c.transpose()))
                     deg1[(r, s)] = mats
@@ -704,7 +683,6 @@ def topP_complex(Y, N=None):
         N = alg.N
     assert N <= alg.N
     n = alg.n
-    from koszulkit.quadratic import contract_left
     jmin = Y.jmin
     if jmin < 0:
         raise ValueError("input module must live in non-negative degrees")
@@ -718,7 +696,7 @@ def topP_complex(Y, N=None):
             blocks[(-r, s)] = bl
             comps[(-r, s)] = d
             complete[(-r, s)] = (not Y.truncated_above) or (j <= Y.jmax)
-    kacts = {r: _k_action_mats(prov, alg, r) for r in range(N + 1)}
+    kacts = {r: prov.k_action(alg, r) for r in range(N + 1)}
     diffs, act0, deg1 = {}, {}, {}
     for s in range(s_lo, s_hi + 1):
         for r in range(0, N + 1):
@@ -728,7 +706,8 @@ def topP_complex(Y, N=None):
                                               reverse=True)
                 mats = []
                 for a in range(n):
-                    c = contract_left(alg, r, basis_vector(n, a), 1)
+                    c = (alg.contraction(r, a, "left") if r
+                         else Mat.zeros(0, 1))
                     mats.append(kron(c, Mat.identity(Y.dim(j))))
                 deg1[(-r, s)] = mats
             if r >= 1 and comps[(-r, s)] and comps[(-r + 1, s)]:
@@ -820,9 +799,7 @@ def h0_certificate_I(dcx, X):
         if proj_block is None:
             return False, ("missing block", s)
         iso = proj_block @ ker.basis.transpose()
-        try:
-            inverse(iso)
-        except ValueError:
+        if not _bijective(iso):
             return False, ("not bijective", s)
         acts = dcx.act0_mats(0, s)
         rho = X.act0_mats(s)
@@ -866,9 +843,7 @@ def h0_certificate_P(dcx, X):
         if emb is None:
             return False, ("missing block", s)
         iso = proj @ emb
-        try:
-            inverse(iso)
-        except ValueError:
+        if not _bijective(iso):
             return False, ("not bijective", s)
         acts = dcx.act0_mats(0, s)
         rho = X.act0_mats(s)
@@ -940,7 +915,7 @@ def socI_model_module(provider, pairing, mats_x, N=None):
     for p in range(N + 1):
         dims[p] = dual.hdim(p) * dX
         if dims[p]:
-            act0[p] = tensor_action(dprov, _h_action_mats(dprov, dual, p),
+            act0[p] = tensor_action(dprov, dprov.h_action(dual, p),
                                     list(mats_x), reverse=True)
     for p in range(N):
         if dims[p] and dims[p + 1]:
@@ -966,9 +941,7 @@ def identify_socI(X, pairing, N=None):
             continue
         j = r + s
         theta[(r, j)] = _theta_matrix(pairing, r, X.dim(j))
-        try:
-            inverse(theta[(r, j)])
-        except ValueError:
+        if not _bijective(theta[(r, j)]):
             return {"ok": False, "first_failure": ("not bijective", r, j),
                     "theta": theta, "complex": soc}
     for (r, s), mats in sorted(soc.deg1.items()):
@@ -988,7 +961,7 @@ def identify_socI(X, pairing, N=None):
         j = r + s
         if (r, j) not in theta:
             continue
-        model = tensor_action(dprov, _h_action_mats(dprov, dual, r),
+        model = tensor_action(dprov, dprov.h_action(dual, r),
                               X.act0_mats(j), reverse=True)
         for b in range(X.provider.basis_size):
             if mats[b] @ theta[(r, j)] != theta[(r, j)] @ model[b]:
@@ -1022,9 +995,7 @@ def identify_topP(Y, pairing, N=None):
         r = -mr
         j = s - r
         phi[(r, j)] = _phi_matrix(pairing, r, Y.dim(j))
-        try:
-            inverse(phi[(r, j)])
-        except ValueError:
+        if not _bijective(phi[(r, j)]):
             return {"ok": False, "first_failure": ("not bijective", r, j),
                     "phi": phi, "complex": top}
     # chain property against the explicit coinduced-side differential
@@ -1049,7 +1020,7 @@ def identify_topP(Y, pairing, N=None):
         j = s - r
         if (r, j) not in phi:
             continue
-        model = _hom_action(orig, _h_action_mats(orig, alg, r),
+        model = _hom_action(orig, orig.h_action(alg, r),
                             Y.act0_mats(j))
         for b in range(Y.provider.basis_size):
             if phi[(r, j)] @ mats[b] != model[b] @ phi[(r, j)]:
@@ -1077,20 +1048,25 @@ def identify_topP(Y, pairing, N=None):
 # ---------------------------------------------------------------------------
 # round trips
 
-def roundtrip_A(provider, pairing, mats_x, N=None):
+def roundtrip_A(provider, pairing, mats_x, N=None, icx=None, zcx=None):
     """Rebuild the injective-side complex of a degree-zero module by going
     through the socle model and the top quotient on the co-opposite side,
     and compare with the directly built complex through the transported
     pairing matrices: bijective, chain, degree-zero- and generator-
-    equivariant on every bidegree in the window."""
+    equivariant on every bidegree in the window.
+
+    icx and zcx, when given, are the injective-side complex of the module
+    and the top quotient of its socle model, already built for the same
+    window (by koszulity_via_duality and identify_topP)."""
     alg, dual = pairing.alg, pairing.dual
     if N is None:
         N = alg.N
     dX = mats_x[0].rows if mats_x else 0
-    X = degree_zero_module(provider, alg, mats_x)
-    icx = I_complex(X, N)
-    Y = socI_model_module(provider, pairing, mats_x, N)
-    zcx = topP_complex(Y, N)
+    if icx is None:
+        icx = I_complex(degree_zero_module(provider, alg, mats_x), N)
+    if zcx is None:
+        zcx = topP_complex(socI_model_module(provider, pairing, mats_x, N),
+                           N)
     n = alg.n
     checks = {"bijective": True, "chain": True, "act0": True,
               "generator": True}
@@ -1110,9 +1086,7 @@ def roundtrip_A(provider, pairing, mats_x, N=None):
             m = kron(pairing.psi_bar(r, p), Mat.identity(dX)) \
                 @ _swap_mat(dX, alg.kdim(p) * alg.hdim(r))
             phi[(r, p)] = m
-            try:
-                inverse(m)
-            except ValueError:
+            if not _bijective(m):
                 checks["bijective"] = False
                 first = first or ("bijective", r, p)
     for r in range(1, N + 1):
@@ -1134,7 +1108,6 @@ def roundtrip_A(provider, pairing, mats_x, N=None):
                 checks["act0"] = False
                 first = first or ("act0", r, p, b)
                 break
-    from koszulkit.quadratic import contract_left
     for (r, p), m in sorted(phi.items()):
         if r == 0 or (r - 1, p) not in phi:
             continue
@@ -1144,7 +1117,7 @@ def roundtrip_A(provider, pairing, mats_x, N=None):
             hom_v = kron(Mat.identity(dX),
                          kron(Mat.identity(alg.kdim(p)),
                               rmult).transpose())
-            mod_v = kron(contract_left(dual, r, basis_vector(n, a), 1),
+            mod_v = kron(dual.contraction(r, a, "left"),
                          Mat.identity(dual.hdim(p) * dX))
             if phi[(r - 1, p)] @ hom_v != mod_v @ phi[(r, p)]:
                 checks["generator"] = False
@@ -1155,21 +1128,24 @@ def roundtrip_A(provider, pairing, mats_x, N=None):
             "cells": len(phi)}
 
 
-def roundtrip_B(provider, pairing, mats_x, N=None):
+def roundtrip_B(provider, pairing, mats_x, N=None, pcx=None):
     """Mirror round trip: the socle complex of the coinduced module is
     compared with the directly built projective-side complex over the
     co-opposite smash.  A per-bidegree sign gauge for the comparison map
     is solved for empirically and reported; with the gauge in place the
-    comparison must be a bijective chain map intertwining both actions."""
+    comparison must be a bijective chain map intertwining both actions.
+
+    pcx, when given, is the projective-side complex of the module over
+    the co-opposite smash, already built for the same window (by
+    koszulity_via_duality)."""
     alg, dual = pairing.alg, pairing.dual
     if N is None:
         N = alg.N
-    dprov = dual_action(provider)
     dX = mats_x[0].rows if mats_x else 0
-    W = I0(provider, alg, mats_x)
-    soc = socI_complex(W, N)
-    Xd = degree_zero_module(dprov, dual, mats_x)
-    pcx = P_complex(Xd, N)
+    soc = socI_complex(I0(provider, alg, mats_x), N)
+    if pcx is None:
+        pcx = P_complex(degree_zero_module(dual_action(provider), dual,
+                                           mats_x), N)
     n = alg.n
     checks = {"bijective": True, "chain": True, "act0": True,
               "generator": True}
@@ -1190,9 +1166,7 @@ def roundtrip_B(provider, pairing, mats_x, N=None):
             m = kron(Mat.identity(dual.hdim(r)), phi_inv[i]) \
                 @ theta_inv[key]
             chi[key] = m
-            try:
-                inverse(m)
-            except ValueError:
+            if not _bijective(m):
                 checks["bijective"] = False
                 first = first or ("bijective", r, i)
 
@@ -1267,7 +1241,7 @@ def koszulity_via_duality(provider, pairing, mats_x, N=None):
     the projective-side complex over the co-opposite smash is exact away
     from degree zero, and the Koszul-complex criterion for the underlying
     quadratic algebra.  Returns per-degree verdicts plus the agreement
-    flag."""
+    flag, and the two complexes it built ("complexes": I and P)."""
     from koszulkit.quadratic import koszulity_check
     alg, dual = pairing.alg, pairing.dual
     if N is None:
@@ -1307,4 +1281,5 @@ def koszulity_via_duality(provider, pairing, mats_x, N=None):
         "verdict": agree and all(per_k.values()) and h0_i[0] and h0_p[0],
         "assumptions": ["degree-zero-part self-injectivity (Ext-vanishing)"
                         " assumed, not checked"],
+        "complexes": {"I": icx, "P": pcx},
     }

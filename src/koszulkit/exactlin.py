@@ -22,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, lcm
+from operator import itemgetter
 
 F0 = 0
 F1 = 1
@@ -49,6 +50,20 @@ def _ints(data):
     return data
 
 
+def _has_fraction(data):
+    """Whether a nonzero entry of data is a Fraction: only then can
+    arithmetic on it leave integral Fractions for _ints to turn back."""
+    return Fraction in set(map(type, chain.from_iterable(
+        map(compress, data, data))))
+
+
+def _nz_has_fraction(nzrows):
+    """_has_fraction for rows given as _nonzeros lists (None for a row
+    not in use)."""
+    return Fraction in set(map(type, map(itemgetter(1), chain.from_iterable(
+        filter(None, nzrows)))))
+
+
 def _nonzeros(row):
     """[(column, entry)] of the nonzero entries of a row."""
     return [(j, row[j]) for j in compress(range(len(row)), row)]
@@ -64,6 +79,11 @@ def _mat(rows, cols, data):
     return m
 
 
+def _columns(m, cols):
+    """The columns cols of m, in that order."""
+    return _mat(m.rows, len(cols), [[row[c] for c in cols] for row in m.data])
+
+
 class Mat:
     """Dense rows x cols matrix with exact (int or Fraction) entries."""
 
@@ -75,10 +95,11 @@ class Mat:
         if data is None:
             self.data = [[0] * cols for _ in range(rows)]
         else:
-            assert len(data) == rows
             self.data = [[_exact(x) for x in row] for row in data]
-            for row in self.data:
-                assert len(row) == cols
+            if len(self.data) != rows or any(len(row) != cols
+                                             for row in self.data):
+                raise ValueError("entries do not form a %d x %d matrix"
+                                 % (rows, cols))
 
     @staticmethod
     def from_rows(rows_list, cols=None):
@@ -149,7 +170,9 @@ class Mat:
                 for j, b in nzrow:
                     acc[j] += a * b
             out.append(acc)
-        return _mat(self.rows, cols, _ints(out))
+        if _has_fraction(self.data) or _nz_has_fraction(nz):
+            _ints(out)
+        return _mat(self.rows, cols, out)
 
     def apply(self, vec):
         """Matrix times column vector (a list)."""
@@ -197,8 +220,11 @@ def kron_sum(terms, rows, cols):
     """Sum of c * kron(A, B) over the (c, A, B) in terms, a rows x cols
     matrix, accumulated in place: only nonzero products are written."""
     out = [[0] * cols for _ in range(rows)]
+    frac = False
     for c, m1, m2 in terms:
         nz2 = [_nonzeros(row) for row in m2.data]
+        frac = (frac or type(c) is not int or _has_fraction(m1.data)
+                or _nz_has_fraction(nz2))
         r2, c2 = m2.rows, m2.cols
         js = range(m1.cols)
         for i1, row1 in enumerate(m1.data):
@@ -209,7 +235,7 @@ def kron_sum(terms, rows, cols):
                 for orow, nzrow in zip(orows, nz2):
                     for j2, b in nzrow:
                         orow[base_j + j2] += ca * b
-    return _mat(rows, cols, _ints(out))
+    return _mat(rows, cols, _ints(out) if frac else out)
 
 
 def kron(m1, m2):
@@ -378,25 +404,12 @@ class Subspace:
     def contains(self, vec):
         return not any(self.reduce(vec))
 
-    def contains_subspace(self, other):
-        assert self.ambient_dim == other.ambient_dim
-        return all(self.contains(row) for row in other.basis.data)
-
     def coordinates(self, vec):
         """Coefficients of vec in the RREF basis; None if not a member."""
         coords = [vec[p] for p in self.pivots]
         if not self.contains(vec):
             return None
         return coords
-
-    def coordinate_matrix(self, vectors):
-        """Rows of coordinates, one per input vector; asserts membership."""
-        out = []
-        for v in vectors:
-            c = self.coordinates(v)
-            assert c is not None, "vector not in subspace"
-            out.append(c)
-        return Mat.from_rows(out, self.dim)
 
     def add(self, other):
         assert self.ambient_dim == other.ambient_dim

@@ -8,14 +8,17 @@ ever formed on the tensor power V^(x)i.  The module also builds the
 Koszul subspaces K_i (each inside K_{i-1} (x) V), the quadratic dual, the
 left/right Koszul complexes, the contraction actions of the dual on the
 Koszul subspaces, and the pairing-transport matrices psi_bar used by the
-duality module.
+duality module.  Every one of them is held in the coordinates of H_i and
+K_i and grown from degree i - 1: products from the quotient maps
+H_{i-1} (x) V -> H_i, the left inclusion of K_i and the contractions from
+the right inclusions, and the pairings from the pairing one degree down.
 
 Conventions (fixed once, everything else is derived from them):
   * monomials of V^(x)i are ordered lexicographically by generator index,
     flattened row-major: word (a_1..a_i) has index sum a_k n^(i-k);
   * a word is normal when it is not the lowest-index word of any element
     of the degree-i relation ideal; H_i has the normal words as basis, in
-    increasing order, and proj[i] sends every word to its normal form;
+    increasing order, and every word acts through its normal form;
   * the pairing of dual words with words is order-reversing:
     <xi_1(x)...(x)xi_r , v_1(x)...(x)v_r> = prod_k xi_k(v_{r+1-k}).
 The mandatory intertwiner self-test (verify_psi_intertwiner) fails loudly
@@ -25,8 +28,8 @@ if any construction drifts from these conventions.
 from __future__ import annotations
 
 from koszulkit.exactlin import (
-    F0, F1, Mat, Subspace, inverse, kernel, kron, mul_kron_identity,
-    perm_matrix, quotient, rat_from_str, rat_to_str,
+    F0, Mat, Subspace, _columns, _ints, _mat, inverse, kernel, kron,
+    mul_kron_identity, perm_matrix, quotient, rat_from_str, rat_to_str,
 )
 from koszulkit.graded import BigradedComplex, GradedSpace
 
@@ -135,32 +138,46 @@ class TruncatedGradedAlgebra:
     H_i = V^(x)i / I_i, where I_i is the degree-i part of the two-sided
     ideal generated by R.  Its basis is the normal words of degree i, the
     words that are not the leading (lowest-index) word of any element of
-    I_i; words[i] lists their flat indices in increasing order.  proj[i]
-    (hdim x n^i) sends every word to its normal form, and sect[i] embeds
-    the normal words.  K[i] is the Koszul subspace of V^(x)i, held by its
-    canonical basis, and incl_right(i) gives its coordinates in
-    K_{i-1} (x) V.
+    I_i; words[i] lists their flat indices in increasing order.  Normal
+    words are closed under prefixes and suffixes, so every object here is
+    held in quotient coordinates and grown one degree at a time:
+      * mult(i - 1, 1), the quotient H_{i-1} (x) V -> H_i, is stored from
+        growth; split_last(i) gives the columns of H_{i-1} (x) V at which
+        the normal words of degree i sit, and split_first(i) those of
+        V (x) H_{i-1};
+      * K_i, the Koszul subspace of V^(x)i, is held by incl_right(i), its
+        coordinates in K_{i-1} (x) V, an RREF coefficient basis whose
+        pivot rows read off K_i coordinates; incl_left(i) gives its
+        coordinates in V (x) K_{i-1}.
+    Nothing on the tensor power V^(x)i is ever formed.
     """
 
-    def __init__(self, pres, N, words, proj, K, incl_right):
+    def __init__(self, pres, N, words, cand, quot, incl_right, kpiv):
         self.pres = pres
         self.N = N
         self.n = pres.n
         self.words = words
-        self.proj = proj
-        self.sect = [_embedding(self.n ** i, w) for i, w in enumerate(words)]
-        self.K = K
+        self._cand = cand
         self._incl_right = incl_right
-        self._mult = {}
+        self._kpiv = kpiv
+        self._mult = {(i - 1, 1): quot[i] for i in range(2, N + 1)}
         self._incl_left = {}
+        self._first = {}
+        self._left_pivots = {}
+        self._contractions = {}
+        self._m_bar = {}
+
+    def _check(self, i):
+        if not 0 <= i <= self.N:
+            raise ValueError("degree %d outside 0..%d" % (i, self.N))
 
     def hdim(self, i):
-        assert 0 <= i <= self.N
-        return self.proj[i].rows
+        self._check(i)
+        return len(self.words[i])
 
     def kdim(self, i):
-        assert 0 <= i <= self.N
-        return self.K[i].dim
+        self._check(i)
+        return self._incl_right[i].cols if i else 1
 
     def hdims(self):
         return [self.hdim(i) for i in range(self.N + 1)]
@@ -178,63 +195,121 @@ class TruncatedGradedAlgebra:
         return ["*".join(names[a] for a in index_word(idx, self.n, i)) or "1"
                 for idx in self.words[i]]
 
+    def split_last(self, i):
+        """Column of H_{i-1} (x) V of each normal word u.v of degree i."""
+        self._check(i)
+        return self._cand[i]
+
+    def split_first(self, i):
+        """Column of V (x) H_{i-1} of each normal word a.w of degree i."""
+        cols = self._first.get(i)
+        if cols is None:
+            self._check(i)
+            stride = self.n ** (i - 1)
+            pos = {w: k for k, w in enumerate(self.words[i - 1])}
+            h = len(pos)
+            cols = [w // stride * h + pos[w % stride] for w in self.words[i]]
+            self._first[i] = cols
+        return cols
+
     def mult(self, i, j):
-        """Matrix of H_i (x) H_j -> H_{i+j} (concatenation of monomials)."""
+        """Matrix of H_i (x) H_j -> H_{i+j} (concatenation of monomials).
+
+        For j > 1 it follows from mult(i, j - 1) and mult(i + j - 1, 1):
+        with u.v the normal word of degree j, NF(x.u.v) is the quotient
+        of NF(x.u) (x) v."""
         key = (i, j)
         m = self._mult.get(key)
         if m is None:
-            assert i + j <= self.N
-            m = _concat(self.proj[i + j], self.words[i], self.words[j],
-                        self.n ** j)
+            self._check(i)
+            self._check(i + j)
+            if i == 0 or j == 0:
+                m = Mat.identity(self.hdim(i + j))
+            else:
+                wide = mul_kron_identity(self.mult(i + j - 1, 1),
+                                         self.mult(i, j - 1), self.n)
+                stride = self.hdim(j - 1) * self.n
+                cols = self.split_last(j)
+                m = _columns(wide, [x * stride + c
+                                    for x in range(self.hdim(i))
+                                    for c in cols])
             self._mult[key] = m
         return m
 
     def incl_right(self, i):
         """Coordinates of the inclusion K_i -> K_{i-1} (x) V."""
-        assert 1 <= i <= self.N
+        if not 1 <= i <= self.N:
+            raise ValueError("degree %d outside 1..%d" % (i, self.N))
         return self._incl_right[i]
 
     def incl_left(self, i):
-        """Coordinates of the inclusion K_i -> V (x) K_{i-1}."""
+        """Coordinates of the inclusion K_i -> V (x) K_{i-1}.
+
+        Through K_i -> K_{i-1} (x) V -> V (x) K_{i-2} (x) V, the slice of K_i
+        at each first letter lies in K_{i-1} inside K_{i-2} (x) V, where
+        k_coordinates reads it off."""
         m = self._incl_left.get(i)
         if m is None:
-            assert 1 <= i <= self.N
-            d_prev = self.kdim(i - 1)
+            right = self.incl_right(i)
             n = self.n
-            stride = n ** (i - 1)
-            m = Mat(n * d_prev, self.kdim(i))
-            prev = self.K[i - 1]
-            for col, row_vec in enumerate(self.K[i].basis.data):
+            if i == 1:
+                m = right
+            else:
+                kp, w = self.kdim(i - 1), self.kdim(i - 2) * n
+                # (incl_left(i - 1) (x) I_n) incl_right(i), rows (a, t, v)
+                z = mul_kron_identity(right.transpose(),
+                                      self.incl_left(i - 1).transpose(),
+                                      n).transpose()
+                data = []
                 for a in range(n):
-                    slice_a = row_vec[a * stride:(a + 1) * stride]
-                    coords = prev.coordinates(slice_a)
-                    assert coords is not None, "K_%d not inside V (x) K_%d" % (i, i - 1)
-                    for t, c in enumerate(coords):
-                        if c:
-                            m.data[a * d_prev + t][col] = c
+                    x = self.k_coordinates(
+                        i - 1, _mat(w, z.cols, z.data[a * w:(a + 1) * w]),
+                        "right")
+                    if x is None:
+                        raise ValueError("K_%d is not inside V (x) K_%d"
+                                         % (i, i - 1))
+                    data.extend(x.data)
+                m = _mat(n * kp, right.cols, data)
             self._incl_left[i] = m
         return m
 
-    def k_embedding(self, i):
-        """Ambient embedding matrix (n^i x kdim): columns are K_i basis."""
-        return self.K[i].basis.transpose()
+    def k_coordinates(self, i, y, side):
+        """The K_i coordinates x of the columns of y, given in K_{i-1} (x) V
+        (side "right") or V (x) K_{i-1} ("left"), so that
+        incl(i) @ x == y exactly; None if a column is not in K_i.
 
+        x is y read at one row per column of the inclusion, where that
+        column has a 1 and the others a 0: the RREF pivots of
+        incl_right(i), and the leading rows of incl_left(i), as the
+        leading word of a K_i basis vector is a letter followed by the
+        leading word of a K_{i-1} basis vector."""
+        if side == "right":
+            incl, rows = self.incl_right(i), self._kpiv[i]
+        else:
+            incl = self.incl_left(i)
+            rows = self._left_pivots.get(i)
+            if rows is None:
+                rows = self._left_pivots[i] = [
+                    next(r for r, x in enumerate(col) if x)
+                    for col in incl.transpose().data]
+        x = _mat(len(rows), y.cols, [y.data[r][:] for r in rows])
+        return x if incl @ x == y else None
 
-def _embedding(dim, words):
-    """dim x len(words) matrix sending basis vector k to e_{words[k]}."""
-    m = Mat(dim, len(words))
-    for k, w in enumerate(words):
-        m.data[w][k] = F1
-    return m
-
-
-def _concat(proj, left, right, stride):
-    """Columns of proj at the concatenations u.v (flat index u * stride + v)
-    of u in left and v in right, ordered with u the slow index: the matrix
-    of H_i (x) H_j -> H_{i+j} when proj is proj[i + j]."""
-    cols = [u * stride + v for u in left for v in right]
-    return Mat(proj.rows, len(cols), [[row[c] for c in cols]
-                                      for row in proj.data])
+    def contraction(self, i, a, side):
+        """K_i -> K_{i-1} stripping the last letter (side "right") or the
+        first letter ("left") against the a-th dual generator: a row slice
+        of incl_right(i) or incl_left(i)."""
+        key = (i, a, side)
+        m = self._contractions.get(key)
+        if m is None:
+            kp, n = self.kdim(i - 1), self.n
+            if side == "right":
+                rows = self.incl_right(i).data[a::n]
+            else:
+                rows = self.incl_left(i).data[a * kp:(a + 1) * kp]
+            m = _mat(kp, self.kdim(i), [r[:] for r in rows])
+            self._contractions[key] = m
+        return m
 
 
 def grow(pres, N):
@@ -243,48 +318,46 @@ def grow(pres, N):
     Growth by normal words (Anick, Trans. AMS 296, 1986; Ufnarovski): a
     word with a non-normal prefix is not normal, so the normal words of
     degree i lie among the candidates NW_{i-1} x V.  In the coordinates of
-    H_{i-1} (x) V, H_i is the quotient by (m (x) id)(H_{i-2} (x) R), with m
-    the multiplication H_{i-2} (x) V -> H_{i-1}; its non-pivot columns are
-    the normal words, and NF_i = (quotient) o (NF_{i-1} (x) id).  K_i is
-    solved in K_{i-1} (x) V coordinates.  Every elimination is over a
-    space of dimension hdim * n or kdim * n, never n^i."""
-    assert N >= 0
+    H_{i-1} (x) V, H_i is the quotient q_i by (m (x) id)(H_{i-2} (x) R),
+    with m = q_{i-1} the multiplication H_{i-2} (x) V -> H_{i-1}; its
+    non-pivot columns are the normal words.  K_i is solved in
+    K_{i-1} (x) V coordinates.  Every elimination is over a space of
+    dimension hdim * n or kdim * n, never n^i."""
+    if N < 0:
+        raise ValueError("negative truncation degree %d" % N)
     n = pres.n
     R = pres.relations
-    words, proj = [[0]], [Mat.identity(1)]
-    K, incl = [Subspace.full(1)], [None]
+    words, cand, quot = [[0]], [[0]], [Mat.identity(1)]
+    incl, kpiv, kdim = [None], [[0]], [1]
     if N >= 1:
         words.append(list(range(n)))
-        proj.append(Mat.identity(n))
-        K.append(Subspace.full(n))
+        cand.append(list(range(n)))
+        quot.append(Mat.identity(n))
         incl.append(Mat.identity(n))
+        kpiv.append(list(range(n)))
+        kdim.append(n)
     q_R, _ = quotient(n * n, R)
     for i in range(2, N + 1):
         # H_i: pivots of the relations in H_{i-1} (x) V are the candidates
         # that are not normal
-        m = _concat(proj[i - 1], words[i - 2], words[1], n)
         rows = mul_kron_identity(
-            kron(Mat.identity(len(words[i - 2])), R.basis), m.transpose(), n)
-        rel = Subspace.from_rows(m.rows * n, rows)
+            kron(Mat.identity(len(words[i - 2])), R.basis),
+            quot[i - 1].transpose(), n)
+        rel = Subspace.from_rows(quot[i - 1].rows * n, rows)
         q, _ = quotient(rel.ambient_dim, rel)
-        proj.append(mul_kron_identity(q, proj[i - 1], n))
+        quot.append(q)
         pivots = set(rel.pivots)
-        words.append([words[i - 1][c // n] * n + c % n
-                      for c in range(rel.ambient_dim) if c not in pivots])
+        cand.append([c for c in range(rel.ambient_dim) if c not in pivots])
+        words.append([words[i - 1][c // n] * n + c % n for c in cand[i]])
         # K_i = (K_{i-1} (x) V) /\ (K_{i-2} (x) R) in K_{i-1} (x) V
-        # coordinates; the canonical coefficient basis times the canonical
-        # basis of K_{i-1} (x) V is again in RREF
+        # coordinates, as a canonical (RREF) coefficient basis
         cond = mul_kron_identity(
-            kron(Mat.identity(K[i - 2].dim), q_R), incl[i - 1], n)
+            kron(Mat.identity(kdim[i - 2]), q_R), incl[i - 1], n)
         coeffs = kernel(cond)
-        prev = K[i - 1]
-        K.append(Subspace(n ** i,
-                          mul_kron_identity(coeffs.basis, prev.basis, n),
-                          [prev.pivots[c // n] * n + c % n
-                           for c in coeffs.pivots]))
         incl.append(coeffs.basis.transpose())
-
-    return TruncatedGradedAlgebra(pres, N, words, proj, K, incl)
+        kpiv.append(coeffs.pivots)
+        kdim.append(coeffs.dim)
+    return TruncatedGradedAlgebra(pres, N, words, cand, quot, incl, kpiv)
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +394,17 @@ def m_bar(alg, j, i, side):
     sum_v incl_right(j)[(a, v), p] * mult(1, i)[b, (v, q)], and the left
     entry ((b, a), (q, p)) is
     sum_v mult(i, 1)[b, (q, v)] * incl_left(j)[(v, a), p]; both are
-    assembled directly, without Kronecker products."""
-    assert 1 <= j <= alg.N and 0 <= i and i + 1 <= alg.N
+    assembled directly, without Kronecker products, once per algebra."""
+    key = (j, i, side)
+    m = alg._m_bar.get(key)
+    if m is None:
+        m = alg._m_bar[key] = _m_bar(alg, j, i, side)
+    return m
+
+
+def _m_bar(alg, j, i, side):
+    if not (1 <= j <= alg.N and 0 <= i and i + 1 <= alg.N):
+        raise ValueError("m_bar(%d, %d) outside the window" % (j, i))
     n = alg.n
     kp, kj = alg.kdim(j - 1), alg.kdim(j)
     hi, hn = alg.hdim(i), alg.hdim(i + 1)
@@ -351,7 +433,7 @@ def m_bar(alg, j, i, side):
                 for mc, oc in zip(mcol[v], ocol[p]):
                     for b, x in mnz[mc]:
                         out[rows_a[b]][oc] += c * x
-    return Mat(kp * hn, kj * hi, out)
+    return _mat(kp * hn, kj * hi, _ints(out))
 
 
 def koszul_complex(alg, side):
@@ -421,30 +503,39 @@ def euler_identity(pres, N, alg=None, dual_alg=None):
 def _contract(alg, i, theta, r, first):
     """Matrix K_i -> K_{i-r}, in K-coordinates, contracting the first r
     tensor factors, or the last r, against the dual-word tensor theta
-    (length n^r), letters paired in reverse order."""
+    (length n^r), letters paired in reverse order.
+
+    The first letter of theta pairs the r-th letter (first) or the last
+    letter (not first); the rest of theta contracts the remaining r - 1
+    letters, so the matrix is a sum of products of one-letter
+    contractions."""
     if r > i:
         return Mat.zeros(0, alg.kdim(i))
     n = alg.n
-    assert 0 <= r and len(theta) == n ** r
-    rev = reversal_perm(n, r)
-    row = Mat(1, n ** r, [[theta[rev[w]] for w in range(n ** r)]])
-    rest = Mat.identity(n ** (i - r))
-    T = kron(row, rest) if first else kron(rest, row)
-    ambient = T @ alg.k_embedding(i)
-    out = []
-    for col in range(ambient.cols):
-        coords = alg.K[i - r].coordinates(ambient.col(col))
-        if coords is None:
-            raise ValueError("contraction left the Koszul subspace at degree %d" % i)
-        out.append(coords)
-    return Mat.from_rows(out, alg.kdim(i - r)).transpose()
+    if len(theta) != n ** r:
+        raise ValueError("dual word of length %d, expected %d"
+                         % (len(theta), n ** r))
+    if r == 0:
+        return Mat.identity(alg.kdim(i)).scale(theta[0])
+    out = Mat.zeros(alg.kdim(i - r), alg.kdim(i))
+    stride = n ** (r - 1)
+    for a in range(n):
+        rest = theta[a * stride:(a + 1) * stride]
+        if not any(rest):
+            continue
+        if first:
+            term = (alg.contraction(i - r + 1, a, "left")
+                    @ _contract(alg, i, rest, r - 1, True))
+        else:
+            term = (_contract(alg, i - 1, rest, r - 1, False)
+                    @ alg.contraction(i, a, "right"))
+        out = out + term
+    return out
 
 
 def contract_right(alg, i, theta, r):
     """Matrix K_i -> K_{i-r} (in K-coordinates) of the right action of the
-    dual-algebra element represented by theta in (V*)^(x)r.
-
-    Raises if the image leaves the Koszul subspace (a convention bug)."""
+    dual-algebra element represented by theta in (V*)^(x)r."""
     return _contract(alg, i, theta, r, first=False)
 
 
@@ -485,63 +576,64 @@ class DualityPairing:
     flattened with the same row-major rule as the underlying space."""
 
     def __init__(self, alg, dual_alg):
-        assert alg.n == dual_alg.n and alg.N == dual_alg.N
+        if alg.n != dual_alg.n or alg.N != dual_alg.N:
+            raise ValueError("algebra and dual differ in generators or degree")
         self.alg = alg
         self.dual = dual_alg
-        self._g1 = {}
-        self._g2 = {}
-        self._g1inv = {}
-        self._g2inv = {}
+        self._g = {}
+        self._ginv = {}
+        self._psi = {}
 
-    def _pair(self, dual_basis_mat, sect, r):
-        """Pairing matrix: rows indexed by quotient basis (via section
-        representatives), columns by dual-side subspace basis rows."""
-        n = self.alg.n
-        rev = reversal_perm(n, r)
-        rows = []
-        for q in range(sect.cols):
-            rep = sect.col(q)
-            rows.append([sum(krow[u] * rep[rev[u]]
-                             for u in range(n ** r) if krow[u])
-                         for krow in dual_basis_mat.data])
-        return Mat.from_rows(rows, dual_basis_mat.rows)
+    def _pairing(self, which, i):
+        """g1(i) (which = 1) or g2(i) (which = 2), grown from degree i - 1:
+        rows are the normal words of one side, columns the Koszul basis of
+        the other.  The pairing is order-reversing, so it matches the last
+        letter v of a normal word u.v with the first letter of the Koszul
+        subspace, read off its incl_left, and u with the rest."""
+        key = (which, i)
+        m = self._g.get(key)
+        if m is None:
+            words, koszul = ((self.alg, self.dual) if which == 1
+                             else (self.dual, self.alg))
+            if i == 0:
+                m = Mat.identity(1)
+            else:
+                prev = self._pairing(which, i - 1)
+                incl = koszul.incl_left(i)
+                n, kp = words.n, prev.cols
+                rows = []
+                for c in words.split_last(i):
+                    u, v = divmod(c, n)
+                    acc = [0] * incl.cols
+                    for t, x in enumerate(prev.data[u]):
+                        if x:
+                            for p, y in enumerate(incl.data[v * kp + t]):
+                                if y:
+                                    acc[p] += x * y
+                    rows.append(acc)
+                m = _mat(len(rows), incl.cols, _ints(rows))
+            if m.rows != m.cols:
+                raise ValueError("pairing g%d(%d) is %d x %d, not square"
+                                 % (which, i, m.rows, m.cols))
+            self._g[key] = m
+            self._ginv[key] = inverse(m)
+        return m
 
     def g1(self, i):
         """Pairing of H_i with K!_i; square and invertible."""
-        m = self._g1.get(i)
-        if m is None:
-            m = self._pair(self.dual.K[i].basis, self.alg.sect[i], i)
-            assert m.rows == m.cols, "dim K!_%d != dim H_%d" % (i, i)
-            self._g1[i] = m
-            self._g1inv[i] = inverse(m)
-        return m
+        return self._pairing(1, i)
 
     def g2(self, j):
         """Pairing of H!_j with K_j; square and invertible."""
-        m = self._g2.get(j)
-        if m is None:
-            n = self.alg.n
-            rev = reversal_perm(n, j)
-            rows = []
-            sect = self.dual.sect[j]
-            for l in range(sect.cols):
-                rep = sect.col(l)
-                rows.append([sum(rep[u] * brow[rev[u]]
-                                 for u in range(n ** j) if rep[u])
-                             for brow in self.alg.K[j].basis.data])
-            m = Mat.from_rows(rows, self.alg.K[j].basis.rows)
-            assert m.rows == m.cols, "dim H!_%d != dim K_%d" % (j, j)
-            self._g2[j] = m
-            self._g2inv[j] = inverse(m)
-        return m
+        return self._pairing(2, j)
 
     def g1_inv(self, i):
         self.g1(i)
-        return self._g1inv[i]
+        return self._ginv[(1, i)]
 
     def g2_inv(self, j):
         self.g2(j)
-        return self._g2inv[j]
+        return self._ginv[(2, j)]
 
     def psi_bar(self, i, j):
         """Invertible matrix (K_j (x) H_i)* -> K!_i (x) H!_j.
@@ -550,14 +642,18 @@ class DualityPairing:
         dual basis of H_i are the columns of g1(i)^-1; g2(j) has rows H!_j
         and columns K_j, so the H!_j coordinates of the dual basis of K_j
         are the columns of (g2(j)^-1)^T."""
-        kj = self.alg.kdim(j)
-        hi = self.alg.hdim(i)
-        swap = [0] * (kj * hi)
-        for p in range(kj):
-            for q in range(hi):
-                swap[p * hi + q] = q * kj + p
-        return (kron(self.g1_inv(i), self.g2_inv(j).transpose())
+        m = self._psi.get((i, j))
+        if m is None:
+            kj = self.alg.kdim(j)
+            hi = self.alg.hdim(i)
+            swap = [0] * (kj * hi)
+            for p in range(kj):
+                for q in range(hi):
+                    swap[p * hi + q] = q * kj + p
+            m = self._psi[(i, j)] = (
+                kron(self.g1_inv(i), self.g2_inv(j).transpose())
                 @ perm_matrix(swap))
+        return m
 
 
 def verify_psi_intertwiner(pairing, max_total):

@@ -242,3 +242,102 @@ def test_koszul_d_squared_failure_is_internal_error(tmp_path):
     report = json.loads(out.read_text())
     assert report["checks"]["koszul"]["status"] == "internal-error"
     assert "square to zero" in report["checks"]["koszul"]["details"]["failure"]
+
+
+def _lopsided_swap(tmp_path):
+    # the swap of two generators as a C2 action does not stabilize the
+    # single relation x1 (x) x2
+    from koszulkit.action import ActionProvider, action_bundle_to_json
+    from koszulkit.exactlin import Mat
+    from koszulkit.fixtures import c2_group_algebra, c2_modules
+    swap = ActionProvider.from_bialgebra(
+        c2_group_algebra(), [Mat.identity(2), Mat(2, 2, [[0, 1], [1, 0]])])
+    pres = tmp_path / "lopsided.json"
+    pres.write_text(json.dumps({"generators": ["x1", "x2"], "relations": [
+        {"terms": [{"c": "1", "m": ["x1", "x2"]}]}]}))
+    act = tmp_path / "swap.json"
+    act.write_text(json.dumps(action_bundle_to_json(swap, c2_modules())))
+    return str(pres), str(act)
+
+
+@pytest.mark.parametrize("checks", ["duality", "roundtrip", "all"])
+def test_unstable_action_fails_duality_checks(tmp_path, capsys, checks):
+    pres, act = _lopsided_swap(tmp_path)
+    out = tmp_path / "r.json"
+    code = run(["check", "--input", pres, "--action", act, "--checks",
+                checks, "--max-degree", "3", "--out", str(out)])
+    assert code == 1
+    report = json.loads(out.read_text())
+    assert report["verdict"] == "fail"
+    for name in ("duality", "roundtrip"):
+        if checks in (name, "all"):
+            entry = report["checks"][name]
+            assert entry["status"] == "fail"
+            assert entry["details"]["failure"].startswith(
+                "relations not stable")
+    assert "relations not stable" in capsys.readouterr().out
+
+
+def _sl2_bundle():
+    from koszulkit.fixtures import fixture_bundle
+    return fixture_bundle("sl2_adjoint_takiff")["action"]
+
+
+def _c2_bundle():
+    from koszulkit.fixtures import fixture_bundle
+    return fixture_bundle("c2_sign_takiff")["action"]
+
+
+def _edit(bundle, path, value):
+    """bundle with the entry at path (a tuple of keys) replaced."""
+    bundle = json.loads(json.dumps(bundle))
+    node = bundle
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return bundle
+
+
+@pytest.mark.parametrize("fixture, bundle, message", [
+    ("sl2_adjoint_takiff",
+     _edit(_sl2_bundle(), ("lie", "action", "e"), [["0", "1"], ["0", "0"],
+                                                   ["0", "0"]]),
+     "action of e is not a square matrix"),
+    ("sl2_adjoint_takiff",
+     _edit(_sl2_bundle(), ("lie", "action", "e"), [["0", "1", "0"],
+                                                   ["0", "0"], ["0"]]),
+     "action of e is not a square matrix"),
+    ("sl2_adjoint_takiff",
+     _edit(_sl2_bundle(), ("lie", "action", "h"), [["1", "0"], ["0", "-1"]]),
+     "action of h is 2 x 2, expected 3 x 3"),
+    ("sl2_adjoint_takiff",
+     _edit(_sl2_bundle(), ("lie", "action"),
+           {"e": [["0", "1"], ["0", "0"]], "h": [["1", "0"], ["0", "-1"]],
+            "f": [["0", "0"], ["1", "0"]]}),
+     "space of dimension 2, but the presentation has 3 generators"),
+    ("sl2_adjoint_takiff",
+     _edit(_sl2_bundle(), ("modules", "adjoint", "dim"), 2),
+     "module 'adjoint', action of e is 3 x 3, expected 2 x 2"),
+    ("c2_sign_takiff",
+     _edit(_c2_bundle(), ("modules", "sign", "dim"), 2),
+     "module 'sign', matrix 0 is 1 x 1, expected 2 x 2"),
+    ("c2_sign_takiff",
+     _edit(_c2_bundle(), ("action", 1), [["-1", "0"]]),
+     "action matrix 1 is not a square matrix"),
+    ("c2_sign_takiff",
+     _edit(_c2_bundle(), ("bialgebra", "mult"), [[["1", "0"]]]),
+     "list index out of range"),
+], ids=["lie-not-square", "lie-ragged", "lie-sizes-differ", "lie-wrong-space",
+        "lie-module-dim", "bialgebra-module-dim", "bialgebra-not-square",
+        "bialgebra-short-mult"])
+def test_malformed_action_is_parse_error(tmp_path, capsys, fixture, bundle,
+                                         message):
+    # shapes are input checks, not asserts: the same exit 2 under -O
+    pres, _ = emit(tmp_path, fixture)
+    act = tmp_path / "bad_action.json"
+    act.write_text(json.dumps(bundle))
+    assert run(["check", "--input", pres, "--action", str(act),
+                "--checks", "all", "--max-degree", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ")
+    assert message in err

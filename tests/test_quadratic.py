@@ -4,20 +4,25 @@ from math import comb
 
 import pytest
 
+from koszulkit.action import (
+    ActionProvider, action_bundle_from_json, dual_action,
+    validate_module_algebra,
+)
 from koszulkit.cli import _random_presentation
 from koszulkit.exactlin import (
     F0, F1, Mat, Subspace, basis_vector, kernel, kron, quotient,
 )
 from koszulkit.fixtures import (
     FIXTURE_NAMES, dual_numbers_presentation, ext_presentation,
-    fixture_bundle, free_presentation, sym_presentation,
+    fixture_bundle, free_presentation, sl2_provider, sweedler_bialgebra,
+    sweedler_modules, sym_presentation,
 )
 from koszulkit.graded import check_d_squared, hilbert, homology
 from koszulkit.quadratic import (
     DualityPairing, QuadraticPresentation, contract_left, contract_right,
     euler_identity, grow, index_word, koszul_complex, koszulity_check,
-    m_bar, quadratic_dual, reversal_perm, validate_contractions,
-    verify_psi_intertwiner, word_index,
+    m_bar, presentation_from_relation_rows, quadratic_dual, reversal_perm,
+    validate_contractions, verify_psi_intertwiner, word_index,
 )
 
 
@@ -59,26 +64,76 @@ def test_hilbert_series_oracles():
         [1, 1, 0, 0, 0]
 
 
-def _ambient_grow(pres, N):
-    """Reference growth on the ambient V^(x)i: the relation ideal
+class _Ambient:
+    """Reference construction on the ambient V^(x)i, the oracle for every
+    object the program grows in quotient coordinates: the relation ideal
     I_i = I_{i-1} (x) V + V^(i-2) (x) R in canonical RREF, its quotient
-    projection and section, and K_i = (K_{i-1} (x) V) meet (V^(i-2) (x) R)
-    as a kernel on V^(x)i."""
-    n = pres.n
-    R = pres.relations
-    rel = [Subspace.zero(n ** i) for i in range(min(N, 1) + 1)]
-    K = [Subspace.full(n ** i) for i in range(min(N, 1) + 1)]
-    q_R, _ = quotient(n * n, R)
-    for i in range(2, N + 1):
-        rows = (kron(rel[i - 1].basis, Mat.identity(n)).data
-                + kron(Mat.identity(n ** (i - 2)), R.basis).data)
-        rel.append(Subspace.from_rows(n ** i, rows))
-        emb = kron(K[i - 1].basis, Mat.identity(n))
-        coeffs = kernel(kron(Mat.identity(n ** (i - 2)), q_R)
-                        @ emb.transpose())
-        K.append(Subspace.from_rows(n ** i, (coeffs.basis @ emb).data))
-    proj, sect = zip(*(quotient(n ** i, rel[i]) for i in range(N + 1)))
-    return proj, sect, K
+    projection proj[i] and section sect[i], and K_i = (K_{i-1} (x) V) meet
+    (V^(i-2) (x) R) as a kernel on V^(x)i, held by its RREF basis."""
+
+    def __init__(self, pres, N):
+        n = self.n = pres.n
+        R = pres.relations
+        rel = [Subspace.zero(n ** i) for i in range(min(N, 1) + 1)]
+        K = [Subspace.full(n ** i) for i in range(min(N, 1) + 1)]
+        q_R, _ = quotient(n * n, R)
+        for i in range(2, N + 1):
+            rows = (kron(rel[i - 1].basis, Mat.identity(n)).data
+                    + kron(Mat.identity(n ** (i - 2)), R.basis).data)
+            rel.append(Subspace.from_rows(n ** i, rows))
+            emb = kron(K[i - 1].basis, Mat.identity(n))
+            coeffs = kernel(kron(Mat.identity(n ** (i - 2)), q_R)
+                            @ emb.transpose())
+            K.append(Subspace.from_rows(n ** i, (coeffs.basis @ emb).data))
+        self.proj, self.sect = map(list, zip(*(quotient(n ** i, rel[i])
+                                               for i in range(N + 1))))
+        self.K = K
+
+    def mult(self, i, j):
+        return self.proj[i + j] @ kron(self.sect[i], self.sect[j])
+
+    def restrict(self, i, T):
+        """T on V^(x)i restricted to K_i, in its coordinates; None if K_i
+        is not invariant."""
+        image = T @ self.K[i].basis.transpose()
+        coords = [self.K[i].coordinates(image.col(c))
+                  for c in range(image.cols)]
+        if None in coords:
+            return None
+        return Mat.from_rows(coords, self.K[i].dim).transpose()
+
+    def contract(self, i, theta, r, first):
+        """K_i -> K_{i-r} contracting the first (or last) r letters against
+        theta, letters paired in reverse order."""
+        if r > i:
+            return Mat.zeros(0, self.K[i].dim)
+        rev = reversal_perm(self.n, r)
+        row = Mat(1, self.n ** r, [[theta[rev[w]]
+                                    for w in range(self.n ** r)]])
+        rest = Mat.identity(self.n ** (i - r))
+        T = kron(row, rest) if first else kron(rest, row)
+        image = T @ self.K[i].basis.transpose()
+        coords = [self.K[i - r].coordinates(image.col(c))
+                  for c in range(image.cols)]
+        assert None not in coords
+        return Mat.from_rows(coords, self.K[i - r].dim).transpose()
+
+    def h_action(self, provider, i):
+        return [self.proj[i] @ T @ self.sect[i]
+                for T in provider.tensor_mats(i)]
+
+    def k_action(self, provider, r):
+        return [self.restrict(r, T) for T in provider.tensor_mats(r)]
+
+    def pairing(self, other, i):
+        """The order-reversing pairing of the normal words of degree i
+        (rows) with the Koszul basis of the other side (columns)."""
+        rev = reversal_perm(self.n, i)
+        return Mat.from_rows(
+            [[sum(krow[u] * self.sect[i].data[rev[u]][q]
+                  for u in range(self.n ** i) if krow[u])
+              for krow in other.K[i].basis.data]
+             for q in range(self.sect[i].cols)], other.K[i].dim)
 
 
 def _non_koszul_presentation():
@@ -92,6 +147,8 @@ def _non_koszul_presentation():
 
 
 def test_grow_matches_ambient_ideal():
+    # every degree-wise object of grow against the ambient oracle: H, K,
+    # both inclusions, products, and one- and two-letter contractions
     fixtures = [QuadraticPresentation.from_json_obj(
         fixture_bundle(name)["presentation"]) for name in FIXTURE_NAMES]
     rng = random.Random(4)
@@ -101,16 +158,98 @@ def test_grow_matches_ambient_ideal():
              + [(_non_koszul_presentation(), 5)])
     for pres, N in cases:
         alg = grow(pres, N)
-        proj, sect, K = _ambient_grow(pres, N)
-        assert alg.proj == list(proj), pres
-        assert alg.sect == list(sect), pres
-        assert alg.K == K, pres
+        amb = _Ambient(pres, N)
+        n = alg.n
+        assert alg.hdims() == [m.rows for m in amb.proj], pres
+        assert alg.words == [[row.index(1) for row in s.transpose().data]
+                             for s in amb.sect], pres
+        assert alg.kdims() == [k.dim for k in amb.K], pres
         for i in range(1, N + 1):
-            ambient = kron(K[i - 1].basis, Mat.identity(alg.n))
-            assert alg.incl_right(i).transpose() @ ambient == K[i].basis
+            right = kron(amb.K[i - 1].basis, Mat.identity(n))
+            assert alg.incl_right(i).transpose() @ right == amb.K[i].basis
+            left = kron(Mat.identity(n), amb.K[i - 1].basis)
+            assert alg.incl_left(i).transpose() @ left == amb.K[i].basis
         for i in range(N + 1):
             for j in range(N + 1 - i):
-                assert alg.mult(i, j) == proj[i + j] @ kron(sect[i], sect[j])
+                assert alg.mult(i, j) == amb.mult(i, j), (pres, i, j)
+            for r, first in ((1, True), (1, False), (2, True), (2, False)):
+                thetas = [basis_vector(n ** r, w) for w in range(n ** r)]
+                if r == 2:
+                    thetas += pres.relations.basis.data
+                for theta in thetas:
+                    got = (contract_left if first else contract_right)(
+                        alg, i, theta, r)
+                    assert got == amb.contract(i, theta, r, first), \
+                        (pres, i, r, first)
+
+
+def _fixture_actions():
+    """(presentation, provider, N) for every fixture provider and its
+    dual on the dual algebra, plus co-opposite actions on algebras whose
+    normal words split differently at the first and at the last letter
+    (the Lie one on sym_3; the Sweedler algebra on its two-dimensional
+    module, where the leg order of the comultiplication shows)."""
+    out = []
+    for name, N in (("c2_sign_takiff", 5), ("sweedler_optional", 5),
+                    ("sl2_adjoint_takiff", 6)):
+        bundle = fixture_bundle(name)
+        pres = QuadraticPresentation.from_json_obj(bundle["presentation"])
+        provider, modules = action_bundle_from_json(bundle["action"])
+        out.append((pres, provider, N))
+        out.append((quadratic_dual(pres), dual_action(provider), N))
+    out.append((sym_presentation(3), dual_action(sl2_provider()), 5))
+    two = ActionProvider.from_bialgebra(sweedler_bialgebra(),
+                                        sweedler_modules()["two_dim"])
+    square = [presentation_from_relation_rows(["a", "b"], [row])
+              for row in ([1, 0, 0, 0], [0, 0, 0, 1])]
+    out += [(ext_presentation(2), two, 5), (square[1], two, 5),
+            (sym_presentation(2), dual_action(two), 5),
+            (square[0], dual_action(two), 5)]
+    return out
+
+
+def test_actions_and_pairings_match_ambient():
+    # the actions on H_i and K_r, grown degree by degree, against the
+    # projection (and restriction) of the ambient tensor-power action;
+    # the pairings against the ambient order-reversing pairing
+    for pres, provider, N in _fixture_actions():
+        alg, amb = grow(pres, N), _Ambient(pres, N)
+        for i in range(N + 1):
+            assert provider.h_action(alg, i) == amb.h_action(provider, i), \
+                (pres, provider.cop, i)
+            assert provider.k_action(alg, i) == amb.k_action(provider, i), \
+                (pres, provider.cop, i)
+        if provider.cop:
+            continue
+        dual_pres = quadratic_dual(pres)
+        dual, damb = grow(dual_pres, N), _Ambient(dual_pres, N)
+        pairing = DualityPairing(alg, dual)
+        for i in range(N + 1):
+            assert pairing.g1(i) == amb.pairing(damb, i), (pres, i)
+            assert pairing.g2(i) == damb.pairing(amb, i), (pres, i)
+
+
+def test_k_action_names_the_degree_that_is_not_invariant():
+    # the Casimir tensor 2 e(x)f + h(x)h + 2 f(x)e spans an sl2-stable
+    # relation; one perturbed entry of the action of e (e |-> f) breaks
+    # its stability, so K_2 = R, and on the dual side K!_2 inside
+    # V* (x) V*, are no longer invariant
+    casimir = presentation_from_relation_rows(
+        ["e", "h", "f"], [[0, 0, 2, 0, 1, 0, 2, 0, 0]])
+    assert validate_module_algebra(sl2_provider(), casimir) == (True, None)
+    for cop in (False, True):
+        provider = sl2_provider()
+        provider.mats[0] = provider.mats[0] + Mat(3, 3, [[0, 0, 0],
+                                                          [0, 0, 0],
+                                                          [1, 0, 0]])
+        pres = casimir
+        if cop:
+            provider, pres = dual_action(provider), quadratic_dual(pres)
+        alg, amb = grow(pres, 3), _Ambient(pres, 3)
+        assert amb.restrict(2, provider.tensor_mats(2)[0]) is None
+        assert provider.k_action(alg, 1) == provider.mats
+        with pytest.raises(ValueError, match="K_2 is not invariant"):
+            provider.k_action(alg, 3)
 
 
 def test_koszul_subspace_dims_sym():
@@ -125,12 +264,13 @@ def test_koszul_subspace_inclusions():
     for pres in (sym_presentation(2), ext_presentation(2),
                  dual_numbers_presentation(), free_presentation(2)):
         alg = grow(pres, 4)
+        K = _Ambient(pres, 4).K
         for i in range(1, 5):
             # both inclusion coordinate systems must reproduce the basis
-            right = kron(alg.K[i - 1].basis, Mat.identity(alg.n))
-            assert alg.incl_right(i).transpose() @ right == alg.K[i].basis
-            left = kron(Mat.identity(alg.n), alg.K[i - 1].basis)
-            assert alg.incl_left(i).transpose() @ left == alg.K[i].basis
+            right = kron(K[i - 1].basis, Mat.identity(alg.n))
+            assert alg.incl_right(i).transpose() @ right == K[i].basis
+            left = kron(Mat.identity(alg.n), K[i - 1].basis)
+            assert alg.incl_left(i).transpose() @ left == K[i].basis
 
 
 def test_quadratic_dual_sym_is_ext():
@@ -240,11 +380,13 @@ def test_contract_sign_sym2():
     # contracting by the first dual generator must yield -x2 (the dual
     # letter pairs against the last tensor factor).
     alg = grow(sym_presentation(2), 3)
-    gen = alg.K[2].basis.data[0]
+    K2 = _Ambient(sym_presentation(2), 3).K[2]
+    assert alg.incl_right(2).transpose() @ Mat.identity(4) == K2.basis
+    gen = K2.basis.data[0]
     assert gen == [F0, F1, -F1, F0]
     theta = basis_vector(2, 0)  # first dual generator
     m = contract_right(alg, 2, theta, 1)
-    out = m.apply(alg.K[2].coordinates(gen))
+    out = m.apply(K2.coordinates(gen))
     # coordinates in K_1 = V: expect -x2
     assert out == [F0, -F1]
 
