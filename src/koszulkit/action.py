@@ -72,40 +72,27 @@ class Bialgebra:
     def unit_mat(self):
         return Mat(self.dim, 1, [[x] for x in self.unit])
 
-    def cop(self):
-        """Same algebra with the comultiplication legs swapped."""
-        d = self.dim
-        swapped = Mat(d * d, d)
-        for a in range(d):
-            for b in range(d):
-                swapped.data[b * d + a] = self.comult.data[a * d + b][:]
-        return Bialgebra(d, self.mult, self.unit, swapped, self.counit,
-                         self.names)
-
-    def is_cocommutative(self):
-        return self.cop().comult == self.comult
-
     def to_json_obj(self):
         d = self.dim
+        mult = self.mult.tolist()
         return {
             "dim": d,
             "names": list(self.names),
-            "mult": [[[rat_to_str(self.mult.data[c][a * d + b])
+            "mult": [[[rat_to_str(mult[c][a * d + b])
                        for c in range(d)] for b in range(d)]
                      for a in range(d)],
             "unit": [rat_to_str(x) for x in self.unit],
-            "comult": [[rat_to_str(x) for x in row] for row in self.comult.data],
-            "counit": [rat_to_str(x) for x in self.counit.data[0]],
+            "comult": _mat_to_json(self.comult),
+            "counit": _mat_to_json(self.counit)[0],
         }
 
     @staticmethod
     def from_json_obj(obj):
         d = int(obj["dim"])
-        mult = Mat(d, d * d)
-        for a in range(d):
-            for b in range(d):
-                for c in range(d):
-                    mult.data[c][a * d + b] = rat_from_str(obj["mult"][a][b][c])
+        table = obj["mult"]
+        mult = Mat.from_entries(d, d * d, (
+            (c, a * d + b, rat_from_str(table[a][b][c]))
+            for a in range(d) for b in range(d) for c in range(d)))
         unit = [rat_from_str(x) for x in obj["unit"]]
         comult = Mat(d * d, d, [[rat_from_str(x) for x in row]
                                 for row in obj["comult"]])
@@ -205,8 +192,7 @@ class LieAction:
         return {
             "basis": list(self.names),
             "brackets": br,
-            "action": {self.names[a]: [[rat_to_str(x) for x in row]
-                                       for row in self.rho[a].data]
+            "action": {self.names[a]: _mat_to_json(self.rho[a])
                        for a in range(self.dim)},
         }
 
@@ -333,9 +319,9 @@ class ActionProvider:
         while len(T) <= r:
             k = len(T)
             if k == 0:
-                T.append([Mat(1, 1, [[self.base.counit.data[0][b]
-                                      if self.kind == "bialgebra" else F0]])
-                          for b in range(self.basis_size)])
+                counit = (self.base.counit.row(0) if self.kind == "bialgebra"
+                          else [F0] * self.basis_size)
+                T.append([Mat(1, 1, [[x]]) for x in counit])
             elif k == 1:
                 T.append(self.mats)
             elif self.cop:
@@ -464,7 +450,7 @@ def validate_module_algebra(provider, pres):
                          % (provider.space_dim, n))
     for b in range(provider.basis_size):
         T = provider.act_basis_on_tensor(b, 2)
-        for row in R.basis.data:
+        for row in R.basis.tolist():
             if not R.contains(T.apply(row)):
                 return False, ("relation escapes", provider.base.names[b] if
                                hasattr(provider.base, "names") else b)
@@ -558,8 +544,7 @@ class SmashAlgebra:
                        self.alg.hdim(i + j))
         base = self.provider.base
         mh = self.alg.mult(i, j)
-        m = Mat(d * hij if self.side == "right" else hij * d,
-                self.comp_dim(i) * self.comp_dim(j))
+        entries = []
         for b in range(d):
             for mi in range(hi):
                 for bp in range(d):
@@ -578,8 +563,9 @@ class SmashAlgebra:
                                     if xv:
                                         for u, yv in enumerate(h_part):
                                             if yv:
-                                                m.data[t * hij + u][col] += \
-                                                    coeff * xv * yv
+                                                entries.append(
+                                                    (t * hij + u, col,
+                                                     coeff * xv * yv))
                         else:
                             col = ((mi * d + b) * hj + mj) * d + bp
                             for coeff, c1, c2 in self._legs(b):
@@ -594,8 +580,11 @@ class SmashAlgebra:
                                     if yv:
                                         for t, xv in enumerate(a0_part):
                                             if xv:
-                                                m.data[u * d + t][col] += \
-                                                    coeff * yv * xv
+                                                entries.append(
+                                                    (u * d + t, col,
+                                                     coeff * yv * xv))
+        m = Mat.from_entries(d * hij, self.comp_dim(i) * self.comp_dim(j),
+                             entries)
         self._mult[key] = m
         return m
 
@@ -756,7 +745,7 @@ def takiff_graded_dims(t, D):
 # action-file serialization
 
 def _mat_to_json(m):
-    return [[rat_to_str(x) for x in row] for row in m.data]
+    return [[rat_to_str(x) for x in row] for row in m.tolist()]
 
 
 def _mats_from_json(items, what, dim=None):

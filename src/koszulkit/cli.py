@@ -420,12 +420,17 @@ def run_check(args):
     }
     timing = {}
     alg = dual_alg = shared = None
+    grow_s = 0.0
 
     def need_alg():
-        nonlocal alg, dual_alg
+        # growth is timed as "grow", not billed to the check that asks first
+        nonlocal alg, dual_alg, grow_s
         if alg is None:
+            t0 = time.monotonic()
             alg = grow(pres, N)
             dual_alg = grow(quadratic_dual(pres), N)
+            grow_s = time.monotonic() - t0
+            timing["grow"] = round(grow_s, 6)
         return alg, dual_alg
 
     def need_shared():
@@ -436,7 +441,7 @@ def run_check(args):
 
     overall = "pass"
     for name in order:
-        t0 = time.monotonic()
+        t0, grown_before = time.monotonic(), grow_s
         try:
             if name == "validate":
                 status, details = _check_validate(pres, provider, modules)
@@ -465,7 +470,8 @@ def run_check(args):
             report["verdict"] = "internal-error"
             report["timing"] = timing
             return report, 3
-        timing[name] = round(time.monotonic() - t0, 6)
+        timing[name] = round(time.monotonic() - t0 - (grow_s - grown_before),
+                             6)
         report["checks"][name] = {"status": status, "details": details}
         if status == "fail":
             overall = "fail"

@@ -28,8 +28,8 @@ from koszulkit.action import (
     dual_action, legs, tensor_action, validate_left_modules,
 )
 from koszulkit.exactlin import (
-    F0, F1, Mat, Subspace, hstack, image, inverse, kernel,
-    kron, perm_matrix, quotient, rank,
+    F1, Mat, Subspace, hstack, image, inverse, kernel, kron, perm_matrix,
+    quotient, rank, vstack,
 )
 from koszulkit.graded import BigradedComplex, check_d_squared, homology
 from koszulkit.quadratic import m_bar
@@ -39,9 +39,7 @@ from koszulkit.quadratic import m_bar
 # small helpers
 
 def _e_col(n, i):
-    m = Mat(n, 1)
-    m.data[i][0] = F1
-    return m
+    return Mat.from_entries(n, 1, [(i, 0, F1)])
 
 
 def _bijective(m):
@@ -71,20 +69,18 @@ def _rho_hom(A, E, n, dx_in, w_in, w_out):
     E: w_out -> n * w_in."""
     dx_out = A.rows
     assert A.cols == n * dx_in and E.rows == n * w_in and E.cols == w_out
-    out = Mat(dx_out * w_out, dx_in * w_in)
     by_v = [[] for _ in range(n)]
-    for ri, row in enumerate(E.data):
+    for ri, c, val in E.entries():
         v, w = divmod(ri, w_in)
-        for c, val in enumerate(row):
-            if val:
-                by_v[v].append((w, c, val))
-    for x2, arow in enumerate(A.data):
-        for ci, aval in enumerate(arow):
-            if aval:
-                v, x1 = divmod(ci, dx_in)
-                for w, c, ev in by_v[v]:
-                    out.data[x2 * w_out + c][x1 * w_in + w] += aval * ev
-    return out
+        by_v[v].append((w, c, val))
+
+    def entries():
+        for x2, ci, aval in A.entries():
+            v, x1 = divmod(ci, dx_in)
+            for w, c, ev in by_v[v]:
+                yield x2 * w_out + c, x1 * w_in + w, aval * ev
+
+    return Mat.from_entries(dx_out * w_out, dx_in * w_in, entries())
 
 
 def _induced_left_action_bialg(provider, mid_right_mats, inner_left_mats,
@@ -98,7 +94,7 @@ def _induced_left_action_bialg(provider, mid_right_mats, inner_left_mats,
     d0 = b0.dim
     inner_total = mid_dim * inner_dim
     ambient = d0 * inner_total
-    rel_rows = []
+    rels = []
     idm_inner = Mat.identity(inner_dim)
     # right multiplication in A0, extended to A0 (x) Mid by the legs
     rmults = [b0.mult @ kron(Mat.identity(d0), _e_col(d0, c))
@@ -107,8 +103,8 @@ def _induced_left_action_bialg(provider, mid_right_mats, inner_left_mats,
     for a in range(d0):
         rel = kron(twists[a], idm_inner) - kron(Mat.identity(d0 * mid_dim),
                                                 inner_left_mats[a])
-        rel_rows.extend(rel.transpose().data)
-    W = Subspace.from_rows(ambient, rel_rows)
+        rels.append(rel.transpose())
+    W = Subspace.from_rows(ambient, vstack(rels))
     proj, _sect = quotient(ambient, W)
     if proj.rows != inner_total:
         raise ValueError("induced-module transport failed: quotient has "
@@ -280,7 +276,7 @@ def validate_module(X):
                 return False, ("act1 equivariance", j, b)
     for j in range(X.jmin, top_known):
         q = X.act1_mat(j + 1) @ kron(Mat.identity(n), X.act1_mat(j))
-        for row in alg.pres.relations.basis.data:
+        for row in alg.pres.relations.basis.tolist():
             rel_col = Mat(n * n, 1, [[x] for x in row])
             if not (q @ kron(rel_col, Mat.identity(X.dim(j)))).is_zero():
                 return False, ("relations survive act1", j)
@@ -297,12 +293,10 @@ def hom_A0_dim(provider, mats_x, mats_y):
     dy = mats_y[0].rows if mats_y else 0
     if dx == 0 or dy == 0:
         return 0
-    rows = []
-    for b in range(provider.basis_size):
-        c = (kron(mats_y[b], Mat.identity(dx))
-             - kron(Mat.identity(dy), mats_x[b].transpose()))
-        rows.extend(c.data)
-    return kernel(Mat.from_rows(rows, dy * dx)).dim
+    eqs = [kron(mats_y[b], Mat.identity(dx))
+           - kron(Mat.identity(dy), mats_x[b].transpose())
+           for b in range(provider.basis_size)]
+    return kernel(vstack(eqs)).dim
 
 
 def hom_graded_A_dim(P, Y):
@@ -319,18 +313,17 @@ def hom_graded_A_dim(P, Y):
     for j in degrees:
         offs[j] = total
         total += Y.dim(j) * P.dim(j)
-    rows = []
+    entries = []
+    eq_count = 0
 
     def add(eq_rows, terms):
         # terms: list of (j, Mat) acting on vec(phi_j)
-        for rr in range(eq_rows):
-            row = [F0] * total
-            for j, m in terms:
-                base = offs[j]
-                for c, v in enumerate(m.data[rr]):
-                    if v:
-                        row[base + c] += v
-            rows.append(row)
+        nonlocal eq_count
+        for j, m in terms:
+            base = offs[j]
+            entries.extend((eq_count + rr, base + c, v)
+                           for rr, c, v in m.entries())
+        eq_count += eq_rows
 
     for j in degrees:
         dy, dp = Y.dim(j), P.dim(j)
@@ -353,32 +346,24 @@ def hom_graded_A_dim(P, Y):
         terms = []
         if (j + 1) in offs and dp1:
             # vec(phi_{j+1} @ a1p) in terms of vec(phi_{j+1})
-            m1 = Mat(eq_rows, dy1 * dp1)
-            for x in range(dy1):
-                for c in range(a1p.cols):
-                    rr = x * a1p.cols + c
-                    for k in range(dp1):
-                        v = a1p.data[k][c]
-                        if v:
-                            m1.data[rr][x * dp1 + k] += v
+            m1 = Mat.from_entries(
+                eq_rows, dy1 * dp1,
+                ((x * a1p.cols + c, x * dp1 + k, v)
+                 for k, c, v in a1p.entries() for x in range(dy1)))
             terms.append((j + 1, m1))
         if j in offs and Y.dim(j):
             dyj, dpj = Y.dim(j), P.dim(j)
-            m2 = Mat(eq_rows, dyj * dpj)
-            for x in range(dy1):
-                for vi in range(n):
-                    for u in range(dpj):
-                        rr = x * (n * dpj) + vi * dpj + u
-                        for yy in range(dyj):
-                            v = a1y.data[x][vi * dyj + yy]
-                            if v:
-                                m2.data[rr][yy * dpj + u] -= v
+            m2 = Mat.from_entries(
+                eq_rows, dyj * dpj,
+                ((x * (n * dpj) + col // dyj * dpj + u,
+                  col % dyj * dpj + u, -v)
+                 for x, col, v in a1y.entries() for u in range(dpj)))
             terms.append((j, m2))
         if terms:
             add(eq_rows, terms)
-    if not rows:
+    if not eq_count:
         return total
-    return kernel(Mat.from_rows(rows, total)).dim
+    return kernel(Mat.from_entries(eq_count, total, entries)).dim
 
 
 def adjunction_check(provider, alg, mats_x, Y):
@@ -442,35 +427,23 @@ def _assemble(src_blocks, tgt_blocks, entries):
         tgt_off[(key[0], key[1])] = off
         off += key[2]
     rows = off
-    out = Mat(rows, cols)
-    for (skey, tkey), m in entries.items():
-        if skey not in src_off or tkey not in tgt_off:
-            continue
-        ro, co = tgt_off[tkey], src_off[skey]
-        for rr, row in enumerate(m.data):
-            orow = out.data[ro + rr]
-            for cc, v in enumerate(row):
-                if v:
-                    orow[co + cc] += v
-    return out
+    placed = [(tgt_off[tkey], src_off[skey], m)
+              for (skey, tkey), m in entries.items()
+              if skey in src_off and tkey in tgt_off]
+    return Mat.from_entries(rows, cols, ((ro + rr, co + cc, v)
+                                         for ro, co, m in placed
+                                         for rr, cc, v in m.entries()))
 
 
 def _blockdiag_act(blocks, per_block_mats, basis_size):
-    out = []
-    total = sum(d for *_k, d in blocks)
-    for b in range(basis_size):
-        m = Mat(total, total)
-        off = 0
-        for (i, j, d) in blocks:
-            bm = per_block_mats[(i, j)][b]
-            for rr in range(d):
-                row = m.data[off + rr]
-                for cc, v in enumerate(bm.data[rr]):
-                    if v:
-                        row[off + cc] = v
-            off += d
-        out.append(m)
-    return out
+    offs, total = [], 0
+    for (i, j, d) in blocks:
+        offs.append((total, per_block_mats[(i, j)]))
+        total += d
+    return [Mat.from_entries(total, total,
+                             ((off + rr, off + cc, v) for off, mats in offs
+                              for rr, cc, v in mats[b].entries()))
+            for b in range(basis_size)]
 
 
 def I_complex(X, N=None):
@@ -762,11 +735,10 @@ def validate_socI_action(dcx):
         for b in range(prov.basis_size):
             lhs = a_tgt[b] @ gen
             rhs = gen @ pushed[b]
-            for alpha in range(n):
-                if any(lrow[alpha * w:(alpha + 1) * w]
-                       != rrow[alpha * w:(alpha + 1) * w]
-                       for lrow, rrow in zip(lhs.data, rhs.data)):
-                    return False, (r, s, b, alpha)
+            if lhs != rhs:
+                # the first dual generator whose column block differs
+                alpha = min(c for _r, c, _x in (lhs - rhs).entries()) // w
+                return False, (r, s, b, alpha)
     return True, None
 
 
@@ -792,9 +764,8 @@ def h0_certificate_I(dcx, X):
         proj_block = None
         for (i, j, d) in dcx.blocks[(0, s)]:
             if (i, j) == (0, s):
-                proj_block = Mat(d, cx.dim(0, s))
-                for t in range(d):
-                    proj_block.data[t][off + t] = F1
+                proj_block = Mat.from_entries(
+                    d, cx.dim(0, s), ((t, off + t, F1) for t in range(d)))
             off += d
         if proj_block is None:
             return False, ("missing block", s)
@@ -836,9 +807,8 @@ def h0_certificate_P(dcx, X):
         emb = None
         for (i, j, d) in dcx.blocks[(0, s)]:
             if (i, j) == (0, s):
-                emb = Mat(cx.dim(0, s), d)
-                for t in range(d):
-                    emb.data[off + t][t] = F1
+                emb = Mat.from_entries(
+                    cx.dim(0, s), d, ((off + t, t, F1) for t in range(d)))
             off += d
         if emb is None:
             return False, ("missing block", s)
@@ -872,34 +842,55 @@ def diagonal_vanishing(dcx):
 # ---------------------------------------------------------------------------
 # the model identifications
 
-def _theta_matrix(pairing, r, dX):
-    """Model-to-socle matrix: eta (x) x |-> (u |-> <eta, u> x)."""
-    g2 = pairing.g2(r)
-    kr = g2.cols
-    hbr = g2.rows
-    m = Mat(dX * kr, hbr * dX)
-    for l in range(hbr):
-        for p in range(kr):
-            v = g2.data[l][p]
-            if v:
-                for x in range(dX):
-                    m.data[x * kr + p][l * dX + x] = v
-    return m
+class _Verdict:
+    """What a verifier found: which of its named checks failed, the first
+    failure with its coordinates, and the objects it built."""
+
+    def __init__(self, checks=(), **built):
+        self.checks = dict.fromkeys(checks, True)
+        self.first = None
+        self.built = built
+
+    def fail(self, name, *where):
+        """Record a failure of the check name at where; returns result()."""
+        self.checks[name] = False
+        if self.first is None:
+            self.first = (name,) + where
+        return self.result()
+
+    def result(self, **more):
+        out = {"ok": self.first is None, "first_failure": self.first}
+        out.update(self.built, **more)
+        return out
 
 
-def _phi_matrix(pairing, r, dY):
-    """Model-to-coinduced matrix: theta (x) y |-> (h |-> <theta, h> y)."""
-    g1 = pairing.g1(r)
-    hr = g1.rows
-    kbr = g1.cols
-    m = Mat(dY * hr, kbr * dY)
-    for q in range(hr):
-        for k in range(kbr):
-            v = g1.data[q][k]
-            if v:
-                for y in range(dY):
-                    m.data[y * hr + q][k * dY + y] = v
-    return m
+def _model_map(g, d, inverse=False):
+    """g (x) id_d with the two tensor factors of its source in the other
+    order: entry g[a, b] at row (y, a) and column (b, y), for every y < d.
+    With inverse set, g is the inverse of such a g and the matrix is the
+    inverse map: entry g[a, b] at row (a, y) and column (y, b)."""
+    R, C = g.rows, g.cols
+    if inverse:
+        return Mat.from_entries(R * d, d * C, ((a * d + y, y * C + b, v)
+                                               for a, b, v in g.entries()
+                                               for y in range(d)))
+    return Mat.from_entries(d * R, C * d, ((y * R + a, b * d + y, v)
+                                           for a, b, v in g.entries()
+                                           for y in range(d)))
+
+
+def _theta_matrix(pairing, r, dX, inverse=False):
+    """Model-to-socle matrix: eta (x) x |-> (u |-> <eta, u> x), or its
+    inverse, from the cached inverse pairing."""
+    g = pairing.g2_inv(r) if inverse else pairing.g2(r)
+    return _model_map(g.transpose(), dX, inverse)
+
+
+def _phi_matrix(pairing, r, dY, inverse=False):
+    """Model-to-coinduced matrix: theta (x) y |-> (h |-> <theta, h> y), or
+    its inverse, from the cached inverse pairing."""
+    g = pairing.g1_inv(r) if inverse else pairing.g1(r)
+    return _model_map(g, dY, inverse)
 
 
 def socI_model_module(provider, pairing, mats_x, N=None):
@@ -936,14 +927,14 @@ def identify_socI(X, pairing, N=None):
     dprov = dual_action(X.provider)
     n = alg.n
     theta = {}
+    verdict = _Verdict(theta=theta, complex=soc)
     for (r, s), bl in sorted(soc.blocks.items()):
         if not bl:
             continue
         j = r + s
         theta[(r, j)] = _theta_matrix(pairing, r, X.dim(j))
         if not _bijective(theta[(r, j)]):
-            return {"ok": False, "first_failure": ("not bijective", r, j),
-                    "theta": theta, "complex": soc}
+            return verdict.fail("not bijective", r, j)
     for (r, s), mats in sorted(soc.deg1.items()):
         j = r + s
         if (r, j) not in theta or (r + 1, j) not in theta:
@@ -954,9 +945,7 @@ def identify_socI(X, pairing, N=None):
             lhs = mats[a] @ theta[(r, j)]
             rhs = theta[(r + 1, j)] @ kron(lmult, Mat.identity(X.dim(j)))
             if lhs != rhs:
-                return {"ok": False,
-                        "first_failure": ("dual multiplication", r, j, a),
-                        "theta": theta, "complex": soc}
+                return verdict.fail("dual multiplication", r, j, a)
     for (r, s), mats in sorted(soc.act0.items()):
         j = r + s
         if (r, j) not in theta:
@@ -965,15 +954,11 @@ def identify_socI(X, pairing, N=None):
                               X.act0_mats(j), reverse=True)
         for b in range(X.provider.basis_size):
             if mats[b] @ theta[(r, j)] != theta[(r, j)] @ model[b]:
-                return {"ok": False,
-                        "first_failure": ("degree-zero action", r, j, b),
-                        "theta": theta, "complex": soc}
+                return verdict.fail("degree-zero action", r, j, b)
     ok, where = validate_socI_action(soc)
     if not ok:
-        return {"ok": False, "first_failure": ("module law",) + where,
-                "theta": theta, "complex": soc}
-    return {"ok": True, "first_failure": None, "theta": theta,
-            "complex": soc}
+        return verdict.fail("module law", *where)
+    return verdict.result()
 
 
 def identify_topP(Y, pairing, N=None):
@@ -989,6 +974,7 @@ def identify_topP(Y, pairing, N=None):
     orig = dual_action(Y.provider)
     n = alg.n
     phi = {}
+    verdict = _Verdict(phi=phi, complex=top)
     for (mr, s), bl in sorted(top.blocks.items()):
         if not bl:
             continue
@@ -996,8 +982,7 @@ def identify_topP(Y, pairing, N=None):
         j = s - r
         phi[(r, j)] = _phi_matrix(pairing, r, Y.dim(j))
         if not _bijective(phi[(r, j)]):
-            return {"ok": False, "first_failure": ("not bijective", r, j),
-                    "phi": phi, "complex": top}
+            return verdict.fail("not bijective", r, j)
     # chain property against the explicit coinduced-side differential
     for (mr, s), dmat in sorted(top.cx.differentials.items()):
         r = -mr
@@ -1013,8 +998,7 @@ def identify_topP(Y, pairing, N=None):
             post = Y.act1_mat(j) @ kron(_e_col(n, a), Mat.identity(dY))
             dio = dio + kron(post, lmult.transpose())
         if phi[(r - 1, j + 1)] @ dmat != dio @ phi[(r, j)]:
-            return {"ok": False, "first_failure": ("chain", r, j),
-                    "phi": phi, "complex": top}
+            return verdict.fail("chain", r, j)
     for (mr, s), mats in sorted(top.act0.items()):
         r = -mr
         j = s - r
@@ -1024,9 +1008,7 @@ def identify_topP(Y, pairing, N=None):
                             Y.act0_mats(j))
         for b in range(Y.provider.basis_size):
             if phi[(r, j)] @ mats[b] != model[b] @ phi[(r, j)]:
-                return {"ok": False,
-                        "first_failure": ("degree-zero action", r, j, b),
-                        "phi": phi, "complex": top}
+                return verdict.fail("degree-zero action", r, j, b)
     for (mr, s), mats in sorted(top.deg1.items()):
         r = -mr
         j = s - r
@@ -1039,10 +1021,8 @@ def identify_topP(Y, pairing, N=None):
             lhs = phi[(r - 1, j)] @ mats[a]
             rhs = kron(Mat.identity(dY), rmult.transpose()) @ phi[(r, j)]
             if lhs != rhs:
-                return {"ok": False,
-                        "first_failure": ("generator action", r, j, a),
-                        "phi": phi, "complex": top}
-    return {"ok": True, "first_failure": None, "phi": phi, "complex": top}
+                return verdict.fail("generator action", r, j, a)
+    return verdict.result()
 
 
 # ---------------------------------------------------------------------------
@@ -1068,9 +1048,7 @@ def roundtrip_A(provider, pairing, mats_x, N=None, icx=None, zcx=None):
         zcx = topP_complex(socI_model_module(provider, pairing, mats_x, N),
                            N)
     n = alg.n
-    checks = {"bijective": True, "chain": True, "act0": True,
-              "generator": True}
-    first = None
+    verdict = _Verdict(("bijective", "chain", "act0", "generator"))
 
     def cellpair(r, p):
         """(hom-side cell/block, model-side cell) for H-degree r, dual
@@ -1087,8 +1065,7 @@ def roundtrip_A(provider, pairing, mats_x, N=None, icx=None, zcx=None):
                 @ _swap_mat(dX, alg.kdim(p) * alg.hdim(r))
             phi[(r, p)] = m
             if not _bijective(m):
-                checks["bijective"] = False
-                first = first or ("bijective", r, p)
+                verdict.fail("bijective", r, p)
     for r in range(1, N + 1):
         for p in range(0, N - r + 1):
             if (r, p) not in phi or (r - 1, p + 1) not in phi:
@@ -1097,16 +1074,14 @@ def roundtrip_A(provider, pairing, mats_x, N=None, icx=None, zcx=None):
                          m_bar(alg, p + 1, r - 1, "right").transpose())
             d_mod = kron(m_bar(dual, r, p, "right"), Mat.identity(dX))
             if phi[(r - 1, p + 1)] @ d_hom != d_mod @ phi[(r, p)]:
-                checks["chain"] = False
-                first = first or ("chain", r, p)
+                verdict.fail("chain", r, p)
     for (r, p), m in sorted(phi.items()):
         hom_cell, mod_cell = cellpair(r, p)
         hom_acts = icx.act0_mats(*hom_cell)
         mod_acts = zcx.act0_mats(*mod_cell)
         for b in range(provider.basis_size):
             if m @ hom_acts[b] != mod_acts[b] @ m:
-                checks["act0"] = False
-                first = first or ("act0", r, p, b)
+                verdict.fail("act0", r, p, b)
                 break
     for (r, p), m in sorted(phi.items()):
         if r == 0 or (r - 1, p) not in phi:
@@ -1120,12 +1095,9 @@ def roundtrip_A(provider, pairing, mats_x, N=None, icx=None, zcx=None):
             mod_v = kron(dual.contraction(r, a, "left"),
                          Mat.identity(dual.hdim(p) * dX))
             if phi[(r - 1, p)] @ hom_v != mod_v @ phi[(r, p)]:
-                checks["generator"] = False
-                first = first or ("generator", r, p, a)
+                verdict.fail("generator", r, p, a)
                 break
-    ok = all(checks.values())
-    return {"ok": ok, "first_failure": first, "checks": checks,
-            "cells": len(phi)}
+    return verdict.result(checks=verdict.checks, cells=len(phi))
 
 
 def roundtrip_B(provider, pairing, mats_x, N=None, pcx=None):
@@ -1147,28 +1119,23 @@ def roundtrip_B(provider, pairing, mats_x, N=None, pcx=None):
         pcx = P_complex(degree_zero_module(dual_action(provider), dual,
                                            mats_x), N)
     n = alg.n
-    checks = {"bijective": True, "chain": True, "act0": True,
-              "generator": True}
-    first = None
+    verdict = _Verdict(("bijective", "chain", "act0", "generator"))
     chi = {}
     phi_inv = {}
-    theta_inv = {}
     for r in range(0, N + 1):
         for i in range(0, N + 1 - r):
             dim_cell = alg.kdim(r) * dX * alg.hdim(i)
             if not dim_cell:
                 continue
             if i not in phi_inv:
-                phi_inv[i] = inverse(_phi_matrix(pairing, i, dX))
+                phi_inv[i] = _phi_matrix(pairing, i, dX, inverse=True)
             key = (r, i)
-            th = _theta_matrix(pairing, r, dX * alg.hdim(i))
-            theta_inv[key] = inverse(th)
-            m = kron(Mat.identity(dual.hdim(r)), phi_inv[i]) \
-                @ theta_inv[key]
+            theta_inv = _theta_matrix(pairing, r, dX * alg.hdim(i),
+                                      inverse=True)
+            m = kron(Mat.identity(dual.hdim(r)), phi_inv[i]) @ theta_inv
             chi[key] = m
             if not _bijective(m):
-                checks["bijective"] = False
-                first = first or ("bijective", r, i)
+                verdict.fail("bijective", r, i)
 
     def soc_cell(r, i):
         return (r, -i - r)
@@ -1197,8 +1164,7 @@ def roundtrip_B(provider, pairing, mats_x, N=None, pcx=None):
         lhs = chi[nxt] @ d_soc
         rhs = (d_p @ chi[key]).scale((-1) ** (r + i + 1))
         if lhs != rhs:
-            checks["chain"] = False
-            first = first or ("chain", r, i)
+            verdict.fail("chain", r, i)
     for key, m in sorted(chi.items()):
         r, i = key
         soc_acts = soc.act0.get(soc_cell(r, i))
@@ -1207,8 +1173,7 @@ def roundtrip_B(provider, pairing, mats_x, N=None, pcx=None):
             continue
         for b in range(provider.basis_size):
             if m @ soc_acts[b] != p_acts[b] @ m:
-                checks["act0"] = False
-                first = first or ("act0", r, i, b)
+                verdict.fail("act0", r, i, b)
                 break
     for key, m in sorted(chi.items()):
         r, i = key
@@ -1223,13 +1188,11 @@ def roundtrip_B(provider, pairing, mats_x, N=None, pcx=None):
                                            Mat.identity(dual.hdim(r)))
             p_d1 = kron(lmult, Mat.identity(alg.hdim(i) * dX))
             if chi[nxt] @ soc_d1[a] != p_d1 @ chi[key]:
-                checks["generator"] = False
-                first = first or ("generator", r, i, a)
+                verdict.fail("generator", r, i, a)
                 break
-    ok = all(checks.values())
-    return {"ok": ok, "first_failure": first, "checks": checks,
-            "sign_convention": "(-1)**(dual_degree+1) on the strip map",
-            "cells": len(chi)}
+    return verdict.result(
+        checks=verdict.checks, cells=len(chi),
+        sign_convention="(-1)**(dual_degree+1) on the strip map")
 
 
 # ---------------------------------------------------------------------------

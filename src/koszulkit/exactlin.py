@@ -1,6 +1,6 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices of exact rational entries, canonical subspaces (reduced
+Sparse matrices of exact rational entries, canonical subspaces (reduced
 row echelon bases), kernels, intersections, quotients and Kronecker
 products.  Everything downstream computes with these, so the canonical
 forms here make all reported bases deterministic.
@@ -10,7 +10,16 @@ Conventions:
     ``fractions.Fraction`` with denominator > 1 otherwise; the public
     constructors normalize their input to this form once, and every
     result computed here keeps it;
-  * vectors are plain lists of entries, matrices act on the left (m @ v);
+  * a matrix is stored as sparse rows: row i is a dict {column: entry}
+    of its nonzero entries, and no zero is ever stored, so every
+    operation costs in proportion to the nonzeros it meets.  The format
+    stays inside this module: other code builds matrices from dense rows
+    (Mat(...)) or from entries (Mat.from_entries), and reads them back
+    with entries(), select_rows(), row(), col() and tolist();
+  * a matrix is not changed after it is built, so results may share rows
+    with their operands;
+  * vectors are plain (dense) lists of entries, matrices act on the left
+    (m @ v);
   * a Subspace is represented by the unique RREF basis of its row span,
     computed by fraction-free elimination on primitive integer rows;
   * kron uses row-major flattening: basis vector (i, j) of U (x) W has
@@ -20,9 +29,8 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain
 from math import gcd, lcm
-from operator import itemgetter
 
 F0 = 0
 F1 = 1
@@ -39,67 +47,65 @@ def _exact(x):
 
 
 def _ints(data):
-    """Turn, in place, the integral Fractions (zero among them) that
-    arithmetic on Fraction entries leaves in freshly computed rows into
-    ints; returns data."""
-    if Fraction in set(map(type, chain.from_iterable(data))):
+    """Turn, in place, the integral Fractions that arithmetic on Fraction
+    entries leaves in freshly computed rows into ints; returns data.  The
+    rows hold no zero."""
+    if Fraction in set(map(type, chain.from_iterable(map(dict.values,
+                                                          data)))):
         for row in data:
-            for j, x in enumerate(row):
+            for j, x in row.items():
                 if type(x) is Fraction and x.denominator == 1:
                     row[j] = x.numerator
     return data
 
 
-def _has_fraction(data):
-    """Whether a nonzero entry of data is a Fraction: only then can
-    arithmetic on it leave integral Fractions for _ints to turn back."""
-    return Fraction in set(map(type, chain.from_iterable(
-        map(compress, data, data))))
-
-
-def _nz_has_fraction(nzrows):
-    """_has_fraction for rows given as _nonzeros lists (None for a row
-    not in use)."""
-    return Fraction in set(map(type, map(itemgetter(1), chain.from_iterable(
-        filter(None, nzrows)))))
-
-
-def _nonzeros(row):
-    """[(column, entry)] of the nonzero entries of a row."""
-    return [(j, row[j]) for j in compress(range(len(row)), row)]
+def _nonzero(row):
+    """row without the zeros that cancellation left in it."""
+    if all(row.values()):
+        return row
+    return {j: x for j, x in row.items() if x}
 
 
 def _mat(rows, cols, data):
-    """A Mat around rows computed here: exact entries of the right shape,
-    so nothing is re-wrapped or re-checked."""
+    """A Mat around sparse rows computed here: exact nonzero entries in
+    range, so nothing is re-wrapped or re-checked."""
     m = Mat.__new__(Mat)
     m.rows = rows
     m.cols = cols
-    m.data = data
+    m._data = data
     return m
 
 
 def _columns(m, cols):
-    """The columns cols of m, in that order."""
-    return _mat(m.rows, len(cols), [[row[c] for c in cols] for row in m.data])
+    """The columns cols (distinct) of m, in that order."""
+    pos = {c: k for k, c in enumerate(cols)}
+    return _mat(m.rows, len(cols),
+                [{pos[j]: x for j, x in row.items() if j in pos}
+                 for row in m._data])
 
 
 class Mat:
-    """Dense rows x cols matrix with exact (int or Fraction) entries."""
+    """rows x cols matrix with exact (int or Fraction) entries, held as
+    sparse rows {column: nonzero entry}.
 
-    __slots__ = ("rows", "cols", "data")
+    Mat(rows, cols, dense_rows) is the front door for parsed and test
+    input: it checks the shape and normalizes every entry; Mat(rows,
+    cols) is the zero matrix."""
+
+    __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, rows, cols, data=None):
         self.rows = rows
         self.cols = cols
         if data is None:
-            self.data = [[0] * cols for _ in range(rows)]
-        else:
-            self.data = [[_exact(x) for x in row] for row in data]
-            if len(self.data) != rows or any(len(row) != cols
-                                             for row in self.data):
-                raise ValueError("entries do not form a %d x %d matrix"
-                                 % (rows, cols))
+            self._data = [{} for _ in range(rows)]
+            return
+        data = [list(row) for row in data]
+        if len(data) != rows or any(len(row) != cols for row in data):
+            raise ValueError("entries do not form a %d x %d matrix"
+                             % (rows, cols))
+        self._data = [{j: x for j, x in enumerate(map(_exact, row)) if x}
+                      for row in data]
 
     @staticmethod
     def from_rows(rows_list, cols=None):
@@ -109,88 +115,145 @@ class Mat:
         return Mat(len(rows_list), cols, rows_list)
 
     @staticmethod
+    def from_entries(rows, cols, entries):
+        """The rows x cols matrix whose entry (i, j) is the sum of the
+        values v of the (i, j, v) in entries (exact values; a position
+        may repeat)."""
+        data = [{} for _ in range(rows)]
+        for i, j, v in entries:
+            row = data[i]
+            row[j] = row.get(j, 0) + v
+        for i, row in enumerate(data):
+            if row:
+                if min(row) < 0 or max(row) >= cols:
+                    raise ValueError("entry outside a %d x %d matrix"
+                                     % (rows, cols))
+                data[i] = _nonzero(row)
+        return _mat(rows, cols, _ints(data))
+
+    @staticmethod
     def identity(n):
-        m = Mat(n, n)
-        for i in range(n):
-            m.data[i][i] = 1
-        return m
+        return _mat(n, n, [{i: 1} for i in range(n)])
 
     @staticmethod
     def zeros(rows, cols):
         return Mat(rows, cols)
 
-    def copy(self):
-        return _mat(self.rows, self.cols, [row[:] for row in self.data])
+    def entries(self):
+        """The (i, j, entry) of the nonzero entries, row by row."""
+        return ((i, j, x) for i, row in enumerate(self._data)
+                for j, x in row.items())
+
+    def select_rows(self, rows):
+        """The matrix of the rows with the given indices, in that order."""
+        rows = list(rows)
+        data = self._data
+        return _mat(len(rows), self.cols, [data[i] for i in rows])
+
+    def tolist(self):
+        """The dense rows, as lists of entries."""
+        return [self.row(i) for i in range(self.rows)]
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+                and self.cols == other.cols and self._data == other._data)
 
     def __repr__(self):
         return "Mat(%d, %d, %r)" % (self.rows, self.cols,
-                                    [[str(x) for x in row] for row in self.data])
+                                    [[str(x) for x in row]
+                                     for row in self.tolist()])
 
     def is_zero(self):
-        return not any(map(any, self.data))
+        return not any(self._data)
 
     def __add__(self, other):
         assert self.rows == other.rows and self.cols == other.cols
         return _mat(self.rows, self.cols,
-                    _ints([[a + b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.data, other.data)]))
+                    [_sum_rows(r1, r2, 1)
+                     for r1, r2 in zip(self._data, other._data)])
 
     def __sub__(self, other):
         assert self.rows == other.rows and self.cols == other.cols
         return _mat(self.rows, self.cols,
-                    _ints([[a - b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.data, other.data)]))
+                    [_sum_rows(r1, r2, -1)
+                     for r1, r2 in zip(self._data, other._data)])
 
     def __neg__(self):
-        return _mat(self.rows, self.cols, [[-a for a in r] for r in self.data])
+        return _mat(self.rows, self.cols,
+                    [{j: -x for j, x in r.items()} for r in self._data])
 
     def scale(self, c):
         c = _exact(c)
+        if not c:
+            return Mat(self.rows, self.cols)
         return _mat(self.rows, self.cols,
-                    _ints([[c * a for a in r] for r in self.data]))
+                    _ints([{j: c * x for j, x in r.items()}
+                           for r in self._data]))
 
     def __matmul__(self, other):
         assert self.cols == other.rows, (self.cols, other.rows)
-        odata = other.data
-        nz = [None] * other.rows    # nonzeros of the rows of other in use
-        cols = other.cols
-        ks = range(self.cols)
+        odata = other._data
         out = []
-        for row in self.data:
-            acc = [0] * cols
-            for k in compress(ks, row):
-                a = row[k]
-                nzrow = nz[k]
-                if nzrow is None:
-                    nzrow = nz[k] = _nonzeros(odata[k])
-                for j, b in nzrow:
-                    acc[j] += a * b
+        for row in self._data:
+            if len(row) == 1:
+                (k, a), = row.items()
+                acc = odata[k]
+                if a != 1:
+                    acc = {j: a * b for j, b in acc.items()}
+            elif row:
+                items = iter(row.items())
+                k, a = next(items)
+                acc = {j: a * b for j, b in odata[k].items()}
+                for k, a in items:
+                    for j, b in odata[k].items():
+                        if j in acc:
+                            acc[j] += a * b
+                        else:
+                            acc[j] = a * b
+                acc = _nonzero(acc)
+            else:
+                acc = row
             out.append(acc)
-        if _has_fraction(self.data) or _nz_has_fraction(nz):
-            _ints(out)
-        return _mat(self.rows, cols, out)
+        return _mat(self.rows, other.cols, _ints(out))
 
     def apply(self, vec):
         """Matrix times column vector (a list)."""
         assert len(vec) == self.cols
-        nz = _nonzeros(vec)
-        return _ints([[sum(row[k] * x for k, x in nz)
-                       for row in self.data]])[0]
+        return [_exact(sum([x * vec[j] for j, x in row.items()]))
+                for row in self._data]
 
     def transpose(self):
-        if not self.rows:
-            return Mat(self.cols, 0)
-        return _mat(self.cols, self.rows, [list(c) for c in zip(*self.data)])
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._data):
+            for j, x in row.items():
+                out[j][i] = x
+        return _mat(self.cols, self.rows, out)
 
     def row(self, i):
-        return self.data[i][:]
+        out = [0] * self.cols
+        for j, x in self._data[i].items():
+            out[j] = x
+        return out
 
     def col(self, j):
-        return [self.data[i][j] for i in range(self.rows)]
+        return [row.get(j, 0) for row in self._data]
+
+
+def _sum_rows(r1, r2, sign):
+    """The sparse row r1 + sign * r2."""
+    if not r2:
+        return r1
+    if not r1 and sign == 1:
+        return r2
+    out = dict(r1)
+    for j, x in r2.items():
+        v = out.get(j, 0) + sign * x
+        if v:
+            out[j] = v.numerator if (type(v) is Fraction
+                                     and v.denominator == 1) else v
+        elif j in out:
+            del out[j]
+    return out
 
 
 def vstack(mats):
@@ -200,7 +263,7 @@ def vstack(mats):
     rows = []
     for m in mats:
         assert m.cols == cols
-        rows.extend(r[:] for r in m.data)
+        rows.extend(m._data)
     return _mat(len(rows), cols, rows)
 
 
@@ -208,34 +271,43 @@ def hstack(mats):
     mats = [m for m in mats]
     assert mats
     rows = mats[0].rows
-    data = [[] for _ in range(rows)]
+    data = [{} for _ in range(rows)]
+    off = 0
     for m in mats:
         assert m.rows == rows
-        for i in range(rows):
-            data[i].extend(m.data[i])
-    return _mat(rows, sum(m.cols for m in mats), data)
+        for out, row in zip(data, m._data):
+            for j, x in row.items():
+                out[off + j] = x
+        off += m.cols
+    return _mat(rows, off, data)
 
 
 def kron_sum(terms, rows, cols):
     """Sum of c * kron(A, B) over the (c, A, B) in terms, a rows x cols
-    matrix, accumulated in place: only nonzero products are written."""
-    out = [[0] * cols for _ in range(rows)]
-    frac = False
+    matrix; each term is built row by row from the nonzeros of A and B."""
+    out = None
     for c, m1, m2 in terms:
-        nz2 = [_nonzeros(row) for row in m2.data]
-        frac = (frac or type(c) is not int or _has_fraction(m1.data)
-                or _nz_has_fraction(nz2))
-        r2, c2 = m2.rows, m2.cols
-        js = range(m1.cols)
-        for i1, row1 in enumerate(m1.data):
-            orows = out[i1 * r2:(i1 + 1) * r2]
-            for j1 in compress(js, row1):
-                ca = c * row1[j1]
-                base_j = j1 * c2
-                for orow, nzrow in zip(orows, nz2):
-                    for j2, b in nzrow:
-                        orow[base_j + j2] += ca * b
-    return _mat(rows, cols, _ints(out) if frac else out)
+        c = _exact(c)
+        if not c:
+            continue
+        d2, c2 = m2._data, m2.cols
+        term = []
+        for row1 in m1._data:
+            if not row1:
+                # rows are not changed once built, so empty ones are shared
+                term.extend([row1] * len(d2))
+                continue
+            if c != 1:
+                row1 = {j: c * a for j, a in row1.items()}
+            items1 = row1.items()
+            for row2 in d2:
+                term.append({j1 * c2 + j2: a * b for j1, a in items1
+                             for j2, b in row2.items()} if row2 else row2)
+        out = term if out is None else [_sum_rows(r1, r2, 1)
+                                        for r1, r2 in zip(out, term)]
+    if out is None:
+        return Mat(rows, cols)
+    return _mat(rows, cols, _ints(out))
 
 
 def kron(m1, m2):
@@ -247,17 +319,19 @@ def mul_kron_identity(m1, m2, n):
     """m1 @ kron(m2, I_n), without forming the Kronecker product: only
     nonzero products are written."""
     assert m1.cols == m2.rows * n, (m1.cols, m2.rows, n)
-    nz = [_nonzeros(row) for row in m2.data]
-    ks = range(m1.cols)
+    d2 = m2._data
     out = []
-    for row1 in m1.data:
-        orow = [0] * (m2.cols * n)
-        for k in compress(ks, row1):
-            a = row1[k]
+    for row1 in m1._data:
+        orow = {}
+        for k, a in row1.items():
             t, c = divmod(k, n)
-            for j, b in nz[t]:
-                orow[j * n + c] += a * b
-        out.append(orow)
+            for j, b in d2[t].items():
+                j = j * n + c
+                if j in orow:
+                    orow[j] += a * b
+                else:
+                    orow[j] = a * b
+        out.append(_nonzero(orow))
     return _mat(m1.rows, m2.cols * n, _ints(out))
 
 
@@ -275,13 +349,15 @@ def _int_rows(data):
     a nonzero rational multiple of its row, so the row span is kept."""
     out = []
     for row in data:
-        r = dict(_nonzeros(row))
-        if not r:
+        if not row:
             continue
-        dens = [x.denominator for x in r.values() if type(x) is not int]
+        dens = [x.denominator for x in row.values() if type(x) is not int]
         if dens:
             d = lcm(*dens)
-            r = {j: x.numerator * (d // x.denominator) for j, x in r.items()}
+            r = {j: x.numerator * (d // x.denominator)
+                 for j, x in row.items()}
+        else:
+            r = dict(row)
         out.append(_primitive(r))
     return out
 
@@ -334,18 +410,20 @@ def rref(m):
     Returns (Mat, pivot_column_list); rank == len(pivots).  Fractions are
     made only here, to scale each pivot row to pivot 1.
     """
-    done = _rref_sparse(_int_rows(m.data), m.cols)
+    done = _rref_sparse(_int_rows(m._data), m.cols)
     data = []
     for col, r in done:
         p = r[col]
-        row = [0] * m.cols
-        for j, v in r.items():
-            if p == 1 or p == -1:
-                row[j] = v * p
-            else:
+        if p == 1:
+            data.append(r)
+        elif p == -1:
+            data.append({j: -v for j, v in r.items()})
+        else:
+            row = {}
+            for j, v in r.items():
                 q = Fraction(v) / p
                 row[j] = q.numerator if q.denominator == 1 else q
-        data.append(row)
+            data.append(row)
     return _mat(len(done), m.cols, data), [c for c, _ in done]
 
 
@@ -394,12 +472,12 @@ class Subspace:
     def reduce(self, vec):
         """Residue of vec modulo this subspace (zero at pivot coordinates)."""
         v = list(vec)
-        for p, row in zip(self.pivots, self.basis.data):
+        for p, row in zip(self.pivots, self.basis._data):
             c = v[p]
             if c:
-                for j, b in _nonzeros(row):
+                for j, b in row.items():
                     v[j] -= c * b
-        return _ints([v])[0]
+        return [_exact(x) for x in v]
 
     def contains(self, vec):
         return not any(self.reduce(vec))
@@ -421,16 +499,13 @@ def kernel(m):
     """Canonical basis of {x : m @ x = 0}; dim == cols - rank."""
     b, pivots = rref(m)
     pivset = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivset]
-    rows = []
-    for f in free:
-        v = [0] * m.cols
-        v[f] = 1
-        for k, p in enumerate(pivots):
-            c = b.data[k][f]
-            if c:
-                v[p] = -c
-        rows.append(v)
+    free = {f: k for k, f in
+            enumerate(j for j in range(m.cols) if j not in pivset)}
+    rows = [{f: 1} for f in free]
+    for p, row in zip(pivots, b._data):
+        for j, c in row.items():
+            if j in free:
+                rows[free[j]][p] = -c
     return Subspace.from_rows(m.cols, _mat(len(rows), m.cols, rows))
 
 
@@ -453,15 +528,6 @@ def intersect(s1, s2):
     return Subspace.from_rows(s1.ambient_dim, coeffs.basis @ s1.basis)
 
 
-def intersect_all(subspaces):
-    subspaces = list(subspaces)
-    assert subspaces
-    out = subspaces[0]
-    for s in subspaces[1:]:
-        out = intersect(out, s)
-    return out
-
-
 def quotient(ambient_dim, s):
     """Projection/section pair for Q^ambient / s.
 
@@ -472,53 +538,37 @@ def quotient(ambient_dim, s):
         raise ValueError("ambient-dimension mismatch")
     pivset = set(s.pivots)
     free = [j for j in range(ambient_dim) if j not in pivset]
-    proj = Mat(len(free), ambient_dim)
-    sect = Mat(ambient_dim, len(free))
-    for i, q in enumerate(free):
-        proj.data[i][q] = 1
-        sect.data[q][i] = 1
-        for k, p in enumerate(s.pivots):
-            c = s.basis.data[k][q]
-            if c:
-                proj.data[i][p] = -c
-    return proj, sect
-
-
-def solve(a, b):
-    """One solution x of a @ x = b (b a vector); None if inconsistent."""
-    aug = hstack([a, Mat.from_rows([[x] for x in b], 1)])
-    red, pivots = rref(aug)
-    if a.cols in pivots:
-        return None
-    x = [0] * a.cols
-    for k, p in enumerate(pivots):
-        x[p] = red.data[k][a.cols]
-    return x
+    pos = {q: i for i, q in enumerate(free)}
+    proj = [{q: 1} for q in free]
+    sect = [{} for _ in range(ambient_dim)]
+    for q, i in pos.items():
+        sect[q][i] = 1
+    for p, row in zip(s.pivots, s.basis._data):
+        for q, c in row.items():
+            if q in pos:
+                proj[pos[q]][p] = -c
+    return (_mat(len(free), ambient_dim, proj),
+            _mat(ambient_dim, len(free), sect))
 
 
 def inverse(m):
     """Inverse of a square matrix; raises ValueError if singular."""
     assert m.rows == m.cols
-    aug = hstack([m, Mat.identity(m.rows)])
-    red, pivots = rref(aug)
-    if pivots != list(range(m.rows)):
+    n = m.rows
+    red, pivots = rref(hstack([m, Mat.identity(n)]))
+    if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return _mat(m.rows, m.rows, [row[m.rows:] for row in red.data])
+    return _mat(n, n, [{j - n: x for j, x in row.items() if j >= n}
+                       for row in red._data])
 
 
 def perm_matrix(perm):
     """Matrix sending e_j to e_{perm[j]}."""
     n = len(perm)
-    m = Mat(n, n)
+    data = [{} for _ in range(n)]
     for j, i in enumerate(perm):
-        m.data[i][j] = 1
-    return m
-
-
-def basis_vector(n, i):
-    v = [0] * n
-    v[i] = 1
-    return v
+        data[i][j] = 1
+    return _mat(n, n, data)
 
 
 def rat_to_str(x):

@@ -8,7 +8,7 @@ classical letter is clearer (t for one variable, e/h/f for sl2).
 from __future__ import annotations
 
 from koszulkit.exactlin import F0, F1, Subspace
-from koszulkit.quadratic import QuadraticPresentation, word_index
+from koszulkit.quadratic import QuadraticPresentation
 
 
 def _gen_names(n):
@@ -105,18 +105,18 @@ def sweedler_bialgebra():
         (2, 0): {2: 1}, (2, 1): {3: -1}, (2, 2): {}, (2, 3): {},
         (3, 0): {3: 1}, (3, 1): {2: -1}, (3, 2): {}, (3, 3): {},
     }
-    mult = Mat(4, 16)
-    for (a, b), out in table.items():
-        for c, v in out.items():
-            mult.data[c][a * 4 + b] = v
-    comult = Mat(16, 4)
+    mult = Mat.from_entries(4, 16, ((c, a * 4 + b, v)
+                                    for (a, b), out in table.items()
+                                    for c, v in out.items()))
     # columns: images of 1, g, x, gx in the 16-dim tensor square
-    comult.data[0 * 4 + 0][0] = 1          # 1 (x) 1
-    comult.data[1 * 4 + 1][1] = 1          # g (x) g
-    comult.data[2 * 4 + 0][2] = 1          # x (x) 1
-    comult.data[1 * 4 + 2][2] = 1          # g (x) x
-    comult.data[3 * 4 + 1][3] = 1          # gx (x) g
-    comult.data[0 * 4 + 3][3] = 1          # 1 (x) gx
+    comult = Mat.from_entries(16, 4, [
+        (0 * 4 + 0, 0, 1),          # 1 (x) 1
+        (1 * 4 + 1, 1, 1),          # g (x) g
+        (2 * 4 + 0, 2, 1),          # x (x) 1
+        (1 * 4 + 2, 2, 1),          # g (x) x
+        (3 * 4 + 1, 3, 1),          # gx (x) g
+        (0 * 4 + 3, 3, 1),          # 1 (x) gx
+    ])
     counit = _m([[1, 1, 0, 0]])
     return Bialgebra(4, mult, [1, 0, 0, 0], comult, counit, names)
 

@@ -1,4 +1,4 @@
-"""Graded vector spaces, graded maps and bigraded complexes over the rationals.
+"""Graded vector spaces and bigraded complexes over the rationals.
 
 A BigradedComplex is indexed by homological degree r and internal degree s;
 its differential raises r by one and fixes s.  Every complex carries a finite
@@ -48,25 +48,6 @@ class GradedSpace:
 
     def __repr__(self):
         return "GradedSpace(%r, window=%r)" % (self.components, self.window)
-
-
-class GradedMap:
-    """Degree-homogeneous map: component s of the source to s + shift."""
-
-    def __init__(self, source, target, shift, mats):
-        self.source = source
-        self.target = target
-        self.shift = shift
-        self.mats = dict(mats)
-        for s, m in self.mats.items():
-            assert m.cols == source.dim(s), (s, m.cols, source.dim(s))
-            assert m.rows == target.dim(s + shift)
-
-    def mat(self, s):
-        m = self.mats.get(s)
-        if m is None:
-            m = Mat.zeros(self.target.dim(s + self.shift), self.source.dim(s))
-        return m
 
 
 def hilbert(g, N):

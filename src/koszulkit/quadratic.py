@@ -28,8 +28,8 @@ if any construction drifts from these conventions.
 from __future__ import annotations
 
 from koszulkit.exactlin import (
-    F0, Mat, Subspace, _columns, _ints, _mat, inverse, kernel, kron,
-    mul_kron_identity, perm_matrix, quotient, rat_from_str, rat_to_str,
+    F0, Mat, Subspace, _columns, inverse, kernel, kron, mul_kron_identity,
+    perm_matrix, quotient, rat_from_str, rat_to_str, vstack,
 )
 from koszulkit.graded import BigradedComplex, GradedSpace
 
@@ -89,7 +89,7 @@ class QuadraticPresentation:
     def to_json_obj(self):
         n = self.n
         rels = []
-        for row in self.relations.basis.data:
+        for row in self.relations.basis.tolist():
             terms = []
             for idx, c in enumerate(row):
                 if c:
@@ -260,16 +260,16 @@ class TruncatedGradedAlgebra:
                 z = mul_kron_identity(right.transpose(),
                                       self.incl_left(i - 1).transpose(),
                                       n).transpose()
-                data = []
+                blocks = []
                 for a in range(n):
                     x = self.k_coordinates(
-                        i - 1, _mat(w, z.cols, z.data[a * w:(a + 1) * w]),
+                        i - 1, z.select_rows(range(a * w, (a + 1) * w)),
                         "right")
                     if x is None:
                         raise ValueError("K_%d is not inside V (x) K_%d"
                                          % (i, i - 1))
-                    data.extend(x.data)
-                m = _mat(n * kp, right.cols, data)
+                    blocks.append(x)
+                m = vstack(blocks) if blocks else Mat(0, right.cols)
             self._incl_left[i] = m
         return m
 
@@ -289,10 +289,12 @@ class TruncatedGradedAlgebra:
             incl = self.incl_left(i)
             rows = self._left_pivots.get(i)
             if rows is None:
-                rows = self._left_pivots[i] = [
-                    next(r for r, x in enumerate(col) if x)
-                    for col in incl.transpose().data]
-        x = _mat(len(rows), y.cols, [y.data[r][:] for r in rows])
+                first = {}
+                for r, c, _x in incl.entries():
+                    first.setdefault(c, r)
+                rows = self._left_pivots[i] = [first[c]
+                                               for c in range(incl.cols)]
+        x = y.select_rows(rows)
         return x if incl @ x == y else None
 
     def contraction(self, i, a, side):
@@ -304,10 +306,9 @@ class TruncatedGradedAlgebra:
         if m is None:
             kp, n = self.kdim(i - 1), self.n
             if side == "right":
-                rows = self.incl_right(i).data[a::n]
+                m = self.incl_right(i).select_rows(range(a, kp * n, n))
             else:
-                rows = self.incl_left(i).data[a * kp:(a + 1) * kp]
-            m = _mat(kp, self.kdim(i), [r[:] for r in rows])
+                m = self.incl_left(i).select_rows(range(a * kp, (a + 1) * kp))
             self._contractions[key] = m
         return m
 
@@ -372,10 +373,7 @@ def quadratic_dual(pres):
     under the order-reversing pairing of dual words with words."""
     n = pres.n
     rev = reversal_perm(n, 2)
-    B = pres.relations.basis
-    paired = Mat(B.rows, n * n,
-                 [[row[rev[w]] for w in range(n * n)] for row in B.data])
-    dual_rel = kernel(paired)
+    dual_rel = kernel(_columns(pres.relations.basis, rev))
     assert pres.relations.dim + dual_rel.dim == n * n
     return QuadraticPresentation(dual_gen_names(pres.gen_names), dual_rel)
 
@@ -423,17 +421,19 @@ def _m_bar(alg, j, i, side):
         mcol = [[q * n + v for q in range(hi)] for v in range(n)]
         orow = [[b * kp + a for b in range(hn)] for a in range(kp)]
         ocol = [[q * kj + p for q in range(hi)] for p in range(kj)]
-    mnz = [[(b, x) for b, x in enumerate(col) if x]
-           for col in mult.transpose().data]
-    out = [[0] * (kj * hi) for _ in range(kp * hn)]
-    for (a, v), irow in zip(legs, incl.data):
-        rows_a = orow[a]
-        for p, c in enumerate(irow):
-            if c:
-                for mc, oc in zip(mcol[v], ocol[p]):
-                    for b, x in mnz[mc]:
-                        out[rows_a[b]][oc] += c * x
-    return _mat(kp * hn, kj * hi, _ints(out))
+    mnz = [[] for _ in range(mult.cols)]
+    for b, mc, x in mult.entries():
+        mnz[mc].append((b, x))
+
+    def entries():
+        for r, p, c in incl.entries():
+            a, v = legs[r]
+            rows_a = orow[a]
+            for mc, oc in zip(mcol[v], ocol[p]):
+                for b, x in mnz[mc]:
+                    yield rows_a[b], oc, c * x
+
+    return Mat.from_entries(kp * hn, kj * hi, entries())
 
 
 def koszul_complex(alg, side):
@@ -553,11 +553,11 @@ def validate_contractions(alg, dual_alg, max_degree=None):
     and symmetrically for the algebra acting on the dual Koszul subspaces."""
     N = max_degree if max_degree is not None else alg.N
     for i in range(2, N + 1):
-        for theta in dual_alg.pres.relations.basis.data:
+        for theta in dual_alg.pres.relations.basis.tolist():
             m = contract_right(alg, i, theta, 2)
             if not m.is_zero():
                 return False, ("right", i)
-        for tvec in alg.pres.relations.basis.data:
+        for tvec in alg.pres.relations.basis.tolist():
             m = contract_left(dual_alg, i, tvec, 2)
             if not m.is_zero():
                 return False, ("left", i)
@@ -601,17 +601,17 @@ class DualityPairing:
                 prev = self._pairing(which, i - 1)
                 incl = koszul.incl_left(i)
                 n, kp = words.n, prev.cols
-                rows = []
-                for c in words.split_last(i):
-                    u, v = divmod(c, n)
-                    acc = [0] * incl.cols
-                    for t, x in enumerate(prev.data[u]):
-                        if x:
-                            for p, y in enumerate(incl.data[v * kp + t]):
-                                if y:
-                                    acc[p] += x * y
-                    rows.append(acc)
-                m = _mat(len(rows), incl.cols, _ints(rows))
+                prev_nz = [[] for _ in range(prev.rows)]
+                for u, t, x in prev.entries():
+                    prev_nz[u].append((t, x))
+                incl_nz = [[] for _ in range(incl.rows)]
+                for r, p, y in incl.entries():
+                    incl_nz[r].append((p, y))
+                cells = [divmod(c, n) for c in words.split_last(i)]
+                m = Mat.from_entries(
+                    len(cells), incl.cols,
+                    ((row, p, x * y) for row, (u, v) in enumerate(cells)
+                     for t, x in prev_nz[u] for p, y in incl_nz[v * kp + t]))
             if m.rows != m.cols:
                 raise ValueError("pairing g%d(%d) is %d x %d, not square"
                                  % (which, i, m.rows, m.cols))

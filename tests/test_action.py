@@ -35,11 +35,6 @@ def test_validate_bialgebra_failure():
     assert not ok and axiom == "counit law"
 
 
-def test_cocommutativity():
-    assert c2_group_algebra().is_cocommutative()
-    assert not sweedler_bialgebra().is_cocommutative()
-
-
 def test_validate_lie_sl2():
     assert validate_lie(sl2_lie_action()) == (True, None)
 

@@ -218,8 +218,7 @@ from koszulkit.quadratic import grow
 
 def corrupt_grow(pres, N):
     alg = grow(pres, N)
-    bad = Mat(alg.hdim(2), alg.n ** 2)
-    bad.data[0][1] = F1
+    bad = Mat.from_entries(alg.hdim(2), alg.n ** 2, [(0, 1, F1)])
     alg._mult[(1, 1)] = bad
     return alg
 

@@ -5,14 +5,14 @@ import pytest
 
 from koszulkit.action import ActionProvider, dual_action
 from koszulkit.duality import (
-    GradedAModule, I0, I_complex, P0, P_complex, adjunction_check,
-    degree_zero_module, diagonal_vanishing, h0_certificate_I,
+    GradedAModule, I0, I_complex, P0, P_complex, _phi_matrix, _theta_matrix,
+    adjunction_check, degree_zero_module, diagonal_vanishing, h0_certificate_I,
     h0_certificate_P, hom_A0_dim, hom_graded_A_dim, identify_socI,
     identify_topP, koszulity_via_duality, roundtrip_A, roundtrip_B,
     socI_complex, socI_model_module, topP_complex,
     validate_complex_equivariance, validate_module, validate_socI_action,
 )
-from koszulkit.exactlin import F0, F1, Mat
+from koszulkit.exactlin import F0, F1, Mat, inverse
 from koszulkit.fixtures import (
     c2_modules, c2_sign_provider, dual_numbers_presentation,
     ext_presentation, free_presentation, sl2_lie_action, sl2_provider,
@@ -228,3 +228,33 @@ def test_I_complex_homology_values_c2():
     nz = [c for c in rep.nonzero_valid_cells() if icx.is_complete(*c)]
     assert nz == [(0, 0)]
     assert rep.dim(0, 0) == 1
+
+
+@pytest.mark.parametrize("pres", [sym_presentation(2), ext_presentation(3),
+                                  sym_presentation(3), free_presentation(2)])
+def test_model_maps_inverted_from_the_cached_pairing(pres):
+    # roundtrip_B builds the inverse comparison maps from the cached g1^-1
+    # and g2^-1; they must be the inverses an elimination finds
+    alg, dual, pairing = _setup(pres, None, 3)
+    for r in range(4):
+        for d in (1, 2, 3):
+            for build in (_phi_matrix, _theta_matrix):
+                m = build(pairing, r, d)
+                inv = build(pairing, r, d, inverse=True)
+                assert inv == inverse(m), (build.__name__, r, d)
+
+
+def test_roundtrip_reports_the_first_failure():
+    # a degree-zero action doubled on the injective side breaks only the
+    # act0 comparison, first at the first cell and basis element
+    provider = c2_sign_provider()
+    alg, dual, pairing = _setup(sym_presentation(1), provider, 3)
+    mats = c2_modules()["sign"]
+    icx = I_complex(degree_zero_module(provider, alg, mats), 3)
+    icx.act0 = {cell: [m.scale(2) for m in acts]
+                for cell, acts in icx.act0.items()}
+    res = roundtrip_A(provider, pairing, mats, 3, icx=icx)
+    assert not res["ok"]
+    assert res["checks"] == {"bijective": True, "chain": True,
+                             "act0": False, "generator": True}
+    assert res["first_failure"] == ("act0", 0, 0, 0)

@@ -5,10 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from koszulkit.exactlin import (
-    Mat, Subspace, basis_vector, hstack, image, intersect, intersect_all,
-    inverse, kernel, kron, mul_kron_identity, perm_matrix, quotient, rank,
-    rat_from_str, rat_to_str, rref, solve, vstack,
+    Mat, Subspace, _columns, hstack, image, intersect, inverse, kernel, kron,
+    kron_sum, mul_kron_identity, perm_matrix, quotient, rank, rat_from_str,
+    rat_to_str, rref, vstack,
 )
+
+
+def unit_vector(n, i):
+    """The i-th standard basis vector of Q^n, as a list."""
+    return [int(k == i) for k in range(n)]
 
 
 def rand_mat(rng, rows, cols, density=0.6):
@@ -37,13 +42,12 @@ def test_kernel_basic():
 
 
 def test_intersect():
-    e = [basis_vector(3, i) for i in range(3)]
+    e = [unit_vector(3, i) for i in range(3)]
     s12 = Subspace.from_rows(3, [e[0], e[1]])
     s23 = Subspace.from_rows(3, [e[1], e[2]])
     assert intersect(s12, s23).basis == Mat(1, 3, [[0, 1, 0]])
     assert intersect(s12, s12) == s12
     assert intersect(s12, Subspace.full(3)) == s12
-    assert intersect_all([s12, s23, Subspace.full(3)]).dim == 1
 
 
 def test_kron_small():
@@ -52,8 +56,8 @@ def test_kron_small():
     assert kron(Mat.identity(2), Mat.identity(3)) == Mat.identity(6)
     # flat index rule: e_{(1,0)} has index 1*2+0 = 2
     n = kron(Mat(2, 2, [[0, 1], [0, 0]]), Mat.identity(2))
-    v = basis_vector(4, 2)
-    assert n.apply(v) == basis_vector(4, 0)
+    v = unit_vector(4, 2)
+    assert n.apply(v) == unit_vector(4, 0)
 
 
 def test_mul_kron_identity_matches_kron():
@@ -76,12 +80,11 @@ def test_quotient():
     assert kernel(p) == sub
 
 
-def test_solve_and_inverse():
+def test_inverse_small():
     a = Mat(2, 2, [[1, 2], [3, 4]])
-    x = solve(a, [5, 11])
-    assert a.apply(x) == [Fraction(5), Fraction(11)]
     assert a @ inverse(a) == Mat.identity(2)
-    assert solve(Mat(2, 2, [[1, 1], [1, 1]]), [0, 1]) is None
+    with pytest.raises(ValueError):
+        inverse(Mat(2, 2, [[1, 1], [1, 1]]))
 
 
 def test_stack_perm_image():
@@ -90,7 +93,7 @@ def test_stack_perm_image():
     assert vstack([a, b]) == Mat(2, 2, [[1, 2], [3, 4]])
     assert hstack([a, b]) == Mat(1, 4, [[1, 2, 3, 4]])
     pm = perm_matrix([1, 0])
-    assert pm.apply(basis_vector(2, 0)) == basis_vector(2, 1)
+    assert pm.apply(unit_vector(2, 0)) == unit_vector(2, 1)
     assert image(Mat(2, 2, [[1, 0], [2, 0]])).basis == Mat(1, 2, [[1, 2]])
 
 
@@ -106,7 +109,7 @@ def test_random_properties():
         m = rand_mat(rng, rng.randint(0, 4), rng.randint(1, 4))
         assert kernel(m).dim + rank(m) == m.cols
         # quotient laws
-        s = Subspace.from_rows(m.cols, m.data)
+        s = Subspace.from_rows(m.cols, m)
         p, sec = quotient(m.cols, s)
         assert (p @ sec) == Mat.identity(p.rows)
         delta = (sec @ p) - Mat.identity(m.cols)
@@ -183,8 +186,15 @@ def assert_exact(values):
 
 
 def assert_exact_mat(m):
-    assert len(m.data) == m.rows
-    for row in m.data:
+    """The storage invariant of Mat: only nonzero entries are stored, each
+    an int or a non-integral Fraction, at a position inside the shape."""
+    for i, j, x in m.entries():
+        assert 0 <= i < m.rows and 0 <= j < m.cols, (i, j, m.rows, m.cols)
+        assert x != 0, (i, j)
+        assert_exact([x])
+    dense = m.tolist()
+    assert len(dense) == m.rows
+    for row in dense:
         assert len(row) == m.cols
         assert_exact(row)
 
@@ -220,11 +230,11 @@ def row_lists(draw, rows=None, cols=None):
 
 
 def _raw_mat(rows, cols):
-    """A Mat holding rows as given, past the normalizing constructor, as
-    code that writes into Mat.data in place leaves it."""
-    m = Mat(len(rows), cols)
-    m.data = [list(r) for r in rows]
-    return m
+    """A Mat built by Mat.from_entries from every position of rows, zeros
+    and integral Fractions included, as computed entries arrive there."""
+    return Mat.from_entries(len(rows), cols,
+                            [(i, j, x) for i, r in enumerate(rows)
+                             for j, x in enumerate(r)])
 
 
 def test_integral_fraction_rows_explicit():
@@ -232,15 +242,27 @@ def test_integral_fraction_rows_explicit():
             [Fraction(-2, 2), Fraction(1, 2), Fraction(9, 3)],
             [0, 0, 0]]
     m = Mat(3, 3, rows)
-    assert m.data == [[2, 2, 0], [-1, Fraction(1, 2), 3], [0, 0, 0]]
+    assert m.tolist() == [[2, 2, 0], [-1, Fraction(1, 2), 3], [0, 0, 0]]
     assert_exact_mat(m)
     assert_exact_mat(Mat(1, 3, [[0.5, 2.0, True]]))
     for m in (Mat(3, 3, rows), _raw_mat(rows, 3)):
+        assert_exact_mat(m)
         b, pivots = rref(m)
-        assert (b.data, pivots) == ref_rref(rows, 3)
+        assert (b.tolist(), pivots) == ref_rref(rows, 3)
         assert_exact_mat(b)
-        assert kernel(m).basis.data == ref_kernel(rows, 3)
+        assert kernel(m).basis.tolist() == ref_kernel(rows, 3)
         assert_exact_mat(kernel(m).basis)
+
+
+def test_from_entries_sums_repeats_and_checks_the_shape():
+    m = Mat.from_entries(2, 3, [(0, 1, Fraction(1, 2)), (0, 1, Fraction(3, 2)),
+                                (1, 2, 5), (1, 2, -5), (1, 0, 0)])
+    assert m.tolist() == [[0, 2, 0], [0, 0, 0]]
+    assert_exact_mat(m)
+    with pytest.raises(ValueError):
+        Mat.from_entries(2, 3, [(0, 3, 1)])
+    with pytest.raises(ValueError):
+        Mat(2, 2, [[1, 2], [3]])
 
 
 @PROPERTY
@@ -248,12 +270,13 @@ def test_integral_fraction_rows_explicit():
 def test_rref_rank_kernel_match_reference(rows):
     cols = len(rows[0]) if rows else 0
     for m in (Mat(len(rows), cols, rows), _raw_mat(rows, cols)):
+        assert_exact_mat(m)
         b, pivots = rref(m)
-        assert (b.data, pivots) == ref_rref(rows, cols)
+        assert (b.tolist(), pivots) == ref_rref(rows, cols)
         assert_exact_mat(b)
         assert rank(m) == len(pivots)
         k = kernel(m)
-        assert k.basis.data == ref_kernel(rows, cols)
+        assert k.basis.tolist() == ref_kernel(rows, cols)
         assert_exact_mat(k.basis)
         assert (m @ k.basis.transpose()).is_zero()
 
@@ -271,31 +294,9 @@ def test_inverse_matches_reference(rows):
             inverse(m)
         return
     inv = inverse(m)
-    assert inv.data == [r[n:] for r in red]
+    assert inv.tolist() == [r[n:] for r in red]
     assert_exact_mat(inv)
     assert m @ inv == Mat.identity(n)
-
-
-@PROPERTY
-@given(st.integers(1, 4).flatmap(
-    lambda r: st.tuples(row_lists(rows=r),
-                        st.lists(ENTRIES, min_size=r, max_size=r))))
-def test_solve_matches_reference(args):
-    rows, rhs = args
-    cols = len(rows[0])
-    a = Mat(len(rows), cols, rows)
-    x = solve(a, rhs)
-    red, pivots = ref_rref([list(r) + [y] for r, y in zip(rows, rhs)],
-                           cols + 1)
-    if cols in pivots:
-        assert x is None
-        return
-    want = [Fraction(0)] * cols
-    for k, p in enumerate(pivots):
-        want[p] = red[k][cols]
-    assert x == want
-    assert_exact(x)
-    assert a.apply(x) == rhs
 
 
 @PROPERTY
@@ -308,9 +309,89 @@ def test_matmul_and_kron_match_reference(args):
     for a, b in ((Mat(len(ra), len(rb), ra), Mat(len(rb), cols, rb)),
                  (_raw_mat(ra, len(rb)), _raw_mat(rb, cols))):
         prod = a @ b
-        assert prod.data == ref_matmul(ra, rb, cols)
+        assert prod.tolist() == ref_matmul(ra, rb, cols)
         assert_exact_mat(prod)
         k = kron(a, b)
         assert k.rows == a.rows * b.rows and k.cols == a.cols * b.cols
-        assert k.data == ref_kron(ra, rb)
+        assert k.tolist() == ref_kron(ra, rb)
         assert_exact_mat(k)
+
+
+def ref_add(a, b, c=1):
+    return [[Fraction(x) + c * Fraction(y) for x, y in zip(ra, rb)]
+            for ra, rb in zip(a, b)]
+
+
+def ref_scale(c, a):
+    return [[Fraction(c) * Fraction(x) for x in r] for r in a]
+
+
+@PROPERTY
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3),
+                 st.integers(1, 3)).flatmap(
+    lambda s: st.tuples(row_lists(rows=s[0], cols=s[1]),
+                        row_lists(rows=s[0], cols=s[1]),
+                        row_lists(rows=s[1], cols=s[2]),
+                        row_lists(rows=s[0], cols=s[1] * s[3]),
+                        st.just(s[3]), ENTRIES, ENTRIES,
+                        st.lists(ENTRIES, min_size=s[1], max_size=s[1]))))
+def test_every_operation_keeps_the_storage_invariant(args):
+    ra, rb, rc, rw, n, x, y, vec = args
+    r, c = len(ra), len(rc)
+    k = len(rc[0]) if rc else 0
+    a, b, m, w = (_raw_mat(ra, c), _raw_mat(rb, c), _raw_mat(rc, k),
+                  _raw_mat(rw, c * n))
+    checks = [
+        (a + b, ref_add(ra, rb)),
+        (a - b, ref_add(ra, rb, -1)),
+        (-a, ref_scale(-1, ra)),
+        (a.scale(x), ref_scale(x, ra)),
+        (a.transpose(), [[row[j] for row in ra] for j in range(c)]),
+        (vstack([a, b]), ra + rb),
+        (hstack([a, b]), [p + q for p, q in zip(ra, rb)]),
+        (kron_sum([(x, a, m), (y, b, m)], r * c, c * k),
+         ref_add(ref_scale(x, ref_kron(ra, rc)),
+                 ref_scale(y, ref_kron(rb, rc)))),
+        (mul_kron_identity(w, m, n),
+         ref_matmul(rw, ref_kron(rc, [[int(i == j) for j in range(n)]
+                                      for i in range(n)]), k * n)),
+        (_columns(a, list(range(c))[::-1]), [row[::-1] for row in ra]),
+        (a.select_rows(range(r - 1, -1, -1)), ra[::-1]),
+        (Mat.identity(c), [[int(i == j) for j in range(c)]
+                           for i in range(c)]),
+        (Mat.zeros(r, c), [[0] * c for _ in range(r)]),
+    ]
+    for got, want in checks:
+        assert_exact_mat(got)
+        assert got.tolist() == want
+    got = a.apply(vec)
+    assert got == [sum((Fraction(p) * Fraction(q) for p, q in zip(row, vec)),
+                       Fraction(0)) for row in ra]
+    assert_exact(got)
+    assert (a == b) == (ref_add(ra, rb, -1) == [[0] * c for _ in range(r)])
+    assert a.is_zero() == (not any(any(row) for row in ra))
+
+
+@PROPERTY
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                 st.integers(0, 3)).flatmap(
+    lambda s: st.tuples(row_lists(rows=s[0], cols=s[1]),
+                        row_lists(rows=s[1], cols=s[2]), ENTRIES)))
+def test_cancellation_leaves_no_stored_zero(args):
+    ra, rm, x = args
+    r, c = len(ra), len(rm)
+    k = len(rm[0]) if rm else 0
+    for a, m in ((Mat(r, c, ra), Mat(c, k, rm)),
+                 (_raw_mat(ra, c), _raw_mat(rm, k))):
+        for got, rows, cols in (
+                (a + (-a), r, c),
+                (a - a, r, c),
+                (kron_sum([(x, a, m), (-1, a.scale(x), m)], r * c, c * k),
+                 r * c, c * k),
+                (kron_sum([(1, a, m.scale(x)), (-x, a, m)], r * c, c * k),
+                 r * c, c * k),
+                (hstack([a, a]) @ vstack([m.scale(x), m.scale(-x)]), r, k)):
+            assert_exact_mat(got)
+            assert got == Mat.zeros(rows, cols)
+            assert got.is_zero()
+

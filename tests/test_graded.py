@@ -2,8 +2,7 @@ import pytest
 
 from koszulkit.exactlin import Mat
 from koszulkit.graded import (
-    BigradedComplex, GradedMap, GradedSpace, check_d_squared, hilbert,
-    homology,
+    BigradedComplex, GradedSpace, check_d_squared, hilbert, homology,
 )
 
 
@@ -23,14 +22,6 @@ def test_hilbert():
     assert hilbert(one_var, 6) == [1] * 7
     with pytest.raises(ValueError):
         hilbert(one_var, 9)
-
-
-def test_graded_map_shapes():
-    g = GradedSpace({0: 1, 1: 2}, (0, 1))
-    h = GradedSpace({1: 2, 2: 1}, (1, 2))
-    f = GradedMap(g, h, 1, {0: Mat(2, 1, [[1], [0]])})
-    assert f.mat(0).rows == 2
-    assert f.mat(1).is_zero()
 
 
 def two_term(m):

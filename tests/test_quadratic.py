@@ -10,7 +10,7 @@ from koszulkit.action import (
 )
 from koszulkit.cli import _random_presentation
 from koszulkit.exactlin import (
-    F0, F1, Mat, Subspace, basis_vector, kernel, kron, quotient,
+    F0, F1, Mat, Subspace, kernel, kron, quotient, vstack,
 )
 from koszulkit.fixtures import (
     FIXTURE_NAMES, dual_numbers_presentation, ext_presentation,
@@ -25,6 +25,11 @@ from koszulkit.quadratic import (
     validate_contractions, verify_psi_intertwiner, word_index,
 )
 
+
+
+def _unit_vector(n, i):
+    """The i-th standard basis vector of Q^n, as a list."""
+    return [int(k == i) for k in range(n)]
 
 def test_word_indexing():
     assert word_index((1, 0, 2), 3) == 11
@@ -78,13 +83,13 @@ class _Ambient:
         K = [Subspace.full(n ** i) for i in range(min(N, 1) + 1)]
         q_R, _ = quotient(n * n, R)
         for i in range(2, N + 1):
-            rows = (kron(rel[i - 1].basis, Mat.identity(n)).data
-                    + kron(Mat.identity(n ** (i - 2)), R.basis).data)
+            rows = vstack([kron(rel[i - 1].basis, Mat.identity(n)),
+                           kron(Mat.identity(n ** (i - 2)), R.basis)])
             rel.append(Subspace.from_rows(n ** i, rows))
             emb = kron(K[i - 1].basis, Mat.identity(n))
             coeffs = kernel(kron(Mat.identity(n ** (i - 2)), q_R)
                             @ emb.transpose())
-            K.append(Subspace.from_rows(n ** i, (coeffs.basis @ emb).data))
+            K.append(Subspace.from_rows(n ** i, coeffs.basis @ emb))
         self.proj, self.sect = map(list, zip(*(quotient(n ** i, rel[i])
                                                for i in range(N + 1))))
         self.K = K
@@ -129,10 +134,11 @@ class _Ambient:
         """The order-reversing pairing of the normal words of degree i
         (rows) with the Koszul basis of the other side (columns)."""
         rev = reversal_perm(self.n, i)
+        sect = self.sect[i].tolist()
         return Mat.from_rows(
-            [[sum(krow[u] * self.sect[i].data[rev[u]][q]
+            [[sum(krow[u] * sect[rev[u]][q]
                   for u in range(self.n ** i) if krow[u])
-              for krow in other.K[i].basis.data]
+              for krow in other.K[i].basis.tolist()]
              for q in range(self.sect[i].cols)], other.K[i].dim)
 
 
@@ -161,7 +167,7 @@ def test_grow_matches_ambient_ideal():
         amb = _Ambient(pres, N)
         n = alg.n
         assert alg.hdims() == [m.rows for m in amb.proj], pres
-        assert alg.words == [[row.index(1) for row in s.transpose().data]
+        assert alg.words == [[row.index(1) for row in s.transpose().tolist()]
                              for s in amb.sect], pres
         assert alg.kdims() == [k.dim for k in amb.K], pres
         for i in range(1, N + 1):
@@ -173,9 +179,9 @@ def test_grow_matches_ambient_ideal():
             for j in range(N + 1 - i):
                 assert alg.mult(i, j) == amb.mult(i, j), (pres, i, j)
             for r, first in ((1, True), (1, False), (2, True), (2, False)):
-                thetas = [basis_vector(n ** r, w) for w in range(n ** r)]
+                thetas = [_unit_vector(n ** r, w) for w in range(n ** r)]
                 if r == 2:
-                    thetas += pres.relations.basis.data
+                    thetas += pres.relations.basis.tolist()
                 for theta in thetas:
                     got = (contract_left if first else contract_right)(
                         alg, i, theta, r)
@@ -382,9 +388,9 @@ def test_contract_sign_sym2():
     alg = grow(sym_presentation(2), 3)
     K2 = _Ambient(sym_presentation(2), 3).K[2]
     assert alg.incl_right(2).transpose() @ Mat.identity(4) == K2.basis
-    gen = K2.basis.data[0]
+    gen = K2.basis.row(0)
     assert gen == [F0, F1, -F1, F0]
-    theta = basis_vector(2, 0)  # first dual generator
+    theta = _unit_vector(2, 0)  # first dual generator
     m = contract_right(alg, 2, theta, 1)
     out = m.apply(K2.coordinates(gen))
     # coordinates in K_1 = V: expect -x2
