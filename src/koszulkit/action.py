@@ -1,21 +1,31 @@
-"""Degree-zero-side structure: bialgebras, Lie actions, module algebras,
+"""Degree-zero-side structure: acting objects, module algebras,
 semidirect (smash) products and Takiff-type Lie (super)algebras.
 
-Two kinds of acting objects are supported:
-  * a finite-dimensional bialgebra given by structure constants, acting on
-    the generator space V on the right;
-  * a finite-dimensional Lie algebra acting by derivations; it stands in
-    for its (infinite-dimensional) enveloping algebra, which is never
-    materialized, and all smash-product identities are checked in their
-    derivation form.
+An acting object is a finite basis together with four pieces of data,
+which each source format computes once and ActionProvider reads:
+  * legs[b]: the Sweedler legs (coeff, c1, c2) of the comultiplication of
+    basis element b, with None standing for the unit, which acts as the
+    identity;
+  * counit: the counit of each basis element;
+  * unit: the coefficient vector of the unit, or None when the basis does
+    not contain it;
+  * laws: a list of (vec, [(coeff, x, y)]), each saying that a left
+    action satisfies rho(vec) = sum of coeff * rho(x) rho(y); a right
+    action composes in the other order.
+A finite-dimensional bialgebra (Bialgebra) reads its legs and counit from
+its structure maps, and its laws are the products e_a e_b.  Its basis
+holds the unit, so it is closed under multiplication, and the smash
+product is materialized.  A Lie algebra (LieAction) stands in for its
+(infinite-dimensional) enveloping algebra, which is never materialized:
+its basis elements are primitive, with legs b (x) 1 and 1 (x) b, counit
+zero and antipode -b, its laws are the brackets [a, b] = ab - ba, and the
+smash-product identities are checked in their derivation form.
 
 One Sweedler rule extends every action to tensor products:
 tensor_action makes a basis element b act on W1 (x) W2 as the sum over
-its legs c (x) c1 (x) c2 of c * (action of c1) (x) (action of c2).  The
-legs of a bialgebra element are read from its comultiplication; a Lie
-element is primitive, with legs b (x) 1 and 1 (x) b, and the unit acts as
-the identity.  Tensor powers iterate the rule, since the iterated
-comultiplication satisfies Delta^(r) = (Delta^(r-1) (x) id) o Delta.
+its legs c (x) c1 (x) c2 of c * (action of c1) (x) (action of c2).
+Tensor powers iterate the rule, since the iterated comultiplication
+satisfies Delta^(r) = (Delta^(r-1) (x) id) o Delta.
 
 The actions on the graded pieces H_i and the Koszul subspaces K_r follow
 the same rule one degree at a time, in quotient coordinates, and are
@@ -49,8 +59,10 @@ class Bialgebra:
     """Finite-dimensional bialgebra by structure constants.
 
     mult is the (dim x dim^2) matrix of the multiplication, comult the
-    (dim^2 x dim) matrix of the comultiplication, counit a (1 x dim) row,
-    unit a coefficient vector.  Tensor squares are flattened row-major.
+    (dim^2 x dim) matrix of the comultiplication, counit a (1 x dim) row
+    (kept as the list of its entries), unit a coefficient vector.  Tensor
+    squares are flattened row-major.  legs and laws are the acting-object
+    data of the module docstring, read from comult and mult.
     """
 
     def __init__(self, dim, mult, unit, comult, counit, names=None):
@@ -63,14 +75,13 @@ class Bialgebra:
         self.mult = mult
         self.unit = [_exact(x) for x in unit]
         self.comult = comult
-        self.counit = counit
+        self.counit = counit.row(0)
         self.names = list(names) if names else ["b%d" % i for i in range(dim)]
-
-    def mult_vec(self, u, v):
-        return self.mult.apply([x * y for x in u for y in v])
-
-    def unit_mat(self):
-        return Mat(self.dim, 1, [[x] for x in self.unit])
+        self.legs = [[(x, i // dim, i % dim)
+                      for i, x in enumerate(comult.col(b)) if x]
+                     for b in range(dim)]
+        self.laws = [(mult.col(a * dim + b), [(F1, a, b)])
+                     for a in range(dim) for b in range(dim)]
 
     def to_json_obj(self):
         d = self.dim
@@ -83,7 +94,7 @@ class Bialgebra:
                      for a in range(d)],
             "unit": [rat_to_str(x) for x in self.unit],
             "comult": _mat_to_json(self.comult),
-            "counit": _mat_to_json(self.counit)[0],
+            "counit": [rat_to_str(x) for x in self.counit],
         }
 
     @staticmethod
@@ -104,15 +115,16 @@ def validate_bialgebra(b):
     """(True, None), or (False, name-of-violated-axiom)."""
     d = b.dim
     idm = Mat.identity(d)
-    u = b.unit_mat()
+    u = Mat(d, 1, [[x] for x in b.unit])
+    counit = Mat(1, d, [b.counit])
     if b.mult @ kron(b.mult, idm) != b.mult @ kron(idm, b.mult):
         return False, "associativity"
     if b.mult @ kron(u, idm) != idm or b.mult @ kron(idm, u) != idm:
         return False, "unit law"
     if kron(b.comult, idm) @ b.comult != kron(idm, b.comult) @ b.comult:
         return False, "coassociativity"
-    if (kron(b.counit, idm) @ b.comult != idm
-            or kron(idm, b.counit) @ b.comult != idm):
+    if (kron(counit, idm) @ b.comult != idm
+            or kron(idm, counit) @ b.comult != idm):
         return False, "counit law"
     # comultiplication and counit are algebra maps
     mid_swap = [0] * d ** 4
@@ -131,9 +143,9 @@ def validate_bialgebra(b):
         return False, "comultiplication not multiplicative"
     if b.comult @ u != kron(u, u):
         return False, "comultiplication of the unit"
-    if b.counit @ b.mult != kron(b.counit, b.counit):
+    if counit @ b.mult != kron(counit, counit):
         return False, "counit not multiplicative"
-    if (b.counit @ u) != Mat.identity(1):
+    if counit @ u != Mat.identity(1):
         return False, "counit of the unit"
     return True, None
 
@@ -141,12 +153,22 @@ def validate_bialgebra(b):
 # ---------------------------------------------------------------------------
 # Lie actions
 
-class LieAction:
+class _Bracket:
+    """A bracket by structure constants: brackets[(a, b)] is the
+    coefficient vector of [x_a, x_b] over a basis of size dim; missing
+    keys are zero."""
+
+    def bracket_basis(self, a, b):
+        return list(self.brackets.get((a, b), [F0] * self.dim))
+
+
+class LieAction(_Bracket):
     """Lie algebra by structure constants with a representation on V and
     optional representations on named test modules.
 
-    brackets[(a, b)] is the coefficient vector of [x_a, x_b]; missing keys
-    are zero.  rho[a] is the matrix of x_a on V (a left action)."""
+    rho[a] is the matrix of x_a on V (a left action).  legs, counit, unit
+    and laws are the acting-object data of the module docstring: every
+    basis element is primitive, and the laws are the brackets."""
 
     def __init__(self, names, brackets, rho, modules=None):
         self.names = list(names)
@@ -160,27 +182,11 @@ class LieAction:
             raise ValueError("the action matrices are not square of one size")
         # modules: name -> list of matrices, one per Lie basis element
         self.modules = {k: list(v) for k, v in (modules or {}).items()}
-
-    def bracket_basis(self, a, b):
-        return list(self.brackets.get((a, b), [F0] * self.dim))
-
-    def bracket_vec(self, u, v):
-        out = [F0] * self.dim
-        for a, x in enumerate(u):
-            if x:
-                for b, y in enumerate(v):
-                    if y:
-                        for c, z in enumerate(self.bracket_basis(a, b)):
-                            if z:
-                                out[c] += x * y * z
-        return out
-
-    def rep_of(self, mats, vec):
-        out = Mat.zeros(mats[0].rows, mats[0].cols) if mats else Mat.zeros(0, 0)
-        for a, x in enumerate(vec):
-            if x:
-                out = out + mats[a].scale(x)
-        return out
+        self.legs = [[(F1, b, None), (F1, None, b)] for b in range(self.dim)]
+        self.counit = [F0] * self.dim
+        self.unit = None
+        self.laws = [(self.bracket_basis(a, b), [(F1, a, b), (-F1, b, a)])
+                     for a in range(self.dim) for b in range(self.dim)]
 
     def to_json_obj(self):
         br = {}
@@ -224,9 +230,10 @@ class LieAction:
         return LieAction(names, brackets, rho, modules)
 
 
-def _jacobi_ok(dim, bracket_basis, bracket_vec, parities):
-    """Graded antisymmetry plus the graded cyclic Jacobi identity on all
-    basis triples; plain Lie is the all-even case."""
+def _jacobi_ok(br, parities):
+    """Graded antisymmetry plus the graded cyclic Jacobi identity of the
+    bracket br on all basis triples; plain Lie is the all-even case."""
+    dim, bracket_basis = br.dim, br.bracket_basis
     for a in range(dim):
         for b in range(dim):
             sign = -1 if (parities[a] and parities[b]) else 1
@@ -234,10 +241,6 @@ def _jacobi_ok(dim, bracket_basis, bracket_vec, parities):
             rhs = [sign * -x for x in bracket_basis(b, a)]
             if lhs != rhs:
                 return False, ("antisymmetry", a, b)
-    def e(i):
-        v = [F0] * dim
-        v[i] = F1
-        return v
     for a in range(dim):
         for b in range(dim):
             for c in range(dim):
@@ -247,10 +250,10 @@ def _jacobi_ok(dim, bracket_basis, bracket_vec, parities):
                 total = [F0] * dim
                 for s, (x, y, z) in ((s_ac, (a, b, c)), (s_ba, (b, c, a)),
                                      (s_cb, (c, a, b))):
-                    inner = bracket_basis(y, z)
-                    term = bracket_vec(e(x), inner)
-                    for i, t in enumerate(term):
-                        total[i] += s * t
+                    for w, u in enumerate(bracket_basis(y, z)):
+                        if u:
+                            for i, t in enumerate(bracket_basis(x, w)):
+                                total[i] += s * u * t
                 if any(total):
                     return False, ("jacobi", a, b, c)
     return True, None
@@ -259,17 +262,43 @@ def _jacobi_ok(dim, bracket_basis, bracket_vec, parities):
 def validate_lie(l):
     """Antisymmetry, Jacobi, and the representation property on V and on
     every registered test module."""
-    ok, where = _jacobi_ok(l.dim, l.bracket_basis, l.bracket_vec,
-                           [0] * l.dim)
+    ok, where = _jacobi_ok(l, [0] * l.dim)
     if not ok:
         return ok, where
     for label, mats in [("V", l.rho)] + sorted(l.modules.items()):
-        for a in range(l.dim):
-            for b in range(l.dim):
-                want = l.rep_of(mats, l.bracket_basis(a, b))
-                got = mats[a] @ mats[b] - mats[b] @ mats[a]
-                if want != got:
-                    return False, ("representation", label, a, b)
+        ok, where = _laws_ok(l.laws, mats, "left")
+        if not ok:
+            return False, ("representation", label) + where
+    return True, None
+
+
+def _combine(mats, vec):
+    """The sum of x * mats[b] over the coefficients x = vec[b]."""
+    out = Mat.zeros(mats[0].rows, mats[0].cols)
+    for m, x in zip(mats, vec):
+        if x:
+            out = out + m.scale(x)
+    return out
+
+
+def _laws_ok(laws, mats, side, unit=None):
+    """Whether mats, one matrix per acting basis element, satisfy the laws
+    rho(vec) = sum of coeff * rho(x) rho(y), with x and y swapped for a
+    right action, and, when unit is given, rho(unit) = 1.  Returns
+    (True, None), or (False, ("unit",)), or (False, (x, y)) with x, y
+    those of the first term of the first law that fails."""
+    if unit is not None and _combine(mats, unit) != Mat.identity(
+            mats[0].rows):
+        return False, ("unit",)
+    for vec, terms in laws:
+        want = _combine(mats, vec)
+        got = Mat.zeros(want.rows, want.cols)
+        for coeff, x, y in terms:
+            if side == "right":
+                x, y = y, x
+            got = got + (mats[x] @ mats[y]).scale(coeff)
+        if want != got:
+            return False, terms[0][1:]
     return True, None
 
 
@@ -277,18 +306,19 @@ def validate_lie(l):
 # action providers
 
 class ActionProvider:
-    """Uniform wrapper for the acting object.
+    """An acting object and its action on a space.
 
-    mats[b] is the matrix of the action of the b-th basis element on the
-    space (dimension space_dim).  side records on which side the action
-    is written; cop means tensor-power extensions distribute the
-    comultiplication legs in reverse order.  Lie providers store the
-    right-action matrices (the negated representation)."""
+    base is the source format; legs, counit, unit and laws are its data
+    (see the module docstring).  mats[b] is the matrix of the action of
+    the b-th basis element on the space (dimension space_dim).  side
+    records on which side the action is written; cop means tensor-power
+    extensions distribute the comultiplication legs in reverse order.  A
+    Lie algebra acts on the right through its negated representation."""
 
-    def __init__(self, kind, base, mats, side="right", cop=False):
-        assert kind in ("bialgebra", "lie")
-        self.kind = kind
+    def __init__(self, base, mats, side="right", cop=False):
         self.base = base
+        self.legs, self.counit, self.unit, self.laws = (
+            base.legs, base.counit, base.unit, base.laws)
         self.mats = list(mats)
         self.space_dim = self.mats[0].rows if self.mats else 0
         self.side = side
@@ -303,11 +333,11 @@ class ActionProvider:
 
     @staticmethod
     def from_bialgebra(b, act_mats):
-        return ActionProvider("bialgebra", b, act_mats)
+        return ActionProvider(b, act_mats)
 
     @staticmethod
     def from_lie(l):
-        return ActionProvider("lie", l, [m.scale(-1) for m in l.rho])
+        return ActionProvider(l, [-m for m in l.rho])
 
     def tensor_mats(self, r):
         """Matrices of the acting basis on the r-th tensor power of the
@@ -319,9 +349,7 @@ class ActionProvider:
         while len(T) <= r:
             k = len(T)
             if k == 0:
-                counit = (self.base.counit.row(0) if self.kind == "bialgebra"
-                          else [F0] * self.basis_size)
-                T.append([Mat(1, 1, [[x]]) for x in counit])
+                T.append([Mat(1, 1, [[x]]) for x in self.counit])
             elif k == 1:
                 T.append(self.mats)
             elif self.cop:
@@ -334,11 +362,7 @@ class ActionProvider:
     def act_on_tensor(self, elem, r):
         """Matrix of the action of the element (a coefficient vector over
         the acting basis) on the r-th tensor power of the space."""
-        T = self.tensor_mats(r)
-        # the sum of x * kron(T[b], 1), accumulated in place
-        one = Mat.identity(1)
-        return kron_sum([(x, T[b], one) for b, x in enumerate(elem) if x],
-                        T[0].rows, T[0].cols)
+        return _combine(self.tensor_mats(r), elem)
 
     def act_basis_on_tensor(self, b, r):
         return self.tensor_mats(r)[b]
@@ -395,29 +419,17 @@ class ActionProvider:
         return grown[i]
 
 
-def legs(provider, b):
-    """Sweedler legs (coeff, c1, c2) of the comultiplication of basis
-    element b; None stands for the unit, which acts as the identity."""
-    if provider.kind == "lie":
-        return [(F1, b, None), (F1, None, b)]
-    d = provider.base.dim
-    return [(val, idx // d, idx % d)
-            for idx, val in enumerate(provider.base.comult.col(b)) if val]
-
-
 def tensor_action(provider, mats1, mats2, reverse=False):
     """Matrices of the acting basis on W1 (x) W2, given its matrices on W1
     and on W2: b acts as the sum over its legs of
     coeff * kron(mats1[c1], mats2[c2]), or kron(mats1[c2], mats2[c1])
-    when reverse is set."""
+    when reverse is set; a leg None (the unit) acts as the identity."""
     d1, d2 = mats1[0].rows, mats2[0].rows
-    id1 = id2 = None
-    if provider.kind == "lie":
-        id1, id2 = Mat.identity(d1), Mat.identity(d2)
+    id1, id2 = Mat.identity(d1), Mat.identity(d2)
     out = []
-    for b in range(provider.basis_size):
+    for legs in provider.legs:
         terms = []
-        for coeff, c1, c2 in legs(provider, b):
+        for coeff, c1, c2 in legs:
             if reverse:
                 c1, c2 = c2, c1
             terms.append((coeff, id1 if c1 is None else mats1[c1],
@@ -428,12 +440,12 @@ def tensor_action(provider, mats1, mats2, reverse=False):
 
 def dual_action(provider):
     """Transport to the dual space: matrices transpose, the side flips,
-    and (for bialgebras) tensor extensions switch to the reversed legs.
+    and tensor extensions switch to the reversed legs.
     Built once per provider, so the dual's memoized actions are shared,
     and the dual of the dual is the provider itself."""
     if provider._dual is None:
         side = "left" if provider.side == "right" else "right"
-        dual = ActionProvider(provider.kind, provider.base,
+        dual = ActionProvider(provider.base,
                               [m.transpose() for m in provider.mats],
                               side=side, cop=not provider.cop)
         dual._dual = provider
@@ -452,43 +464,17 @@ def validate_module_algebra(provider, pres):
         T = provider.act_basis_on_tensor(b, 2)
         for row in R.basis.tolist():
             if not R.contains(T.apply(row)):
-                return False, ("relation escapes", provider.base.names[b] if
-                               hasattr(provider.base, "names") else b)
-    if provider.kind == "bialgebra":
-        if provider.act_on_tensor(provider.base.unit, 1) != Mat.identity(n):
-            return False, ("unit law",)
+                return False, ("relation escapes", provider.base.names[b])
+    if (provider.unit is not None
+            and provider.act_on_tensor(provider.unit, 1) != Mat.identity(n)):
+        return False, ("unit law",)
     return True, None
 
 
 def validate_action_multiplicative(provider, r):
-    """The tensor-power action respects products of the acting object
+    """The tensor-power action satisfies the laws of the acting object
     (with the composition order dictated by the side)."""
-    if provider.kind == "lie":
-        # bracket compatibility in right-action (anti-homomorphism) form
-        for a in range(provider.basis_size):
-            for b in range(provider.basis_size):
-                ta = provider.act_basis_on_tensor(a, r)
-                tb = provider.act_basis_on_tensor(b, r)
-                tbr = provider.act_on_tensor(provider.base.bracket_basis(a, b), r)
-                want = tb @ ta - ta @ tb
-                if provider.side == "left":
-                    want = ta @ tb - tb @ ta
-                if tbr != want:
-                    return False, (a, b)
-        return True, None
-    d = provider.base.dim
-    for a in range(d):
-        for b in range(d):
-            ea = [F1 if i == a else F0 for i in range(d)]
-            eb = [F1 if i == b else F0 for i in range(d)]
-            prod = provider.base.mult_vec(ea, eb)
-            tp = provider.act_on_tensor(prod, r)
-            ta = provider.act_on_tensor(ea, r)
-            tb = provider.act_on_tensor(eb, r)
-            want = tb @ ta if provider.side == "right" else ta @ tb
-            if tp != want:
-                return False, (a, b)
-    return True, None
+    return _laws_ok(provider.laws, provider.tensor_mats(r), provider.side)
 
 
 # ---------------------------------------------------------------------------
@@ -497,28 +483,30 @@ def validate_action_multiplicative(provider, r):
 class SmashAlgebra:
     """Semidirect product of the acting object with the graded algebra.
 
-    For bialgebra providers the graded components and multiplication
-    tensors are materialized explicitly: side "right" gives components
-    A0 (x) H_i with (b (x) h)(b' (x) h') = b b'_(1) (x) (h <| b'_(2)) h';
-    side "left" gives H_i (x) A0 with
-    (h (x) b)(h' (x) b') = h (b_(1) |> h') (x) b_(2) b'.
+    When the acting basis holds the unit, it spans a bialgebra A0, and
+    the graded components and multiplication tensors are materialized
+    explicitly: side "right" gives components A0 (x) H_i with
+    (b (x) h)(b' (x) h') = b b'_(1) (x) (h <| b'_(2)) h'; side "left"
+    gives H_i (x) A0 with (h (x) b)(h' (x) b') = h (b_(1) |> h') (x)
+    b_(2) b'.
 
-    Lie providers are virtual: the enveloping algebra is not materialized
-    and associativity is verified in its equivalent derivation form
-    (bracket compatibility on every component plus the Leibniz identity
-    against every multiplication tensor)."""
+    Otherwise (primitive elements of a Lie algebra) the smash product is
+    virtual: the enveloping algebra is not materialized and associativity
+    is verified in its equivalent derivation form (the laws on every
+    component plus the Leibniz identity against every multiplication
+    tensor)."""
 
     def __init__(self, provider, alg, side="right"):
         self.provider = provider
         self.alg = alg
         self.side = side
         self.N = alg.N
-        self.explicit = provider.kind == "bialgebra"
+        self.explicit = provider.unit is not None
         self.d0 = provider.base.dim if self.explicit else None
         self._mult = {}
-        if self.explicit:
-            assert (side == "right") == (provider.side == "right"), \
-                "side of the smash must match the side of the action"
+        if self.explicit and side != provider.side:
+            raise ValueError("side of the smash must match the side of the "
+                             "action")
 
     def comp_dim(self, i):
         h = self.alg.hdim(i)
@@ -530,11 +518,13 @@ class SmashAlgebra:
     def _legs(self, b):
         """Legs of b in the order the provider's tensor extension uses."""
         return [(c, c2, c1) if self.provider.cop else (c, c1, c2)
-                for c, c1, c2 in legs(self.provider, b)]
+                for c, c1, c2 in self.provider.legs[b]]
 
     def mult(self, i, j):
         """Multiplication tensor of components i and j (explicit case)."""
-        assert self.explicit and i + j <= self.N
+        if not self.explicit or i + j > self.N:
+            raise ValueError("no multiplication tensor for components %d "
+                             "and %d" % (i, j))
         key = (i, j)
         m = self._mult.get(key)
         if m is not None:
@@ -542,7 +532,7 @@ class SmashAlgebra:
         d = self.d0
         hi, hj, hij = (self.alg.hdim(i), self.alg.hdim(j),
                        self.alg.hdim(i + j))
-        base = self.provider.base
+        a0_mult = self.provider.base.mult
         mh = self.alg.mult(i, j)
         entries = []
         for b in range(d):
@@ -552,9 +542,7 @@ class SmashAlgebra:
                         if self.side == "right":
                             col = ((b * hi + mi) * d + bp) * hj + mj
                             for coeff, c1, c2 in self._legs(bp):
-                                eb = [F1 if t == b else F0 for t in range(d)]
-                                ec = [F1 if t == c1 else F0 for t in range(d)]
-                                a0_part = base.mult_vec(eb, ec)
+                                a0_part = a0_mult.col(b * d + c1)
                                 hv = self._component_action(c2, i).col(mi)
                                 prod_in = [x * (F1 if t == mj else F0)
                                            for x in hv for t in range(hj)]
@@ -573,9 +561,7 @@ class SmashAlgebra:
                                 prod_in = [(F1 if t == mi else F0) * x
                                            for t in range(hi) for x in hv]
                                 h_part = mh.apply(prod_in)
-                                ec = [F1 if t == c2 else F0 for t in range(d)]
-                                ebp = [F1 if t == bp else F0 for t in range(d)]
-                                a0_part = base.mult_vec(ec, ebp)
+                                a0_part = a0_mult.col(c2 * d + bp)
                                 for u, yv in enumerate(h_part):
                                     if yv:
                                         for t, xv in enumerate(a0_part):
@@ -590,16 +576,18 @@ class SmashAlgebra:
 
     def validate_associativity(self, max_total=None):
         """Exact associativity on all materialized component triples; for
-        virtual Lie providers, the equivalent derivation identities."""
+        a virtual smash product, the equivalent derivation identities."""
         N = max_total if max_total is not None else self.N
         if not self.explicit:
+            prov = self.provider
             for r in range(N + 1):
-                ok, where = _lie_component_bracket_ok(self, r)
+                ok, where = _laws_ok(prov.laws, prov.h_action(self.alg, r),
+                                     prov.side)
                 if not ok:
-                    return False, where
+                    return False, ("bracket",) + where + (r,)
             for i in range(N + 1):
                 for j in range(N + 1 - i):
-                    ok, where = _lie_leibniz_ok(self, i, j)
+                    ok, where = _leibniz_ok(self, i, j)
                     if not ok:
                         return False, where
             return True, None
@@ -615,31 +603,17 @@ class SmashAlgebra:
         return True, None
 
 
-def _lie_component_bracket_ok(smash_alg, r):
-    prov, alg = smash_alg.provider, smash_alg.alg
-    for a in range(prov.basis_size):
-        for b in range(prov.basis_size):
-            ta = smash_alg._component_action(a, r)
-            tb = smash_alg._component_action(b, r)
-            elem = prov.base.bracket_basis(a, b)
-            tbr = prov.base.rep_of(prov.h_action(alg, r), elem)
-            want = tb @ ta - ta @ tb if prov.side == "right" else \
-                ta @ tb - tb @ ta
-            if tbr != want:
-                return False, ("bracket", a, b, r)
-    return True, None
-
-
-def _lie_leibniz_ok(smash_alg, i, j):
+def _leibniz_ok(smash_alg, i, j):
+    """Each basis element acts on products of components i and j through
+    its legs: rho(a) mult = mult (rho(a_(1)) (x) rho(a_(2))), which for a
+    primitive element is the Leibniz rule."""
     prov, alg = smash_alg.provider, smash_alg.alg
     mh = alg.mult(i, j)
+    on_ij = prov.h_action(alg, i + j)
+    pushed = tensor_action(prov, prov.h_action(alg, i),
+                           prov.h_action(alg, j), reverse=prov.cop)
     for a in range(prov.basis_size):
-        lhs = smash_alg._component_action(a, i + j) @ mh
-        rhs = mh @ (kron(smash_alg._component_action(a, i),
-                         Mat.identity(alg.hdim(j)))
-                    + kron(Mat.identity(alg.hdim(i)),
-                           smash_alg._component_action(a, j)))
-        if lhs != rhs:
+        if on_ij[a] @ mh != mh @ pushed[a]:
             return False, ("leibniz", a, i, j)
     return True, None
 
@@ -658,7 +632,7 @@ def smash(provider, alg, side="right"):
 # ---------------------------------------------------------------------------
 # Takiff constructions
 
-class TakiffLie:
+class TakiffLie(_Bracket):
     """Lie (super)algebra on g + V: the bracket restricts to g, g acts on
     V, and V brackets to zero.  In the super case V sits in odd parity.
 
@@ -668,7 +642,9 @@ class TakiffLie:
     satisfies the super Jacobi identity."""
 
     def __init__(self, lie, parity):
-        assert parity in ("even", "super")
+        if parity not in ("even", "super"):
+            raise ValueError("parity must be 'even' or 'super', not %r"
+                             % (parity,))
         self.base = lie
         self.parity = parity
         m, k = lie.dim, lie.v_dim
@@ -686,24 +662,10 @@ class TakiffLie:
                     self.brackets[(a, m + i)] = [F0] * m + col
                     self.brackets[(m + i, a)] = [F0] * m + [-x for x in col]
 
-    def bracket_basis(self, a, b):
-        return list(self.brackets.get((a, b), [F0] * self.dim))
-
-    def bracket_vec(self, u, v):
-        out = [F0] * self.dim
-        for a, x in enumerate(u):
-            if x:
-                for b, y in enumerate(v):
-                    if y:
-                        for c, z in enumerate(self.bracket_basis(a, b)):
-                            if z:
-                                out[c] += x * y * z
-        return out
-
 
 def validate_jacobi(t):
     """Graded antisymmetry + graded Jacobi on all basis triples."""
-    return _jacobi_ok(t.dim, t.bracket_basis, t.bracket_vec, t.parities)
+    return _jacobi_ok(t, t.parities)
 
 
 def takiff(lie, parity):
@@ -776,7 +738,7 @@ def action_bundle_to_json(provider, modules=None):
     Lie form: {"lie": {..., "action": {gen: matrix}}, "modules":
     {name: {"dim": d, "action": {gen: matrix}}}}."""
     modules = modules or {}
-    if provider.kind == "bialgebra":
+    if isinstance(provider.base, Bialgebra):
         return {
             "bialgebra": provider.base.to_json_obj(),
             "action": [_mat_to_json(m) for m in provider.mats],
@@ -821,35 +783,10 @@ def action_bundle_from_json(obj):
 
 def validate_left_modules(provider, modules):
     """Each named module is a genuine left module for the acting object:
-    multiplicativity + unit law (bialgebra) or bracket compatibility (Lie)."""
-    if provider.kind == "lie":
-        lie = provider.base
-        for name, mats in sorted(modules.items()):
-            for a in range(lie.dim):
-                for b in range(lie.dim):
-                    want = lie.rep_of(mats, lie.bracket_basis(a, b))
-                    if want != mats[a] @ mats[b] - mats[b] @ mats[a]:
-                        return False, (name, a, b)
-        return True, None
-    base = provider.base
-    d = base.dim
+    its laws hold, and so does the unit law when the basis holds the
+    unit."""
     for name, mats in sorted(modules.items()):
-        dim = mats[0].rows
-        rho_unit = Mat.zeros(dim, dim)
-        for a, x in enumerate(base.unit):
-            if x:
-                rho_unit = rho_unit + mats[a].scale(x)
-        if rho_unit != Mat.identity(dim):
-            return False, (name, "unit")
-        for a in range(d):
-            for b in range(d):
-                ea = [F1 if i == a else F0 for i in range(d)]
-                eb = [F1 if i == b else F0 for i in range(d)]
-                prod = base.mult_vec(ea, eb)
-                want = Mat.zeros(dim, dim)
-                for c, x in enumerate(prod):
-                    if x:
-                        want = want + mats[c].scale(x)
-                if want != mats[a] @ mats[b]:
-                    return False, (name, a, b)
+        ok, where = _laws_ok(provider.laws, mats, "left", provider.unit)
+        if not ok:
+            return False, (name,) + where
     return True, None

@@ -90,14 +90,14 @@ def _load_action(path):
 
 def _check_validate(pres, provider, modules):
     from koszulkit.action import (
-        validate_action_multiplicative, validate_bialgebra, validate_jacobi,
+        Bialgebra, validate_action_multiplicative, validate_bialgebra,
         validate_left_modules, validate_lie, validate_module_algebra,
     )
     details = {"generators": pres.gen_names,
                "relation_count": pres.relations.dim}
     if provider is None:
         return "pass", details
-    if provider.kind == "bialgebra":
+    if isinstance(provider.base, Bialgebra):
         ok, axiom = validate_bialgebra(provider.base)
         details["acting_object"] = "bialgebra"
         if not ok:
@@ -181,7 +181,7 @@ def _check_smash(provider, alg, dual_alg):
 
 def _check_takiff(provider):
     from koszulkit.action import takiff, takiff_graded_dims, validate_jacobi
-    if provider is None or provider.kind != "lie":
+    if provider is None or provider.unit is not None:
         return "skipped", {"reason": "takiff applies to lie actions only"}
     details = {}
     for parity in ("even", "super"):

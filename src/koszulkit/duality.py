@@ -25,7 +25,7 @@ slow, i.e. vec(f)[x * dim U + u] = coefficient of basis x in f(u).
 from __future__ import annotations
 
 from koszulkit.action import (
-    dual_action, legs, tensor_action, validate_left_modules,
+    dual_action, tensor_action, validate_left_modules,
 )
 from koszulkit.exactlin import (
     F1, Mat, Subspace, hstack, image, inverse, kernel, kron, perm_matrix,
@@ -45,6 +45,17 @@ def _e_col(n, i):
 def _bijective(m):
     """Whether the matrix m is square and invertible."""
     return m.rows == m.cols and rank(m) == m.rows
+
+
+def _window(alg, N):
+    """N, or alg.N when N is None; raises ValueError past alg.N, the
+    degree up to which alg is grown."""
+    if N is None:
+        return alg.N
+    if N > alg.N:
+        raise ValueError("window %d exceeds the grown degree %d"
+                         % (N, alg.N))
+    return N
 
 
 def _swap_mat(a, b):
@@ -68,7 +79,9 @@ def _rho_hom(A, E, n, dx_in, w_in, w_out):
     f: W_in -> X_in (dims w_in, dx_in), A: n * dx_in -> dx_out and
     E: w_out -> n * w_in."""
     dx_out = A.rows
-    assert A.cols == n * dx_in and E.rows == n * w_in and E.cols == w_out
+    if (A.cols, E.rows, E.cols) != (n * dx_in, n * w_in, w_out):
+        raise ValueError("the maps of _rho_hom do not compose: A has %d "
+                         "columns, E is %d x %d" % (A.cols, E.rows, E.cols))
     by_v = [[] for _ in range(n)]
     for ri, c, val in E.entries():
         v, w = divmod(ri, w_in)
@@ -110,7 +123,7 @@ def _induced_left_action_bialg(provider, mid_right_mats, inner_left_mats,
         raise ValueError("induced-module transport failed: quotient has "
                          "dimension %d, expected %d (acting bialgebra is "
                          "not invertible enough)" % (proj.rows, inner_total))
-    unit_col = Mat(d0, 1, [[x] for x in b0.unit])
+    unit_col = Mat(d0, 1, [[x] for x in provider.unit])
     psi = kron(unit_col, Mat.identity(inner_total))
     cmap = proj @ psi
     cinv = inverse(cmap)
@@ -122,16 +135,22 @@ def _induced_left_action_bialg(provider, mid_right_mats, inner_left_mats,
     return acts
 
 
-def _component_left_action(provider, alg, i, inner_left_mats, inner_dim):
-    """Left action of the degree-zero part on the model H_i (x) Inner of
-    the induced module (A_i tensored over A0 with Inner)."""
-    hmats = provider.h_action(alg, i)
+def _induced_left_action(provider, mid_mats, inner_left_mats, mid_dim,
+                         inner_dim):
+    """Left action of the degree-zero part on the model Mid (x) Inner of
+    the induced module, given its action on Mid (on the provider's side)
+    and its left action on Inner.  A left action on Mid extends by the
+    legs.  A right one is made left by the antipode: S(b) = -b on a
+    primitive basis; when the basis holds the unit, the quotient
+    transport of _induced_left_action_bialg stands in for it."""
     if provider.side == "left":
-        return tensor_action(provider, hmats, inner_left_mats, reverse=True)
-    if provider.kind == "lie":
-        return tensor_action(provider, [-m for m in hmats], inner_left_mats)
-    return _induced_left_action_bialg(provider, hmats, inner_left_mats,
-                                      alg.hdim(i), inner_dim)
+        return tensor_action(provider, mid_mats, inner_left_mats,
+                             reverse=True)
+    if provider.unit is None:
+        return tensor_action(provider, [-m for m in mid_mats],
+                             inner_left_mats)
+    return _induced_left_action_bialg(provider, mid_mats, inner_left_mats,
+                                      mid_dim, inner_dim)
 
 
 def _left_module_ok(provider, mats):
@@ -202,7 +221,8 @@ def P0(provider, alg, mats):
     for i in range(N + 1):
         dims[i] = alg.hdim(i) * dX
         if dims[i]:
-            act0[i] = _component_left_action(provider, alg, i, list(mats), dX)
+            act0[i] = _induced_left_action(provider, provider.h_action(alg, i),
+                                           list(mats), alg.hdim(i), dX)
     for i in range(N):
         if dims[i] and dims[i + 1]:
             act1[i] = kron(alg.mult(1, i), Mat.identity(dX))
@@ -254,13 +274,10 @@ def validate_module(X):
         a1 = X.act1_mat(j)
         rj = X.act0_mats(j)
         rj1 = X.act0_mats(j + 1)
-        twisted = prov.kind == "bialgebra" and prov.side == "right"
+        twisted = prov.unit is not None and prov.side == "right"
         if not twisted:
             # act1 intertwines the left actions on V (x) X_j and X_{j+1}
-            vmats = prov.mats
-            if prov.side == "right":
-                vmats = [-m for m in vmats]
-            pushed = tensor_action(prov, vmats, rj, reverse=True)
+            pushed = _induced_left_action(prov, prov.mats, rj, n, X.dim(j))
         for b in range(prov.basis_size):
             if not twisted:
                 lhs = rj1[b] @ a1
@@ -268,7 +285,7 @@ def validate_module(X):
             else:
                 lhs = a1 @ kron(Mat.identity(n), rj[b])
                 rhs = Mat.zeros(X.dim(j + 1), n * X.dim(j))
-                for coeff, c1, c2 in legs(prov, b):
+                for coeff, c1, c2 in prov.legs[b]:
                     rhs = rhs + (rj1[c1] @ a1
                                  @ kron(prov.mats[c2],
                                         Mat.identity(X.dim(j)))).scale(coeff)
@@ -453,9 +470,7 @@ def I_complex(X, N=None):
     into the module."""
     alg = X.alg
     prov = X.provider
-    if N is None:
-        N = alg.N
-    assert N <= alg.N
+    N = _window(alg, N)
     if X.truncated_above:
         raise ValueError("input module must be genuinely bounded above")
     n = alg.n
@@ -519,9 +534,7 @@ def P_complex(X, N=None):
     (-1)^r (strip first K-letter into H) + (strip last K-letter into X)."""
     alg = X.alg
     prov = X.provider
-    if N is None:
-        N = alg.N
-    assert N <= alg.N
+    N = _window(alg, N)
     if X.truncated_below:
         raise ValueError("input module must be genuinely bounded below")
     n = alg.n
@@ -546,15 +559,8 @@ def P_complex(X, N=None):
     def inner_action(r, j):
         key = (r, j)
         if key not in inner_cache:
-            if prov.side == "left":
-                inner_cache[key] = tensor_action(prov, kacts[r],
-                                                 X.act0_mats(j), reverse=True)
-            elif prov.kind == "lie":
-                inner_cache[key] = tensor_action(
-                    prov, [-m for m in kacts[r]], X.act0_mats(j))
-            else:
-                inner_cache[key] = _induced_left_action_bialg(
-                    prov, kacts[r], X.act0_mats(j), alg.kdim(r), X.dim(j))
+            inner_cache[key] = _induced_left_action(
+                prov, kacts[r], X.act0_mats(j), alg.kdim(r), X.dim(j))
         return inner_cache[key]
 
     diffs, act0 = {}, {}
@@ -562,9 +568,9 @@ def P_complex(X, N=None):
         for r in range(N, -1, -1):
             per_block = {}
             for (i, j, d) in blocks[(-r, s)]:
-                per_block[(i, j)] = _component_left_action(
-                    prov, alg, i, inner_action(r, j),
-                    alg.kdim(r) * X.dim(j))
+                per_block[(i, j)] = _induced_left_action(
+                    prov, prov.h_action(alg, i), inner_action(r, j),
+                    alg.hdim(i), alg.kdim(r) * X.dim(j))
             act0[(-r, s)] = _blockdiag_act(blocks[(-r, s)], per_block,
                                            prov.basis_size)
             if r == 0:
@@ -600,9 +606,7 @@ def socI_complex(X, N=None):
     of the dual generators by contraction (deg1, offset (+1, -1))."""
     alg = X.alg
     prov = X.provider
-    if N is None:
-        N = alg.N
-    assert N <= alg.N
+    N = _window(alg, N)
     if X.truncated_above:
         raise ValueError("input module must be genuinely bounded above")
     n = alg.n
@@ -652,9 +656,7 @@ def topP_complex(Y, N=None):
     contraction (deg1, offset (+1, -1))."""
     alg = Y.alg
     prov = Y.provider
-    if N is None:
-        N = alg.N
-    assert N <= alg.N
+    N = _window(alg, N)
     n = alg.n
     jmin = Y.jmin
     if jmin < 0:
@@ -921,8 +923,7 @@ def identify_socI(X, pairing, N=None):
     pairing-built matrices are bijective and intertwine both the dual
     multiplication and the degree-zero action."""
     alg, dual = pairing.alg, pairing.dual
-    if N is None:
-        N = alg.N
+    N = _window(alg, N)
     soc = socI_complex(X, N)
     dprov = dual_action(X.provider)
     n = alg.n
@@ -968,8 +969,7 @@ def identify_topP(Y, pairing, N=None):
     generator actions, and transport the differential to its explicit
     coinduced-side formula."""
     alg, dual = pairing.alg, pairing.dual
-    if N is None:
-        N = alg.N
+    N = _window(alg, N)
     top = topP_complex(Y, N)
     orig = dual_action(Y.provider)
     n = alg.n
@@ -1039,8 +1039,7 @@ def roundtrip_A(provider, pairing, mats_x, N=None, icx=None, zcx=None):
     and the top quotient of its socle model, already built for the same
     window (by koszulity_via_duality and identify_topP)."""
     alg, dual = pairing.alg, pairing.dual
-    if N is None:
-        N = alg.N
+    N = _window(alg, N)
     dX = mats_x[0].rows if mats_x else 0
     if icx is None:
         icx = I_complex(degree_zero_module(provider, alg, mats_x), N)
@@ -1111,8 +1110,7 @@ def roundtrip_B(provider, pairing, mats_x, N=None, pcx=None):
     the co-opposite smash, already built for the same window (by
     koszulity_via_duality)."""
     alg, dual = pairing.alg, pairing.dual
-    if N is None:
-        N = alg.N
+    N = _window(alg, N)
     dX = mats_x[0].rows if mats_x else 0
     soc = socI_complex(I0(provider, alg, mats_x), N)
     if pcx is None:
@@ -1207,8 +1205,7 @@ def koszulity_via_duality(provider, pairing, mats_x, N=None):
     flag, and the two complexes it built ("complexes": I and P)."""
     from koszulkit.quadratic import koszulity_check
     alg, dual = pairing.alg, pairing.dual
-    if N is None:
-        N = alg.N
+    N = _window(alg, N)
     X = degree_zero_module(provider, alg, mats_x)
     icx = I_complex(X, N)
     rep_i = homology(icx.cx)

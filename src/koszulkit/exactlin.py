@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Sparse matrices of exact rational entries, canonical subspaces (reduced
-row echelon bases), kernels, intersections, quotients and Kronecker
-products.  Everything downstream computes with these, so the canonical
-forms here make all reported bases deterministic.
+row echelon bases), kernels, quotients and Kronecker products.
+Everything downstream computes with these, so the canonical forms here
+make all reported bases deterministic.
 
 Conventions:
   * an entry is a Python int when it is integral and a
@@ -512,20 +512,6 @@ def kernel(m):
 def image(m):
     """Canonical basis of the column span of m (as a subspace of Q^rows)."""
     return Subspace.from_rows(m.rows, m.transpose())
-
-
-def intersect(s1, s2):
-    """Canonical basis of s1 /\\ s2."""
-    if s1.ambient_dim != s2.ambient_dim:
-        raise ValueError("ambient-dimension mismatch: %d vs %d"
-                         % (s1.ambient_dim, s2.ambient_dim))
-    if s2.dim == s2.ambient_dim:
-        return Subspace.from_rows(s1.ambient_dim, s1.basis)
-    proj2, _ = quotient(s2.ambient_dim, s2)
-    # x = c . B1 lies in s2  iff  proj2 @ B1^T c = 0.
-    mat = proj2 @ s1.basis.transpose()
-    coeffs = kernel(mat)
-    return Subspace.from_rows(s1.ambient_dim, coeffs.basis @ s1.basis)
 
 
 def quotient(ambient_dim, s):

@@ -248,7 +248,8 @@ def test_action_json_roundtrip():
                               (sl2_provider(), sl2_lie_action().modules)):
         obj = action_bundle_to_json(provider, modules)
         back, mods = action_bundle_from_json(obj)
-        assert back.kind == provider.kind
+        assert (back.legs, back.counit, back.unit) == (
+            provider.legs, provider.counit, provider.unit)
         assert back.mats == provider.mats
         assert sorted(mods) == sorted(modules)
         for name in modules:
@@ -270,3 +271,71 @@ def test_validate_left_modules_failure():
     mods["bad"] = [Mat.identity(1), Mat(1, 1, [[2]])]
     ok, where = validate_left_modules(c2_sign_provider(), mods)
     assert not ok and where[0] == "bad"
+
+
+def _bump(m, i, j):
+    """m with one added to its entry (i, j)."""
+    return m + Mat.from_entries(m.rows, m.cols, [(i, j, F1)])
+
+
+def test_law_failures_lie():
+    # one entry of the sl2 action on V, or of its adjoint test module, is
+    # off: each law checker names the first bracket law that breaks
+    lie = sl2_lie_action()
+    rho = list(lie.rho)
+    rho[2] = _bump(rho[2], 0, 1)
+    bad = LieAction(lie.names, lie.brackets, rho, lie.modules)
+    assert validate_lie(bad) == (False, ("representation", "V", 0, 2))
+    provider = ActionProvider.from_lie(bad)
+    for p in (provider, dual_action(provider)):
+        for r in (1, 2):
+            assert validate_action_multiplicative(p, r) == (False, (0, 2))
+    alg = grow(sym_presentation(3), 3)
+    assert SmashAlgebra(provider, alg, "right").validate_associativity() \
+        == (False, ("bracket", 0, 2, 1))
+    dual_alg = grow(quadratic_dual(sym_presentation(3)), 3)
+    assert SmashAlgebra(dual_action(provider), dual_alg,
+                        "left").validate_associativity() \
+        == (False, ("bracket", 0, 2, 1))
+    mods = dict(lie.modules)
+    mods["adjoint"] = list(mods["adjoint"])
+    mods["adjoint"][2] = _bump(mods["adjoint"][2], 2, 0)
+    assert validate_left_modules(sl2_provider(), mods) \
+        == (False, ("adjoint", 0, 2))
+    assert validate_lie(LieAction(lie.names, lie.brackets, lie.rho, mods)) \
+        == (False, ("representation", "adjoint", 0, 2))
+
+
+@pytest.mark.parametrize("mkprov,mkmods,pres,k,mult_fails,smash_fails", [
+    (c2_sign_provider, c2_modules, sym_presentation(1), 1,
+     {1: (1, 1), 2: (1, 1)}, ((1, 0, 0), (0, 0, 1))),
+    (sweedler_provider, sweedler_modules, dual_numbers_presentation(), 2,
+     {1: (1, 2), 2: None}, ((1, 0, 0), (0, 0, 1))),
+], ids=["c2_sign", "sweedler"])
+def test_law_failures_bialgebra(mkprov, mkmods, pres, k, mult_fails,
+                                smash_fails):
+    # one entry of the matrix of basis element k on V, or on a test module,
+    # is off; with Sweedler's x perturbed to 1 on V, x acts on V (x) V as
+    # x (x) 1 + g (x) x = 0, so only the degree-one check sees it
+    good = mkprov()
+    mats = list(good.mats)
+    mats[k] = _bump(mats[k], 0, 0)
+    provider = ActionProvider.from_bialgebra(good.base, mats)
+    for p in (provider, dual_action(provider)):
+        for r, where in mult_fails.items():
+            want = (True, None) if where is None else (False, where)
+            assert validate_action_multiplicative(p, r) == want
+    alg = grow(pres, 3)
+    dual_alg = grow(quadratic_dual(pres), 3)
+    assert SmashAlgebra(provider, alg, "right").validate_associativity() \
+        == (False, smash_fails[0])
+    assert SmashAlgebra(dual_action(provider), dual_alg,
+                        "left").validate_associativity() \
+        == (False, smash_fails[1])
+    for b, where in ((0, "unit"), (k, 1)):
+        mods = mkmods()
+        name = sorted(mods)[-1]
+        mods[name] = list(mods[name])
+        mods[name][b] = _bump(mods[name][b], mods[name][b].rows - 1, 0)
+        want = (name, "unit") if where == "unit" else (name, 1, k)
+        assert validate_left_modules(good, mods) == (False, want)

@@ -149,6 +149,20 @@ def test_I_complex_multidegree_input():
     assert validate_socI_action(soc) == (True, None)
 
 
+def test_complexes_reject_a_window_past_the_grown_degree():
+    # H and K are grown only up to alg.N; a wider window is a ValueError,
+    # which python -O keeps
+    provider = c2_sign_provider()
+    alg, dual, pairing = _setup(sym_presentation(1), provider, 3)
+    mats = c2_modules()["sign"]
+    X = degree_zero_module(provider, alg, mats)
+    Xd = degree_zero_module(dual_action(provider), dual, mats)
+    for build, module in ((I_complex, X), (socI_complex, X),
+                          (P_complex, Xd), (topP_complex, Xd)):
+        with pytest.raises(ValueError):
+            build(module, alg.N + 1)
+
+
 def test_P_complex_multidegree_input():
     provider = c2_sign_provider()
     alg, dual, pairing = _setup(sym_presentation(1), provider, 3)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from koszulkit.exactlin import (
-    Mat, Subspace, _columns, hstack, image, intersect, inverse, kernel, kron,
-    kron_sum, mul_kron_identity, perm_matrix, quotient, rank, rat_from_str,
-    rat_to_str, rref, vstack,
+    Mat, Subspace, _columns, hstack, image, inverse, kernel, kron, kron_sum,
+    mul_kron_identity, perm_matrix, quotient, rank, rat_from_str, rat_to_str,
+    rref, vstack,
 )
 
 
@@ -39,15 +39,6 @@ def test_kernel_basic():
     assert kernel(Mat.zeros(2, 4)).dim == 4
     k = kernel(Mat(2, 3, [[1, 1, 0], [0, 0, 1]]))
     assert k.basis == Mat(1, 3, [[1, -1, 0]])
-
-
-def test_intersect():
-    e = [unit_vector(3, i) for i in range(3)]
-    s12 = Subspace.from_rows(3, [e[0], e[1]])
-    s23 = Subspace.from_rows(3, [e[1], e[2]])
-    assert intersect(s12, s23).basis == Mat(1, 3, [[0, 1, 0]])
-    assert intersect(s12, s12) == s12
-    assert intersect(s12, Subspace.full(3)) == s12
 
 
 def test_kron_small():
