@@ -88,35 +88,45 @@ def _load_action(path):
 # individual checks; each returns (status, details) with status in
 # "pass" | "fail" | "skipped"; InternalInvariant aborts with exit 3
 
-def _check_validate(pres, provider, modules):
+def _acting_object(pres, provider):
+    """The acting object's own axioms, checked once per run and shared by
+    the checks that need them: the axioms of its source format, the laws
+    on V and V (x) V, and the stability of the relations.  Returns the
+    source format's name, the failure of its source axioms and the first
+    failure of all, each None when the axioms hold."""
     from koszulkit.action import (
         Bialgebra, validate_action_multiplicative, validate_bialgebra,
-        validate_left_modules, validate_lie, validate_module_algebra,
+        validate_lie, validate_module_algebra,
     )
+    if isinstance(provider.base, Bialgebra):
+        kind = "bialgebra"
+        ok, where = validate_bialgebra(provider.base)
+        source = None if ok else "bialgebra axiom: %s" % where
+    else:
+        kind = "lie"
+        ok, where = validate_lie(provider.base)
+        source = None if ok else "lie axiom: %r" % (where,)
+    if source:
+        return kind, source, source
+    for r in (1, 2):
+        ok, where = validate_action_multiplicative(provider, r)
+        if not ok:
+            return kind, None, "action not multiplicative: %r" % (where,)
+    ok, where = validate_module_algebra(provider, pres)
+    if not ok:
+        return kind, None, "relations not stable: %r" % (where,)
+    return kind, None, None
+
+
+def _check_validate(pres, acting, provider, modules):
+    from koszulkit.action import validate_left_modules
     details = {"generators": pres.gen_names,
                "relation_count": pres.relations.dim}
     if provider is None:
         return "pass", details
-    if isinstance(provider.base, Bialgebra):
-        ok, axiom = validate_bialgebra(provider.base)
-        details["acting_object"] = "bialgebra"
-        if not ok:
-            details["failure"] = "bialgebra axiom: %s" % axiom
-            return "fail", details
-    else:
-        ok, where = validate_lie(provider.base)
-        details["acting_object"] = "lie"
-        if not ok:
-            details["failure"] = "lie axiom: %r" % (where,)
-            return "fail", details
-    for r in (1, 2):
-        ok, where = validate_action_multiplicative(provider, r)
-        if not ok:
-            details["failure"] = "action not multiplicative: %r" % (where,)
-            return "fail", details
-    ok, where = validate_module_algebra(provider, pres)
-    if not ok:
-        details["failure"] = "relations not stable: %r" % (where,)
+    details["acting_object"], _source, failure = acting
+    if failure:
+        details["failure"] = failure
         return "fail", details
     ok, where = validate_left_modules(provider, modules)
     if not ok:
@@ -179,13 +189,18 @@ def _check_smash(provider, alg, dual_alg):
                     "dual_smash_associative": True}
 
 
-def _check_takiff(provider):
-    from koszulkit.action import takiff, takiff_graded_dims, validate_jacobi
+def _check_takiff(provider, acting):
+    """The Lie axioms come from the shared verdict of _acting_object; the
+    Takiff bracket is built and checked once per parity."""
+    from koszulkit.action import TakiffLie, takiff_graded_dims, validate_jacobi
     if provider is None or provider.unit is not None:
         return "skipped", {"reason": "takiff applies to lie actions only"}
+    _kind, source, _failure = acting
+    if source:
+        return "fail", {"failure": source}
     details = {}
     for parity in ("even", "super"):
-        t = takiff(provider.base, parity)
+        t = TakiffLie(provider.base, parity)
         ok, where = validate_jacobi(t)
         details["%s_jacobi" % parity] = ok
         if not ok:
@@ -200,19 +215,22 @@ def _check_takiff(provider):
     return "pass", details
 
 
-def _duality_inputs(provider, modules, alg, dual_alg):
+def _duality_inputs(acting, provider, modules, alg, dual_alg):
     """What the duality and roundtrip checks share in one run: one
     pairing, the acting object (the trivial one when none is given) with
-    its modules, the failure of its R-stability if any, and the complexes
-    built so far, by module name."""
-    from koszulkit.action import validate_module_algebra
+    its modules, the failure of its axioms if any, and the complexes
+    built so far, by module name.  A pairing that is not invertible is an
+    internal invariant."""
     from koszulkit.fixtures import trivial_provider
+    failure = acting[2] if acting else None
     if provider is None:
         provider, modules = trivial_provider(alg.n), {"k": [Mat.identity(1)]}
-    ok, where = validate_module_algebra(provider, alg.pres)
-    return {"pairing": DualityPairing(alg, dual_alg), "provider": provider,
-            "modules": modules, "complexes": {},
-            "unstable": None if ok else "relations not stable: %r" % (where,)}
+    try:
+        pairing = DualityPairing(alg, dual_alg)
+    except ValueError as exc:
+        raise InternalInvariant(str(exc))
+    return {"pairing": pairing, "provider": provider, "modules": modules,
+            "complexes": {}, "failure": failure}
 
 
 def _check_duality(shared, N):
@@ -220,8 +238,8 @@ def _check_duality(shared, N):
         degree_zero_module, identify_socI, identify_topP,
         koszulity_via_duality, socI_model_module, validate_module,
     )
-    if shared["unstable"]:
-        return "fail", {"failure": shared["unstable"]}
+    if shared["failure"]:
+        return "fail", {"failure": shared["failure"]}
     pairing, provider = shared["pairing"], shared["provider"]
     modules = shared["modules"]
     alg = pairing.alg
@@ -273,10 +291,11 @@ def _check_duality(shared, N):
 
 def _check_roundtrip(shared, N):
     from koszulkit.duality import roundtrip_A, roundtrip_B
-    if shared["unstable"]:
-        return "fail", {"failure": shared["unstable"]}
+    if shared["failure"]:
+        return "fail", {"failure": shared["failure"]}
     pairing, provider = shared["pairing"], shared["provider"]
-    ok_psi, where = verify_psi_intertwiner(pairing, min(N, 4))
+    # over the whole window, once: every roundtrip_A reads this verdict
+    ok_psi, where = verify_psi_intertwiner(pairing, N)
     if not ok_psi:
         raise InternalInvariant("pairing intertwiner fails at %r" % (where,))
     details = {"modules": {}}
@@ -419,7 +438,7 @@ def run_check(args):
         "checks": {},
     }
     timing = {}
-    alg = dual_alg = shared = None
+    alg = dual_alg = shared = acting = None
     grow_s = 0.0
 
     def need_alg():
@@ -433,10 +452,17 @@ def run_check(args):
             timing["grow"] = round(grow_s, 6)
         return alg, dual_alg
 
+    def need_acting():
+        nonlocal acting
+        if acting is None and provider is not None:
+            acting = _acting_object(pres, provider)
+        return acting
+
     def need_shared():
         nonlocal shared
         if shared is None:
-            shared = _duality_inputs(provider, modules, *need_alg())
+            shared = _duality_inputs(need_acting(), provider, modules,
+                                     *need_alg())
         return shared
 
     overall = "pass"
@@ -444,7 +470,8 @@ def run_check(args):
         t0, grown_before = time.monotonic(), grow_s
         try:
             if name == "validate":
-                status, details = _check_validate(pres, provider, modules)
+                status, details = _check_validate(pres, need_acting(),
+                                                  provider, modules)
             elif name == "hilbert":
                 status, details = _check_hilbert(*need_alg(), N)
             elif name == "dual":
@@ -459,7 +486,7 @@ def run_check(args):
                     a, d = need_alg()
                     status, details = _check_smash(provider, a, d)
             elif name == "takiff":
-                status, details = _check_takiff(provider)
+                status, details = _check_takiff(provider, need_acting())
             elif name == "duality":
                 status, details = _check_duality(need_shared(), N)
             elif name == "roundtrip":

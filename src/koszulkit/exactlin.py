@@ -557,6 +557,12 @@ def perm_matrix(perm):
     return _mat(n, n, data)
 
 
+def swap_matrix(a, b):
+    """Permutation matrix from (x slow, w fast) to (w slow, x fast), for
+    x < a and w < b."""
+    return perm_matrix([w * a + x for x in range(a) for w in range(b)])
+
+
 def rat_to_str(x):
     return str(_exact(x))
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from koszulkit.exactlin import (
     F0, Mat, Subspace, _columns, inverse, kernel, kron, mul_kron_identity,
-    perm_matrix, quotient, rat_from_str, rat_to_str, vstack,
+    quotient, rat_from_str, rat_to_str, swap_matrix, vstack,
 )
 from koszulkit.graded import BigradedComplex, GradedSpace
 
@@ -70,7 +70,9 @@ class QuadraticPresentation:
     def __init__(self, gen_names, relations):
         self.gen_names = list(gen_names)
         n = len(self.gen_names)
-        assert relations.ambient_dim == n * n
+        if relations.ambient_dim != n * n:
+            raise ValueError("relations live in dimension %d, not %d x %d"
+                             % (relations.ambient_dim, n, n))
         self.relations = relations
 
     @property
@@ -165,6 +167,7 @@ class TruncatedGradedAlgebra:
         self._first = {}
         self._left_pivots = {}
         self._contractions = {}
+        self._generator_mults = {}
         self._m_bar = {}
 
     def _check(self, i):
@@ -312,6 +315,21 @@ class TruncatedGradedAlgebra:
             self._contractions[key] = m
         return m
 
+    def generator_mult(self, i, a, side):
+        """H_i -> H_{i+1} multiplying by the a-th generator on the left
+        (side "left") or on the right ("right"): a column slice of
+        mult(1, i) or mult(i, 1)."""
+        key = (i, a, side)
+        m = self._generator_mults.get(key)
+        if m is None:
+            hi, n = self.hdim(i), self.n
+            if side == "left":
+                m = _columns(self.mult(1, i), range(a * hi, (a + 1) * hi))
+            else:
+                m = _columns(self.mult(i, 1), range(a, hi * n, n))
+            self._generator_mults[key] = m
+        return m
+
 
 def grow(pres, N):
     """Materialize H and K up to degree N from a quadratic presentation.
@@ -374,7 +392,9 @@ def quadratic_dual(pres):
     n = pres.n
     rev = reversal_perm(n, 2)
     dual_rel = kernel(_columns(pres.relations.basis, rev))
-    assert pres.relations.dim + dual_rel.dim == n * n
+    if pres.relations.dim + dual_rel.dim != n * n:
+        raise ValueError("the annihilator of R has dimension %d, not %d"
+                         % (dual_rel.dim, n * n - pres.relations.dim))
     return QuadraticPresentation(dual_gen_names(pres.gen_names), dual_rel)
 
 
@@ -403,6 +423,8 @@ def m_bar(alg, j, i, side):
 def _m_bar(alg, j, i, side):
     if not (1 <= j <= alg.N and 0 <= i and i + 1 <= alg.N):
         raise ValueError("m_bar(%d, %d) outside the window" % (j, i))
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right', not %r" % (side,))
     n = alg.n
     kp, kj = alg.kdim(j - 1), alg.kdim(j)
     hi, hn = alg.hdim(i), alg.hdim(i + 1)
@@ -415,7 +437,6 @@ def _m_bar(alg, j, i, side):
         orow = [[a * hn + b for b in range(hn)] for a in range(kp)]
         ocol = [[p * hi + q for q in range(hi)] for p in range(kj)]
     else:
-        assert side == "left", side
         incl, mult = alg.incl_left(j), alg.mult(i, 1)
         legs = [(r % kp, r // kp) for r in range(n * kp)]
         mcol = [[q * n + v for q in range(hi)] for v in range(n)]
@@ -583,57 +604,66 @@ class DualityPairing:
         self._g = {}
         self._ginv = {}
         self._psi = {}
+        self._intertwiner = {}
+        for which in (1, 2):
+            for i in range(alg.N + 1):
+                self._grow(which, i)
 
-    def _pairing(self, which, i):
-        """g1(i) (which = 1) or g2(i) (which = 2), grown from degree i - 1:
-        rows are the normal words of one side, columns the Koszul basis of
-        the other.  The pairing is order-reversing, so it matches the last
-        letter v of a normal word u.v with the first letter of the Koszul
-        subspace, read off its incl_left, and u with the rest."""
-        key = (which, i)
-        m = self._g.get(key)
-        if m is None:
-            words, koszul = ((self.alg, self.dual) if which == 1
-                             else (self.dual, self.alg))
-            if i == 0:
-                m = Mat.identity(1)
-            else:
-                prev = self._pairing(which, i - 1)
-                incl = koszul.incl_left(i)
-                n, kp = words.n, prev.cols
-                prev_nz = [[] for _ in range(prev.rows)]
-                for u, t, x in prev.entries():
-                    prev_nz[u].append((t, x))
-                incl_nz = [[] for _ in range(incl.rows)]
-                for r, p, y in incl.entries():
-                    incl_nz[r].append((p, y))
-                cells = [divmod(c, n) for c in words.split_last(i)]
-                m = Mat.from_entries(
-                    len(cells), incl.cols,
-                    ((row, p, x * y) for row, (u, v) in enumerate(cells)
-                     for t, x in prev_nz[u] for p, y in incl_nz[v * kp + t]))
-            if m.rows != m.cols:
-                raise ValueError("pairing g%d(%d) is %d x %d, not square"
-                                 % (which, i, m.rows, m.cols))
-            self._g[key] = m
-            self._ginv[key] = inverse(m)
-        return m
+    def _grow(self, which, i):
+        """g1(i) (which = 1) or g2(i) (which = 2) and its inverse, grown
+        from degree i - 1: rows are the normal words of one side, columns
+        the Koszul basis of the other.  The pairing is order-reversing, so
+        it matches the last letter v of a normal word u.v with the first
+        letter of the Koszul subspace, read off its incl_left, and u with
+        the rest.  Raises ValueError, naming the pairing and the degree,
+        if it is not square or singular."""
+        words, koszul = ((self.alg, self.dual) if which == 1
+                         else (self.dual, self.alg))
+        if i == 0:
+            m = Mat.identity(1)
+        else:
+            prev = self._g[(which, i - 1)]
+            incl = koszul.incl_left(i)
+            n, kp = words.n, prev.cols
+            prev_nz = [[] for _ in range(prev.rows)]
+            for u, t, x in prev.entries():
+                prev_nz[u].append((t, x))
+            incl_nz = [[] for _ in range(incl.rows)]
+            for r, p, y in incl.entries():
+                incl_nz[r].append((p, y))
+            cells = [divmod(c, n) for c in words.split_last(i)]
+            m = Mat.from_entries(
+                len(cells), incl.cols,
+                ((row, p, x * y) for row, (u, v) in enumerate(cells)
+                 for t, x in prev_nz[u] for p, y in incl_nz[v * kp + t]))
+        if m.rows != m.cols:
+            raise ValueError("pairing g%d(%d) is %d x %d, not square"
+                             % (which, i, m.rows, m.cols))
+        try:
+            self._ginv[(which, i)] = inverse(m)
+        except ValueError:
+            raise ValueError("pairing g%d(%d) is singular"
+                             % (which, i)) from None
+        self._g[(which, i)] = m
+
+    def _get(self, table, which, i):
+        if not 0 <= i <= self.alg.N:
+            raise ValueError("degree %d outside 0..%d" % (i, self.alg.N))
+        return table[(which, i)]
 
     def g1(self, i):
         """Pairing of H_i with K!_i; square and invertible."""
-        return self._pairing(1, i)
+        return self._get(self._g, 1, i)
 
     def g2(self, j):
         """Pairing of H!_j with K_j; square and invertible."""
-        return self._pairing(2, j)
+        return self._get(self._g, 2, j)
 
     def g1_inv(self, i):
-        self.g1(i)
-        return self._ginv[(1, i)]
+        return self._get(self._ginv, 1, i)
 
     def g2_inv(self, j):
-        self.g2(j)
-        return self._ginv[(2, j)]
+        return self._get(self._ginv, 2, j)
 
     def psi_bar(self, i, j):
         """Invertible matrix (K_j (x) H_i)* -> K!_i (x) H!_j.
@@ -644,15 +674,9 @@ class DualityPairing:
         are the columns of (g2(j)^-1)^T."""
         m = self._psi.get((i, j))
         if m is None:
-            kj = self.alg.kdim(j)
-            hi = self.alg.hdim(i)
-            swap = [0] * (kj * hi)
-            for p in range(kj):
-                for q in range(hi):
-                    swap[p * hi + q] = q * kj + p
             m = self._psi[(i, j)] = (
                 kron(self.g1_inv(i), self.g2_inv(j).transpose())
-                @ perm_matrix(swap))
+                @ swap_matrix(self.alg.kdim(j), self.alg.hdim(i)))
         return m
 
 
@@ -660,19 +684,23 @@ def verify_psi_intertwiner(pairing, max_total):
     """Exact-matrix check of the compatibility of psi_bar with the two
     strip-and-multiply maps: precomposing a functional with
     K_{j+1} (x) H_{i-1} -> K_j (x) H_i transports, under psi_bar, to the
-    dual-side strip-and-multiply K!_i (x) H!_j -> K!_{i-1} (x) H!_{j+1}.
+    dual-side strip-and-multiply K!_i (x) H!_j -> K!_{i-1} (x) H!_{j+1},
+    for every i >= 1 with i + j <= max_total.  Returns (True, None) or
+    (False, (i, j)) at the first failure; the verdict is memoized per
+    pairing and window.
 
     This is the arbiter of every pairing convention in the package; a
     mismatch anywhere upstream makes it fail loudly."""
     alg, dual = pairing.alg, pairing.dual
-    assert max_total <= alg.N
-    for i in range(1, max_total + 1):
-        for j in range(0, max_total - i + 1):
-            if j + 1 > alg.N:
-                continue
-            lhs = (pairing.psi_bar(i - 1, j + 1)
-                   @ m_bar(alg, j + 1, i - 1, "right").transpose())
-            rhs = m_bar(dual, i, j, "right") @ pairing.psi_bar(i, j)
-            if lhs != rhs:
-                return False, (i, j)
-    return True, None
+    if not 0 <= max_total <= alg.N:
+        raise ValueError("intertwiner window %d outside 0..%d"
+                         % (max_total, alg.N))
+    if max_total not in pairing._intertwiner:
+        failures = ((i, j) for i in range(1, max_total + 1)
+                    for j in range(max_total - i + 1)
+                    if pairing.psi_bar(i - 1, j + 1)
+                    @ m_bar(alg, j + 1, i - 1, "right").transpose()
+                    != m_bar(dual, i, j, "right") @ pairing.psi_bar(i, j))
+        where = next(failures, None)
+        pairing._intertwiner[max_total] = (where is None, where)
+    return pairing._intertwiner[max_total]

@@ -340,3 +340,89 @@ def test_malformed_action_is_parse_error(tmp_path, capsys, fixture, bundle,
     err = capsys.readouterr().err
     assert err.startswith("parse error: ")
     assert message in err
+
+
+def test_invalid_lie_action_fails_takiff_without_traceback(tmp_path):
+    # f on V breaks a bracket law: every check that needs the Lie axioms
+    # reports it as a failure, with the coordinates of validate_lie
+    pres, _ = emit(tmp_path, "sl2_adjoint_takiff")
+    act = tmp_path / "bad_f.json"
+    act.write_text(json.dumps(_edit(
+        _sl2_bundle(), ("lie", "action", "f"),
+        [["0", "0", "5"], ["-1", "0", "0"], ["0", "2", "0"]])))
+    out = tmp_path / "r.json"
+    assert run(["check", "--input", pres, "--action", str(act), "--checks",
+                "all", "--max-degree", "3", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    for name in ("validate", "takiff", "duality", "roundtrip"):
+        entry = report["checks"][name]
+        assert entry["status"] == "fail", name
+        assert entry["details"]["failure"] == (
+            "lie axiom: ('representation', 'V', 1, 2)"), name
+
+
+@pytest.mark.parametrize("checks", ["duality", "roundtrip", "all"])
+def test_acting_object_axioms_gate_duality_checks(tmp_path, checks):
+    # a counit that breaks the counit law is the acting object's failure,
+    # not an internal error of the duality verifiers
+    pres, _ = emit(tmp_path, "c2_sign_takiff")
+    act = tmp_path / "bad_counit.json"
+    act.write_text(json.dumps(_edit(_c2_bundle(), ("bialgebra", "counit"),
+                                    ["1", "0"])))
+    out = tmp_path / "r.json"
+    assert run(["check", "--input", pres, "--action", str(act), "--checks",
+                checks, "--max-degree", "3", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    for name in ("duality", "roundtrip"):
+        if checks in (name, "all"):
+            entry = report["checks"][name]
+            assert entry["status"] == "fail"
+            assert entry["details"]["failure"] == "bialgebra axiom: counit law"
+
+
+@pytest.mark.parametrize("checks", ["duality", "roundtrip"])
+def test_singular_pairing_is_internal_error(tmp_path, monkeypatch, checks):
+    # K_2 of sym_3 included with one column lost makes g2(2) singular
+    from koszulkit.exactlin import Mat
+    from koszulkit.quadratic import TruncatedGradedAlgebra
+    incl_left = TruncatedGradedAlgebra.incl_left
+
+    def lossy(self, i):
+        m = incl_left(self, i)
+        if i != 2 or self.pres.gen_names[0].endswith("*"):
+            return m
+        return Mat.from_entries(m.rows, m.cols, [
+            (r, c, x) for r, c, x in m.entries() if c != m.cols - 1])
+
+    monkeypatch.setattr(TruncatedGradedAlgebra, "incl_left", lossy)
+    pres, _ = emit(tmp_path, "sym_3")
+    out = tmp_path / "r.json"
+    assert run(["check", "--input", pres, "--checks", checks,
+                "--max-degree", "3", "--out", str(out)]) == 3
+    entry = json.loads(out.read_text())["checks"][checks]
+    assert entry["status"] == "internal-error"
+    assert entry["details"]["failure"] == "pairing g2(2) is singular"
+
+
+def test_roundtrip_checks_the_intertwiner_over_the_window(tmp_path,
+                                                          monkeypatch):
+    # with no modules the pairing is still checked, up to the top of the
+    # window: psi_bar(5, 0) meets the intertwiner only at (5, 0)
+    from koszulkit.quadratic import DualityPairing
+    psi_bar = DualityPairing.psi_bar
+
+    def doubled(self, i, j):
+        m = psi_bar(self, i, j)
+        return m.scale(2) if (i, j) == (5, 0) else m
+
+    monkeypatch.setattr(DualityPairing, "psi_bar", doubled)
+    pres, _ = emit(tmp_path, "sl2_adjoint_takiff")
+    act = tmp_path / "no_modules.json"
+    act.write_text(json.dumps(_edit(_sl2_bundle(), ("modules",), {})))
+    out = tmp_path / "r.json"
+    assert run(["check", "--input", pres, "--action", str(act), "--checks",
+                "roundtrip", "--max-degree", "5", "--out", str(out)]) == 3
+    entry = json.loads(out.read_text())["checks"]["roundtrip"]
+    assert entry["status"] == "internal-error"
+    assert entry["details"]["failure"] == (
+        "pairing intertwiner fails at (5, 0)")

@@ -3,7 +3,9 @@ from math import comb
 
 import pytest
 
-from koszulkit.action import ActionProvider, dual_action
+from koszulkit.action import (
+    ActionProvider, action_bundle_from_json, dual_action,
+)
 from koszulkit.duality import (
     GradedAModule, I0, I_complex, P0, P_complex, _phi_matrix, _theta_matrix,
     adjunction_check, degree_zero_module, diagonal_vanishing, h0_certificate_I,
@@ -12,14 +14,17 @@ from koszulkit.duality import (
     socI_complex, socI_model_module, topP_complex,
     validate_complex_equivariance, validate_module, validate_socI_action,
 )
-from koszulkit.exactlin import F0, F1, Mat, inverse
+from koszulkit.exactlin import F0, F1, Mat, inverse, rank
 from koszulkit.fixtures import (
-    c2_modules, c2_sign_provider, dual_numbers_presentation,
+    FIXTURE_NAMES, c2_modules, c2_sign_provider, dual_numbers_presentation,
     ext_presentation, free_presentation, sl2_lie_action, sl2_provider,
-    sweedler_modules, sweedler_provider, sym_presentation, trivial_provider,
+    fixture_bundle, sweedler_modules, sweedler_provider, sym_presentation,
+    trivial_provider,
 )
 from koszulkit.graded import check_d_squared, homology
-from koszulkit.quadratic import DualityPairing, grow, quadratic_dual
+from koszulkit.quadratic import (
+    DualityPairing, QuadraticPresentation, grow, quadratic_dual,
+)
 
 
 def _setup(pres, provider, N):
@@ -272,3 +277,30 @@ def test_roundtrip_reports_the_first_failure():
     assert res["checks"] == {"bijective": True, "chain": True,
                              "act0": False, "generator": True}
     assert res["first_failure"] == ("act0", 0, 0, 0)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_comparison_maps_are_bijective(name):
+    # the verifiers take bijectivity from the pairing; this oracle ranks
+    # every comparison map they build: theta, phi, psi_bar (x) id and chi
+    N = 5
+    bundle = fixture_bundle(name)
+    pres = QuadraticPresentation.from_json_obj(bundle["presentation"])
+    if bundle["action"] is None:
+        provider, modules = trivial_provider(pres.n), {"k": [Mat.identity(1)]}
+    else:
+        provider, modules = action_bundle_from_json(bundle["action"])
+    alg, dual, pairing = _setup(pres, provider, N)
+    for module, mats in sorted(modules.items()):
+        X = degree_zero_module(provider, alg, mats)
+        Y = socI_model_module(provider, pairing, mats, N)
+        maps = {
+            "theta": identify_socI(X, pairing, N)["theta"],
+            "phi": identify_topP(Y, pairing, N)["phi"],
+            "psi_bar (x) id": roundtrip_A(provider, pairing, mats, N)["phi"],
+            "chi": roundtrip_B(provider, pairing, mats, N)["chi"],
+        }
+        for kind, cells in maps.items():
+            assert cells, (module, kind)
+            for cell, m in cells.items():
+                assert m.rows == m.cols == rank(m), (module, kind, cell)

@@ -359,6 +359,55 @@ def test_m_bar_matches_kron_expression():
                         @ kron(ih, alg.incl_left(j))), (name, j, i)
 
 
+def test_generator_mult_is_the_kron_product():
+    # multiplication by one generator is a column slice of mult; the
+    # product with a standard basis column is its definition
+    for name in FIXTURE_NAMES:
+        pres = QuadraticPresentation.from_json_obj(
+            fixture_bundle(name)["presentation"])
+        for p in (pres, quadratic_dual(pres)):
+            alg = grow(p, 4)
+            n = alg.n
+            for i in range(4):
+                ih = Mat.identity(alg.hdim(i))
+                for a in range(n):
+                    e = Mat(n, 1, [[x] for x in _unit_vector(n, a)])
+                    assert alg.generator_mult(i, a, "left") == (
+                        alg.mult(1, i) @ kron(e, ih)), (name, i, a)
+                    assert alg.generator_mult(i, a, "right") == (
+                        alg.mult(i, 1) @ kron(ih, e)), (name, i, a)
+
+
+def test_bad_arguments_raise_value_errors():
+    # explicit errors, not asserts: the same under python -O
+    pres = sym_presentation(2)
+    alg = grow(pres, 3)
+    with pytest.raises(ValueError, match="side must be"):
+        m_bar(alg, 1, 0, "up")
+    pairing = DualityPairing(alg, grow(quadratic_dual(pres), 3))
+    with pytest.raises(ValueError, match="window 4 outside 0..3"):
+        verify_psi_intertwiner(pairing, 4)
+    with pytest.raises(ValueError, match="dimension 3"):
+        QuadraticPresentation(["x", "y"], Subspace.zero(3))
+
+
+def test_singular_pairing_names_the_pairing_and_degree(monkeypatch):
+    pres = sym_presentation(3)
+    alg, dual = grow(pres, 3), grow(quadratic_dual(pres), 3)
+    for which, koszul in ((1, dual), (2, alg)):
+        # K_2 included with its last column lost
+        incl_left = koszul.incl_left
+        m = incl_left(2)
+        lossy = Mat.from_entries(m.rows, m.cols, [
+            (r, c, x) for r, c, x in m.entries() if c != m.cols - 1])
+        with monkeypatch.context() as patch:
+            patch.setattr(koszul, "incl_left",
+                          lambda i: lossy if i == 2 else incl_left(i))
+            with pytest.raises(ValueError,
+                               match=r"pairing g%d\(2\) is singular" % which):
+                DualityPairing(alg, dual)
+
+
 def test_koszulity_check():
     assert koszulity_check(sym_presentation(3), 6)["koszul_up_to_N"]
     assert koszulity_check(ext_presentation(2), 6)["koszul_up_to_N"]
