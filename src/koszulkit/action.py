@@ -689,8 +689,7 @@ def takiff_graded_dims(t, D):
     even parity, exterior for super), computed independently by the
     relation-growth engine."""
     from math import comb
-    from koszulkit.fixtures import ext_presentation, sym_presentation
-    from koszulkit.quadratic import grow
+    from koszulkit.quadratic import ext_presentation, grow, sym_presentation
     k = t.base.v_dim
     if t.parity == "super":
         pbw = [comb(k, d) for d in range(D + 1)]

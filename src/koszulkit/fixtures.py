@@ -7,50 +7,13 @@ classical letter is clearer (t for one variable, e/h/f for sl2).
 
 from __future__ import annotations
 
-from koszulkit.exactlin import F0, F1, Subspace
-from koszulkit.quadratic import QuadraticPresentation
-
-
-def _gen_names(n):
-    if n == 1:
-        return ["t"]
-    return ["x%d" % (i + 1) for i in range(n)]
-
-
-def sym_presentation(n):
-    """Polynomial algebra on n generators: commutator relations."""
-    names = _gen_names(n)
-    rows = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            v = [F0] * (n * n)
-            v[a * n + b] = F1
-            v[b * n + a] = -F1
-            rows.append(v)
-    return QuadraticPresentation(names, Subspace.from_rows(n * n, rows))
-
-
-def ext_presentation(n):
-    """Exterior algebra on n generators: squares and anticommutators."""
-    names = _gen_names(n)
-    rows = []
-    for a in range(n):
-        v = [F0] * (n * n)
-        v[a * n + a] = F1
-        rows.append(v)
-    for a in range(n):
-        for b in range(a + 1, n):
-            v = [F0] * (n * n)
-            v[a * n + b] = F1
-            v[b * n + a] = F1
-            rows.append(v)
-    return QuadraticPresentation(names, Subspace.from_rows(n * n, rows))
-
-
-def free_presentation(n):
-    """Free algebra on n generators: no relations."""
-    names = _gen_names(n)
-    return QuadraticPresentation(names, Subspace.zero(n * n))
+from koszulkit.exactlin import F1, Subspace
+# the standard presentations live in quadratic, so that a check run (the
+# Takiff dimensions) builds them without loading this module
+from koszulkit.quadratic import (
+    QuadraticPresentation, ext_presentation, free_presentation,
+    sym_presentation,
+)
 
 
 def dual_numbers_presentation():

@@ -28,7 +28,7 @@ if any construction drifts from these conventions.
 from __future__ import annotations
 
 from koszulkit.exactlin import (
-    F0, Mat, Subspace, _columns, inverse, kernel, kron, mul_kron_identity,
+    F0, F1, Mat, Subspace, _columns, inverse, kernel, kron, mul_kron_identity,
     quotient, rat_from_str, rat_to_str, swap_matrix, vstack,
 )
 from koszulkit.graded import BigradedComplex, GradedSpace
@@ -129,6 +129,48 @@ class QuadraticPresentation:
 def presentation_from_relation_rows(gen_names, rows):
     n = len(gen_names)
     return QuadraticPresentation(gen_names, Subspace.from_rows(n * n, rows))
+
+
+def _gen_names(n):
+    if n == 1:
+        return ["t"]
+    return ["x%d" % (i + 1) for i in range(n)]
+
+
+def sym_presentation(n):
+    """Polynomial algebra on n generators: commutator relations."""
+    names = _gen_names(n)
+    rows = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            v = [F0] * (n * n)
+            v[a * n + b] = F1
+            v[b * n + a] = -F1
+            rows.append(v)
+    return QuadraticPresentation(names, Subspace.from_rows(n * n, rows))
+
+
+def ext_presentation(n):
+    """Exterior algebra on n generators: squares and anticommutators."""
+    names = _gen_names(n)
+    rows = []
+    for a in range(n):
+        v = [F0] * (n * n)
+        v[a * n + a] = F1
+        rows.append(v)
+    for a in range(n):
+        for b in range(a + 1, n):
+            v = [F0] * (n * n)
+            v[a * n + b] = F1
+            v[b * n + a] = F1
+            rows.append(v)
+    return QuadraticPresentation(names, Subspace.from_rows(n * n, rows))
+
+
+def free_presentation(n):
+    """Free algebra on n generators: no relations."""
+    names = _gen_names(n)
+    return QuadraticPresentation(names, Subspace.zero(n * n))
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +646,7 @@ class DualityPairing:
         self._g = {}
         self._ginv = {}
         self._psi = {}
-        self._intertwiner = {}
+        self._verdicts = {}
         for which in (1, 2):
             for i in range(alg.N + 1):
                 self._grow(which, i)
@@ -665,6 +707,17 @@ class DualityPairing:
     def g2_inv(self, j):
         return self._get(self._ginv, 2, j)
 
+    def verdict(self, failures, window):
+        """(True, None), or (False, where) with where the first coordinates
+        that failures(self, window) yields: the verdict of an identity that
+        holds for the pairing alone, computed once per pairing and window
+        (failures is the identity's generator of failing coordinates)."""
+        key = (failures, window)
+        if key not in self._verdicts:
+            where = next(failures(self, window), None)
+            self._verdicts[key] = (where is None, where)
+        return self._verdicts[key]
+
     def psi_bar(self, i, j):
         """Invertible matrix (K_j (x) H_i)* -> K!_i (x) H!_j.
 
@@ -691,16 +744,16 @@ def verify_psi_intertwiner(pairing, max_total):
 
     This is the arbiter of every pairing convention in the package; a
     mismatch anywhere upstream makes it fail loudly."""
-    alg, dual = pairing.alg, pairing.dual
-    if not 0 <= max_total <= alg.N:
+    if not 0 <= max_total <= pairing.alg.N:
         raise ValueError("intertwiner window %d outside 0..%d"
-                         % (max_total, alg.N))
-    if max_total not in pairing._intertwiner:
-        failures = ((i, j) for i in range(1, max_total + 1)
-                    for j in range(max_total - i + 1)
-                    if pairing.psi_bar(i - 1, j + 1)
-                    @ m_bar(alg, j + 1, i - 1, "right").transpose()
-                    != m_bar(dual, i, j, "right") @ pairing.psi_bar(i, j))
-        where = next(failures, None)
-        pairing._intertwiner[max_total] = (where is None, where)
-    return pairing._intertwiner[max_total]
+                         % (max_total, pairing.alg.N))
+    return pairing.verdict(_intertwiner_failures, max_total)
+
+
+def _intertwiner_failures(pairing, max_total):
+    alg, dual = pairing.alg, pairing.dual
+    return ((i, j) for i in range(1, max_total + 1)
+            for j in range(max_total - i + 1)
+            if pairing.psi_bar(i - 1, j + 1)
+            @ m_bar(alg, j + 1, i - 1, "right").transpose()
+            != m_bar(dual, i, j, "right") @ pairing.psi_bar(i, j))

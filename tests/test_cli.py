@@ -426,3 +426,43 @@ def test_roundtrip_checks_the_intertwiner_over_the_window(tmp_path,
     assert entry["status"] == "internal-error"
     assert entry["details"]["failure"] == (
         "pairing intertwiner fails at (5, 0)")
+
+
+def test_report_digests_are_the_sha256_of_the_inputs(tmp_path):
+    import hashlib
+    pres, act = emit(tmp_path, "sl2_adjoint_takiff")
+    out = tmp_path / "r.json"
+    assert run(["check", "--input", pres, "--action", act, "--checks",
+                "validate", "--out", str(out)]) == 0
+    inputs = json.loads(out.read_text())["inputs"]
+    for key, path in (("presentation", pres), ("action", act)):
+        with open(path, "rb") as f:
+            want = hashlib.sha256(f.read()).hexdigest()
+        assert inputs[key]["sha256"] == want, key
+
+
+LOADED = """
+import sys
+from koszulkit.cli import main
+code = main(sys.argv[1:])
+print(sorted(m for m in ("hashlib", "_hashlib", "koszulkit.fixtures")
+             if m in sys.modules))
+sys.exit(code)
+"""
+
+
+def test_check_run_loads_neither_openssl_nor_the_fixtures(tmp_path):
+    # the input digests come from CPython's built-in SHA-256, and only a
+    # run without an action file needs the built-in trivial action
+    import importlib.util
+    if not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
+        pytest.skip("no built-in SHA-256 module")
+    pres, act = emit(tmp_path, "sl2_adjoint_takiff")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(koszulkit.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED, "check", "--input", pres, "--action",
+         act, "--checks", "all", "--max-degree", "3"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -7,14 +7,15 @@ from koszulkit.action import (
     ActionProvider, action_bundle_from_json, dual_action,
 )
 from koszulkit.duality import (
-    GradedAModule, I0, I_complex, P0, P_complex, _phi_matrix, _theta_matrix,
+    GradedAModule, I0, I_complex, P0, P_complex, _model_map, _phi_matrix,
+    _theta_matrix,
     adjunction_check, degree_zero_module, diagonal_vanishing, h0_certificate_I,
     h0_certificate_P, hom_A0_dim, hom_graded_A_dim, identify_socI,
     identify_topP, koszulity_via_duality, roundtrip_A, roundtrip_B,
     socI_complex, socI_model_module, topP_complex,
     validate_complex_equivariance, validate_module, validate_socI_action,
 )
-from koszulkit.exactlin import F0, F1, Mat, inverse, rank
+from koszulkit.exactlin import F0, F1, Mat, inverse, kron, rank, swap_matrix
 from koszulkit.fixtures import (
     FIXTURE_NAMES, c2_modules, c2_sign_provider, dual_numbers_presentation,
     ext_presentation, free_presentation, sl2_lie_action, sl2_provider,
@@ -261,6 +262,59 @@ def test_model_maps_inverted_from_the_cached_pairing(pres):
                 m = build(pairing, r, d)
                 inv = build(pairing, r, d, inverse=True)
                 assert inv == inverse(m), (build.__name__, r, d)
+
+
+@pytest.mark.parametrize("pres", [sym_presentation(2), sym_presentation(3)])
+def test_roundtrip_A_phi_is_the_swapped_kron_of_psi_bar(pres):
+    # roundtrip_A places psi_bar (x) id by offset; this is the product it
+    # stands for
+    N = 4
+    alg, dual, pairing = _setup(pres, None, N)
+    for r in range(N + 1):
+        for p in range(N + 1 - r):
+            width = alg.kdim(p) * alg.hdim(r)
+            for dX in (1, 2, 3):
+                want = (kron(pairing.psi_bar(r, p), Mat.identity(dX))
+                        @ swap_matrix(dX, width))
+                assert _model_map(pairing.psi_bar(r, p), dX,
+                                  inverse=True) == want, (r, p, dX)
+
+
+def _bump(cache, key):
+    # add 1 to entry (0, 0) of a memoized matrix
+    m = cache[key]
+    cache[key] = m + Mat.from_entries(m.rows, m.cols, [(0, 0, F1)])
+
+
+@pytest.mark.parametrize("perturb,socI,topP,A,B", [
+    # left multiplication by x1 on the dual, H!_1 -> H!_2
+    (lambda alg, dual: _bump(dual._generator_mults, (1, 0, "left")),
+     ("dual multiplication", 1, 0), None, None, ("generator", 1, 0, 0)),
+    # the left contraction by x2* on the dual, K!_2 -> K!_1
+    (lambda alg, dual: _bump(dual._contractions, (2, 1, "left")),
+     None, ("generator action", 2, 1), ("generator", 2, 0, 1), None),
+], ids=["dual_generator_mult", "dual_contraction"])
+def test_generator_identities_fail_once_per_pairing(perturb, socI, topP, A,
+                                                    B):
+    # the generator identities are checked once per pairing at dim X = 1;
+    # one perturbed entry that they read fails them, with coordinates, for
+    # every module of the pairing and nothing else
+    N = 3
+    provider = trivial_provider(2)
+    alg, dual, pairing = _setup(sym_presentation(2), provider, N)
+    dual.generator_mult(1, 0, "left")
+    dual.contraction(2, 1, "left")
+    perturb(alg, dual)
+    for mats in ([Mat.identity(1)], [Mat.identity(2)]):
+        X = degree_zero_module(provider, alg, mats)
+        Y = socI_model_module(provider, pairing, mats, N)
+        assert identify_socI(X, pairing, N)["first_failure"] == socI
+        assert identify_topP(Y, pairing, N)["first_failure"] == topP
+        for rt, want in ((roundtrip_A, A), (roundtrip_B, B)):
+            res = rt(provider, pairing, mats, N)
+            assert res["first_failure"] == want
+            assert res["checks"] == {"bijective": True, "chain": True,
+                                     "act0": True, "generator": not want}
 
 
 def test_roundtrip_reports_the_first_failure():

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from koszulkit.exactlin import (
     Mat, Subspace, _columns, hstack, image, inverse, kernel, kron, kron_sum,
-    mul_kron_identity, perm_matrix, quotient, rank, rat_from_str, rat_to_str,
-    rref, vstack,
+    mul_kron_identity, perm_matrix, place_blocks, quotient, rank,
+    rat_from_str, rat_to_str, rref, vstack,
 )
 
 
@@ -256,6 +256,17 @@ def test_from_entries_sums_repeats_and_checks_the_shape():
         Mat(2, 2, [[1, 2], [3]])
 
 
+def test_place_blocks_shares_a_filling_block_and_checks_the_bounds():
+    a = Mat(2, 2, [[1, 0], [3, 4]])
+    assert place_blocks(2, 2, [(0, 0, a)]) is a
+    m = place_blocks(3, 4, [(0, 0, a), (0, 2, a), (2, 1, Mat(1, 2, [[5, 6]]))])
+    assert m.tolist() == [[1, 0, 1, 0], [3, 4, 3, 4], [0, 5, 6, 0]]
+    assert_exact_mat(m)
+    for r0, c0 in ((2, 0), (0, 3), (-1, 0)):
+        with pytest.raises(ValueError):
+            place_blocks(3, 4, [(r0, c0, a)])
+
+
 @PROPERTY
 @given(row_lists())
 def test_rref_rank_kernel_match_reference(rows):
@@ -340,6 +351,8 @@ def test_every_operation_keeps_the_storage_invariant(args):
         (a.transpose(), [[row[j] for row in ra] for j in range(c)]),
         (vstack([a, b]), ra + rb),
         (hstack([a, b]), [p + q for p, q in zip(ra, rb)]),
+        (place_blocks(2 * r, 2 * c + 1, [(0, 0, a), (r, c + 1, b)]),
+         [p + [0] * (c + 1) for p in ra] + [[0] * (c + 1) + q for q in rb]),
         (kron_sum([(x, a, m), (y, b, m)], r * c, c * k),
          ref_add(ref_scale(x, ref_kron(ra, rc)),
                  ref_scale(y, ref_kron(rb, rc)))),
