@@ -13,13 +13,13 @@ which each source format computes once and ActionProvider reads:
     action satisfies rho(vec) = sum of coeff * rho(x) rho(y); a right
     action composes in the other order.
 A finite-dimensional bialgebra (Bialgebra) reads its legs and counit from
-its structure maps, and its laws are the products e_a e_b.  Its basis
-holds the unit, so it is closed under multiplication, and the smash
-product is materialized.  A Lie algebra (LieAction) stands in for its
-(infinite-dimensional) enveloping algebra, which is never materialized:
-its basis elements are primitive, with legs b (x) 1 and 1 (x) b, counit
-zero and antipode -b, its laws are the brackets [a, b] = ab - ba, and the
-smash-product identities are checked in their derivation form.
+its structure maps, and its laws are the products e_a e_b.  A Lie algebra
+(LieAction) stands in for its (infinite-dimensional) enveloping algebra,
+which is never materialized: its basis elements are primitive, with legs
+b (x) 1 and 1 (x) b, counit zero and antipode -b, and its laws are the
+brackets [a, b] = ab - ba.  One check serves every acting object: the
+smash product is never materialized, and its associativity is checked in
+its derivation form (smash_ok), from the legs and laws alone.
 
 One Sweedler rule extends every action to tensor products:
 tensor_action makes a basis element b act on W1 (x) W2 as the sum over
@@ -260,15 +260,14 @@ def _jacobi_ok(br, parities):
 
 
 def validate_lie(l):
-    """Antisymmetry, Jacobi, and the representation property on V and on
-    every registered test module."""
+    """Antisymmetry, Jacobi, and the representation property on V; the
+    test modules are checked on their own (validate_left_modules)."""
     ok, where = _jacobi_ok(l, [0] * l.dim)
     if not ok:
         return ok, where
-    for label, mats in [("V", l.rho)] + sorted(l.modules.items()):
-        ok, where = _laws_ok(l.laws, mats, "left")
-        if not ok:
-            return False, ("representation", label) + where
+    ok, where = _laws_ok(l.laws, l.rho, "left")
+    if not ok:
+        return False, ("representation", "V") + where
     return True, None
 
 
@@ -480,153 +479,35 @@ def validate_action_multiplicative(provider, r):
 # ---------------------------------------------------------------------------
 # smash products
 
-class SmashAlgebra:
-    """Semidirect product of the acting object with the graded algebra.
-
-    When the acting basis holds the unit, it spans a bialgebra A0, and
-    the graded components and multiplication tensors are materialized
-    explicitly: side "right" gives components A0 (x) H_i with
-    (b (x) h)(b' (x) h') = b b'_(1) (x) (h <| b'_(2)) h'; side "left"
-    gives H_i (x) A0 with (h (x) b)(h' (x) b') = h (b_(1) |> h') (x)
-    b_(2) b'.
-
-    Otherwise (primitive elements of a Lie algebra) the smash product is
-    virtual: the enveloping algebra is not materialized and associativity
-    is verified in its equivalent derivation form (the laws on every
-    component plus the Leibniz identity against every multiplication
-    tensor)."""
-
-    def __init__(self, provider, alg, side="right"):
-        self.provider = provider
-        self.alg = alg
-        self.side = side
-        self.N = alg.N
-        self.explicit = provider.unit is not None
-        self.d0 = provider.base.dim if self.explicit else None
-        self._mult = {}
-        if self.explicit and side != provider.side:
-            raise ValueError("side of the smash must match the side of the "
-                             "action")
-
-    def comp_dim(self, i):
-        h = self.alg.hdim(i)
-        return self.d0 * h if self.explicit else h
-
-    def _component_action(self, b, i):
-        return self.provider.h_action(self.alg, i)[b]
-
-    def _legs(self, b):
-        """Legs of b in the order the provider's tensor extension uses."""
-        return [(c, c2, c1) if self.provider.cop else (c, c1, c2)
-                for c, c1, c2 in self.provider.legs[b]]
-
-    def mult(self, i, j):
-        """Multiplication tensor of components i and j (explicit case)."""
-        if not self.explicit or i + j > self.N:
-            raise ValueError("no multiplication tensor for components %d "
-                             "and %d" % (i, j))
-        key = (i, j)
-        m = self._mult.get(key)
-        if m is not None:
-            return m
-        d = self.d0
-        hi, hj, hij = (self.alg.hdim(i), self.alg.hdim(j),
-                       self.alg.hdim(i + j))
-        a0_mult = self.provider.base.mult
-        mh = self.alg.mult(i, j)
-        entries = []
-        for b in range(d):
-            for mi in range(hi):
-                for bp in range(d):
-                    for mj in range(hj):
-                        if self.side == "right":
-                            col = ((b * hi + mi) * d + bp) * hj + mj
-                            for coeff, c1, c2 in self._legs(bp):
-                                a0_part = a0_mult.col(b * d + c1)
-                                hv = self._component_action(c2, i).col(mi)
-                                prod_in = [x * (F1 if t == mj else F0)
-                                           for x in hv for t in range(hj)]
-                                h_part = mh.apply(prod_in)
-                                for t, xv in enumerate(a0_part):
-                                    if xv:
-                                        for u, yv in enumerate(h_part):
-                                            if yv:
-                                                entries.append(
-                                                    (t * hij + u, col,
-                                                     coeff * xv * yv))
-                        else:
-                            col = ((mi * d + b) * hj + mj) * d + bp
-                            for coeff, c1, c2 in self._legs(b):
-                                hv = self._component_action(c1, j).col(mj)
-                                prod_in = [(F1 if t == mi else F0) * x
-                                           for t in range(hi) for x in hv]
-                                h_part = mh.apply(prod_in)
-                                a0_part = a0_mult.col(c2 * d + bp)
-                                for u, yv in enumerate(h_part):
-                                    if yv:
-                                        for t, xv in enumerate(a0_part):
-                                            if xv:
-                                                entries.append(
-                                                    (u * d + t, col,
-                                                     coeff * yv * xv))
-        m = Mat.from_entries(d * hij, self.comp_dim(i) * self.comp_dim(j),
-                             entries)
-        self._mult[key] = m
-        return m
-
-    def validate_associativity(self, max_total=None):
-        """Exact associativity on all materialized component triples; for
-        a virtual smash product, the equivalent derivation identities."""
-        N = max_total if max_total is not None else self.N
-        if not self.explicit:
-            prov = self.provider
-            for r in range(N + 1):
-                ok, where = _laws_ok(prov.laws, prov.h_action(self.alg, r),
-                                     prov.side)
-                if not ok:
-                    return False, ("bracket",) + where + (r,)
-            for i in range(N + 1):
-                for j in range(N + 1 - i):
-                    ok, where = _leibniz_ok(self, i, j)
-                    if not ok:
-                        return False, where
-            return True, None
-        for i in range(N + 1):
-            for j in range(N + 1 - i):
-                for k in range(N + 1 - i - j):
-                    lhs = self.mult(i + j, k) @ kron(
-                        self.mult(i, j), Mat.identity(self.comp_dim(k)))
-                    rhs = self.mult(i, j + k) @ kron(
-                        Mat.identity(self.comp_dim(i)), self.mult(j, k))
-                    if lhs != rhs:
-                        return False, (i, j, k)
-        return True, None
-
-
-def _leibniz_ok(smash_alg, i, j):
-    """Each basis element acts on products of components i and j through
-    its legs: rho(a) mult = mult (rho(a_(1)) (x) rho(a_(2))), which for a
-    primitive element is the Leibniz rule."""
-    prov, alg = smash_alg.provider, smash_alg.alg
-    mh = alg.mult(i, j)
-    on_ij = prov.h_action(alg, i + j)
-    pushed = tensor_action(prov, prov.h_action(alg, i),
-                           prov.h_action(alg, j), reverse=prov.cop)
-    for a in range(prov.basis_size):
-        if on_ij[a] @ mh != mh @ pushed[a]:
-            return False, ("leibniz", a, i, j)
+def smash_ok(provider, alg):
+    """Whether the smash product of the acting object with alg (truncated
+    at alg.N) is associative, in its derivation form: the graded
+    components are modules (the laws, and the unit law when the basis
+    holds the unit, on every H_r) and each basis element acts on products
+    of components i and j through its legs, rho(a) mult = mult
+    (rho(a_(1)) (x) rho(a_(2))), which for a primitive element is the
+    Leibniz rule.  This is the module-algebra form of associativity; as
+    H_r is acted on through the quotient, the identity at (1, 1) also
+    says the relations are stable.  Returns (True, None), or (False,
+    ("law",) + where + (r,)) with where as in _laws_ok, or (False,
+    ("leibniz", a, i, j))."""
+    N = alg.N
+    for r in range(N + 1):
+        ok, where = _laws_ok(provider.laws, provider.h_action(alg, r),
+                             provider.side, provider.unit)
+        if not ok:
+            return False, ("law",) + where + (r,)
+    for i in range(N + 1):
+        on_i = provider.h_action(alg, i)
+        for j in range(N + 1 - i):
+            mh = alg.mult(i, j)
+            on_ij = provider.h_action(alg, i + j)
+            pushed = tensor_action(provider, on_i, provider.h_action(alg, j),
+                                   reverse=provider.cop)
+            for a in range(provider.basis_size):
+                if on_ij[a] @ mh != mh @ pushed[a]:
+                    return False, ("leibniz", a, i, j)
     return True, None
-
-
-def smash(provider, alg, side="right"):
-    ok, why = validate_module_algebra(provider, alg.pres)
-    if not ok:
-        raise ValueError("not a module algebra: %r" % (why,))
-    s = SmashAlgebra(provider, alg, side)
-    ok, where = s.validate_associativity()
-    if not ok:
-        raise ValueError("smash product not associative at %r" % (where,))
-    return s
 
 
 # ---------------------------------------------------------------------------

@@ -96,15 +96,17 @@ def _load_action(path):
 # individual checks; each returns (status, details) with status in
 # "pass" | "fail" | "skipped"; InternalInvariant aborts with exit 3
 
-def _acting_object(pres, provider):
-    """The acting object's own axioms, checked once per run and shared by
-    the checks that need them: the axioms of its source format, the laws
-    on V and V (x) V, and the stability of the relations.  Returns the
-    source format's name, the failure of its source axioms and the first
-    failure of all, each None when the axioms hold."""
+def _acting_object(pres, provider, modules):
+    """The acting object's own axioms and the laws of its test modules,
+    checked once per run and shared by the checks that need them: the
+    axioms of its source format, the laws on V and V (x) V, and the
+    stability of the relations.  Returns the source format's name, the
+    failure of its source axioms, the first failure of all (each None when
+    the axioms hold) and, when they hold, the failing modules, by name, with
+    the coordinates of validate_left_modules."""
     from koszulkit.action import (
         Bialgebra, validate_action_multiplicative, validate_bialgebra,
-        validate_lie, validate_module_algebra,
+        validate_left_modules, validate_lie, validate_module_algebra,
     )
     if isinstance(provider.base, Bialgebra):
         kind = "bialgebra"
@@ -115,30 +117,35 @@ def _acting_object(pres, provider):
         ok, where = validate_lie(provider.base)
         source = None if ok else "lie axiom: %r" % (where,)
     if source:
-        return kind, source, source
+        return kind, source, source, {}
     for r in (1, 2):
         ok, where = validate_action_multiplicative(provider, r)
         if not ok:
-            return kind, None, "action not multiplicative: %r" % (where,)
+            return (kind, None, "action not multiplicative: %r" % (where,),
+                    {})
     ok, where = validate_module_algebra(provider, pres)
     if not ok:
-        return kind, None, "relations not stable: %r" % (where,)
-    return kind, None, None
+        return kind, None, "relations not stable: %r" % (where,), {}
+    bad_modules = {}
+    for name in sorted(modules):
+        ok, where = validate_left_modules(provider, {name: modules[name]})
+        if not ok:
+            bad_modules[name] = where
+    return kind, None, None, bad_modules
 
 
 def _check_validate(pres, acting, provider, modules):
-    from koszulkit.action import validate_left_modules
     details = {"generators": pres.gen_names,
                "relation_count": pres.relations.dim}
     if provider is None:
         return "pass", details
-    details["acting_object"], _source, failure = acting
+    details["acting_object"], _source, failure, bad_modules = acting
     if failure:
         details["failure"] = failure
         return "fail", details
-    ok, where = validate_left_modules(provider, modules)
-    if not ok:
-        details["failure"] = "module law: %r" % (where,)
+    if bad_modules:
+        details["failure"] = "module law: %r" % (
+            bad_modules[min(bad_modules)],)
         return "fail", details
     details["modules"] = sorted(modules)
     return "pass", details
@@ -182,17 +189,28 @@ def _check_koszul(pres, alg, N):
     return "pass", details
 
 
-def _check_smash(provider, alg, dual_alg):
-    from koszulkit.action import dual_action, smash
-    # smash() validates associativity and raises if it fails
-    try:
-        smash(provider, alg, "right")
-    except ValueError as exc:
-        return "fail", {"failure": str(exc)}
-    try:
-        smash(dual_action(provider), dual_alg, "left")
-    except ValueError as exc:
-        return "fail", {"failure": "dual side: %s" % exc}
+def _check_smash(provider, acting, alg, dual_alg):
+    """The relations' stability comes from the shared verdict of
+    _acting_object; the dual side checks its own, a different identity."""
+    from koszulkit.action import (
+        dual_action, smash_ok, validate_module_algebra,
+    )
+    failure = acting[2]
+    if failure:
+        return "fail", {"failure": failure}
+    ok, where = smash_ok(provider, alg)
+    if not ok:
+        return "fail", {"failure": "smash product not associative at %r"
+                        % (where,)}
+    dual = dual_action(provider)
+    ok, where = validate_module_algebra(dual, dual_alg.pres)
+    if not ok:
+        return "fail", {"failure": "dual side: not a module algebra: %r"
+                        % (where,)}
+    ok, where = smash_ok(dual, dual_alg)
+    if not ok:
+        return "fail", {"failure": "dual side: smash product not "
+                        "associative at %r" % (where,)}
     return "pass", {"right_smash_associative": True,
                     "dual_smash_associative": True}
 
@@ -203,7 +221,7 @@ def _check_takiff(provider, acting):
     from koszulkit.action import TakiffLie, takiff_graded_dims, validate_jacobi
     if provider is None or provider.unit is not None:
         return "skipped", {"reason": "takiff applies to lie actions only"}
-    _kind, source, _failure = acting
+    source = acting[1]
     if source:
         return "fail", {"failure": source}
     details = {}
@@ -226,10 +244,12 @@ def _check_takiff(provider, acting):
 def _duality_inputs(acting, provider, modules, alg, dual_alg):
     """What the duality and roundtrip checks share in one run: one
     pairing, the acting object (the trivial one when none is given) with
-    its modules, the failure of its axioms if any, and the complexes
-    built so far, by module name.  A pairing that is not invertible is an
-    internal invariant."""
-    failure = acting[2] if acting else None
+    its modules, the failure of its axioms if any, the modules whose laws
+    fail, and the complexes built so far, by module name.  A pairing that
+    is not invertible is an internal invariant."""
+    failure, bad_modules = acting[2:] if acting else (None, {})
+    bad_modules = {name: "module: %r" % (where,)
+                   for name, where in bad_modules.items()}
     if provider is None:
         from koszulkit.fixtures import trivial_provider
         provider, modules = trivial_provider(alg.n), {"k": [Mat.identity(1)]}
@@ -238,13 +258,13 @@ def _duality_inputs(acting, provider, modules, alg, dual_alg):
     except ValueError as exc:
         raise InternalInvariant(str(exc))
     return {"pairing": pairing, "provider": provider, "modules": modules,
-            "complexes": {}, "failure": failure}
+            "complexes": {}, "failure": failure, "bad_modules": bad_modules}
 
 
 def _check_duality(shared, N):
     from koszulkit.duality import (
         degree_zero_module, identify_socI, identify_topP,
-        koszulity_via_duality, socI_model_module, validate_module,
+        koszulity_via_duality, socI_model_module,
     )
     if shared["failure"]:
         return "fail", {"failure": shared["failure"]}
@@ -254,13 +274,12 @@ def _check_duality(shared, N):
     details = {"modules": {}}
     status = "pass"
     for name in sorted(modules):
-        mats = modules[name]
-        X = degree_zero_module(provider, alg, mats)
-        ok, where = validate_module(X)
-        if not ok:
-            details["modules"][name] = {"failure": "module: %r" % (where,)}
+        if name in shared["bad_modules"]:
+            details["modules"][name] = {"failure": shared["bad_modules"][name]}
             status = "fail"
             continue
+        mats = modules[name]
+        X = degree_zero_module(provider, alg, mats)
         res = koszulity_via_duality(provider, pairing, mats, N)
         entry = {
             "per_degree_injective":
@@ -307,7 +326,12 @@ def _check_roundtrip(shared, N):
     if not ok_psi:
         raise InternalInvariant("pairing intertwiner fails at %r" % (where,))
     details = {"modules": {}}
+    status = "pass"
     for name in sorted(shared["modules"]):
+        if name in shared["bad_modules"]:
+            details["modules"][name] = {"failure": shared["bad_modules"][name]}
+            status = "fail"
+            continue
         mats = shared["modules"][name]
         # each complex is dropped once its round trip has used it, so
         # that the complexes of all modules are not alive together
@@ -328,7 +352,7 @@ def _check_roundtrip(shared, N):
             raise InternalInvariant(
                 "round trip B failed for %r at %r" % (name,
                                                       rb["first_failure"]))
-    return "pass", details
+    return status, details
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +487,7 @@ def run_check(args):
     def need_acting():
         nonlocal acting
         if acting is None and provider is not None:
-            acting = _acting_object(pres, provider)
+            acting = _acting_object(pres, provider, modules)
         return acting
 
     def need_shared():
@@ -491,8 +515,8 @@ def run_check(args):
                 if provider is None:
                     status, details = "skipped", {"reason": "no action given"}
                 else:
-                    a, d = need_alg()
-                    status, details = _check_smash(provider, a, d)
+                    status, details = _check_smash(provider, need_acting(),
+                                                   *need_alg())
             elif name == "takiff":
                 status, details = _check_takiff(provider, need_acting())
             elif name == "duality":
@@ -606,8 +630,6 @@ def build_parser():
     pc.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pc.add_argument("--property-cases", type=int, default=0,
                     help="additionally run this many seeded random cases")
-    pc.add_argument("--jobs", type=int, default=1,
-                    help="accepted for interface stability; single process")
     pf = sub.add_parser("fixtures", help="emit built-in input files")
     pf.add_argument("--name")
     pf.add_argument("--out-dir")

@@ -511,7 +511,6 @@ def P_complex(X, N=None):
     N = _window(alg, N)
     if X.truncated_below:
         raise ValueError("input module must be genuinely bounded below")
-    n = alg.n
     jmin, jmax = X.jmin, X.jmax
     s_lo, s_hi = jmin, jmin + N
     comps, blocks, complete = {}, {}, {}

@@ -300,7 +300,7 @@ class TruncatedGradedAlgebra:
             if i == 1:
                 m = right
             else:
-                kp, w = self.kdim(i - 1), self.kdim(i - 2) * n
+                w = self.kdim(i - 2) * n
                 # (incl_left(i - 1) (x) I_n) incl_right(i), rows (a, t, v)
                 z = mul_kron_identity(right.transpose(),
                                       self.incl_left(i - 1).transpose(),

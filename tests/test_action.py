@@ -3,9 +3,8 @@ from fractions import Fraction
 import pytest
 
 from koszulkit.action import (
-    ActionProvider, Bialgebra, LieAction, SmashAlgebra,
-    action_bundle_from_json, action_bundle_to_json, dual_action, smash,
-    takiff, takiff_graded_dims, tensor_action, validate_action_multiplicative,
+    ActionProvider, Bialgebra, LieAction, action_bundle_from_json,
+    action_bundle_to_json, dual_action, smash_ok, takiff, takiff_graded_dims, tensor_action, validate_action_multiplicative,
     validate_bialgebra, validate_jacobi, validate_left_modules, validate_lie,
     validate_module_algebra,
 )
@@ -155,35 +154,15 @@ def test_dual_action_preserves_dual_relations():
         assert validate_module_algebra(dprov, dual_pres) == (True, None)
 
 
-def test_smash_c2_sign_products():
-    alg = grow(sym_presentation(1), 4)
-    s = smash(c2_sign_provider(), alg, "right")
-    assert s.comp_dim(0) == 2 and s.comp_dim(3) == 2
-    # (g (x) 1)(1 (x) t) = g (x) t  while  (1 (x) t)(g (x) 1) = -g (x) t
-    # component 0 basis: 1, g ; component 1 basis: 1 (x) t, g (x) t
-    g = [F0, F1]
-    t = [F1, F0]  # 1 (x) t
-    gt = [F0, F1]
-    pair = [x * y for x in g for y in t]
-    assert s.mult(0, 1).apply(pair) == gt
-    pair = [x * y for x in t for y in g]
-    assert s.mult(1, 0).apply(pair) == [F0, -F1]
-
-
 def test_smash_degenerate_cases():
-    # H truncated at zero: the smash is the acting algebra itself
+    # H truncated at zero: only the laws on H_0 (the counit) are left
     alg0 = grow(sym_presentation(1), 0)
-    s = smash(c2_sign_provider(), alg0, "right")
-    b = c2_group_algebra()
-    assert s.mult(0, 0) == b.mult
+    assert smash_ok(c2_sign_provider(), alg0) == (True, None)
     # trivial acting algebra: the smash is H itself
     alg = grow(sym_presentation(2), 3)
     triv = ActionProvider.from_bialgebra(trivial_bialgebra(),
                                          [Mat.identity(2)])
-    s2 = smash(triv, alg, "right")
-    for i in range(3):
-        for j in range(3 - i):
-            assert s2.mult(i, j) == alg.mult(i, j)
+    assert smash_ok(triv, alg) == (True, None)
 
 
 def test_smash_left_side_on_dual():
@@ -192,27 +171,28 @@ def test_smash_left_side_on_dual():
     for provider, pres in ((c2_sign_provider(), sym_presentation(1)),
                            (sweedler_provider(), dual_numbers_presentation())):
         dual_alg = grow(quadratic_dual(pres), 4)
-        s = smash(dual_action(provider), dual_alg, "left")
-        assert s.validate_associativity() == (True, None)
+        assert smash_ok(dual_action(provider), dual_alg) == (True, None)
 
 
 def test_smash_lie_virtual():
     alg = grow(sym_presentation(3), 3)
-    s = smash(sl2_provider(), alg, "right")
-    assert s.validate_associativity() == (True, None)
+    assert smash_ok(sl2_provider(), alg) == (True, None)
     dual_alg = grow(quadratic_dual(sym_presentation(3)), 3)
-    s2 = smash(dual_action(sl2_provider()), dual_alg, "left")
-    assert s2.validate_associativity() == (True, None)
+    assert smash_ok(dual_action(sl2_provider()), dual_alg) == (True, None)
 
 
 def test_smash_rejects_bad_action():
+    # the swap of x1 and x2 moves the relation x1 x2 to x2 x1: the
+    # relations escape, so g acting on H_2 through the quotient is no
+    # longer an involution, and the law g g = 1 breaks there
     bad = ActionProvider.from_bialgebra(
         c2_group_algebra(), [Mat.identity(2), Mat(2, 2, [[0, 1], [1, 0]])])
     lopsided = presentation_from_relation_rows(["x1", "x2"],
                                                [[F0, F1, F0, F0]])
+    assert validate_module_algebra(bad, lopsided) == (
+        False, ("relation escapes", "g"))
     alg = grow(lopsided, 3)
-    with pytest.raises(ValueError):
-        smash(bad, alg, "right")
+    assert smash_ok(bad, alg) == (False, ("law", 1, 1, 2))
 
 
 def test_takiff_even_and_super():
@@ -291,26 +271,25 @@ def test_law_failures_lie():
         for r in (1, 2):
             assert validate_action_multiplicative(p, r) == (False, (0, 2))
     alg = grow(sym_presentation(3), 3)
-    assert SmashAlgebra(provider, alg, "right").validate_associativity() \
-        == (False, ("bracket", 0, 2, 1))
+    assert smash_ok(provider, alg) == (False, ("law", 0, 2, 1))
     dual_alg = grow(quadratic_dual(sym_presentation(3)), 3)
-    assert SmashAlgebra(dual_action(provider), dual_alg,
-                        "left").validate_associativity() \
-        == (False, ("bracket", 0, 2, 1))
+    assert smash_ok(dual_action(provider), dual_alg) \
+        == (False, ("law", 0, 2, 1))
+    # a test module is checked on its own, not as a Lie axiom
     mods = dict(lie.modules)
     mods["adjoint"] = list(mods["adjoint"])
     mods["adjoint"][2] = _bump(mods["adjoint"][2], 2, 0)
     assert validate_left_modules(sl2_provider(), mods) \
         == (False, ("adjoint", 0, 2))
     assert validate_lie(LieAction(lie.names, lie.brackets, lie.rho, mods)) \
-        == (False, ("representation", "adjoint", 0, 2))
+        == (True, None)
 
 
 @pytest.mark.parametrize("mkprov,mkmods,pres,k,mult_fails,smash_fails", [
     (c2_sign_provider, c2_modules, sym_presentation(1), 1,
-     {1: (1, 1), 2: (1, 1)}, ((1, 0, 0), (0, 0, 1))),
+     {1: (1, 1), 2: (1, 1)}, (("law", 1, 1, 1), ("law", 1, 1, 1))),
     (sweedler_provider, sweedler_modules, dual_numbers_presentation(), 2,
-     {1: (1, 2), 2: None}, ((1, 0, 0), (0, 0, 1))),
+     {1: (1, 2), 2: None}, (("law", 1, 2, 1), ("law", 1, 2, 1))),
 ], ids=["c2_sign", "sweedler"])
 def test_law_failures_bialgebra(mkprov, mkmods, pres, k, mult_fails,
                                 smash_fails):
@@ -327,10 +306,8 @@ def test_law_failures_bialgebra(mkprov, mkmods, pres, k, mult_fails,
             assert validate_action_multiplicative(p, r) == want
     alg = grow(pres, 3)
     dual_alg = grow(quadratic_dual(pres), 3)
-    assert SmashAlgebra(provider, alg, "right").validate_associativity() \
-        == (False, smash_fails[0])
-    assert SmashAlgebra(dual_action(provider), dual_alg,
-                        "left").validate_associativity() \
+    assert smash_ok(provider, alg) == (False, smash_fails[0])
+    assert smash_ok(dual_action(provider), dual_alg) \
         == (False, smash_fails[1])
     for b, where in ((0, "unit"), (k, 1)):
         mods = mkmods()

@@ -354,7 +354,7 @@ def test_invalid_lie_action_fails_takiff_without_traceback(tmp_path):
     assert run(["check", "--input", pres, "--action", str(act), "--checks",
                 "all", "--max-degree", "3", "--out", str(out)]) == 1
     report = json.loads(out.read_text())
-    for name in ("validate", "takiff", "duality", "roundtrip"):
+    for name in ("validate", "smash", "takiff", "duality", "roundtrip"):
         entry = report["checks"][name]
         assert entry["status"] == "fail", name
         assert entry["details"]["failure"] == (
@@ -373,11 +373,64 @@ def test_acting_object_axioms_gate_duality_checks(tmp_path, checks):
     assert run(["check", "--input", pres, "--action", str(act), "--checks",
                 checks, "--max-degree", "3", "--out", str(out)]) == 1
     report = json.loads(out.read_text())
-    for name in ("duality", "roundtrip"):
+    for name in ("smash", "duality", "roundtrip"):
         if checks in (name, "all"):
             entry = report["checks"][name]
             assert entry["status"] == "fail"
             assert entry["details"]["failure"] == "bialgebra axiom: counit law"
+
+
+@pytest.mark.parametrize("checks", ["roundtrip", "all"])
+def test_bialgebra_module_law_fails_roundtrip(tmp_path, checks):
+    # g acting by 2 on the module sign is not an involution: the module
+    # laws are checked once per run and read by every check that uses the
+    # modules, so the round trip fails sign and still runs triv
+    pres, _ = emit(tmp_path, "c2_sign_takiff")
+    act = tmp_path / "bad_sign.json"
+    act.write_text(json.dumps(_edit(_c2_bundle(),
+                                    ("modules", "sign", "action", 1),
+                                    [["2"]])))
+    out = tmp_path / "r.json"
+    assert run(["check", "--input", pres, "--action", str(act), "--checks",
+                checks, "--max-degree", "3", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["verdict"] == "fail"
+    names = ("roundtrip",) if checks == "roundtrip" else (
+        "duality", "roundtrip")
+    for name in names:
+        entry = report["checks"][name]
+        assert entry["status"] == "fail", name
+        modules = entry["details"]["modules"]
+        assert modules["sign"] == {"failure": "module: ('sign', 1, 1)"}
+        assert "failure" not in modules["triv"]
+    if checks == "all":
+        assert report["checks"]["validate"]["details"]["failure"] == (
+            "module law: ('sign', 1, 1)")
+
+
+def test_lie_module_law_fails_only_that_module(tmp_path):
+    # f on the adjoint test module is off at (2, 0): the module's own law
+    # fails, but the Lie axioms hold, so takiff and smash pass and triv
+    # still runs through duality and the round trip
+    pres, _ = emit(tmp_path, "sl2_adjoint_takiff")
+    act = tmp_path / "bad_adjoint.json"
+    act.write_text(json.dumps(_edit(
+        _sl2_bundle(), ("modules", "adjoint", "action", "f"),
+        [["0", "0", "0"], ["-1", "0", "0"], ["1", "2", "0"]])))
+    out = tmp_path / "r.json"
+    assert run(["check", "--input", pres, "--action", str(act), "--checks",
+                "all", "--max-degree", "3", "--out", str(out)]) == 1
+    checks = json.loads(out.read_text())["checks"]
+    assert checks["validate"]["status"] == "fail"
+    assert checks["validate"]["details"]["failure"] == (
+        "module law: ('adjoint', 0, 2)")
+    for name in ("smash", "takiff"):
+        assert checks[name]["status"] == "pass", name
+    for name in ("duality", "roundtrip"):
+        assert checks[name]["status"] == "fail", name
+        modules = checks[name]["details"]["modules"]
+        assert modules["adjoint"] == {"failure": "module: ('adjoint', 0, 2)"}
+        assert "failure" not in modules["triv"]
 
 
 @pytest.mark.parametrize("checks", ["duality", "roundtrip"])
