@@ -4,7 +4,7 @@ Run with:  python3 demos/01_koszul_basics.py
 """
 
 from koszulkit.fixtures import ext_presentation, sym_presentation
-from koszulkit.graded import check_d_squared, hilbert, homology
+from koszulkit.graded import check_d_squared, homology
 from koszulkit.quadratic import (
     grow, koszul_complex, koszulity_check, quadratic_dual,
 )

@@ -1,7 +1,7 @@
 """Degree-zero-side structure: acting objects, module algebras,
 semidirect (smash) products and Takiff-type Lie (super)algebras.
 
-An acting object is a finite basis together with four pieces of data,
+An acting object is a finite basis together with five pieces of data,
 which each source format computes once and ActionProvider reads:
   * legs[b]: the Sweedler legs (coeff, c1, c2) of the comultiplication of
     basis element b, with None standing for the unit, which acts as the
@@ -11,15 +11,18 @@ which each source format computes once and ActionProvider reads:
     not contain it;
   * laws: a list of (vec, [(coeff, x, y)]), each saying that a left
     action satisfies rho(vec) = sum of coeff * rho(x) rho(y); a right
-    action composes in the other order.
+    action composes in the other order;
+  * inverse_antipode[b]: the coefficient vector of S^-1(b), which makes a
+    right action left in the induced modules of duality.
 A finite-dimensional bialgebra (Bialgebra) reads its legs and counit from
-its structure maps, and its laws are the products e_a e_b.  A Lie algebra
-(LieAction) stands in for its (infinite-dimensional) enveloping algebra,
-which is never materialized: its basis elements are primitive, with legs
-b (x) 1 and 1 (x) b, counit zero and antipode -b, and its laws are the
-brackets [a, b] = ab - ba.  One check serves every acting object: the
-smash product is never materialized, and its associativity is checked in
-its derivation form (smash_ok), from the legs and laws alone.
+its structure maps, its laws are the products e_a e_b, and it solves for
+its antipode when first asked.  A Lie algebra (LieAction) stands in for
+its (infinite-dimensional) enveloping algebra, which is never
+materialized: its basis elements are primitive, with legs b (x) 1 and
+1 (x) b, counit zero and S^-1(b) = -b, and its laws are the brackets
+[a, b] = ab - ba.  One check serves every acting object: the smash
+product is never materialized, and its associativity is checked in its
+derivation form (smash_ok), from the legs and laws alone.
 
 One Sweedler rule extends every action to tensor products:
 tensor_action makes a basis element b act on W1 (x) W2 as the sum over
@@ -39,16 +42,20 @@ Nothing on the tensor power V^(x)i is formed; the tensor powers
 themselves (tensor_mats) serve only the validators, which need r <= 2.
 
 Side and comultiplication bookkeeping: every action is stored as plain
-matrices (one per basis element of the acting object) together with a
-side flag and a cop flag.  The cop flag says the extension to tensor
-powers distributes the comultiplication legs in reverse, which is what
-the dual action on V* requires.
+matrices (one per basis element of the acting object) and a cop flag.
+With cop set, as the dual action on V* (dual_action) requires, tensor
+powers distribute the comultiplication legs in reverse and the action is
+written on the left; a source's own action is written on the right.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+from itertools import chain
+
 from koszulkit.exactlin import (
-    F0, F1, Mat, _columns, _exact, kron, kron_sum, rat_from_str, rat_to_str,
+    F0, F1, Mat, _columns, _exact, inverse, kron, kron_sum, rat_from_str,
+    rat_to_str, rref,
 )
 
 
@@ -82,6 +89,31 @@ class Bialgebra:
                      for b in range(dim)]
         self.laws = [(mult.col(a * dim + b), [(F1, a, b)])
                      for a in range(dim) for b in range(dim)]
+
+    @cached_property
+    def inverse_antipode(self):
+        """S^-1(b) for each basis element b, as coefficient vectors, solved
+        for when first read.  S solves m (S (x) id) Delta = u eps, linear
+        in its entries, and is then the inverse of id in the convolution
+        algebra End(B), so a solution is unique; it is bijective, as the
+        antipode of a finite-dimensional Hopf algebra is.  Raises
+        ValueError when there is no antipode."""
+        d = self.dim
+        # S[i][c], the coefficient of e_i in S(e_c), at column i * d + c;
+        # row k * d + b is coordinate k of the equation at e_b
+        eqs = Mat.from_entries(d * d, d * d + 1, chain(
+            ((k * d + b, i * d + c1, coeff * x)
+             for b in range(d) for coeff, c1, c2 in self.legs[b]
+             for i in range(d)
+             for k, x in enumerate(self.mult.col(i * d + c2)) if x),
+            ((k * d + b, d * d, self.counit[b] * u)
+             for b in range(d) for k, u in enumerate(self.unit))))
+        red, pivots = rref(eqs)
+        if pivots != list(range(d * d)):
+            raise ValueError("the bialgebra has no antipode")
+        sol = red.col(d * d)
+        s_inv = inverse(Mat(d, d, [sol[i * d:i * d + d] for i in range(d)]))
+        return s_inv.transpose().tolist()
 
     def to_json_obj(self):
         d = self.dim
@@ -166,9 +198,10 @@ class LieAction(_Bracket):
     """Lie algebra by structure constants with a representation on V and
     optional representations on named test modules.
 
-    rho[a] is the matrix of x_a on V (a left action).  legs, counit, unit
-    and laws are the acting-object data of the module docstring: every
-    basis element is primitive, and the laws are the brackets."""
+    rho[a] is the matrix of x_a on V (a left action).  legs, counit, unit,
+    laws and inverse_antipode are the acting-object data of the module
+    docstring: every basis element is primitive, and the laws are the
+    brackets."""
 
     def __init__(self, names, brackets, rho, modules=None):
         self.names = list(names)
@@ -187,6 +220,7 @@ class LieAction(_Bracket):
         self.unit = None
         self.laws = [(self.bracket_basis(a, b), [(F1, a, b), (-F1, b, a)])
                      for a in range(self.dim) for b in range(self.dim)]
+        self.inverse_antipode = (-Mat.identity(self.dim)).tolist()
 
     def to_json_obj(self):
         br = {}
@@ -265,7 +299,7 @@ def validate_lie(l):
     ok, where = _jacobi_ok(l, [0] * l.dim)
     if not ok:
         return ok, where
-    ok, where = _laws_ok(l.laws, l.rho, "left")
+    ok, where = _laws_ok(l.laws, l.rho)
     if not ok:
         return False, ("representation", "V") + where
     return True, None
@@ -280,10 +314,10 @@ def _combine(mats, vec):
     return out
 
 
-def _laws_ok(laws, mats, side, unit=None):
+def _laws_ok(laws, mats, right=False, unit=None):
     """Whether mats, one matrix per acting basis element, satisfy the laws
-    rho(vec) = sum of coeff * rho(x) rho(y), with x and y swapped for a
-    right action, and, when unit is given, rho(unit) = 1.  Returns
+    rho(vec) = sum of coeff * rho(x) rho(y), with x and y swapped when
+    right is set, and, when unit is given, rho(unit) = 1.  Returns
     (True, None), or (False, ("unit",)), or (False, (x, y)) with x, y
     those of the first term of the first law that fails."""
     if unit is not None and _combine(mats, unit) != Mat.identity(
@@ -293,7 +327,7 @@ def _laws_ok(laws, mats, side, unit=None):
         want = _combine(mats, vec)
         got = Mat.zeros(want.rows, want.cols)
         for coeff, x, y in terms:
-            if side == "right":
+            if right:
                 x, y = y, x
             got = got + (mats[x] @ mats[y]).scale(coeff)
         if want != got:
@@ -309,18 +343,18 @@ class ActionProvider:
 
     base is the source format; legs, counit, unit and laws are its data
     (see the module docstring).  mats[b] is the matrix of the action of
-    the b-th basis element on the space (dimension space_dim).  side
-    records on which side the action is written; cop means tensor-power
-    extensions distribute the comultiplication legs in reverse order.  A
-    Lie algebra acts on the right through its negated representation."""
+    the b-th basis element on the space (dimension space_dim).  cop means
+    tensor-power extensions distribute the comultiplication legs in
+    reverse order; the action is then written on the left, else on the
+    right.  A Lie algebra acts on the right through its negated
+    representation."""
 
-    def __init__(self, base, mats, side="right", cop=False):
+    def __init__(self, base, mats, *, cop=False):
         self.base = base
         self.legs, self.counit, self.unit, self.laws = (
             base.legs, base.counit, base.unit, base.laws)
         self.mats = list(mats)
         self.space_dim = self.mats[0].rows if self.mats else 0
-        self.side = side
         self.cop = cop
         self._tensor = []
         self._on = {}
@@ -438,15 +472,14 @@ def tensor_action(provider, mats1, mats2, reverse=False):
 
 
 def dual_action(provider):
-    """Transport to the dual space: matrices transpose, the side flips,
-    and tensor extensions switch to the reversed legs.
+    """Transport to the dual space: matrices transpose, and tensor
+    extensions switch to the reversed legs, so the side flips.
     Built once per provider, so the dual's memoized actions are shared,
     and the dual of the dual is the provider itself."""
     if provider._dual is None:
-        side = "left" if provider.side == "right" else "right"
         dual = ActionProvider(provider.base,
                               [m.transpose() for m in provider.mats],
-                              side=side, cop=not provider.cop)
+                              cop=not provider.cop)
         dual._dual = provider
         provider._dual = dual
     return provider._dual
@@ -472,8 +505,8 @@ def validate_module_algebra(provider, pres):
 
 def validate_action_multiplicative(provider, r):
     """The tensor-power action satisfies the laws of the acting object
-    (with the composition order dictated by the side)."""
-    return _laws_ok(provider.laws, provider.tensor_mats(r), provider.side)
+    (composed on the right unless cop is set)."""
+    return _laws_ok(provider.laws, provider.tensor_mats(r), not provider.cop)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +527,7 @@ def smash_ok(provider, alg):
     N = alg.N
     for r in range(N + 1):
         ok, where = _laws_ok(provider.laws, provider.h_action(alg, r),
-                             provider.side, provider.unit)
+                             not provider.cop, provider.unit)
         if not ok:
             return False, ("law",) + where + (r,)
     for i in range(N + 1):
@@ -666,7 +699,7 @@ def validate_left_modules(provider, modules):
     its laws hold, and so does the unit law when the basis holds the
     unit."""
     for name, mats in sorted(modules.items()):
-        ok, where = _laws_ok(provider.laws, mats, "left", provider.unit)
+        ok, where = _laws_ok(provider.laws, mats, unit=provider.unit)
         if not ok:
             return False, (name,) + where
     return True, None

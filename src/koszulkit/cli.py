@@ -216,10 +216,10 @@ def _check_smash(provider, acting, alg, dual_alg):
 
 
 def _check_takiff(provider, acting):
-    """The Lie axioms come from the shared verdict of _acting_object; the
-    Takiff bracket is built and checked once per parity."""
+    """On a Lie source only.  The Lie axioms come from the shared verdict
+    of _acting_object; the Takiff bracket is built once per parity."""
     from koszulkit.action import TakiffLie, takiff_graded_dims, validate_jacobi
-    if provider is None or provider.unit is not None:
+    if provider is None or acting[0] != "lie":
         return "skipped", {"reason": "takiff applies to lie actions only"}
     source = acting[1]
     if source:
@@ -241,15 +241,19 @@ def _check_takiff(provider, acting):
     return "pass", details
 
 
-def _duality_inputs(acting, provider, modules, alg, dual_alg):
-    """What the duality and roundtrip checks share in one run: one
-    pairing, the acting object (the trivial one when none is given) with
-    its modules, the failure of its axioms if any, the modules whose laws
-    fail, and the complexes built so far, by module name.  A pairing that
-    is not invertible is an internal invariant."""
+def _duality_inputs(acting, provider, modules, need_alg):
+    """What the duality and roundtrip checks share in one run: the failure
+    of the acting object's axioms, all they then report, or one pairing
+    (need_alg grows the algebras), the acting object (the trivial one when
+    none is given) with its modules, the modules whose laws fail, and the
+    complexes built so far, by module name.  A pairing that is not
+    invertible is an internal invariant."""
     failure, bad_modules = acting[2:] if acting else (None, {})
+    if failure:
+        return {"failure": failure}
     bad_modules = {name: "module: %r" % (where,)
                    for name, where in bad_modules.items()}
+    alg, dual_alg = need_alg()
     if provider is None:
         from koszulkit.fixtures import trivial_provider
         provider, modules = trivial_provider(alg.n), {"k": [Mat.identity(1)]}
@@ -258,16 +262,16 @@ def _duality_inputs(acting, provider, modules, alg, dual_alg):
     except ValueError as exc:
         raise InternalInvariant(str(exc))
     return {"pairing": pairing, "provider": provider, "modules": modules,
-            "complexes": {}, "failure": failure, "bad_modules": bad_modules}
+            "complexes": {}, "failure": None, "bad_modules": bad_modules}
 
 
 def _check_duality(shared, N):
+    if shared["failure"]:
+        return "fail", {"failure": shared["failure"]}
     from koszulkit.duality import (
         degree_zero_module, identify_socI, identify_topP,
         koszulity_via_duality, socI_model_module,
     )
-    if shared["failure"]:
-        return "fail", {"failure": shared["failure"]}
     pairing, provider = shared["pairing"], shared["provider"]
     modules = shared["modules"]
     alg = pairing.alg
@@ -317,9 +321,9 @@ def _check_duality(shared, N):
 
 
 def _check_roundtrip(shared, N):
-    from koszulkit.duality import roundtrip_A, roundtrip_B
     if shared["failure"]:
         return "fail", {"failure": shared["failure"]}
+    from koszulkit.duality import roundtrip_A, roundtrip_B
     pairing, provider = shared["pairing"], shared["provider"]
     # over the whole window, once: every roundtrip_A reads this verdict
     ok_psi, where = verify_psi_intertwiner(pairing, N)
@@ -494,7 +498,7 @@ def run_check(args):
         nonlocal shared
         if shared is None:
             shared = _duality_inputs(need_acting(), provider, modules,
-                                     *need_alg())
+                                     need_alg)
         return shared
 
     overall = "pass"

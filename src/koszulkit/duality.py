@@ -38,12 +38,10 @@ slow, i.e. vec(f)[x * dim U + u] = coefficient of basis x in f(u).
 
 from __future__ import annotations
 
-from koszulkit.action import (
-    dual_action, tensor_action, validate_left_modules,
-)
+from koszulkit.action import _combine, dual_action, tensor_action
 from koszulkit.exactlin import (
-    F1, Mat, Subspace, _columns, hstack, image, inverse, kernel, kron,
-    place_blocks, quotient, rank, vstack,
+    F1, Mat, _columns, hstack, image, kernel, kron, place_blocks, quotient,
+    rank, vstack,
 )
 from koszulkit.graded import BigradedComplex, check_d_squared, homology
 from koszulkit.quadratic import m_bar, verify_psi_intertwiner
@@ -97,55 +95,16 @@ def _rho_hom(A, E, n, dx_in, w_in, w_out):
     return Mat.from_entries(dx_out * w_out, dx_in * w_in, entries())
 
 
-def _induced_left_action_bialg(provider, mid_right_mats, inner_left_mats,
-                               mid_dim, inner_dim):
-    """Left A0-action on the k-model Mid (x) Inner of the balanced tensor
-    product (A0 (x) Mid) (x)_{A0} Inner, computed as a quotient transport
-    (no antipode needed): mod out (c a_(1) (x) m <| a_(2) (x) x) -
-    (c (x) m (x) a x), embed at c = unit, and conjugate left
-    multiplication through the quotient."""
-    b0 = provider.base
-    d0 = b0.dim
-    inner_total = mid_dim * inner_dim
-    ambient = d0 * inner_total
-    # right multiplication in A0, extended to A0 (x) Mid by the legs
-    rmults = [_columns(b0.mult, range(c, d0 * d0, d0)) for c in range(d0)]
-    twists = tensor_action(provider, rmults, mid_right_mats)
-    rels = [kron(twists[a], Mat.identity(inner_dim))
-            - kron(Mat.identity(d0 * mid_dim), inner_left_mats[a])
-            for a in range(d0)]
-    W = Subspace.from_rows(ambient, vstack([m.transpose() for m in rels]))
-    proj, _sect = quotient(ambient, W)
-    if proj.rows != inner_total:
-        raise ValueError("induced-module transport failed: quotient has "
-                         "dimension %d, expected %d (acting bialgebra is "
-                         "not invertible enough)" % (proj.rows, inner_total))
-    unit_col = Mat(d0, 1, [[x] for x in provider.unit])
-    psi = kron(unit_col, Mat.identity(inner_total))
-    cinv = inverse(proj @ psi)
-    # left multiplication in A0, conjugated through the quotient
-    lmults = [_columns(b0.mult, range(a * d0, (a + 1) * d0))
-              for a in range(d0)]
-    return [cinv @ proj @ kron(m, Mat.identity(inner_total)) @ psi
-            for m in lmults]
-
-
-def _induced_left_action(provider, mid_mats, inner_left_mats, mid_dim,
-                         inner_dim):
+def _induced_left_action(provider, mid_mats, inner_left_mats):
     """Left action of the degree-zero part on the model Mid (x) Inner of
-    the induced module, given its action on Mid (on the provider's side)
-    and its left action on Inner.  A left action on Mid extends by the
-    legs.  A right one is made left by the antipode: S(b) = -b on a
-    primitive basis; when the basis holds the unit, the quotient
-    transport of _induced_left_action_bialg stands in for it."""
-    if provider.side == "left":
-        return tensor_action(provider, mid_mats, inner_left_mats,
-                             reverse=True)
-    if provider.unit is None:
-        return tensor_action(provider, [-m for m in mid_mats],
-                             inner_left_mats)
-    return _induced_left_action_bialg(provider, mid_mats, inner_left_mats,
-                                      mid_dim, inner_dim)
+    the induced module (A0 (x) Mid) (x)_{A0} Inner, from its action on Mid
+    (composed with S^-1 when it is a right one, cop unset) and its left
+    action on Inner: [b (x) m (x) x] = [1 (x) m <| S^-1(b_(2)) (x) b_(1) x],
+    which is tensor_action with the legs reversed."""
+    if not provider.cop:
+        mid_mats = [_combine(mid_mats, vec)
+                    for vec in provider.base.inverse_antipode]
+    return tensor_action(provider, mid_mats, inner_left_mats, reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +169,7 @@ def P0(provider, alg, mats, N=None):
         dims[i] = alg.hdim(i) * dX
         if dims[i]:
             act0[i] = _induced_left_action(provider, provider.h_action(alg, i),
-                                           list(mats), alg.hdim(i), dX)
+                                           list(mats))
     for i in range(N):
         if dims[i] and dims[i + 1]:
             act1[i] = kron(alg.mult(1, i), Mat.identity(dX))
@@ -240,50 +199,6 @@ def I0(provider, alg, mats):
             for a in range(n)])
     return GradedAModule(provider, alg, dims, act0, act1,
                          truncated_below=True)
-
-
-def validate_module(X):
-    """Module axioms as exact identities: each component is a module over
-    the degree-zero part, act1 is equivariant (in the form dictated by the
-    smash relations on the relevant side), and the composite through act1
-    twice kills the quadratic relations."""
-    prov, alg = X.provider, X.alg
-    n = alg.n
-    for j in range(X.jmin, X.jmax + 1):
-        if not X.dim(j):
-            continue
-        ok, where = validate_left_modules(prov, {"_": X.act0_mats(j)})
-        if not ok:
-            return False, ("module law", j, where)
-    top_known = X.jmax - 1 if X.truncated_above else X.jmax
-    for j in range(X.jmin, top_known + 1):
-        a1 = X.act1_mat(j)
-        rj = X.act0_mats(j)
-        rj1 = X.act0_mats(j + 1)
-        twisted = prov.unit is not None and prov.side == "right"
-        if not twisted:
-            # act1 intertwines the left actions on V (x) X_j and X_{j+1}
-            pushed = _induced_left_action(prov, prov.mats, rj, n, X.dim(j))
-        for b in range(prov.basis_size):
-            if not twisted:
-                lhs = rj1[b] @ a1
-                rhs = a1 @ pushed[b]
-            else:
-                lhs = a1 @ kron(Mat.identity(n), rj[b])
-                rhs = Mat.zeros(X.dim(j + 1), n * X.dim(j))
-                for coeff, c1, c2 in prov.legs[b]:
-                    rhs = rhs + (rj1[c1] @ a1
-                                 @ kron(prov.mats[c2],
-                                        Mat.identity(X.dim(j)))).scale(coeff)
-            if lhs != rhs:
-                return False, ("act1 equivariance", j, b)
-    for j in range(X.jmin, top_known):
-        q = X.act1_mat(j + 1) @ kron(Mat.identity(n), X.act1_mat(j))
-        for row in alg.pres.relations.basis.tolist():
-            rel_col = Mat(n * n, 1, [[x] for x in row])
-            if not (q @ kron(rel_col, Mat.identity(X.dim(j)))).is_zero():
-                return False, ("relations survive act1", j)
-    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +448,7 @@ def P_complex(X, N=None):
         key = (r, j)
         if key not in inner_cache:
             inner_cache[key] = _induced_left_action(
-                prov, kacts[r], X.act0_mats(j), alg.kdim(r), X.dim(j))
+                prov, kacts[r], X.act0_mats(j))
         return inner_cache[key]
 
     diffs, act0 = {}, {}
@@ -542,8 +457,7 @@ def P_complex(X, N=None):
             per_block = {}
             for (i, j, d) in blocks[(-r, s)]:
                 per_block[(i, j)] = _induced_left_action(
-                    prov, prov.h_action(alg, i), inner_action(r, j),
-                    alg.hdim(i), alg.kdim(r) * X.dim(j))
+                    prov, prov.h_action(alg, i), inner_action(r, j))
             act0[(-r, s)] = _blockdiag_act(blocks[(-r, s)], per_block,
                                            prov.basis_size)
             if r == 0:

@@ -8,15 +8,13 @@ import json
 import time
 from math import comb
 
-import pytest
-
 from koszulkit.action import (
     dual_action, smash_ok, takiff, takiff_graded_dims, validate_jacobi,
     validate_module_algebra,
 )
 from koszulkit.cli import property_cases_report
 from koszulkit.duality import (
-    I0, I_complex, P_complex, degree_zero_module, diagonal_vanishing,
+    I_complex, P_complex, degree_zero_module, diagonal_vanishing,
     h0_certificate_I, h0_certificate_P, identify_socI, identify_topP,
     koszulity_via_duality, roundtrip_A, roundtrip_B, socI_model_module,
 )
@@ -27,9 +25,9 @@ from koszulkit.fixtures import (
     sl2_lie_action, sl2_provider, sweedler_modules, sweedler_provider,
     sym_presentation, trivial_provider,
 )
-from koszulkit.graded import check_d_squared, hilbert, homology
+from koszulkit.graded import check_d_squared, homology
 from koszulkit.quadratic import (
-    DualityPairing, grow, koszul_complex, koszulity_check, quadratic_dual,
+    DualityPairing, grow, koszul_complex, quadratic_dual,
     verify_psi_intertwiner,
 )
 

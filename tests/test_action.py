@@ -8,10 +8,11 @@ from koszulkit.action import (
     validate_bialgebra, validate_jacobi, validate_left_modules, validate_lie,
     validate_module_algebra,
 )
-from koszulkit.exactlin import F0, F1, Mat, Subspace, kron
+from koszulkit.duality import P0
+from koszulkit.exactlin import F0, F1, Mat, kron
 from koszulkit.fixtures import (
     c2_group_algebra, c2_modules, c2_sign_provider, dual_numbers_presentation,
-    ext_presentation, sl2_lie_action, sl2_provider, sweedler_bialgebra,
+    sl2_lie_action, sl2_provider, sweedler_bialgebra,
     sweedler_modules, sweedler_provider, sym_presentation,
     trivial_bialgebra, trivial_provider,
 )
@@ -32,6 +33,47 @@ def test_validate_bialgebra_failure():
                     b.names)
     ok, axiom = validate_bialgebra(bad)
     assert not ok and axiom == "counit law"
+
+
+def _idempotent_bialgebra():
+    """Basis 1, e with e * e = e, e group-like: a bialgebra with no
+    antipode, as S(e) e = 1 has no solution."""
+    mult = Mat(2, 4, [[1, 0, 0, 0], [0, 1, 1, 1]])
+    comult = Mat(4, 2, [[1, 0], [0, 0], [0, 0], [0, 1]])
+    return Bialgebra(2, mult, [1, 0], comult, Mat(1, 2, [[1, 1]]),
+                     ["1", "e"])
+
+
+def test_inverse_antipodes():
+    # Sweedler: S(g) = g, S(x) = -gx, S(gx) = x, so S^-1 maps 1, g, x, gx
+    # to 1, g, gx, -x, and S has order 4
+    s_inv = sweedler_bialgebra().inverse_antipode
+    assert s_inv == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1],
+                     [0, 0, -1, 0]]
+    m = Mat(4, 4, s_inv).transpose()
+    assert m @ m != Mat.identity(4)
+    assert m @ m @ m @ m == Mat.identity(4)
+    assert c2_group_algebra().inverse_antipode == Mat.identity(2).tolist()
+    assert trivial_bialgebra().inverse_antipode == [[1]]
+    assert sl2_lie_action().inverse_antipode == (
+        -Mat.identity(3)).tolist()
+
+
+def test_bialgebra_without_antipode():
+    b = _idempotent_bialgebra()
+    assert validate_bialgebra(b) == (True, None)
+    with pytest.raises(ValueError, match="no antipode"):
+        b.inverse_antipode
+    # a right action needs S^-1 to induce; the dual (left) action does not
+    provider = ActionProvider.from_bialgebra(b, [Mat.identity(1),
+                                                 Mat.zeros(1, 1)])
+    alg = grow(sym_presentation(1), 3)
+    mats = [Mat.identity(1), Mat.identity(1)]
+    with pytest.raises(ValueError, match="antipode"):
+        P0(provider, alg, mats)
+    dual_alg = grow(quadratic_dual(sym_presentation(1)), 3)
+    assert P0(dual_action(provider), dual_alg, mats).act0_mats(1) == [
+        Mat.identity(1), Mat.zeros(1, 1)]
 
 
 def test_validate_lie_sl2():
@@ -126,7 +168,19 @@ def test_dual_action_matrices():
     for a in range(3):
         assert d.mats[a] == lie.rho[a].scale(-1).transpose()
     dd = dual_action(d)
-    assert dd.mats == p.mats and dd.side == "right" and not dd.cop
+    assert dd is p and dd.mats == p.mats and not dd.cop
+
+
+def test_side_follows_cop():
+    # a source's action is on the right (cop unset), its dual's on the
+    # left; the side is no argument of its own
+    for p in (sl2_provider(), c2_sign_provider()):
+        assert not p.cop and dual_action(p).cop
+        assert dual_action(dual_action(p)).cop == p.cop
+        with pytest.raises(TypeError):
+            ActionProvider(p.base, p.mats, side="left")
+        with pytest.raises(TypeError):
+            ActionProvider(p.base, p.mats, "right")
 
 
 def test_dual_action_pairing_compatibility():

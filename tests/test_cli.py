@@ -380,6 +380,64 @@ def test_acting_object_axioms_gate_duality_checks(tmp_path, checks):
             assert entry["details"]["failure"] == "bialgebra axiom: counit law"
 
 
+@pytest.mark.parametrize("checks", ["duality", "roundtrip", "all"])
+def test_failed_acting_object_builds_no_pairing(tmp_path, monkeypatch,
+                                                checks):
+    # duality and roundtrip report only the acting object's failure, so
+    # they build no pairing and, run on their own, grow no algebra
+    import koszulkit.cli as cli
+    built = []
+    monkeypatch.setattr(cli, "DualityPairing",
+                        lambda *algs: built.append(algs))
+    pres, _ = emit(tmp_path, "c2_sign_takiff")
+    act = tmp_path / "bad_counit.json"
+    act.write_text(json.dumps(_edit(_c2_bundle(), ("bialgebra", "counit"),
+                                    ["1", "0"])))
+    out = tmp_path / "r.json"
+    assert run(["check", "--input", pres, "--action", str(act), "--checks",
+                checks, "--max-degree", "6", "--out", str(out)]) == 1
+    assert built == []
+    report = json.loads(out.read_text())
+    assert ("grow" in report["timing"]) == (checks == "all")
+    for name in ("duality", "roundtrip"):
+        if checks in (name, "all"):
+            assert report["checks"][name] == {
+                "status": "fail",
+                "details": {"failure": "bialgebra axiom: counit law"}}
+
+
+NO_ANTIPODE = {
+    # basis 1, e with e * e = e and e group-like: S(e) e = 1 is unsolvable
+    "bialgebra": {"dim": 2, "names": ["1", "e"],
+                  "mult": [[["1", "0"], ["0", "1"]],
+                           [["0", "1"], ["0", "1"]]],
+                  "unit": ["1", "0"],
+                  "comult": [["1", "0"], ["0", "0"], ["0", "0"], ["0", "1"]],
+                  "counit": ["1", "1"]},
+    "action": [[["1"]], [["0"]]],
+    "modules": {"triv": {"dim": 1, "action": [[["1"]], [["1"]]]},
+                "zero": {"dim": 1, "action": [[["1"]], [["0"]]]}},
+}
+
+
+def test_bialgebra_without_antipode_passes_check(tmp_path):
+    # every induced module a check builds is over the dual (left) action,
+    # which needs no antipode
+    pres, _ = emit(tmp_path, "sym_1")
+    act = tmp_path / "no_antipode.json"
+    act.write_text(json.dumps(NO_ANTIPODE))
+    out = tmp_path / "r.json"
+    assert run(["check", "--input", pres, "--action", str(act), "--checks",
+                "all", "--max-degree", "4", "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert {name: entry["status"] for name, entry in checks.items()} == {
+        "validate": "pass", "hilbert": "pass", "dual": "pass",
+        "koszul": "pass", "smash": "pass", "takiff": "skipped",
+        "duality": "pass", "roundtrip": "pass"}
+    assert sorted(checks["roundtrip"]["details"]["modules"]) == [
+        "triv", "zero"]
+
+
 @pytest.mark.parametrize("checks", ["roundtrip", "all"])
 def test_bialgebra_module_law_fails_roundtrip(tmp_path, checks):
     # g acting by 2 on the module sign is not an involution: the module

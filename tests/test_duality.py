@@ -1,21 +1,20 @@
-from fractions import Fraction
-from math import comb
-
 import pytest
 
 from koszulkit.action import (
-    ActionProvider, action_bundle_from_json, dual_action,
+    action_bundle_from_json, dual_action, validate_left_modules,
 )
 from koszulkit.duality import (
-    GradedAModule, I0, I_complex, P0, P_complex, _model_map, _phi_matrix,
-    _theta_matrix,
+    GradedAModule, I0, I_complex, P0, P_complex, _induced_left_action,
+    _model_map, _phi_matrix, _theta_matrix,
     adjunction_check, degree_zero_module, diagonal_vanishing, h0_certificate_I,
     h0_certificate_P, hom_A0_dim, hom_graded_A_dim, identify_socI,
     identify_topP, koszulity_via_duality, roundtrip_A, roundtrip_B,
     socI_complex, socI_model_module, topP_complex,
-    validate_complex_equivariance, validate_module, validate_socI_action,
+    validate_complex_equivariance, validate_socI_action,
 )
-from koszulkit.exactlin import F0, F1, Mat, inverse, kron, rank, swap_matrix
+from koszulkit.exactlin import (
+    F1, Mat, _columns, inverse, kron, rank, swap_matrix,
+)
 from koszulkit.fixtures import (
     FIXTURE_NAMES, c2_modules, c2_sign_provider, dual_numbers_presentation,
     ext_presentation, free_presentation, sl2_lie_action, sl2_provider,
@@ -26,6 +25,36 @@ from koszulkit.graded import check_d_squared, homology
 from koszulkit.quadratic import (
     DualityPairing, QuadraticPresentation, grow, quadratic_dual,
 )
+
+
+def validate_module(X):
+    """The module-axiom oracle: each component is a module over the
+    degree-zero part, act1 intertwines the left actions on V (x) X_j and
+    X_{j+1}, and the composite through act1 twice kills the quadratic
+    relations.  Returns (True, None) or (False, coordinates)."""
+    prov, alg = X.provider, X.alg
+    n = alg.n
+    for j in range(X.jmin, X.jmax + 1):
+        if not X.dim(j):
+            continue
+        ok, where = validate_left_modules(prov, {"_": X.act0_mats(j)})
+        if not ok:
+            return False, ("module law", j, where)
+    top_known = X.jmax - 1 if X.truncated_above else X.jmax
+    for j in range(X.jmin, top_known + 1):
+        a1 = X.act1_mat(j)
+        rj1 = X.act0_mats(j + 1)
+        pushed = _induced_left_action(prov, prov.mats, X.act0_mats(j))
+        for b in range(prov.basis_size):
+            if rj1[b] @ a1 != a1 @ pushed[b]:
+                return False, ("act1 equivariance", j, b)
+    for j in range(X.jmin, top_known):
+        q = X.act1_mat(j + 1) @ kron(Mat.identity(n), X.act1_mat(j))
+        for row in alg.pres.relations.basis.tolist():
+            rel_col = Mat(n * n, 1, [[x] for x in row])
+            if not (q @ kron(rel_col, Mat.identity(X.dim(j)))).is_zero():
+                return False, ("relations survive act1", j)
+    return True, None
 
 
 def _setup(pres, provider, N):
@@ -67,6 +96,38 @@ def test_module_constructors_validate(name, pres, mkprov, mkmats, N):
     assert validate_module(Y) == (True, None)
     Xd = degree_zero_module(dual_action(provider), dual, mats)
     assert validate_module(Xd) == (True, None)
+
+
+@pytest.mark.parametrize("name,pres,mkprov,mkmats,N",
+                         CASES, ids=[c[0] for c in CASES])
+def test_induced_action_is_balanced(name, pres, mkprov, mkmats, N):
+    # on the model Mid (x) Inner of (A0 (x) Mid) (x)_{A0} Inner, with Mid
+    # a right module (H_i, and for a bialgebra also A0 under right
+    # multiplication), the induced left action is a module and balanced:
+    # [a_(1) (x) m <| a_(2) (x) x] = [1 (x) m (x) a x], that is, summed
+    # over the legs of a, rho(a_(1)) (m <| a_(2) (x) 1) is 1 (x) inner(a);
+    # the unit (a leg None) acts as the identity
+    provider = mkprov()
+    alg = grow(pres, 3)
+    inner = mkmats()
+    dX = inner[0].rows
+    mids = [provider.h_action(alg, i) for i in range(4) if alg.hdim(i)]
+    if provider.unit is not None:
+        b0 = provider.base
+        mids.append([_columns(b0.mult, range(c, b0.dim ** 2, b0.dim))
+                     for c in range(b0.dim)])
+    for mid in mids:
+        d = mid[0].rows
+        ind = _induced_left_action(provider, mid, inner)
+        assert validate_left_modules(provider, {"ind": ind}) == (True, None)
+        for a, legs in enumerate(provider.legs):
+            got = Mat.zeros(d * dX, d * dX)
+            for coeff, c1, c2 in legs:
+                left = Mat.identity(d * dX) if c1 is None else ind[c1]
+                right = Mat.identity(d) if c2 is None else mid[c2]
+                got = got + (left @ kron(right, Mat.identity(dX))).scale(
+                    coeff)
+            assert got == kron(Mat.identity(d), inner[a]), (d, a)
 
 
 @pytest.mark.parametrize("name,pres,mkprov,mkmats,N",

@@ -6,6 +6,8 @@ import pathlib
 import koszulkit
 
 SRC = pathlib.Path(koszulkit.__file__).parent
+TESTS = pathlib.Path(__file__).resolve().parent
+DEMOS = TESTS.parent / "demos"
 
 
 def _dead_locals(func):
@@ -35,3 +37,31 @@ def test_no_local_is_stored_and_never_read():
                                               node.name, name)
                             for name in _dead_locals(node))
     assert dead == []
+
+
+def _unused_imports(tree):
+    """Names that the module tree imports (anywhere in it, __future__
+    aside) but never reads."""
+    imported, loaded = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0]
+                            for a in node.names)
+        elif (isinstance(node, ast.ImportFrom)
+              and node.module != "__future__"):
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                           ast.Store):
+            loaded.add(node.id)
+    return sorted(imported - loaded)
+
+
+def test_no_import_is_unused():
+    demos = sorted(DEMOS.glob("*.py"))
+    assert demos
+    unused = []
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")) + demos:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        unused.extend("%s: %s" % (path.name, name)
+                      for name in _unused_imports(tree))
+    assert unused == []
