@@ -7,10 +7,12 @@ Everything here is computed in finite k-linear models:
     k-linear Hom spaces, with the A0-equivariance carried as explicit
     action matrices on each bidegree cell;
   * the two families of complexes (injective-side: I, socI; projective
-    side: P, topP) are bigraded complexes with recorded actions, and all
-    structural claims (d^2 = 0, action/differential compatibility, the
-    bijective identifications, the round trips, the exactness criterion)
-    are verified as exact matrix identities.
+    side: P, topP) are bigraded complexes with recorded actions, all
+    four built by one skeleton, _duality_complex, from the summands of
+    each cell, the action on one summand and the blocks of the
+    differential; all structural claims (d^2 = 0, action/differential
+    compatibility, the bijective identifications, the round trips, the
+    exactness criterion) are verified as exact matrix identities.
 
 Sign conventions: the injective-side differential is d + (-1)^r rho, the
 projective-side one is (-1)^r (strip-into-algebra) + (strip-into-module),
@@ -300,8 +302,8 @@ class DualityComplex:
 
     blocks[(r, s)] is the ordered list of (i, j, dim) summands of the
     cell; act0[(r, s)] lists the action matrices of the degree-zero
-    acting basis; alg is the graded algebra whose K and H the cells are
-    built from."""
+    acting basis on each nonzero cell; alg is the graded algebra whose K
+    and H the cells are built from."""
 
     def __init__(self, kind, cx, blocks, act0, provider, alg, complete):
         self.kind = kind
@@ -337,19 +339,58 @@ def _offsets(blocks):
     return offs, total
 
 
-def _assemble(src_blocks, tgt_blocks, entries):
-    src_off, cols = _offsets(src_blocks)
-    tgt_off, rows = _offsets(tgt_blocks)
-    return place_blocks(rows, cols, [(tgt_off[tkey], src_off[skey], m)
-                                     for (skey, tkey), m in entries.items()
-                                     if skey in src_off and tkey in tgt_off])
+_D_SQUARED_NAMES = {"I": "injective-side", "socI": "socle",
+                    "P": "projective-side", "topP": "top-quotient"}
 
 
-def _blockdiag_act(blocks, per_block_mats, basis_size):
-    offs, total = _offsets(blocks)
-    return [place_blocks(total, total, [(off, off, per_block_mats[key][b])
-                                        for key, off in offs.items()])
-            for b in range(basis_size)]
+def _duality_complex(kind, X, N, s_range, summands, act, diff):
+    """The DualityComplex of the given kind built from X over the window
+    N; I and socI are on the injective side, P and topP on the projective
+    one.  Cell (h, s), with h = r on the injective side and h = -r on the
+    projective one, r = 0..N and s in s_range, is the direct sum of the
+    summands(r, s), each a (key, j, dim) with j the degree of X it
+    involves; the cell is complete when X is known in degree h + s.
+    act(r, key, j) lists the matrices of the acting basis on one summand,
+    and diff(r, key, j) yields the ((key', j'), matrix) blocks of the
+    differential from it into the summands of cell (h + 1, s), which is
+    assembled where both cells are nonzero.  Raises ValueError, naming
+    the first cell, unless d^2 = 0."""
+    prov = X.provider
+    sign = 1 if kind in ("I", "socI") else -1
+    s_lo, s_hi = s_range
+    blocks, comps, complete = {}, {}, {}
+    for s in range(s_lo, s_hi + 1):
+        for r in range(N + 1):
+            h = sign * r
+            blocks[(h, s)] = bl = list(summands(r, s))
+            comps[(h, s)] = sum(d for *_k, d in bl)
+            if sign == 1:
+                complete[(h, s)] = not X.truncated_below or h + s >= X.jmin
+            else:
+                complete[(h, s)] = not X.truncated_above or h + s <= X.jmax
+    act0, diffs = {}, {}
+    for (h, s), bl in blocks.items():
+        if not bl:
+            continue
+        r = sign * h
+        offs, total = _offsets(bl)
+        per_block = [(offs[(key, j)], act(r, key, j)) for key, j, _d in bl]
+        act0[(h, s)] = [place_blocks(total, total,
+                                     [(off, off, mats[b])
+                                      for off, mats in per_block])
+                        for b in range(prov.basis_size)]
+        if blocks.get((h + 1, s)):
+            tgt_offs, rows = _offsets(blocks[(h + 1, s)])
+            diffs[(h, s)] = place_blocks(rows, total, [
+                (tgt_offs[tgt], offs[(key, j)], m)
+                for key, j, _d in bl for tgt, m in diff(r, key, j)])
+    r_range = (-1, N) if sign == 1 else (-N - 1, 1)
+    cx = BigradedComplex(r_range, s_range, comps, diffs)
+    ok, where = check_d_squared(cx)
+    if not ok:
+        raise ValueError("%s differential fails d^2=0 at %r"
+                         % (_D_SQUARED_NAMES[kind], where))
+    return DualityComplex(kind, cx, blocks, act0, prov, X.alg, complete)
 
 
 def I_complex(X, N=None):
@@ -362,59 +403,31 @@ def I_complex(X, N=None):
     N = _window(alg, N)
     if X.truncated_above:
         raise ValueError("input module must be genuinely bounded above")
-    n = alg.n
-    jmin, jmax = X.jmin, X.jmax
-    s_lo, s_hi = jmax - N, jmax
-    comps, blocks, complete = {}, {}, {}
-    kacts = {r: prov.k_action(alg, r) for r in range(N + 1)}
-    hacts = {}
-    for s in range(s_lo, s_hi + 1):
-        for r in range(0, N + 1):
-            bl = []
-            for j in range(jmin, jmax + 1):
-                i = j - r - s
-                if 0 <= i <= N and X.dim(j):
-                    d = X.dim(j) * alg.kdim(r) * alg.hdim(i)
-                    if d:
-                        bl.append((i, j, d))
-            blocks[(r, s)] = bl
-            comps[(r, s)] = sum(d for *_k, d in bl)
-            complete[(r, s)] = (not X.truncated_below) or (r + s >= jmin)
-    diffs = {}
-    act0 = {}
-    for s in range(s_lo, s_hi + 1):
-        for r in range(0, N + 1):
-            per_block = {}
-            for (i, j, d) in blocks[(r, s)]:
-                if i not in hacts:
-                    hacts[i] = prov.h_action(alg, i)
-                arg = tensor_action(prov, kacts[r], hacts[i])
-                per_block[(i, j)] = _hom_action(prov, arg, X.act0_mats(j))
-            act0[(r, s)] = _blockdiag_act(blocks[(r, s)], per_block,
-                                          prov.basis_size)
-            if r == N:
-                continue
-            entries = {}
-            for (i, j, d) in blocks[(r, s)]:
-                if i >= 1 and alg.kdim(r + 1) * alg.hdim(i - 1):
-                    dm = m_bar(alg, r + 1, i - 1, "right")
-                    entries[((i, j), (i - 1, j))] = kron(
-                        Mat.identity(X.dim(j)), dm.transpose())
-                if X.dim(j + 1) and alg.kdim(r + 1):
-                    e = kron(alg.incl_left(r + 1),
-                             Mat.identity(alg.hdim(i)))
-                    m = _rho_hom(X.act1_mat(j), e, n, X.dim(j),
-                                 alg.kdim(r) * alg.hdim(i),
-                                 alg.kdim(r + 1) * alg.hdim(i))
-                    entries[((i, j), (i, j + 1))] = m.scale((-1) ** r)
-            diffs[(r, s)] = _assemble(blocks[(r, s)], blocks[(r + 1, s)],
-                                      entries)
-    cx = BigradedComplex((-1, N), (s_lo, s_hi), comps, diffs)
-    ok, where = check_d_squared(cx)
-    if not ok:
-        raise ValueError("injective-side differential fails d^2=0 at %r"
-                         % (where,))
-    return DualityComplex("I", cx, blocks, act0, prov, alg, complete)
+
+    def summands(r, s):
+        for j in range(X.jmin, X.jmax + 1):
+            i = j - r - s
+            d = X.dim(j) * alg.kdim(r) * alg.hdim(i) if 0 <= i <= N else 0
+            if d:
+                yield i, j, d
+
+    def act(r, i, j):
+        arg = tensor_action(prov, prov.k_action(alg, r), prov.h_action(alg, i))
+        return _hom_action(prov, arg, X.act0_mats(j))
+
+    def diff(r, i, j):
+        if i >= 1 and alg.hdim(i - 1):
+            dm = m_bar(alg, r + 1, i - 1, "right")
+            yield (i - 1, j), kron(Mat.identity(X.dim(j)), dm.transpose())
+        if X.dim(j + 1):
+            e = kron(alg.incl_left(r + 1), Mat.identity(alg.hdim(i)))
+            m = _rho_hom(X.act1_mat(j), e, alg.n, X.dim(j),
+                         alg.kdim(r) * alg.hdim(i),
+                         alg.kdim(r + 1) * alg.hdim(i))
+            yield (i, j + 1), m.scale((-1) ** r)
+
+    return _duality_complex("I", X, N, (X.jmax - N, X.jmax), summands, act,
+                            diff)
 
 
 def P_complex(X, N=None):
@@ -426,64 +439,34 @@ def P_complex(X, N=None):
     N = _window(alg, N)
     if X.truncated_below:
         raise ValueError("input module must be genuinely bounded below")
-    jmin, jmax = X.jmin, X.jmax
-    s_lo, s_hi = jmin, jmin + N
-    comps, blocks, complete = {}, {}, {}
-    for s in range(s_lo, s_hi + 1):
-        for r in range(0, N + 1):
-            bl = []
-            for j in range(jmin, jmax + 1):
-                i = s - r - j
-                if 0 <= i <= N and X.dim(j):
-                    d = alg.hdim(i) * alg.kdim(r) * X.dim(j)
-                    if d:
-                        bl.append((i, j, d))
-            blocks[(-r, s)] = bl
-            comps[(-r, s)] = sum(d for *_k, d in bl)
-            complete[(-r, s)] = (not X.truncated_above) or (s - r <= jmax)
-    kacts = {r: prov.k_action(alg, r) for r in range(N + 1)}
     inner_cache = {}
 
-    def inner_action(r, j):
-        key = (r, j)
-        if key not in inner_cache:
-            inner_cache[key] = _induced_left_action(
-                prov, kacts[r], X.act0_mats(j))
-        return inner_cache[key]
+    def summands(r, s):
+        for j in range(X.jmin, X.jmax + 1):
+            i = s - r - j
+            d = alg.hdim(i) * alg.kdim(r) * X.dim(j) if 0 <= i <= N else 0
+            if d:
+                yield i, j, d
 
-    diffs, act0 = {}, {}
-    for s in range(s_lo, s_hi + 1):
-        for r in range(N, -1, -1):
-            per_block = {}
-            for (i, j, d) in blocks[(-r, s)]:
-                per_block[(i, j)] = _induced_left_action(
-                    prov, prov.h_action(alg, i), inner_action(r, j))
-            act0[(-r, s)] = _blockdiag_act(blocks[(-r, s)], per_block,
-                                           prov.basis_size)
-            if r == 0:
-                continue
-            entries = {}
-            for (i, j, d) in blocks[(-r, s)]:
-                if alg.kdim(r - 1):
-                    if i + 1 <= N and alg.hdim(i + 1):
-                        m = kron(m_bar(alg, r, i, "left"),
-                                 Mat.identity(X.dim(j)))
-                        entries[((i, j), (i + 1, j))] = m.scale((-1) ** r)
-                    if X.dim(j + 1):
-                        lam = kron(Mat.identity(alg.kdim(r - 1)),
-                                   X.act1_mat(j)) \
-                            @ kron(alg.incl_right(r),
-                                   Mat.identity(X.dim(j)))
-                        entries[((i, j), (i, j + 1))] = kron(
-                            Mat.identity(alg.hdim(i)), lam)
-            diffs[(-r, s)] = _assemble(blocks[(-r, s)],
-                                       blocks[(-r + 1, s)], entries)
-    cx = BigradedComplex((-N - 1, 1), (s_lo, s_hi), comps, diffs)
-    ok, where = check_d_squared(cx)
-    if not ok:
-        raise ValueError("projective-side differential fails d^2=0 at %r"
-                         % (where,))
-    return DualityComplex("P", cx, blocks, act0, prov, alg, complete)
+    def act(r, i, j):
+        # the action on K_r (x) X_j, reused across s
+        if (r, j) not in inner_cache:
+            inner_cache[(r, j)] = _induced_left_action(
+                prov, prov.k_action(alg, r), X.act0_mats(j))
+        return _induced_left_action(prov, prov.h_action(alg, i),
+                                    inner_cache[(r, j)])
+
+    def diff(r, i, j):
+        if i + 1 <= N and alg.hdim(i + 1):
+            m = kron(m_bar(alg, r, i, "left"), Mat.identity(X.dim(j)))
+            yield (i + 1, j), m.scale((-1) ** r)
+        if X.dim(j + 1):
+            lam = kron(Mat.identity(alg.kdim(r - 1)), X.act1_mat(j)) \
+                @ kron(alg.incl_right(r), Mat.identity(X.dim(j)))
+            yield (i, j + 1), kron(Mat.identity(alg.hdim(i)), lam)
+
+    return _duality_complex("P", X, N, (X.jmin, X.jmin + N), summands, act,
+                            diff)
 
 
 def socI_complex(X, N=None):
@@ -497,34 +480,22 @@ def socI_complex(X, N=None):
     N = _window(alg, N)
     if X.truncated_above:
         raise ValueError("input module must be genuinely bounded above")
-    n = alg.n
-    jmin, jmax = X.jmin, X.jmax
-    s_lo, s_hi = jmin - N, jmax
-    comps, blocks, complete = {}, {}, {}
-    for s in range(s_lo, s_hi + 1):
-        for r in range(0, N + 1):
-            j = r + s
-            d = X.dim(j) * alg.kdim(r)
-            bl = [(r, j, d)] if d else []
-            blocks[(r, s)] = bl
-            comps[(r, s)] = d
-            complete[(r, s)] = (not X.truncated_below) or (j >= jmin)
-    kacts = {r: prov.k_action(alg, r) for r in range(N + 1)}
-    diffs, act0 = {}, {}
-    for s in range(s_lo, s_hi + 1):
-        for r in range(0, N + 1):
-            j = r + s
-            if comps[(r, s)]:
-                act0[(r, s)] = _hom_action(prov, kacts[r], X.act0_mats(j))
-            if r < N and comps[(r, s)] and comps[(r + 1, s)]:
-                m = _rho_hom(X.act1_mat(j), alg.incl_left(r + 1), n,
-                             X.dim(j), alg.kdim(r), alg.kdim(r + 1))
-                diffs[(r, s)] = m.scale((-1) ** (r + 1))
-    cx = BigradedComplex((-1, N), (s_lo, s_hi), comps, diffs)
-    ok, where = check_d_squared(cx)
-    if not ok:
-        raise ValueError("socle differential fails d^2=0 at %r" % (where,))
-    return DualityComplex("socI", cx, blocks, act0, prov, alg, complete)
+
+    def summands(r, s):
+        d = X.dim(r + s) * alg.kdim(r)
+        if d:
+            yield r, r + s, d
+
+    def act(r, _r, j):
+        return _hom_action(prov, prov.k_action(alg, r), X.act0_mats(j))
+
+    def diff(r, _r, j):
+        m = _rho_hom(X.act1_mat(j), alg.incl_left(r + 1), alg.n, X.dim(j),
+                     alg.kdim(r), alg.kdim(r + 1))
+        yield (r + 1, j + 1), m.scale((-1) ** (r + 1))
+
+    return _duality_complex("socI", X, N, (X.jmin - N, X.jmax), summands,
+                            act, diff)
 
 
 def _socle_generator(alg, r, a, d):
@@ -544,37 +515,24 @@ def topP_complex(Y, N=None):
     alg = Y.alg
     prov = Y.provider
     N = _window(alg, N)
-    jmin = Y.jmin
-    if jmin < 0:
+    if Y.jmin < 0:
         raise ValueError("input module must live in non-negative degrees")
-    s_lo, s_hi = jmin, N
-    comps, blocks, complete = {}, {}, {}
-    for s in range(s_lo, s_hi + 1):
-        for r in range(0, N + 1):
-            j = s - r
-            d = alg.kdim(r) * Y.dim(j)
-            bl = [(r, j, d)] if d else []
-            blocks[(-r, s)] = bl
-            comps[(-r, s)] = d
-            complete[(-r, s)] = (not Y.truncated_above) or (j <= Y.jmax)
-    kacts = {r: prov.k_action(alg, r) for r in range(N + 1)}
-    diffs, act0 = {}, {}
-    for s in range(s_lo, s_hi + 1):
-        for r in range(0, N + 1):
-            j = s - r
-            if comps[(-r, s)]:
-                act0[(-r, s)] = tensor_action(prov, kacts[r], Y.act0_mats(j),
-                                              reverse=True)
-            if r >= 1 and comps[(-r, s)] and comps[(-r + 1, s)]:
-                m = kron(Mat.identity(alg.kdim(r - 1)), Y.act1_mat(j)) \
-                    @ kron(alg.incl_right(r), Mat.identity(Y.dim(j)))
-                diffs[(-r, s)] = m
-    cx = BigradedComplex((-N - 1, 1), (s_lo, s_hi), comps, diffs)
-    ok, where = check_d_squared(cx)
-    if not ok:
-        raise ValueError("top-quotient differential fails d^2=0 at %r"
-                         % (where,))
-    return DualityComplex("topP", cx, blocks, act0, prov, alg, complete)
+
+    def summands(r, s):
+        d = alg.kdim(r) * Y.dim(s - r)
+        if d:
+            yield r, s - r, d
+
+    def act(r, _r, j):
+        return tensor_action(prov, prov.k_action(alg, r), Y.act0_mats(j),
+                             reverse=True)
+
+    def diff(r, _r, j):
+        yield (r - 1, j + 1), (
+            kron(Mat.identity(alg.kdim(r - 1)), Y.act1_mat(j))
+            @ kron(alg.incl_right(r), Mat.identity(Y.dim(j))))
+
+    return _duality_complex("topP", Y, N, (Y.jmin, N), summands, act, diff)
 
 
 def validate_complex_equivariance(dcx):

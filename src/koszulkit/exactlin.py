@@ -511,11 +511,6 @@ class Subspace:
             return None
         return coords
 
-    def add(self, other):
-        assert self.ambient_dim == other.ambient_dim
-        return Subspace.from_rows(
-            self.ambient_dim, vstack([self.basis, other.basis]))
-
 
 def kernel(m):
     """Canonical basis of {x : m @ x = 0}; dim == cols - rank."""

@@ -1,4 +1,4 @@
-"""Graded vector spaces and bigraded complexes over the rationals.
+"""Bigraded complexes over the rationals and their homology.
 
 A BigradedComplex is indexed by homological degree r and internal degree s;
 its differential raises r by one and fixes s.  Every complex carries a finite
@@ -15,48 +15,6 @@ from __future__ import annotations
 from koszulkit.exactlin import Mat, rank
 
 
-class GradedSpace:
-    """Integer-graded space with a finite window of materialized degrees.
-
-    Degrees outside the window are unknown (distinct from dimension 0 inside).
-    """
-
-    def __init__(self, components, window, labels=None):
-        self.window = (int(window[0]), int(window[1]))
-        self.components = {}
-        for s in range(self.window[0], self.window[1] + 1):
-            self.components[s] = int(components.get(s, 0))
-        self.labels = dict(labels) if labels else {}
-
-    def dim(self, s):
-        if not self.window[0] <= s <= self.window[1]:
-            raise KeyError("degree %d outside materialized window %s"
-                           % (s, self.window))
-        return self.components[s]
-
-    def shift(self, r):
-        """Degree shift: component i of the result is component i + r."""
-        lo, hi = self.window
-        comps = {s - r: d for s, d in self.components.items()}
-        labels = {s - r: v for s, v in self.labels.items()}
-        return GradedSpace(comps, (lo - r, hi - r), labels)
-
-    def __eq__(self, other):
-        return (isinstance(other, GradedSpace)
-                and self.window == other.window
-                and self.components == other.components)
-
-    def __repr__(self):
-        return "GradedSpace(%r, window=%r)" % (self.components, self.window)
-
-
-def hilbert(g, N):
-    """[dim g_0, ..., dim g_N]; requires the window to cover [0, N]."""
-    if g.window[0] > 0 or g.window[1] < N:
-        raise ValueError("window %s does not cover [0, %d]" % (g.window, N))
-    return [g.dim(s) for s in range(N + 1)]
-
-
 class BigradedComplex:
     """Finite rectangle of components with differentials (r,s) -> (r+1,s).
 
@@ -65,8 +23,7 @@ class BigradedComplex:
     and rows = dim(r+1,s); missing maps default to zero.
     """
 
-    def __init__(self, r_range, s_range, components, differentials,
-                 labels=None):
+    def __init__(self, r_range, s_range, components, differentials):
         self.r_range = (int(r_range[0]), int(r_range[1]))
         self.s_range = (int(s_range[0]), int(s_range[1]))
         self.components = {}
@@ -75,11 +32,16 @@ class BigradedComplex:
                 self.components[(r, s)] = int(components.get((r, s), 0))
         self.differentials = {}
         for (r, s), m in differentials.items():
-            assert self.in_window(r, s) and self.in_window(r + 1, s), (r, s)
-            assert m.cols == self.dim(r, s) and m.rows == self.dim(r + 1, s), \
-                (r, s, m.rows, m.cols, self.dim(r, s), self.dim(r + 1, s))
+            if not (self.in_window(r, s) and self.in_window(r + 1, s)):
+                raise ValueError("the differential at %r leaves the window "
+                                 "%r x %r" % ((r, s), self.r_range,
+                                              self.s_range))
+            if (m.rows, m.cols) != (self.dim(r + 1, s), self.dim(r, s)):
+                raise ValueError("the differential at %r is %d x %d, not "
+                                 "%d x %d" % ((r, s), m.rows, m.cols,
+                                              self.dim(r + 1, s),
+                                              self.dim(r, s)))
             self.differentials[(r, s)] = m
-        self.labels = dict(labels) if labels else {}
 
     def in_window(self, r, s):
         return (self.r_range[0] <= r <= self.r_range[1]
@@ -134,13 +96,6 @@ class HomologyReport:
         return sorted((r, s) for (r, s), c in self.cells.items()
                       if c["valid"] and c["dim"] != 0)
 
-    def to_json_obj(self):
-        return {"cells": [
-            {"r": r, "s": s, "ker": c["ker"], "im": c["im"],
-             "dim": c["dim"], "valid": c["valid"]}
-            for (r, s), c in sorted(self.cells.items(),
-                                    key=lambda kv: (kv[0][1], kv[0][0]))]}
-
 
 class DSquaredError(ValueError):
     """A differential that does not square to zero; where = (r, s) of the
@@ -166,7 +121,9 @@ def homology(c):
         rk_in = ranks.get((r - 1, s), 0)
         ker = dim_here - rk_out
         h = ker - rk_in
-        assert h >= 0, (r, s, ker, rk_in)
+        if h < 0:
+            raise ValueError("the image at %r has rank %d, above the kernel "
+                             "dimension %d" % ((r, s), rk_in, ker))
         cells[(r, s)] = {"ker": ker, "im": rk_in, "dim": h,
                          "valid": c.cell_valid(r, s)}
     return HomologyReport(cells)

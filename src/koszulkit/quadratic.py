@@ -31,7 +31,7 @@ from koszulkit.exactlin import (
     F0, F1, Mat, Subspace, _columns, inverse, kernel, kron, mul_kron_identity,
     quotient, rat_from_str, rat_to_str, swap_matrix, vstack,
 )
-from koszulkit.graded import BigradedComplex, GradedSpace
+from koszulkit.graded import BigradedComplex
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +229,6 @@ class TruncatedGradedAlgebra:
 
     def kdims(self):
         return [self.kdim(i) for i in range(self.N + 1)]
-
-    def h_space(self):
-        return GradedSpace({i: self.hdim(i) for i in range(self.N + 1)},
-                           (0, self.N))
 
     def normal_monomials(self, i):
         """Labels of the normal-monomial basis of H_i."""

@@ -1,7 +1,8 @@
 import pytest
 
 from koszulkit.action import (
-    action_bundle_from_json, dual_action, validate_left_modules,
+    ActionProvider, action_bundle_from_json, dual_action,
+    validate_left_modules,
 )
 from koszulkit.duality import (
     GradedAModule, I0, I_complex, P0, P_complex, _induced_left_action,
@@ -18,8 +19,8 @@ from koszulkit.exactlin import (
 from koszulkit.fixtures import (
     FIXTURE_NAMES, c2_modules, c2_sign_provider, dual_numbers_presentation,
     ext_presentation, free_presentation, sl2_lie_action, sl2_provider,
-    fixture_bundle, sweedler_modules, sweedler_provider, sym_presentation,
-    trivial_provider,
+    fixture_bundle, sweedler_bialgebra, sweedler_modules, sweedler_provider,
+    sym_presentation, trivial_provider,
 )
 from koszulkit.graded import check_d_squared, homology
 from koszulkit.quadratic import (
@@ -64,6 +65,16 @@ def _setup(pres, provider, N):
     return alg, dual, pairing
 
 
+def sweedler_on_V_provider():
+    """Sweedler algebra on two commuting generators with g = diag(1, -1)
+    and the skew-primitive x nonzero on V, so that a module law read
+    through S^-1 tells it from S and from the identity."""
+    return ActionProvider.from_bialgebra(
+        sweedler_bialgebra(),
+        [Mat.identity(2), Mat(2, 2, [[1, 0], [0, -1]]),
+         Mat(2, 2, [[0, 1], [0, 0]]), Mat(2, 2, [[0, -1], [0, 0]])])
+
+
 CASES = [
     ("c2_triv", sym_presentation(1), c2_sign_provider,
      lambda: c2_modules()["triv"], 4),
@@ -77,6 +88,8 @@ CASES = [
      lambda: [Mat.identity(1)], 4),
     ("sweedler", dual_numbers_presentation(), sweedler_provider,
      lambda: sweedler_modules()["two_dim"], 4),
+    ("sweedler_on_V", sym_presentation(2), sweedler_on_V_provider,
+     lambda: sweedler_modules()["two_dim"], 3),
 ]
 
 
@@ -228,6 +241,39 @@ def test_complexes_reject_a_window_past_the_grown_degree():
                           (P_complex, Xd), (topP_complex, Xd)):
         with pytest.raises(ValueError):
             build(module, alg.N + 1)
+
+
+def _relation_breaking_module():
+    # x acts by 1 from degree 0 to 1 and from 1 to 2, so x.x acts by 1
+    # although x (x) x is a relation of the exterior algebra
+    alg = grow(ext_presentation(1), 3)
+    one = Mat.identity(1)
+    return GradedAModule(trivial_provider(1), alg, {0: 1, 1: 1, 2: 1},
+                         {j: [one] for j in range(3)}, {0: one, 1: one})
+
+
+@pytest.mark.parametrize("build,message", [
+    (I_complex, r"injective-side differential fails d\^2=0 at \(0, -1\)"),
+    (socI_complex, r"socle differential fails d\^2=0 at \(1, -1\)"),
+    (P_complex, r"projective-side differential fails d\^2=0 at \(-2, 2\)"),
+    (topP_complex, r"top-quotient differential fails d\^2=0 at \(-2, 2\)"),
+], ids=["I", "socI", "P", "topP"])
+def test_builders_reject_a_module_that_breaks_a_relation(build, message):
+    with pytest.raises(ValueError, match=message):
+        build(_relation_breaking_module(), 3)
+
+
+def test_equivariance_failure_names_the_cell():
+    # g acts by -1 on cell (0, -2) of the sign module's injective-side
+    # complex; flipping it breaks the commutation with the nonzero
+    # differential into (1, -2)
+    provider = c2_sign_provider()
+    alg = grow(sym_presentation(1), 3)
+    icx = I_complex(degree_zero_module(provider, alg, c2_modules()["sign"]),
+                    3)
+    assert validate_complex_equivariance(icx) == (True, None)
+    icx.act0[(0, -2)][1] = -icx.act0[(0, -2)][1]
+    assert validate_complex_equivariance(icx) == (False, (0, -2, 1))
 
 
 def test_P_complex_multidegree_input():
