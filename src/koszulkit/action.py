@@ -149,14 +149,14 @@ def validate_bialgebra(b):
     idm = Mat.identity(d)
     u = Mat(d, 1, [[x] for x in b.unit])
     counit = Mat(1, d, [b.counit])
-    if b.mult @ kron(b.mult, idm) != b.mult @ kron(idm, b.mult):
+    if b.mult @ kron(b.mult, d) != b.mult @ kron(d, b.mult):
         return False, "associativity"
-    if b.mult @ kron(u, idm) != idm or b.mult @ kron(idm, u) != idm:
+    if b.mult @ kron(u, d) != idm or b.mult @ kron(d, u) != idm:
         return False, "unit law"
-    if kron(b.comult, idm) @ b.comult != kron(idm, b.comult) @ b.comult:
+    if kron(b.comult, d) @ b.comult != kron(d, b.comult) @ b.comult:
         return False, "coassociativity"
-    if (kron(counit, idm) @ b.comult != idm
-            or kron(idm, counit) @ b.comult != idm):
+    if (kron(counit, d) @ b.comult != idm
+            or kron(d, counit) @ b.comult != idm):
         return False, "counit law"
     # comultiplication and counit are algebra maps
     mid_swap = [0] * d ** 4
@@ -456,17 +456,17 @@ def tensor_action(provider, mats1, mats2, reverse=False):
     """Matrices of the acting basis on W1 (x) W2, given its matrices on W1
     and on W2: b acts as the sum over its legs of
     coeff * kron(mats1[c1], mats2[c2]), or kron(mats1[c2], mats2[c1])
-    when reverse is set; a leg None (the unit) acts as the identity."""
+    when reverse is set; a leg None (the unit) acts as the identity,
+    which kron_sum takes as the int dimension and never forms."""
     d1, d2 = mats1[0].rows, mats2[0].rows
-    id1, id2 = Mat.identity(d1), Mat.identity(d2)
     out = []
     for legs in provider.legs:
         terms = []
         for coeff, c1, c2 in legs:
             if reverse:
                 c1, c2 = c2, c1
-            terms.append((coeff, id1 if c1 is None else mats1[c1],
-                          id2 if c2 is None else mats2[c2]))
+            terms.append((coeff, d1 if c1 is None else mats1[c1],
+                          d2 if c2 is None else mats2[c2]))
         out.append(kron_sum(terms, d1 * d2, d1 * d2))
     return out
 

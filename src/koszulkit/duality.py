@@ -42,8 +42,8 @@ from __future__ import annotations
 
 from koszulkit.action import _combine, dual_action, tensor_action
 from koszulkit.exactlin import (
-    F1, Mat, _columns, hstack, image, kernel, kron, place_blocks, quotient,
-    rank, vstack,
+    F1, Mat, _columns, hstack, image, kernel, kron, mul_kron_identity,
+    place_blocks, quotient, rank,
 )
 from koszulkit.graded import BigradedComplex, check_d_squared, homology
 from koszulkit.quadratic import m_bar, verify_psi_intertwiner
@@ -174,7 +174,7 @@ def P0(provider, alg, mats, N=None):
                                            list(mats))
     for i in range(N):
         if dims[i] and dims[i + 1]:
-            act1[i] = kron(alg.mult(1, i), Mat.identity(dX))
+            act1[i] = kron(alg.mult(1, i), dX)
     return GradedAModule(provider, alg, dims, act0, act1,
                          truncated_above=True)
 
@@ -196,101 +196,10 @@ def I0(provider, alg, mats):
         if not (dims[-i] and dims[-i + 1]):
             continue
         act1[-i] = hstack([
-            kron(Mat.identity(dX),
-                 alg.generator_mult(i - 1, a, "right").transpose())
+            kron(dX, alg.generator_mult(i - 1, a, "right").transpose())
             for a in range(n)])
     return GradedAModule(provider, alg, dims, act0, act1,
                          truncated_below=True)
-
-
-# ---------------------------------------------------------------------------
-# the adjunction oracle
-
-def hom_A0_dim(provider, mats_x, mats_y):
-    """Dimension of the space of equivariant maps between two modules over
-    the degree-zero part, solved as a linear system."""
-    dx = mats_x[0].rows if mats_x else 0
-    dy = mats_y[0].rows if mats_y else 0
-    if dx == 0 or dy == 0:
-        return 0
-    eqs = [kron(mats_y[b], Mat.identity(dx))
-           - kron(Mat.identity(dy), mats_x[b].transpose())
-           for b in range(provider.basis_size)]
-    return kernel(vstack(eqs)).dim
-
-
-def hom_graded_A_dim(P, Y):
-    """Dimension of the space of degree-0 module maps P -> Y over the
-    full smash product (A0-equivariance plus act1-compatibility in every
-    degree), solved as one linear system in all components at once."""
-    prov = P.provider
-    n = P.alg.n
-    degrees = sorted(set(j for j in P.dims if Y.dim(j)))
-    if not degrees:
-        return 0
-    offs = {}
-    total = 0
-    for j in degrees:
-        offs[j] = total
-        total += Y.dim(j) * P.dim(j)
-    entries = []
-    eq_count = 0
-
-    def add(eq_rows, terms):
-        # terms: list of (j, Mat) acting on vec(phi_j)
-        nonlocal eq_count
-        for j, m in terms:
-            base = offs[j]
-            entries.extend((eq_count + rr, base + c, v)
-                           for rr, c, v in m.entries())
-        eq_count += eq_rows
-
-    for j in degrees:
-        dy, dp = Y.dim(j), P.dim(j)
-        for b in range(prov.basis_size):
-            m = (kron(Y.act0_mats(j)[b], Mat.identity(dp))
-                 - kron(Mat.identity(dy),
-                        P.act0_mats(j)[b].transpose()))
-            add(dy * dp, [(j, m)])
-    for j in sorted(P.dims):
-        # phi_{j+1} o act1_P = act1_Y o (id_V (x) phi_j)
-        if P.truncated_above and j >= P.jmax:
-            continue
-        dp1 = P.dim(j + 1)
-        dy1 = Y.dim(j + 1)
-        if dy1 == 0:
-            continue
-        a1p = P.act1_mat(j)
-        a1y = Y.act1_mat(j)
-        eq_rows = dy1 * n * P.dim(j)
-        terms = []
-        if (j + 1) in offs and dp1:
-            # vec(phi_{j+1} @ a1p) in terms of vec(phi_{j+1})
-            m1 = Mat.from_entries(
-                eq_rows, dy1 * dp1,
-                ((x * a1p.cols + c, x * dp1 + k, v)
-                 for k, c, v in a1p.entries() for x in range(dy1)))
-            terms.append((j + 1, m1))
-        if j in offs and Y.dim(j):
-            dyj, dpj = Y.dim(j), P.dim(j)
-            m2 = Mat.from_entries(
-                eq_rows, dyj * dpj,
-                ((x * (n * dpj) + col // dyj * dpj + u,
-                  col % dyj * dpj + u, -v)
-                 for x, col, v in a1y.entries() for u in range(dpj)))
-            terms.append((j, m2))
-        if terms:
-            add(eq_rows, terms)
-    if not eq_count:
-        return total
-    return kernel(Mat.from_entries(eq_count, total, entries)).dim
-
-
-def adjunction_check(provider, alg, mats_x, Y):
-    """dim hom_A(P0(X), Y) == dim Hom_{A0}(X, Y_0)."""
-    lhs = hom_graded_A_dim(P0(provider, alg, mats_x), Y)
-    rhs = hom_A0_dim(provider, mats_x, Y.act0_mats(0)) if Y.dim(0) else 0
-    return lhs == rhs, (lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +327,9 @@ def I_complex(X, N=None):
     def diff(r, i, j):
         if i >= 1 and alg.hdim(i - 1):
             dm = m_bar(alg, r + 1, i - 1, "right")
-            yield (i - 1, j), kron(Mat.identity(X.dim(j)), dm.transpose())
+            yield (i - 1, j), kron(X.dim(j), dm.transpose())
         if X.dim(j + 1):
-            e = kron(alg.incl_left(r + 1), Mat.identity(alg.hdim(i)))
+            e = kron(alg.incl_left(r + 1), alg.hdim(i))
             m = _rho_hom(X.act1_mat(j), e, alg.n, X.dim(j),
                          alg.kdim(r) * alg.hdim(i),
                          alg.kdim(r + 1) * alg.hdim(i))
@@ -458,12 +367,12 @@ def P_complex(X, N=None):
 
     def diff(r, i, j):
         if i + 1 <= N and alg.hdim(i + 1):
-            m = kron(m_bar(alg, r, i, "left"), Mat.identity(X.dim(j)))
+            m = kron(m_bar(alg, r, i, "left"), X.dim(j))
             yield (i + 1, j), m.scale((-1) ** r)
         if X.dim(j + 1):
-            lam = kron(Mat.identity(alg.kdim(r - 1)), X.act1_mat(j)) \
-                @ kron(alg.incl_right(r), Mat.identity(X.dim(j)))
-            yield (i, j + 1), kron(Mat.identity(alg.hdim(i)), lam)
+            lam = mul_kron_identity(kron(alg.kdim(r - 1), X.act1_mat(j)),
+                                    alg.incl_right(r), X.dim(j))
+            yield (i, j + 1), kron(alg.hdim(i), lam)
 
     return _duality_complex("P", X, N, (X.jmin, X.jmin + N), summands, act,
                             diff)
@@ -502,8 +411,7 @@ def _socle_generator(alg, r, a, d):
     """The a-th dual generator on the socle cell Hom(K_r, X_j), dim X_j =
     d: precomposition with the contraction K_{r+1} -> K_r, landing in
     Hom(K_{r+1}, X_j)."""
-    return kron(Mat.identity(d), alg.contraction(r + 1, a, "right")
-                .transpose())
+    return kron(d, alg.contraction(r + 1, a, "right").transpose())
 
 
 def topP_complex(Y, N=None):
@@ -528,9 +436,9 @@ def topP_complex(Y, N=None):
                              reverse=True)
 
     def diff(r, _r, j):
-        yield (r - 1, j + 1), (
-            kron(Mat.identity(alg.kdim(r - 1)), Y.act1_mat(j))
-            @ kron(alg.incl_right(r), Mat.identity(Y.dim(j))))
+        yield (r - 1, j + 1), mul_kron_identity(
+            kron(alg.kdim(r - 1), Y.act1_mat(j)), alg.incl_right(r),
+            Y.dim(j))
 
     return _duality_complex("topP", Y, N, (Y.jmin, N), summands, act, diff)
 
@@ -708,14 +616,16 @@ def _model_map(g, d, inverse=False):
     order: entry g[a, b] at row (y, a) and column (b, y), for every y < d.
     With inverse set, g is the inverse of such a g and the matrix is the
     inverse map: entry g[a, b] at row (a, y) and column (y, b)."""
-    R, C = g.rows, g.cols
+    C = g.cols
+    if d == 1:
+        return g
     if inverse:
-        return Mat.from_entries(R * d, d * C, ((a * d + y, y * C + b, v)
-                                               for a, b, v in g.entries()
-                                               for y in range(d)))
-    return Mat.from_entries(d * R, C * d, ((y * R + a, b * d + y, v)
-                                           for a, b, v in g.entries()
-                                           for y in range(d)))
+        # kron(g, I_d), its column (b, y) moved to (y, b)
+        return _columns(kron(g, d), [b * d + y for y in range(d)
+                                     for b in range(C)])
+    # kron(I_d, g), its column (y, b) moved to (b, y)
+    return _columns(kron(d, g), [y * C + b for b in range(C)
+                                 for y in range(d)])
 
 
 def _theta_matrix(pairing, r, dX, inverse=False):
@@ -736,7 +646,7 @@ def _chi_matrix(pairing, r, i, dX):
     """roundtrip_B's socle-to-model matrix at dual degree r and H-degree
     i: the inverse theta of the coinduced component Hom(H_i, X), then the
     inverse phi on it."""
-    return (kron(Mat.identity(pairing.dual.hdim(r)),
+    return (kron(pairing.dual.hdim(r),
                  _phi_matrix(pairing, i, dX, inverse=True))
             @ _theta_matrix(pairing, r, dX * pairing.alg.hdim(i),
                             inverse=True))
@@ -887,10 +797,9 @@ def _roundtrip_A_generator_failures(pairing, N):
             if not alg.kdim(p) * alg.hdim(r):
                 continue
             for a in range(alg.n):
-                hom_v = kron(Mat.identity(alg.kdim(p)),
-                             alg.generator_mult(r - 1, a, "right")).transpose()
-                mod_v = kron(dual.contraction(r, a, "left"),
-                             Mat.identity(dual.hdim(p)))
+                hom_v = kron(alg.kdim(p), alg.generator_mult(
+                    r - 1, a, "right").transpose())
+                mod_v = kron(dual.contraction(r, a, "left"), dual.hdim(p))
                 if (pairing.psi_bar(r - 1, p) @ hom_v
                         != mod_v @ pairing.psi_bar(r, p)):
                     yield r, p, a
@@ -910,8 +819,7 @@ def _roundtrip_B_generator_failures(pairing, N):
             chi, chi_next = (_chi_matrix(pairing, r, i, 1),
                              _chi_matrix(pairing, r + 1, i, 1))
             for a in range(alg.n):
-                p_d1 = kron(dual.generator_mult(r, a, "left"),
-                            Mat.identity(hi))
+                p_d1 = kron(dual.generator_mult(r, a, "left"), hi)
                 if (chi_next @ _socle_generator(alg, r, a, hi)
                         != p_d1 @ chi):
                     yield r, i, a

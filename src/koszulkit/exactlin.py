@@ -18,12 +18,19 @@ Conventions:
     with entries(), select_rows(), row(), col() and tolist();
   * a matrix is not changed after it is built, so results may share rows
     with their operands;
+  * a matrix records whether an entry may be a Fraction (_frac): when it
+    is false, none is.  The constructors set it, every operation carries
+    it forward, and rref sets it when a pivot row is divided by an entry
+    other than 1 or -1; a result is scanned for integral Fractions
+    (_ints) only when an operand or coefficient may hold a Fraction;
   * vectors are plain (dense) lists of entries, matrices act on the left
     (m @ v);
   * a Subspace is represented by the unique RREF basis of its row span,
     computed by fraction-free elimination on primitive integer rows;
   * kron uses row-major flattening: basis vector (i, j) of U (x) W has
-    flat index i * dim(W) + j, i.e. the left factor is the slow index.
+    flat index i * dim(W) + j, i.e. the left factor is the slow index;
+    kron and kron_sum take an int n for an n x n identity factor, which
+    is never formed.
 """
 
 from __future__ import annotations
@@ -46,17 +53,27 @@ def _exact(x):
     return x.numerator if x.denominator == 1 else x
 
 
+def _has_frac(data):
+    """Whether an entry of the sparse rows data is a Fraction."""
+    return Fraction in set(map(type, chain.from_iterable(map(dict.values,
+                                                             data))))
+
+
 def _ints(data):
     """Turn, in place, the integral Fractions that arithmetic on Fraction
-    entries leaves in freshly computed rows into ints; returns data.  The
-    rows hold no zero."""
-    if Fraction in set(map(type, chain.from_iterable(map(dict.values,
-                                                          data)))):
-        for row in data:
-            for j, x in row.items():
-                if type(x) is Fraction and x.denominator == 1:
+    entries leaves in freshly computed rows into ints; returns whether a
+    Fraction is left.  The rows hold no zero."""
+    if not _has_frac(data):
+        return False
+    left = False
+    for row in data:
+        for j, x in row.items():
+            if type(x) is Fraction:
+                if x.denominator == 1:
                     row[j] = x.numerator
-    return data
+                else:
+                    left = True
+    return left
 
 
 def _nonzero(row):
@@ -66,14 +83,22 @@ def _nonzero(row):
     return {j: x for j, x in row.items() if x}
 
 
-def _mat(rows, cols, data):
+def _mat(rows, cols, data, frac):
     """A Mat around sparse rows computed here: exact nonzero entries in
-    range, so nothing is re-wrapped or re-checked."""
+    range, so nothing is re-wrapped or re-checked; frac is false only when
+    no entry is a Fraction."""
     m = Mat.__new__(Mat)
     m.rows = rows
     m.cols = cols
     m._data = data
+    m._frac = frac
     return m
+
+
+def _mismatch(op, m1, m2):
+    """The ValueError of op on two matrices whose shapes do not fit."""
+    return ValueError("%s of a %d x %d and a %d x %d matrix"
+                      % (op, m1.rows, m1.cols, m2.rows, m2.cols))
 
 
 def _columns(m, cols):
@@ -81,7 +106,7 @@ def _columns(m, cols):
     pos = {c: k for k, c in enumerate(cols)}
     return _mat(m.rows, len(cols),
                 [{pos[j]: x for j, x in row.items() if j in pos}
-                 for row in m._data])
+                 for row in m._data], m._frac)
 
 
 class Mat:
@@ -92,11 +117,12 @@ class Mat:
     input: it checks the shape and normalizes every entry; Mat(rows,
     cols) is the zero matrix."""
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_data", "_frac")
 
     def __init__(self, rows, cols, data=None):
         self.rows = rows
         self.cols = cols
+        self._frac = False
         if data is None:
             self._data = [{} for _ in range(rows)]
             return
@@ -106,6 +132,7 @@ class Mat:
                              % (rows, cols))
         self._data = [{j: x for j, x in enumerate(map(_exact, row)) if x}
                       for row in data]
+        self._frac = _has_frac(self._data)
 
     @staticmethod
     def from_rows(rows_list, cols=None):
@@ -129,11 +156,11 @@ class Mat:
                     raise ValueError("entry outside a %d x %d matrix"
                                      % (rows, cols))
                 data[i] = _nonzero(row)
-        return _mat(rows, cols, _ints(data))
+        return _mat(rows, cols, data, _ints(data))
 
     @staticmethod
     def identity(n):
-        return _mat(n, n, [{i: 1} for i in range(n)])
+        return _mat(n, n, [{i: 1} for i in range(n)], False)
 
     @staticmethod
     def zeros(rows, cols):
@@ -148,7 +175,8 @@ class Mat:
         """The matrix of the rows with the given indices, in that order."""
         rows = list(rows)
         data = self._data
-        return _mat(len(rows), self.cols, [data[i] for i in rows])
+        return _mat(len(rows), self.cols, [data[i] for i in rows],
+                    self._frac)
 
     def tolist(self):
         """The dense rows, as lists of entries."""
@@ -167,31 +195,35 @@ class Mat:
         return not any(self._data)
 
     def __add__(self, other):
-        assert self.rows == other.rows and self.cols == other.cols
-        return _mat(self.rows, self.cols,
-                    [_sum_rows(r1, r2, 1)
-                     for r1, r2 in zip(self._data, other._data)])
+        return self._plus(other, 1, "sum")
 
     def __sub__(self, other):
-        assert self.rows == other.rows and self.cols == other.cols
+        return self._plus(other, -1, "difference")
+
+    def _plus(self, other, sign, op):
+        if self.rows != other.rows or self.cols != other.cols:
+            raise _mismatch(op, self, other)
         return _mat(self.rows, self.cols,
-                    [_sum_rows(r1, r2, -1)
-                     for r1, r2 in zip(self._data, other._data)])
+                    [_sum_rows(r1, r2, sign)
+                     for r1, r2 in zip(self._data, other._data)],
+                    self._frac or other._frac)
 
     def __neg__(self):
         return _mat(self.rows, self.cols,
-                    [{j: -x for j, x in r.items()} for r in self._data])
+                    [{j: -x for j, x in r.items()} for r in self._data],
+                    self._frac)
 
     def scale(self, c):
         c = _exact(c)
         if not c:
             return Mat(self.rows, self.cols)
-        return _mat(self.rows, self.cols,
-                    _ints([{j: c * x for j, x in r.items()}
-                           for r in self._data]))
+        out = [{j: c * x for j, x in r.items()} for r in self._data]
+        frac = self._frac or type(c) is Fraction
+        return _mat(self.rows, self.cols, out, frac and _ints(out))
 
     def __matmul__(self, other):
-        assert self.cols == other.rows, (self.cols, other.rows)
+        if self.cols != other.rows:
+            raise _mismatch("product", self, other)
         odata = other._data
         out = []
         for row in self._data:
@@ -201,24 +233,28 @@ class Mat:
                 if a != 1:
                     acc = {j: a * b for j, b in acc.items()}
             elif row:
-                items = iter(row.items())
-                k, a = next(items)
-                acc = {j: a * b for j, b in odata[k].items()}
-                for k, a in items:
+                acc, hit = {}, False
+                for k, a in row.items():
                     for j, b in odata[k].items():
                         if j in acc:
                             acc[j] += a * b
+                            hit = True
                         else:
                             acc[j] = a * b
-                acc = _nonzero(acc)
+                if hit:
+                    # only two products meeting can leave a zero
+                    acc = _nonzero(acc)
             else:
                 acc = row
             out.append(acc)
-        return _mat(self.rows, other.cols, _ints(out))
+        frac = self._frac or other._frac
+        return _mat(self.rows, other.cols, out, frac and _ints(out))
 
     def apply(self, vec):
         """Matrix times column vector (a list)."""
-        assert len(vec) == self.cols
+        if len(vec) != self.cols:
+            raise ValueError("a %d x %d matrix applied to a vector of "
+                             "length %d" % (self.rows, self.cols, len(vec)))
         return [_exact(sum([x * vec[j] for j, x in row.items()]))
                 for row in self._data]
 
@@ -227,7 +263,7 @@ class Mat:
         for i, row in enumerate(self._data):
             for j, x in row.items():
                 out[j][i] = x
-        return _mat(self.cols, self.rows, out)
+        return _mat(self.cols, self.rows, out, self._frac)
 
     def row(self, i):
         out = [0] * self.cols
@@ -257,26 +293,29 @@ def _sum_rows(r1, r2, sign):
 
 
 def vstack(mats):
-    mats = [m for m in mats]
-    assert mats
-    cols = mats[0].cols
+    mats = list(mats)
+    if not mats:
+        raise ValueError("no matrices to stack")
     rows = []
     for m in mats:
-        assert m.cols == cols
+        if m.cols != mats[0].cols:
+            raise _mismatch("vstack", mats[0], m)
         rows.extend(m._data)
-    return _mat(len(rows), cols, rows)
+    return _mat(len(rows), mats[0].cols, rows,
+                any(m._frac for m in mats))
 
 
 def hstack(mats):
-    mats = [m for m in mats]
-    assert mats
-    rows = mats[0].rows
+    mats = list(mats)
+    if not mats:
+        raise ValueError("no matrices to stack")
     blocks, off = [], 0
     for m in mats:
-        assert m.rows == rows
+        if m.rows != mats[0].rows:
+            raise _mismatch("hstack", mats[0], m)
         blocks.append((0, off, m))
         off += m.cols
-    return place_blocks(rows, off, blocks)
+    return place_blocks(mats[0].rows, off, blocks)
 
 
 def place_blocks(rows, cols, blocks):
@@ -301,46 +340,84 @@ def place_blocks(rows, cols, blocks):
                 # rows are not changed once built, so a row placed alone
                 # is shared with its block
                 data[i] = {**data[i], **row} if data[i] else row
-    return _mat(rows, cols, data)
+    return _mat(rows, cols, data, any(m._frac for _, _, m in blocks))
+
+
+def _factor(f):
+    """(rows, cols, sparse rows, frac) of a Kronecker factor: a Mat, or an
+    int n for the n x n identity, whose rows are None."""
+    if type(f) is int:
+        return f, f, None, False
+    return f.rows, f.cols, f._data, f._frac
 
 
 def kron_sum(terms, rows, cols):
     """Sum of c * kron(A, B) over the (c, A, B) in terms, a rows x cols
-    matrix; each term is built row by row from the nonzeros of A and B."""
-    out = None
+    matrix; a factor given as an int n is the n x n identity, which is
+    never formed.  Every product of a nonzero of A with a nonzero of B is
+    added straight into its row of the sum, so no term is built apart."""
+    parts, frac, alone = [], False, None
     for c, m1, m2 in terms:
         c = _exact(c)
-        if not c:
-            continue
-        d2, c2 = m2._data, m2.cols
-        term = []
-        for row1 in m1._data:
-            if not row1:
-                # rows are not changed once built, so empty ones are shared
-                term.extend([row1] * len(d2))
-                continue
-            if c != 1:
-                row1 = {j: c * a for j, a in row1.items()}
-            items1 = row1.items()
-            for row2 in d2:
-                term.append({j1 * c2 + j2: a * b for j1, a in items1
-                             for j2, b in row2.items()} if row2 else row2)
-        out = term if out is None else [_sum_rows(r1, r2, 1)
-                                        for r1, r2 in zip(out, term)]
-    if out is None:
+        r1, _, d1, frac1 = _factor(m1)
+        r2, c2, d2, frac2 = _factor(m2)
+        if c and (d1 is None or any(d1)) and (d2 is None or any(d2)):
+            parts.append((c, d1, d2))
+            frac = frac or frac1 or frac2 or type(c) is Fraction
+            # kron(I_1, B) is B and kron(A, I_1) is A
+            if c == 1 and (r1, d1) == (1, None) and d2 is not None:
+                alone = m2
+            elif c == 1 and (r2, d2) == (1, None) and d1 is not None:
+                alone = m1
+    if not parts:
         return Mat(rows, cols)
-    return _mat(rows, cols, _ints(out))
+    if len(parts) == 1 and alone is not None:
+        return alone
+    out = [{} for _ in range(rows)]
+    hits = set()            # the rows where two terms met, which may hold 0
+    for c, d1, d2 in parts:
+        for i1 in range(r1):
+            row1 = {i1: 1} if d1 is None else d1[i1]
+            for j1, a in row1.items():
+                a *= c
+                # entry (i1 * r2 + i2, j1 * c2 + j2) is a * B[i2, j2]
+                i0, j0 = i1 * r2, j1 * c2
+                if d2 is None:
+                    for i2 in range(r2):
+                        row, j = out[i0 + i2], j0 + i2
+                        if j in row:
+                            row[j] += a
+                            hits.add(i0 + i2)
+                        else:
+                            row[j] = a
+                    continue
+                for i2, row2 in enumerate(d2):
+                    row = out[i0 + i2]
+                    for j2, b in row2.items():
+                        j = j0 + j2
+                        if j in row:
+                            row[j] += a * b
+                            hits.add(i0 + i2)
+                        else:
+                            row[j] = a * b
+    for i in hits:
+        out[i] = _nonzero(out[i])
+    return _mat(rows, cols, out, frac and _ints(out))
 
 
 def kron(m1, m2):
-    """Kronecker product under the fixed row-major basis ordering."""
-    return kron_sum([(1, m1, m2)], m1.rows * m2.rows, m1.cols * m2.cols)
+    """Kronecker product under the fixed row-major basis ordering; an int
+    n for a factor is the n x n identity."""
+    (r1, c1, _, _), (r2, c2, _, _) = _factor(m1), _factor(m2)
+    return kron_sum([(1, m1, m2)], r1 * r2, c1 * c2)
 
 
 def mul_kron_identity(m1, m2, n):
     """m1 @ kron(m2, I_n), without forming the Kronecker product: only
     nonzero products are written."""
-    assert m1.cols == m2.rows * n, (m1.cols, m2.rows, n)
+    if m1.cols != m2.rows * n:
+        raise ValueError("product of a %d x %d matrix and kron(%d x %d, "
+                         "I_%d)" % (m1.rows, m1.cols, m2.rows, m2.cols, n))
     d2 = m2._data
     out = []
     for row1 in m1._data:
@@ -354,7 +431,8 @@ def mul_kron_identity(m1, m2, n):
                 else:
                     orow[j] = a * b
         out.append(_nonzero(orow))
-    return _mat(m1.rows, m2.cols * n, _ints(out))
+    frac = m1._frac or m2._frac
+    return _mat(m1.rows, m2.cols * n, out, frac and _ints(out))
 
 
 def _primitive(r):
@@ -366,9 +444,12 @@ def _primitive(r):
     return r
 
 
-def _int_rows(data):
+def _int_rows(data, frac):
     """The nonzero rows of data as primitive integer rows {col: int}, each
-    a nonzero rational multiple of its row, so the row span is kept."""
+    a nonzero rational multiple of its row, so the row span is kept; frac
+    is false when no entry is a Fraction."""
+    if not frac:
+        return [_primitive(dict(row)) for row in data if row]
     out = []
     for row in data:
         if not row:
@@ -384,44 +465,58 @@ def _int_rows(data):
     return out
 
 
-def _rref_sparse(live, cols):
+def _rref_sparse(rows):
     """Fraction-free Gauss-Jordan elimination on primitive integer rows
     {col: int}.  Returns (pivot_col, row) in pivot order; each row is a
     primitive integer multiple of the matching row of the RREF.
 
-    The pivot of each column is the shortest live row holding it.  A row
-    r with entry c in the pivot column becomes (a/g) r - (c/g) piv, where
-    a is the pivot entry and g = gcd(a, c), then loses its content: a
-    nonzero multiple of r - (c/a) piv, with the same support."""
+    The pivot of each column is the shortest live (not yet pivot) row
+    holding it, the earliest one on a tie.  A row r with entry c in the
+    pivot column becomes (a/g) r - (c/g) piv, where a is the pivot entry
+    and g = gcd(a, c), then loses its content: a nonzero multiple of
+    r - (c/a) piv, with the same support.  holding maps each column to the
+    indices of the rows with an entry there, so each column visits only
+    those rows; the columns held never grow, as a row gains only columns
+    of the pivot row."""
+    holding = {}
+    for k, r in enumerate(rows):
+        for j in r:
+            if j in holding:
+                holding[j].add(k)
+            else:
+                holding[j] = {k}
+    live = [True] * len(rows)
     done = []
-    for col in range(cols):
-        best = None
-        best_len = None
-        for idx, r in enumerate(live):
-            if col in r and (best is None or len(r) < best_len):
-                best = idx
-                best_len = len(r)
+    for col in sorted(holding):
+        ks = holding[col]
+        best = min(((len(rows[k]), k) for k in ks if live[k]), default=None)
         if best is None:
             continue
-        piv = live.pop(best)
+        best = best[1]
+        live[best] = False
+        piv = rows[best]
         a = piv[col]
-        for r in live + [d for _, d in done]:
-            c = r.get(col)
-            if c:
-                g = gcd(a, c)
-                s, t = a // g, c // g
-                if s != 1:
-                    for j, v in r.items():
-                        r[j] = v * s
-                for j, v in piv.items():
-                    nv = r.get(j, 0) - t * v
+        for k in [k for k in ks if k != best]:
+            r = rows[k]
+            c = r[col]
+            g = gcd(a, c)
+            s, t = a // g, c // g
+            if s != 1:
+                for j, v in r.items():
+                    r[j] = v * s
+            for j, v in piv.items():
+                if j in r:
+                    nv = r[j] - t * v
                     if nv:
                         r[j] = nv
                     else:
                         del r[j]
-                if r:
-                    _primitive(r)
-        live = [r for r in live if r]
+                        holding[j].discard(k)
+                else:
+                    r[j] = -t * v
+                    holding[j].add(k)
+            if r:
+                _primitive(r)
         done.append((col, piv))
     return done
 
@@ -432,8 +527,8 @@ def rref(m):
     Returns (Mat, pivot_column_list); rank == len(pivots).  Fractions are
     made only here, to scale each pivot row to pivot 1.
     """
-    done = _rref_sparse(_int_rows(m._data), m.cols)
-    data = []
+    done = _rref_sparse(_int_rows(m._data, m._frac))
+    data, frac = [], False
     for col, r in done:
         p = r[col]
         if p == 1:
@@ -441,12 +536,14 @@ def rref(m):
         elif p == -1:
             data.append({j: -v for j, v in r.items()})
         else:
+            # r is primitive, so some entry is not a multiple of p
+            frac = True
             row = {}
             for j, v in r.items():
                 q = Fraction(v) / p
                 row[j] = q.numerator if q.denominator == 1 else q
             data.append(row)
-    return _mat(len(done), m.cols, data), [c for c, _ in done]
+    return _mat(len(done), m.cols, data, frac), [c for c, _ in done]
 
 
 def rank(m):
@@ -466,18 +563,15 @@ class Subspace:
     @staticmethod
     def from_rows(ambient_dim, rows):
         m = rows if isinstance(rows, Mat) else Mat.from_rows(rows, ambient_dim)
-        assert m.cols == ambient_dim
+        if m.cols != ambient_dim:
+            raise ValueError("rows of length %d span no subspace of Q^%d"
+                             % (m.cols, ambient_dim))
         b, piv = rref(m)
         return Subspace(ambient_dim, b, piv)
 
     @staticmethod
     def zero(ambient_dim):
         return Subspace(ambient_dim, Mat(0, ambient_dim), [])
-
-    @staticmethod
-    def full(ambient_dim):
-        return Subspace(ambient_dim, Mat.identity(ambient_dim),
-                        list(range(ambient_dim)))
 
     @property
     def dim(self):
@@ -523,7 +617,7 @@ def kernel(m):
         for j, c in row.items():
             if j in free:
                 rows[free[j]][p] = -c
-    return Subspace.from_rows(m.cols, _mat(len(rows), m.cols, rows))
+    return Subspace.from_rows(m.cols, _mat(len(rows), m.cols, rows, b._frac))
 
 
 def image(m):
@@ -550,19 +644,20 @@ def quotient(ambient_dim, s):
         for q, c in row.items():
             if q in pos:
                 proj[pos[q]][p] = -c
-    return (_mat(len(free), ambient_dim, proj),
-            _mat(ambient_dim, len(free), sect))
+    return (_mat(len(free), ambient_dim, proj, s.basis._frac),
+            _mat(ambient_dim, len(free), sect, False))
 
 
 def inverse(m):
     """Inverse of a square matrix; raises ValueError if singular."""
-    assert m.rows == m.cols
+    if m.rows != m.cols:
+        raise ValueError("inverse of a %d x %d matrix" % (m.rows, m.cols))
     n = m.rows
     red, pivots = rref(hstack([m, Mat.identity(n)]))
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return _mat(n, n, [{j - n: x for j, x in row.items() if j >= n}
-                       for row in red._data])
+                       for row in red._data], red._frac)
 
 
 def perm_matrix(perm):
@@ -571,7 +666,7 @@ def perm_matrix(perm):
     data = [{} for _ in range(n)]
     for j, i in enumerate(perm):
         data[i][j] = 1
-    return _mat(n, n, data)
+    return _mat(n, n, data, False)
 
 
 def swap_matrix(a, b):

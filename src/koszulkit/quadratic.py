@@ -126,11 +126,6 @@ class QuadraticPresentation:
         return QuadraticPresentation(gens, Subspace.from_rows(n * n, rows))
 
 
-def presentation_from_relation_rows(gen_names, rows):
-    n = len(gen_names)
-    return QuadraticPresentation(gen_names, Subspace.from_rows(n * n, rows))
-
-
 def _gen_names(n):
     if n == 1:
         return ["t"]
@@ -211,6 +206,7 @@ class TruncatedGradedAlgebra:
         self._contractions = {}
         self._generator_mults = {}
         self._m_bar = {}
+        self._koszulity = {}
 
     def _check(self, i):
         if not 0 <= i <= self.N:
@@ -398,7 +394,7 @@ def grow(pres, N):
         # H_i: pivots of the relations in H_{i-1} (x) V are the candidates
         # that are not normal
         rows = mul_kron_identity(
-            kron(Mat.identity(len(words[i - 2])), R.basis),
+            kron(len(words[i - 2]), R.basis),
             quot[i - 1].transpose(), n)
         rel = Subspace.from_rows(quot[i - 1].rows * n, rows)
         q, _ = quotient(rel.ambient_dim, rel)
@@ -409,7 +405,7 @@ def grow(pres, N):
         # K_i = (K_{i-1} (x) V) /\ (K_{i-2} (x) R) in K_{i-1} (x) V
         # coordinates, as a canonical (RREF) coefficient basis
         cond = mul_kron_identity(
-            kron(Mat.identity(kdim[i - 2]), q_R), incl[i - 1], n)
+            kron(kdim[i - 2], q_R), incl[i - 1], n)
         coeffs = kernel(cond)
         incl.append(coeffs.basis.transpose())
         kpiv.append(coeffs.pivots)
@@ -516,10 +512,14 @@ def koszulity_check(pres, N, alg=None):
 
     Returns a dict with per-degree verdicts and the first failing cell;
     only ever asserts Koszulity up to the truncation degree.  Raises
-    DSquaredError, from homology, if the differential fails d^2 = 0."""
+    DSquaredError, from homology, if the differential fails d^2 = 0.  The
+    verdict is kept on alg per N, so every check that asks for it shares
+    one computation."""
     from koszulkit.graded import homology
     if alg is None:
         alg = grow(pres, N)
+    if N in alg._koszulity:
+        return alg._koszulity[N]
     cx = koszul_complex(alg, "right")
     rep = homology(cx)
     per_degree = {}
@@ -535,10 +535,11 @@ def koszulity_check(pres, N, alg=None):
                 if first_failure is None:
                     first_failure = (r, s)
         per_degree[s] = good
-    return {"per_degree": per_degree,
-            "koszul_up_to_N": all(per_degree.values()),
-            "first_failure": first_failure,
-            "homology": rep}
+    alg._koszulity[N] = {"per_degree": per_degree,
+                         "koszul_up_to_N": all(per_degree.values()),
+                         "first_failure": first_failure,
+                         "homology": rep}
+    return alg._koszulity[N]
 
 
 def euler_identity(pres, N, alg=None, dual_alg=None):
@@ -554,73 +555,6 @@ def euler_identity(pres, N, alg=None, dual_alg=None):
         if total != (1 if s == 0 else 0):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# contractions
-
-def _contract(alg, i, theta, r, first):
-    """Matrix K_i -> K_{i-r}, in K-coordinates, contracting the first r
-    tensor factors, or the last r, against the dual-word tensor theta
-    (length n^r), letters paired in reverse order.
-
-    The first letter of theta pairs the r-th letter (first) or the last
-    letter (not first); the rest of theta contracts the remaining r - 1
-    letters, so the matrix is a sum of products of one-letter
-    contractions."""
-    if r > i:
-        return Mat.zeros(0, alg.kdim(i))
-    n = alg.n
-    if len(theta) != n ** r:
-        raise ValueError("dual word of length %d, expected %d"
-                         % (len(theta), n ** r))
-    if r == 0:
-        return Mat.identity(alg.kdim(i)).scale(theta[0])
-    out = Mat.zeros(alg.kdim(i - r), alg.kdim(i))
-    stride = n ** (r - 1)
-    for a in range(n):
-        rest = theta[a * stride:(a + 1) * stride]
-        if not any(rest):
-            continue
-        if first:
-            term = (alg.contraction(i - r + 1, a, "left")
-                    @ _contract(alg, i, rest, r - 1, True))
-        else:
-            term = (_contract(alg, i - 1, rest, r - 1, False)
-                    @ alg.contraction(i, a, "right"))
-        out = out + term
-    return out
-
-
-def contract_right(alg, i, theta, r):
-    """Matrix K_i -> K_{i-r} (in K-coordinates) of the right action of the
-    dual-algebra element represented by theta in (V*)^(x)r."""
-    return _contract(alg, i, theta, r, first=False)
-
-
-def contract_left(alg, i, tvec, r):
-    """Matrix K_i -> K_{i-r} of the left action contracting first factors.
-
-    Used with the dual algebra: elements of H act on the Koszul subspaces
-    of H! by stripping leading factors."""
-    return _contract(alg, i, tvec, r, first=True)
-
-
-def validate_contractions(alg, dual_alg, max_degree=None):
-    """The defining relations of the dual act as zero on the Koszul
-    subspaces (so the contraction action factors through the dual algebra),
-    and symmetrically for the algebra acting on the dual Koszul subspaces."""
-    N = max_degree if max_degree is not None else alg.N
-    for i in range(2, N + 1):
-        for theta in dual_alg.pres.relations.basis.tolist():
-            m = contract_right(alg, i, theta, 2)
-            if not m.is_zero():
-                return False, ("right", i)
-        for tvec in alg.pres.relations.basis.tolist():
-            m = contract_left(dual_alg, i, tvec, 2)
-            if not m.is_zero():
-                return False, ("left", i)
-    return True, None
 
 
 # ---------------------------------------------------------------------------

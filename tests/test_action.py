@@ -9,7 +9,7 @@ from koszulkit.action import (
     validate_module_algebra,
 )
 from koszulkit.duality import P0
-from koszulkit.exactlin import F0, F1, Mat, kron
+from koszulkit.exactlin import F0, F1, Mat, Subspace, kron
 from koszulkit.fixtures import (
     c2_group_algebra, c2_modules, c2_sign_provider, dual_numbers_presentation,
     sl2_lie_action, sl2_provider, sweedler_bialgebra,
@@ -17,7 +17,7 @@ from koszulkit.fixtures import (
     trivial_bialgebra, trivial_provider,
 )
 from koszulkit.quadratic import (
-    grow, presentation_from_relation_rows, quadratic_dual, reversal_perm,
+    QuadraticPresentation, grow, quadratic_dual, reversal_perm,
 )
 
 
@@ -155,8 +155,8 @@ def test_module_algebra_validation():
         [Mat.identity(2), Mat(2, 2, [[0, 1], [1, 0]])])
     assert validate_module_algebra(swap, sym_presentation(2)) == (True, None)
     # ... but not the relation spanned by the single word x1 (x) x2
-    lopsided = presentation_from_relation_rows(
-        ["x1", "x2"], [[F0, F1, F0, F0]])
+    lopsided = QuadraticPresentation(
+        ["x1", "x2"], Subspace.from_rows(4, [[F0, F1, F0, F0]]))
     ok, _ = validate_module_algebra(swap, lopsided)
     assert not ok
 
@@ -241,8 +241,8 @@ def test_smash_rejects_bad_action():
     # longer an involution, and the law g g = 1 breaks there
     bad = ActionProvider.from_bialgebra(
         c2_group_algebra(), [Mat.identity(2), Mat(2, 2, [[0, 1], [1, 0]])])
-    lopsided = presentation_from_relation_rows(["x1", "x2"],
-                                               [[F0, F1, F0, F0]])
+    lopsided = QuadraticPresentation(
+        ["x1", "x2"], Subspace.from_rows(4, [[F0, F1, F0, F0]]))
     assert validate_module_algebra(bad, lopsided) == (
         False, ("relation escapes", "g"))
     alg = grow(lopsided, 3)

@@ -63,7 +63,7 @@ def test_mul_kron_identity_matches_kron():
 def test_quotient():
     p, s = quotient(3, Subspace.zero(3))
     assert p == Mat.identity(3)
-    p, s = quotient(3, Subspace.full(3))
+    p, s = quotient(3, Subspace.from_rows(3, Mat.identity(3)))
     assert p.rows == 0 and s.cols == 0
     sub = Subspace.from_rows(2, [[1, 1]])
     p, s = quotient(2, sub)
@@ -178,11 +178,13 @@ def assert_exact(values):
 
 def assert_exact_mat(m):
     """The storage invariant of Mat: only nonzero entries are stored, each
-    an int or a non-integral Fraction, at a position inside the shape."""
+    an int or a non-integral Fraction, at a position inside the shape, and
+    none a Fraction when the matrix's flag says so."""
     for i, j, x in m.entries():
         assert 0 <= i < m.rows and 0 <= j < m.cols, (i, j, m.rows, m.cols)
         assert x != 0, (i, j)
         assert_exact([x])
+        assert m._frac or type(x) is int, (i, j, x)
     dense = m.tolist()
     assert len(dense) == m.rows
     for row in dense:
@@ -399,3 +401,131 @@ def test_cancellation_leaves_no_stored_zero(args):
             assert got == Mat.zeros(rows, cols)
             assert got.is_zero()
 
+
+
+# ---------------------------------------------------------------------------
+# shapes are checked by exceptions, which hold under python -O
+
+A12, A21, A31 = (Mat(1, 2, [[1, 2]]), Mat(2, 1, [[1], [2]]),
+                 Mat(3, 1, [[1], [2], [3]]))
+
+
+@pytest.mark.parametrize("op, shapes", [
+    (lambda: A12 + A21, ("1 x 2", "2 x 1")),
+    (lambda: A12 - A21, ("1 x 2", "2 x 1")),
+    (lambda: A12 @ A31, ("1 x 2", "3 x 1")),
+    (lambda: A12.apply([1, 2, 3]), ("1 x 2", "length 3")),
+    (lambda: vstack([A12, A21]), ("1 x 2", "2 x 1")),
+    (lambda: vstack([]), ("no matrices",)),
+    (lambda: hstack([A12, A21]), ("1 x 2", "2 x 1")),
+    (lambda: hstack([]), ("no matrices",)),
+    (lambda: mul_kron_identity(A12, A21, 2), ("1 x 2", "2 x 1", "I_2")),
+    (lambda: Subspace.from_rows(3, A12), ("length 2", "Q^3")),
+    (lambda: inverse(A12), ("1 x 2",)),
+], ids=["add", "sub", "matmul", "apply", "vstack", "vstack_empty",
+        "hstack", "hstack_empty", "mul_kron_identity", "subspace",
+        "inverse"])
+def test_shape_mismatch_is_a_value_error(op, shapes):
+    with pytest.raises(ValueError) as exc:
+        op()
+    for shape in shapes:
+        assert shape in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# the integer fast paths: the Fraction flag, identity factors of kron_sum
+# given by their dimension, and the indexed elimination of rref
+
+INT_ENTRIES = st.integers(-6, 6)
+
+
+@st.composite
+def int_mats(draw, rows, cols):
+    return Mat(rows, cols, [draw(st.lists(INT_ENTRIES, min_size=cols,
+                                          max_size=cols))
+                            for _ in range(rows)])
+
+
+@PROPERTY
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3),
+                 st.integers(1, 3)).flatmap(
+    lambda s: st.tuples(int_mats(s[0], s[1]), int_mats(s[0], s[1]),
+                        int_mats(s[1], s[2]), int_mats(s[0], s[1] * s[3]),
+                        st.just(s[3]), INT_ENTRIES)))
+def test_integer_operands_give_flagged_integer_results(args):
+    a, b, m, w, n, x = args
+    for got in (a + b, a - b, -a, a.scale(x), a @ m, a.transpose(),
+                vstack([a, b]), hstack([a, b]), kron(a, m),
+                kron_sum([(x, a, m), (1, b, m)], a.rows * m.rows,
+                         a.cols * m.cols),
+                mul_kron_identity(w, m, n), _columns(a, [0] if a.cols else []),
+                a.select_rows([0] if a.rows else []),
+                place_blocks(a.rows, 2 * a.cols, [(0, 0, a), (0, a.cols, b)])):
+        assert not got._frac
+        assert_exact_mat(got)
+    # the flags of RREF bases, and of what is built from them, are exact:
+    # a Fraction is left exactly when they say so
+    for got in (rref(a)[0], rref(vstack([a, b]).scale(3))[0],
+                kernel(a).basis, quotient(a.cols, kernel(a))[0]):
+        assert_exact_mat(got)
+        assert got._frac == any(type(v) is not int for _, _, v in
+                                got.entries())
+
+
+@PROPERTY
+@given(st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+    lambda s: st.tuples(row_lists(rows=s[0], cols=s[0]),
+                        row_lists(rows=s[1], cols=s[1]),
+                        row_lists(rows=s[0], cols=s[1]),
+                        st.lists(st.tuples(ENTRIES, st.booleans(),
+                                           st.booleans()),
+                                 min_size=1, max_size=3))))
+def test_kron_sum_identity_factors_match_formed_identities(args):
+    ra, rb, rw, picks = args
+    p, q = len(ra), len(rb)
+    a, b, w = _raw_mat(ra, p), _raw_mat(rb, q), _raw_mat(rw, q)
+    terms = [(c, p if id1 else a, q if id2 else b) for c, id1, id2 in picks]
+    formed = [(c, Mat.identity(p) if id1 else a,
+               Mat.identity(q) if id2 else b) for c, id1, id2 in picks]
+    got = kron_sum(terms, p * q, p * q)
+    assert got == kron_sum(formed, p * q, p * q)
+    want = [[0] * (p * q) for _ in range(p * q)]
+    for c, f, g in formed:
+        want = ref_add(want, ref_scale(c, ref_kron(f.tolist(), g.tolist())))
+    assert got.tolist() == want
+    assert_exact_mat(got)
+    # a rectangular factor beside an identity
+    assert kron(w, q) == kron(w, Mat.identity(q))
+    assert kron(p, w) == kron(Mat.identity(p), w)
+
+
+@st.composite
+def tall_row_lists(draw):
+    """Many more rows than columns: rows of ENTRIES, with zero rows,
+    repeated rows and multiples of earlier rows among them."""
+    cols = draw(st.integers(1, 5))
+    rows = draw(st.integers(cols + 1, 4 * cols + 4))
+    data = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(("free", "zero", "repeat", "multiple")))
+        if kind == "zero" or (kind != "free" and not data):
+            data.append([0] * cols)
+        elif kind == "free":
+            data.append(draw(st.lists(ENTRIES, min_size=cols,
+                                      max_size=cols)))
+        else:
+            row = data[draw(st.integers(0, len(data) - 1))]
+            c = 1 if kind == "repeat" else draw(ENTRIES)
+            data.append([Fraction(c) * Fraction(v) for v in row])
+    return data
+
+
+@PROPERTY
+@given(tall_row_lists())
+def test_indexed_rref_matches_reference_on_tall_inputs(rows):
+    cols = len(rows[0])
+    for m in (Mat(len(rows), cols, rows), _raw_mat(rows, cols)):
+        b, pivots = rref(m)
+        assert (b.tolist(), pivots) == ref_rref(rows, cols)
+        assert_exact_mat(b)
+        assert kernel(m).basis.tolist() == ref_kernel(rows, cols)

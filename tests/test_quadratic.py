@@ -18,17 +18,94 @@ from koszulkit.fixtures import (
 )
 from koszulkit.graded import check_d_squared, homology
 from koszulkit.quadratic import (
-    DualityPairing, QuadraticPresentation, contract_left, contract_right,
-    euler_identity, grow, index_word, koszul_complex, koszulity_check,
-    m_bar, presentation_from_relation_rows, quadratic_dual, reversal_perm,
-    validate_contractions, verify_psi_intertwiner, word_index,
+    DualityPairing, QuadraticPresentation, euler_identity, grow, index_word,
+    koszul_complex, koszulity_check, m_bar, quadratic_dual, reversal_perm,
+    verify_psi_intertwiner, word_index,
 )
-
 
 
 def _unit_vector(n, i):
     """The i-th standard basis vector of Q^n, as a list."""
     return [int(k == i) for k in range(n)]
+
+
+def full_space(n):
+    """Q^n as a Subspace of itself."""
+    return Subspace.from_rows(n, Mat.identity(n))
+
+
+def presentation_from_relation_rows(gen_names, rows):
+    n = len(gen_names)
+    return QuadraticPresentation(gen_names, Subspace.from_rows(n * n, rows))
+
+
+# ---------------------------------------------------------------------------
+# contractions by words of length r, built from the program's one-letter
+# contractions; an oracle for the dual algebra acting on Koszul subspaces
+
+def _contract(alg, i, theta, r, first):
+    """Matrix K_i -> K_{i-r}, in K-coordinates, contracting the first r
+    tensor factors, or the last r, against the dual-word tensor theta
+    (length n^r), letters paired in reverse order.
+
+    The first letter of theta pairs the r-th letter (first) or the last
+    letter (not first); the rest of theta contracts the remaining r - 1
+    letters, so the matrix is a sum of products of one-letter
+    contractions."""
+    if r > i:
+        return Mat.zeros(0, alg.kdim(i))
+    n = alg.n
+    if len(theta) != n ** r:
+        raise ValueError("dual word of length %d, expected %d"
+                         % (len(theta), n ** r))
+    if r == 0:
+        return Mat.identity(alg.kdim(i)).scale(theta[0])
+    out = Mat.zeros(alg.kdim(i - r), alg.kdim(i))
+    stride = n ** (r - 1)
+    for a in range(n):
+        rest = theta[a * stride:(a + 1) * stride]
+        if not any(rest):
+            continue
+        if first:
+            term = (alg.contraction(i - r + 1, a, "left")
+                    @ _contract(alg, i, rest, r - 1, True))
+        else:
+            term = (_contract(alg, i - 1, rest, r - 1, False)
+                    @ alg.contraction(i, a, "right"))
+        out = out + term
+    return out
+
+
+def contract_right(alg, i, theta, r):
+    """Matrix K_i -> K_{i-r} (in K-coordinates) of the right action of the
+    dual-algebra element represented by theta in (V*)^(x)r."""
+    return _contract(alg, i, theta, r, first=False)
+
+
+def contract_left(alg, i, tvec, r):
+    """Matrix K_i -> K_{i-r} of the left action contracting first factors.
+
+    Used with the dual algebra: elements of H act on the Koszul subspaces
+    of H! by stripping leading factors."""
+    return _contract(alg, i, tvec, r, first=True)
+
+
+def validate_contractions(alg, dual_alg, max_degree=None):
+    """The defining relations of the dual act as zero on the Koszul
+    subspaces (so the contraction action factors through the dual algebra),
+    and symmetrically for the algebra acting on the dual Koszul subspaces."""
+    N = max_degree if max_degree is not None else alg.N
+    for i in range(2, N + 1):
+        for theta in dual_alg.pres.relations.basis.tolist():
+            m = contract_right(alg, i, theta, 2)
+            if not m.is_zero():
+                return False, ("right", i)
+        for tvec in alg.pres.relations.basis.tolist():
+            m = contract_left(dual_alg, i, tvec, 2)
+            if not m.is_zero():
+                return False, ("left", i)
+    return True, None
+
 
 def test_word_indexing():
     assert word_index((1, 0, 2), 3) == 11
@@ -44,7 +121,7 @@ def test_grow_free_one_variable():
 
 
 def test_grow_full_relations():
-    pres = QuadraticPresentation(["x1", "x2"], Subspace.full(4))
+    pres = QuadraticPresentation(["x1", "x2"], full_space(4))
     alg = grow(pres, 4)
     assert alg.hdims() == [1, 2, 0, 0, 0]
     assert alg.kdims() == [1, 2, 4, 8, 16]
@@ -76,7 +153,7 @@ class _Ambient:
         n = self.n = pres.n
         R = pres.relations
         rel = [Subspace.zero(n ** i) for i in range(min(N, 1) + 1)]
-        K = [Subspace.full(n ** i) for i in range(min(N, 1) + 1)]
+        K = [full_space(n ** i) for i in range(min(N, 1) + 1)]
         q_R, _ = quotient(n * n, R)
         for i in range(2, N + 1):
             rows = vstack([kron(rel[i - 1].basis, Mat.identity(n)),

@@ -65,3 +65,15 @@ def test_no_import_is_unused():
         unused.extend("%s: %s" % (path.name, name)
                       for name in _unused_imports(tree))
     assert unused == []
+
+
+def test_no_assert_in_src():
+    # python -O strips assert statements, so no check of the package may
+    # rest on one
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found.extend("%s:%d" % (path.name, node.lineno)
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.Assert))
+    assert found == []
