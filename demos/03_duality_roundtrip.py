@@ -10,7 +10,7 @@ Run with:  python3 demos/03_duality_roundtrip.py
 from koszulkit.action import dual_action
 from koszulkit.duality import (
     I_complex, P_complex, degree_zero_module, diagonal_vanishing,
-    h0_certificate_I, h0_certificate_P, identify_socI,
+    h0_certificate, identify_socI,
     koszulity_via_duality, roundtrip_A, roundtrip_B,
 )
 from koszulkit.fixtures import c2_modules, c2_sign_provider, sym_presentation
@@ -32,7 +32,7 @@ rep = homology(icx.cx)
 cells = [c for c in rep.nonzero_valid_cells() if icx.is_complete(*c)]
 print("nonzero homology cells:", cells)
 print("degree-zero homology is the module itself (equivariantly):",
-      h0_certificate_I(icx, X) == (True, None))
+      h0_certificate(icx, X) == (True, None))
 print("boundary diagonal vanishes:", diagonal_vanishing(icx) == (True, None))
 
 print()
@@ -40,7 +40,7 @@ print("== Projective side over the co-opposite smash ==")
 Xd = degree_zero_module(dual_action(provider), dual, mats)
 pcx = P_complex(Xd, N)
 print("degree-zero homology certificate:",
-      h0_certificate_P(pcx, Xd) == (True, None))
+      h0_certificate(pcx, Xd) == (True, None))
 
 print()
 print("== The socle subcomplex is the projective model ==")

@@ -471,6 +471,16 @@ def tensor_action(provider, mats1, mats2, reverse=False):
     return out
 
 
+def intertwines(m, src, tgt):
+    """The first index b with m @ src[b] != tgt[b] @ m, that is, where
+    the map m fails to carry the action src of the acting basis to the
+    action tgt; None when m intertwines them."""
+    for b, (s, t) in enumerate(zip(src, tgt)):
+        if m @ s != t @ m:
+            return b
+    return None
+
+
 def dual_action(provider):
     """Transport to the dual space: matrices transpose, and tensor
     extensions switch to the reversed legs, so the side flips.
@@ -494,9 +504,8 @@ def validate_module_algebra(provider, pres):
                          % (provider.space_dim, n))
     for b in range(provider.basis_size):
         T = provider.act_basis_on_tensor(b, 2)
-        for row in R.basis.tolist():
-            if not R.contains(T.apply(row)):
-                return False, ("relation escapes", provider.base.names[b])
+        if R.coordinates(T @ R.basis.transpose()) is None:
+            return False, ("relation escapes", provider.base.names[b])
     if (provider.unit is not None
             and provider.act_on_tensor(provider.unit, 1) != Mat.identity(n)):
         return False, ("unit law",)
@@ -537,9 +546,9 @@ def smash_ok(provider, alg):
             on_ij = provider.h_action(alg, i + j)
             pushed = tensor_action(provider, on_i, provider.h_action(alg, j),
                                    reverse=provider.cop)
-            for a in range(provider.basis_size):
-                if on_ij[a] @ mh != mh @ pushed[a]:
-                    return False, ("leibniz", a, i, j)
+            a = intertwines(mh, pushed, on_ij)
+            if a is not None:
+                return False, ("leibniz", a, i, j)
     return True, None
 
 

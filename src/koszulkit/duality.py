@@ -12,7 +12,12 @@ Everything here is computed in finite k-linear models:
     each cell, the action on one summand and the blocks of the
     differential; all structural claims (d^2 = 0, action/differential
     compatibility, the bijective identifications, the round trips, the
-    exactness criterion) are verified as exact matrix identities.
+    exactness criterion) are verified as exact matrix identities;
+  * every equivariance claim, of a differential, an identification or a
+    comparison map, is one identity m @ src[b] == tgt[b] @ m per acting
+    basis element b, checked by action.intertwines; the degree-zero
+    homology of either side is certified by one rule, h0_certificate,
+    which runs on the transposed differential for the projective side.
 
 Sign conventions: the injective-side differential is d + (-1)^r rho, the
 projective-side one is (-1)^r (strip-into-algebra) + (strip-into-module),
@@ -40,10 +45,12 @@ slow, i.e. vec(f)[x * dim U + u] = coefficient of basis x in f(u).
 
 from __future__ import annotations
 
-from koszulkit.action import _combine, dual_action, tensor_action
+from koszulkit.action import (
+    _combine, dual_action, intertwines, tensor_action,
+)
 from koszulkit.exactlin import (
-    F1, Mat, _columns, hstack, image, kernel, kron, mul_kron_identity,
-    place_blocks, quotient, rank,
+    Mat, _columns, hstack, kernel, kron, mul_kron_identity, place_blocks,
+    rank,
 )
 from koszulkit.graded import BigradedComplex, check_d_squared, homology
 from koszulkit.quadratic import m_bar, verify_psi_intertwiner
@@ -51,11 +58,6 @@ from koszulkit.quadratic import m_bar, verify_psi_intertwiner
 
 # ---------------------------------------------------------------------------
 # small helpers
-
-def _bijective(m):
-    """Whether the matrix m is square and invertible."""
-    return m.rows == m.cols and rank(m) == m.rows
-
 
 def _window(alg, N):
     """N, or alg.N when N is None; raises ValueError past alg.N, the
@@ -95,6 +97,15 @@ def _rho_hom(A, E, n, dx_in, w_in, w_out):
                 yield x2 * w_out + c, x1 * w_in + w, aval * ev
 
     return Mat.from_entries(dx_out * w_out, dx_in * w_in, entries())
+
+
+def _act0_or_zero(act0, key, d, provider):
+    """The recorded degree-zero action act0[key], or the zero action of the
+    acting basis on dimension d when none is recorded."""
+    mats = act0.get(key)
+    if mats is None:
+        mats = [Mat.zeros(d, d) for _ in range(provider.basis_size)]
+    return mats
 
 
 def _induced_left_action(provider, mid_mats, inner_left_mats):
@@ -141,11 +152,7 @@ class GradedAModule:
         return self.dims.get(j, 0)
 
     def act0_mats(self, j):
-        mats = self.act0.get(j)
-        if mats is None:
-            d = self.dim(j)
-            mats = [Mat.zeros(d, d) for _ in range(self.provider.basis_size)]
-        return mats
+        return _act0_or_zero(self.act0, j, self.dim(j), self.provider)
 
     def act1_mat(self, j):
         m = self.act1.get(j)
@@ -227,12 +234,7 @@ class DualityComplex:
         return self.cx.dim(r, s)
 
     def act0_mats(self, r, s):
-        mats = self.act0.get((r, s))
-        if mats is None:
-            d = self.dim(r, s)
-            mats = [Mat.zeros(d, d)
-                    for _ in range(self.provider.basis_size)]
-        return mats
+        return _act0_or_zero(self.act0, (r, s), self.dim(r, s), self.provider)
 
     def is_complete(self, r, s):
         return self.complete.get((r, s), True)
@@ -452,11 +454,9 @@ def validate_complex_equivariance(dcx):
         if d is None or not dcx.is_complete(r, s) \
                 or not dcx.is_complete(r + 1, s):
             continue
-        src = dcx.act0_mats(r, s)
-        tgt = dcx.act0_mats(r + 1, s)
-        for b in range(dcx.provider.basis_size):
-            if d @ src[b] != tgt[b] @ d:
-                return False, (r, s, b)
+        b = intertwines(d, dcx.act0_mats(r, s), dcx.act0_mats(r + 1, s))
+        if b is not None:
+            return False, (r, s, b)
     return True, None
 
 
@@ -477,96 +477,60 @@ def validate_socI_action(dcx):
         # the generator action as one map V* (x) cell -> cell2, with the
         # dual generator as the slow index
         gen = hstack([_socle_generator(alg, r, a, dX) for a in range(n)])
-        w = a_src[0].rows
         pushed = tensor_action(prov, dprov.mats, a_src, reverse=True)
-        for b in range(prov.basis_size):
-            lhs = a_tgt[b] @ gen
-            rhs = gen @ pushed[b]
-            if lhs != rhs:
-                # the first dual generator whose column block differs
-                alpha = min(c for _r, c, _x in (lhs - rhs).entries()) // w
-                return False, (r, s, b, alpha)
+        b = intertwines(gen, pushed, a_tgt)
+        if b is not None:
+            # the first dual generator whose column block differs
+            diff = a_tgt[b] @ gen - gen @ pushed[b]
+            alpha = min(c for _r, c, _x in diff.entries()) // a_src[0].rows
+            return False, (r, s, b, alpha)
     return True, None
 
 
 # ---------------------------------------------------------------------------
 # homology certificates (degree-zero column)
 
-def h0_certificate_I(dcx, X):
-    """Explicit equivariant isomorphism between the homology of the
-    injective-side complex at homological degree 0 and the module itself,
-    column by column; also certifies vanishing where the module vanishes."""
+def h0_certificate(dcx, X):
+    """Explicit equivariant isomorphism between the homology at
+    homological degree 0 and the module itself, at every complete internal
+    degree s; also certifies vanishing where the module vanishes.  On the
+    injective side that homology is the kernel of d(0, s).  On the
+    projective side it is the cokernel of d(-1, s), whose dual is the
+    kernel of the transposed differential, so the same rule runs on the
+    transposed matrices: the action descends to the cokernel exactly when
+    that kernel is invariant, and a map onto the cokernel is bijective and
+    equivariant exactly when its transpose on that kernel is.  The
+    comparison map restricts the kernel to the summand X_s of cell (0, s).
+    Returns (True, None) or (False, (name, s, ...))."""
     cx = dcx.cx
-    prov = dcx.provider
+    dual = dcx.kind not in ("I", "socI")
+
+    def side(m):
+        return m.transpose() if dual else m
+
     for s in range(cx.s_range[0], cx.s_range[1] + 1):
         if not dcx.is_complete(0, s):
             continue
-        ker = kernel(cx.d(0, s))
+        ker = kernel(cx.d(-1, s).transpose() if dual else cx.d(0, s))
         dxs = X.dim(s)
         if ker.dim != dxs:
             return False, ("dimension", s, ker.dim, dxs)
         if dxs == 0:
             continue
-        off = 0
-        proj_block = None
-        for (i, j, d) in dcx.blocks[(0, s)]:
-            if (i, j) == (0, s):
-                proj_block = Mat.from_entries(
-                    d, cx.dim(0, s), ((t, off + t, F1) for t in range(d)))
-            off += d
-        if proj_block is None:
+        offs, _total = _offsets(dcx.blocks[(0, s)])
+        if (0, s) not in offs:
             return False, ("missing block", s)
-        iso = proj_block @ ker.basis.transpose()
-        if not _bijective(iso):
+        basis = ker.basis.transpose()
+        iso = basis.select_rows(range(offs[(0, s)], offs[(0, s)] + dxs))
+        if rank(iso) != dxs:
             return False, ("not bijective", s)
-        acts = dcx.act0_mats(0, s)
-        rho = X.act0_mats(s)
-        for b in range(prov.basis_size):
-            moved = acts[b] @ ker.basis.transpose()
-            coords = []
-            for c in range(moved.cols):
-                cc = ker.coordinates(moved.col(c))
-                if cc is None:
-                    return False, ("kernel not invariant", s, b)
-                coords.append(cc)
-            kmat = Mat.from_rows(coords, ker.dim).transpose()
-            if iso @ kmat != rho[b] @ iso:
-                return False, ("not equivariant", s, b)
-    return True, None
-
-
-def h0_certificate_P(dcx, X):
-    """Mirror certificate for the projective side: the cokernel at
-    homological degree 0 is equivariantly the module."""
-    cx = dcx.cx
-    prov = dcx.provider
-    for s in range(cx.s_range[0], cx.s_range[1] + 1):
-        if not dcx.is_complete(0, s) or not dcx.is_complete(-1, s):
-            continue
-        im = image(cx.d(-1, s))
-        proj, sect = quotient(cx.dim(0, s), im)
-        dxs = X.dim(s)
-        if proj.rows != dxs:
-            return False, ("dimension", s, proj.rows, dxs)
-        if dxs == 0:
-            continue
-        off = 0
-        emb = None
-        for (i, j, d) in dcx.blocks[(0, s)]:
-            if (i, j) == (0, s):
-                emb = Mat.from_entries(
-                    cx.dim(0, s), d, ((off + t, t, F1) for t in range(d)))
-            off += d
-        if emb is None:
-            return False, ("missing block", s)
-        iso = proj @ emb
-        if not _bijective(iso):
-            return False, ("not bijective", s)
-        acts = dcx.act0_mats(0, s)
-        rho = X.act0_mats(s)
-        for b in range(prov.basis_size):
-            if (proj @ acts[b] @ sect) @ iso != iso @ rho[b]:
-                return False, ("not equivariant", s, b)
+        coords = [ker.coordinates(side(a) @ basis)
+                  for a in dcx.act0_mats(0, s)]
+        if None in coords:
+            return False, ("kernel not invariant", s, coords.index(None))
+        b = intertwines(iso, coords, [side(x) for x in X.act0_mats(s)])
+        if b is not None:
+            return False, ("not equivariant", s, b)
     return True, None
 
 
@@ -682,13 +646,11 @@ def identify_socI(X, pairing, N=None):
         return verdict.fail("dual multiplication", *where)
     for (r, s), mats in sorted(soc.act0.items()):
         j = r + s
-        if (r, j) not in theta:
-            continue
         model = tensor_action(dprov, dprov.h_action(dual, r),
                               X.act0_mats(j), reverse=True)
-        for b in range(X.provider.basis_size):
-            if mats[b] @ theta[(r, j)] != theta[(r, j)] @ model[b]:
-                return verdict.fail("degree-zero action", r, j, b)
+        b = intertwines(theta[(r, j)], model, mats)
+        if b is not None:
+            return verdict.fail("degree-zero action", r, j, b)
     ok, where = validate_socI_action(soc)
     if not ok:
         return verdict.fail("module law", *where)
@@ -719,8 +681,6 @@ def identify_topP(Y, pairing, N=None):
     for (mr, s), dmat in sorted(top.cx.differentials.items()):
         r = -mr
         j = s - r
-        if (r, j) not in phi or (r - 1, j + 1) not in phi:
-            continue
         dY = Y.dim(j)
         dio = Mat.zeros(Y.dim(j + 1) * alg.hdim(r - 1), dY * alg.hdim(r))
         for a in range(n):
@@ -732,13 +692,11 @@ def identify_topP(Y, pairing, N=None):
     for (mr, s), mats in sorted(top.act0.items()):
         r = -mr
         j = s - r
-        if (r, j) not in phi:
-            continue
         model = _hom_action(orig, orig.h_action(alg, r),
                             Y.act0_mats(j))
-        for b in range(Y.provider.basis_size):
-            if phi[(r, j)] @ mats[b] != model[b] @ phi[(r, j)]:
-                return verdict.fail("degree-zero action", r, j, b)
+        b = intertwines(phi[(r, j)], mats, model)
+        if b is not None:
+            return verdict.fail("degree-zero action", r, j, b)
     ok, where = pairing.verdict(_topP_generator_failures, N)
     if not ok:
         return verdict.fail("generator action", *where)
@@ -865,12 +823,10 @@ def roundtrip_A(provider, pairing, mats_x, N=None, icx=None, zcx=None):
                                          inverse=True)
     for (r, p), m in sorted(phi.items()):
         # H-degree r and dual degree p sit in these cells of icx and zcx
-        hom_acts = icx.act0_mats(p, -r - p)
-        mod_acts = zcx.act0_mats(-r, r + p)
-        for b in range(provider.basis_size):
-            if m @ hom_acts[b] != mod_acts[b] @ m:
-                verdict.fail("act0", r, p, b)
-                break
+        b = intertwines(m, icx.act0_mats(p, -r - p),
+                        zcx.act0_mats(-r, r + p))
+        if b is not None:
+            verdict.fail("act0", r, p, b)
     ok, where = pairing.verdict(_roundtrip_A_generator_failures, N)
     if not ok:
         verdict.fail("generator", *where)
@@ -934,10 +890,9 @@ def roundtrip_B(provider, pairing, mats_x, N=None, pcx=None):
         p_acts = pcx.act0.get(p_cell(r, i))
         if soc_acts is None or p_acts is None:
             continue
-        for b in range(provider.basis_size):
-            if m @ soc_acts[b] != p_acts[b] @ m:
-                verdict.fail("act0", r, i, b)
-                break
+        b = intertwines(m, soc_acts, p_acts)
+        if b is not None:
+            verdict.fail("act0", r, i, b)
     ok, where = pairing.verdict(_roundtrip_B_generator_failures, N)
     if not ok:
         verdict.fail("generator", *where)
@@ -980,8 +935,8 @@ def koszulity_via_duality(provider, pairing, mats_x, N=None):
                 good = False
         per_p[d] = good
     per_k = {d: kz["per_degree"][d] for d in range(1, top + 1)}
-    h0_i = h0_certificate_I(icx, X)
-    h0_p = h0_certificate_P(pcx, Xd)
+    h0_i = h0_certificate(icx, X)
+    h0_p = h0_certificate(pcx, Xd)
     agree = all(per_i[d] == per_p[d] == per_k[d] for d in per_i)
     return {
         "per_degree_injective": per_i,

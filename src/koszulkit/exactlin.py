@@ -23,10 +23,11 @@ Conventions:
     it forward, and rref sets it when a pivot row is divided by an entry
     other than 1 or -1; a result is scanned for integral Fractions
     (_ints) only when an operand or coefficient may hold a Fraction;
-  * vectors are plain (dense) lists of entries, matrices act on the left
-    (m @ v);
+  * matrices act on the left (m @ x), and a set of vectors is the
+    columns of one matrix;
   * a Subspace is represented by the unique RREF basis of its row span,
     computed by fraction-free elimination on primitive integer rows;
+    coordinates in it are read off at its pivots (read_off);
   * kron uses row-major flattening: basis vector (i, j) of U (x) W has
     flat index i * dim(W) + j, i.e. the left factor is the slow index;
     kron and kron_sum take an int n for an n x n identity factor, which
@@ -249,14 +250,6 @@ class Mat:
             out.append(acc)
         frac = self._frac or other._frac
         return _mat(self.rows, other.cols, out, frac and _ints(out))
-
-    def apply(self, vec):
-        """Matrix times column vector (a list)."""
-        if len(vec) != self.cols:
-            raise ValueError("a %d x %d matrix applied to a vector of "
-                             "length %d" % (self.rows, self.cols, len(vec)))
-        return [_exact(sum([x * vec[j] for j, x in row.items()]))
-                for row in self._data]
 
     def transpose(self):
         out = [{} for _ in range(self.cols)]
@@ -585,25 +578,20 @@ class Subspace:
     def __repr__(self):
         return "Subspace(ambient=%d, dim=%d)" % (self.ambient_dim, self.dim)
 
-    def reduce(self, vec):
-        """Residue of vec modulo this subspace (zero at pivot coordinates)."""
-        v = list(vec)
-        for p, row in zip(self.pivots, self.basis._data):
-            c = v[p]
-            if c:
-                for j, b in row.items():
-                    v[j] -= c * b
-        return [_exact(x) for x in v]
+    def coordinates(self, m):
+        """The coefficients, in the RREF basis, of the columns of m (an
+        ambient_dim x k matrix): the dim x k matrix x with
+        basis^T @ x == m; None if a column is not in the subspace."""
+        return read_off(self.basis.transpose(), self.pivots, m)
 
-    def contains(self, vec):
-        return not any(self.reduce(vec))
 
-    def coordinates(self, vec):
-        """Coefficients of vec in the RREF basis; None if not a member."""
-        coords = [vec[p] for p in self.pivots]
-        if not self.contains(vec):
-            return None
-        return coords
+def read_off(incl, rows, y):
+    """The coordinates x of the columns of y in the columns of incl, where
+    each column of incl has a 1 in its row of rows and the other columns a
+    0 there: y read at those rows, checked by incl @ x == y exactly; None
+    if a column of y is not in the column span of incl."""
+    x = y.select_rows(rows)
+    return x if incl @ x == y else None
 
 
 def kernel(m):

@@ -20,7 +20,9 @@ class BigradedComplex:
 
     components: dict (r,s) -> dimension; missing cells inside the window
     default to 0.  differentials: dict (r,s) -> Mat with cols = dim(r,s)
-    and rows = dim(r+1,s); missing maps default to zero.
+    and rows = dim(r+1,s); missing maps default to zero.  The
+    differentials are not replaced once the complex is built, so
+    check_d_squared keeps its verdict on it.
     """
 
     def __init__(self, r_range, s_range, components, differentials):
@@ -42,6 +44,7 @@ class BigradedComplex:
                                               self.dim(r + 1, s),
                                               self.dim(r, s)))
             self.differentials[(r, s)] = m
+        self._d_squared = None
 
     def in_window(self, r, s):
         return (self.r_range[0] <= r <= self.r_range[1]
@@ -67,17 +70,18 @@ class BigradedComplex:
 
 
 def check_d_squared(c):
-    """(True, None) or (False, (r, s)) at the first nonzero composite."""
-    for r, s in c.cells():
-        if r + 2 > c.r_range[1]:
-            continue
-        d1 = c.differentials.get((r, s))
-        d2 = c.differentials.get((r + 1, s))
-        if d1 is None or d2 is None:
-            continue
-        if not (d2 @ d1).is_zero():
-            return False, (r, s)
-    return True, None
+    """(True, None) or (False, (r, s)) at the first nonzero composite;
+    computed once per complex and then read from it."""
+    if c._d_squared is None:
+        c._d_squared = (True, None)
+        for r, s in c.cells():
+            d1 = c.differentials.get((r, s))
+            d2 = c.differentials.get((r + 1, s))
+            if d1 is not None and d2 is not None \
+                    and not (d2 @ d1).is_zero():
+                c._d_squared = (False, (r, s))
+                break
+    return c._d_squared
 
 
 class HomologyReport:

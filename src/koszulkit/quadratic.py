@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from koszulkit.exactlin import (
     F0, F1, Mat, Subspace, _columns, inverse, kernel, kron, mul_kron_identity,
-    quotient, rat_from_str, rat_to_str, swap_matrix, vstack,
+    quotient, rat_from_str, rat_to_str, read_off, swap_matrix, vstack,
 )
 from koszulkit.graded import BigradedComplex
 
@@ -315,8 +315,8 @@ class TruncatedGradedAlgebra:
         (side "right") or V (x) K_{i-1} ("left"), so that
         incl(i) @ x == y exactly; None if a column is not in K_i.
 
-        x is y read at one row per column of the inclusion, where that
-        column has a 1 and the others a 0: the RREF pivots of
+        x is y read off (read_off) at one row per column of the inclusion,
+        where that column has a 1 and the others a 0: the RREF pivots of
         incl_right(i), and the leading rows of incl_left(i), as the
         leading word of a K_i basis vector is a letter followed by the
         leading word of a K_{i-1} basis vector."""
@@ -331,8 +331,7 @@ class TruncatedGradedAlgebra:
                     first.setdefault(c, r)
                 rows = self._left_pivots[i] = [first[c]
                                                for c in range(incl.cols)]
-        x = y.select_rows(rows)
-        return x if incl @ x == y else None
+        return read_off(incl, rows, y)
 
     def contraction(self, i, a, side):
         """K_i -> K_{i-1} stripping the last letter (side "right") or the

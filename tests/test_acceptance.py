@@ -15,7 +15,7 @@ from koszulkit.action import (
 from koszulkit.cli import property_cases_report
 from koszulkit.duality import (
     I_complex, P_complex, degree_zero_module, diagonal_vanishing,
-    h0_certificate_I, h0_certificate_P, identify_socI, identify_topP,
+    h0_certificate, identify_socI, identify_topP,
     koszulity_via_duality, roundtrip_A, roundtrip_B, socI_model_module,
 )
 from koszulkit.exactlin import Mat
@@ -149,10 +149,10 @@ def test_criterion_07_h0_and_diagonal_vanishing():
         dual = grow(quadratic_dual(pres), N)
         X = degree_zero_module(provider, alg, mats)
         icx = I_complex(X, N)
-        good = h0_certificate_I(icx, X)[0] and diagonal_vanishing(icx)[0]
+        good = h0_certificate(icx, X)[0] and diagonal_vanishing(icx)[0]
         Xd = degree_zero_module(dual_action(provider), dual, mats)
         pcx = P_complex(Xd, N)
-        good = good and h0_certificate_P(pcx, Xd)[0] \
+        good = good and h0_certificate(pcx, Xd)[0] \
             and diagonal_vanishing(pcx)[0]
         if not good:
             bad.append(name)

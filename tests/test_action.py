@@ -249,6 +249,18 @@ def test_smash_rejects_bad_action():
     assert smash_ok(bad, alg) == (False, ("law", 1, 1, 2))
 
 
+def test_smash_leibniz_failure():
+    # mult(1, 1) of the algebra perturbed after the actions on H are grown:
+    # every law still holds, and the first basis element no longer acts
+    # on products of degree 1 through its legs
+    provider = sl2_provider()
+    alg = grow(sym_presentation(3), 3)
+    provider.h_action(alg, 3)
+    m = alg.mult(1, 1)
+    alg._mult[(1, 1)] = m + Mat.from_entries(m.rows, m.cols, [(0, 0, F1)])
+    assert smash_ok(provider, alg) == (False, ("leibniz", 0, 1, 1))
+
+
 def test_takiff_even_and_super():
     lie = sl2_lie_action()
     t_even = takiff(lie, "even")

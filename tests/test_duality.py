@@ -7,8 +7,8 @@ from koszulkit.action import (
 from koszulkit.duality import (
     GradedAModule, I0, I_complex, P0, P_complex, _induced_left_action,
     _model_map, _phi_matrix, _theta_matrix,
-    degree_zero_module, diagonal_vanishing, h0_certificate_I,
-    h0_certificate_P, identify_socI, identify_topP, koszulity_via_duality,
+    degree_zero_module, diagonal_vanishing, h0_certificate, identify_socI,
+    identify_topP, koszulity_via_duality,
     roundtrip_A, roundtrip_B,
     socI_complex, socI_model_module, topP_complex,
     validate_complex_equivariance, validate_socI_action,
@@ -152,12 +152,12 @@ def test_I_and_P_complexes(name, pres, mkprov, mkmats, N):
     X = degree_zero_module(provider, alg, mats)
     icx = I_complex(X, N)
     assert validate_complex_equivariance(icx) == (True, None)
-    assert h0_certificate_I(icx, X) == (True, None)
+    assert h0_certificate(icx, X) == (True, None)
     assert diagonal_vanishing(icx) == (True, None)
     Xd = degree_zero_module(dual_action(provider), dual, mats)
     pcx = P_complex(Xd, N)
     assert validate_complex_equivariance(pcx) == (True, None)
-    assert h0_certificate_P(pcx, Xd) == (True, None)
+    assert h0_certificate(pcx, Xd) == (True, None)
     assert diagonal_vanishing(pcx) == (True, None)
 
 
@@ -274,6 +274,112 @@ def test_equivariance_failure_names_the_cell():
     assert validate_complex_equivariance(icx) == (True, None)
     icx.act0[(0, -2)][1] = -icx.act0[(0, -2)][1]
     assert validate_complex_equivariance(icx) == (False, (0, -2, 1))
+
+
+def _bumped(m):
+    # m with 1 added to entry (0, 0)
+    return m + Mat.from_entries(m.rows, m.cols, [(0, 0, F1)])
+
+
+def _sign_complexes():
+    # the injective- and projective-side complexes of the sign module of
+    # C2 on the one-variable polynomial algebra, with the module's other
+    # one-dimensional and doubled companions
+    provider = c2_sign_provider()
+    alg, dual, pairing = _setup(sym_presentation(1), provider, 3)
+    mods = c2_modules()
+    sign = mods["sign"]
+    doubled = [kron(Mat.identity(2), m) for m in sign]
+    icx = I_complex(degree_zero_module(provider, alg, sign), 3)
+    pcx = P_complex(degree_zero_module(dual_action(provider), dual, sign), 3)
+    return [(icx, lambda mats: degree_zero_module(provider, alg, mats)),
+            (pcx, lambda mats: degree_zero_module(dual_action(provider),
+                                                  dual, mats))], mods, doubled
+
+
+def test_h0_certificate_failures():
+    # on both sides: the complex of the sign module against the trivial
+    # module (g acts by the other sign), and against the doubled module
+    sides, mods, doubled = _sign_complexes()
+    for cx, module in sides:
+        assert h0_certificate(cx, module(mods["sign"])) == (True, None)
+        assert h0_certificate(cx, module(mods["triv"])) == (
+            False, ("not equivariant", 0, 1))
+        assert h0_certificate(cx, module(doubled)) == (
+            False, ("dimension", 0, 1, 2))
+
+
+def test_h0_certificate_projective_image_not_invariant():
+    # the projective-side complex of the induced module P0: the action on
+    # cell (0, 1) perturbed so that it no longer preserves the image of
+    # d(-1, 1), so no action descends to the cokernel; the transposed
+    # kernel of the certificate is then not invariant
+    provider = dual_action(c2_sign_provider())
+    dual = grow(quadratic_dual(sym_presentation(1)), 3)
+    M = P0(provider, dual, c2_modules()["sign"])
+    pcx = P_complex(M, 3)
+    assert h0_certificate(pcx, M) == (True, None)
+    pcx.act0[(0, 1)][0] = _bumped(pcx.act0[(0, 1)][0])
+    assert h0_certificate(pcx, M) == (False, ("kernel not invariant", 1, 0))
+
+
+def test_identifications_fail_on_the_degree_zero_action():
+    # the model's action of g on the first graded piece perturbed, for the
+    # socle (the dual's action on its own H_1) and for the top quotient
+    # (the action on H_1 of the algebra), which grows it into H_3
+    mats = c2_modules()["sign"]
+    provider = c2_sign_provider()
+    alg, dual, pairing = _setup(sym_presentation(1), provider, 3)
+    on_h1 = dual_action(provider).h_action(dual, 1)
+    on_h1[1] = _bumped(on_h1[1])
+    assert identify_socI(degree_zero_module(provider, alg, mats), pairing,
+                         3)["first_failure"] == ("degree-zero action", 1, 0, 1)
+    provider = c2_sign_provider()
+    alg, dual, pairing = _setup(sym_presentation(1), provider, 3)
+    Y = socI_model_module(provider, pairing, mats, 3)
+    on_h1 = provider.h_action(alg, 1)
+    on_h1[1] = _bumped(on_h1[1])
+    assert identify_topP(Y, pairing, 3)["first_failure"] == (
+        "degree-zero action", 3, 0, 1)
+
+
+def test_socle_module_law_failure():
+    # the dual's own matrices doubled once its actions on H and K are
+    # grown: the degree-zero action of the socle still matches the model,
+    # but the transported generator action no longer does
+    mats = c2_modules()["sign"]
+    provider = c2_sign_provider()
+    alg, dual, pairing = _setup(sym_presentation(1), provider, 3)
+    dprov = dual_action(provider)
+    dprov.h_action(dual, 3)
+    dprov.k_action(dual, 3)
+    dprov.mats = [m.scale(2) for m in dprov.mats]
+    X = degree_zero_module(provider, alg, mats)
+    assert identify_socI(X, pairing, 3)["first_failure"] == (
+        "module law", 0, 0, 0, 0)
+    # the socle complex's own action perturbed on cell (0, 0)
+    soc = socI_complex(degree_zero_module(c2_sign_provider(), alg, mats), 3)
+    soc.act0[(0, 0)] = [_bumped(m) for m in soc.act0[(0, 0)]]
+    assert validate_socI_action(soc) == (False, (0, 0, 0, 0))
+
+
+def test_homology_reads_the_d_squared_verdict_of_the_builder(monkeypatch):
+    # _duality_complex checks d^2 = 0 when it builds a complex; homology
+    # reads that verdict and multiplies no differentials again
+    provider = sl2_provider()
+    alg = grow(sym_presentation(3), 3)
+    icx = I_complex(degree_zero_module(
+        provider, alg, sl2_lie_action().modules["adjoint"]), 3)
+    products = []
+    matmul = Mat.__matmul__
+
+    def counted(a, b):
+        products.append((a.rows, a.cols, b.cols))
+        return matmul(a, b)
+
+    monkeypatch.setattr(Mat, "__matmul__", counted)
+    homology(icx.cx)
+    assert products == []
 
 
 def test_P_complex_multidegree_input():
@@ -527,6 +633,14 @@ def test_roundtrip_reports_the_first_failure():
                 for cell, acts in icx.act0.items()}
     res = roundtrip_A(provider, pairing, mats, 3, icx=icx)
     assert not res["ok"]
+    assert res["checks"] == {"bijective": True, "chain": True,
+                             "act0": False, "generator": True}
+    assert res["first_failure"] == ("act0", 0, 0, 0)
+    # the same on the projective side, through roundtrip_B's pcx
+    pcx = P_complex(degree_zero_module(dual_action(provider), dual, mats), 3)
+    pcx.act0 = {cell: [m.scale(2) for m in acts]
+                for cell, acts in pcx.act0.items()}
+    res = roundtrip_B(provider, pairing, mats, 3, pcx=pcx)
     assert res["checks"] == {"bijective": True, "chain": True,
                              "act0": False, "generator": True}
     assert res["first_failure"] == ("act0", 0, 0, 0)

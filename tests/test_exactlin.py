@@ -12,8 +12,8 @@ from koszulkit.exactlin import (
 
 
 def unit_vector(n, i):
-    """The i-th standard basis vector of Q^n, as a list."""
-    return [int(k == i) for k in range(n)]
+    """The i-th standard basis vector of Q^n, as an n x 1 matrix."""
+    return Mat(n, 1, [[int(k == i)] for k in range(n)])
 
 
 def rand_mat(rng, rows, cols, density=0.6):
@@ -48,7 +48,7 @@ def test_kron_small():
     # flat index rule: e_{(1,0)} has index 1*2+0 = 2
     n = kron(Mat(2, 2, [[0, 1], [0, 0]]), Mat.identity(2))
     v = unit_vector(4, 2)
-    assert n.apply(v) == unit_vector(4, 0)
+    assert n @ v == unit_vector(4, 0)
 
 
 def test_mul_kron_identity_matches_kron():
@@ -71,6 +71,15 @@ def test_quotient():
     assert kernel(p) == sub
 
 
+def test_subspace_coordinates():
+    # RREF basis (1, 1, 0), (0, 0, 1) with pivots 0 and 2
+    s = Subspace.from_rows(3, [[1, 1, 0], [0, 0, 2]])
+    m = Mat(3, 2, [[2, 0], [2, 0], [3, Fraction(-1, 2)]])
+    assert s.coordinates(m) == Mat(2, 2, [[2, 0], [3, Fraction(-1, 2)]])
+    assert s.coordinates(unit_vector(3, 1)) is None
+    assert s.coordinates(Mat(3, 0)) == Mat(2, 0)
+
+
 def test_inverse_small():
     a = Mat(2, 2, [[1, 2], [3, 4]])
     assert a @ inverse(a) == Mat.identity(2)
@@ -84,7 +93,7 @@ def test_stack_perm_image():
     assert vstack([a, b]) == Mat(2, 2, [[1, 2], [3, 4]])
     assert hstack([a, b]) == Mat(1, 4, [[1, 2, 3, 4]])
     pm = perm_matrix([1, 0])
-    assert pm.apply(unit_vector(2, 0)) == unit_vector(2, 1)
+    assert pm @ unit_vector(2, 0) == unit_vector(2, 1)
     assert image(Mat(2, 2, [[1, 0], [2, 0]])).basis == Mat(1, 2, [[1, 2]])
 
 
@@ -104,16 +113,13 @@ def test_random_properties():
         p, sec = quotient(m.cols, s)
         assert (p @ sec) == Mat.identity(p.rows)
         delta = (sec @ p) - Mat.identity(m.cols)
-        for col in range(m.cols):
-            assert s.contains(delta.col(col))
+        assert s.coordinates(delta) is not None
         # kron functoriality
         a = rand_mat(rng, 2, 2)
         b = rand_mat(rng, 2, 3)
-        v1 = [Fraction(rng.randint(-3, 3)) for _ in range(2)]
-        v2 = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
-        lhs = kron(a, b).apply([x * y for x in v1 for y in v2])
-        rhs = [x * y for x in a.apply(v1) for y in b.apply(v2)]
-        assert lhs == rhs
+        v1 = Mat(2, 1, [[Fraction(rng.randint(-3, 3))] for _ in range(2)])
+        v2 = Mat(3, 1, [[Fraction(rng.randint(-3, 3))] for _ in range(3)])
+        assert kron(a, b) @ kron(v1, v2) == kron(a @ v1, b @ v2)
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +372,13 @@ def test_every_operation_keeps_the_storage_invariant(args):
         (Mat.identity(c), [[int(i == j) for j in range(c)]
                            for i in range(c)]),
         (Mat.zeros(r, c), [[0] * c for _ in range(r)]),
+        (a @ _raw_mat([[v] for v in vec], 1),
+         [[sum((Fraction(p) * Fraction(q) for p, q in zip(row, vec)),
+               Fraction(0))] for row in ra]),
     ]
     for got, want in checks:
         assert_exact_mat(got)
         assert got.tolist() == want
-    got = a.apply(vec)
-    assert got == [sum((Fraction(p) * Fraction(q) for p, q in zip(row, vec)),
-                       Fraction(0)) for row in ra]
-    assert_exact(got)
     assert (a == b) == (ref_add(ra, rb, -1) == [[0] * c for _ in range(r)])
     assert a.is_zero() == (not any(any(row) for row in ra))
 
@@ -414,7 +419,6 @@ A12, A21, A31 = (Mat(1, 2, [[1, 2]]), Mat(2, 1, [[1], [2]]),
     (lambda: A12 + A21, ("1 x 2", "2 x 1")),
     (lambda: A12 - A21, ("1 x 2", "2 x 1")),
     (lambda: A12 @ A31, ("1 x 2", "3 x 1")),
-    (lambda: A12.apply([1, 2, 3]), ("1 x 2", "length 3")),
     (lambda: vstack([A12, A21]), ("1 x 2", "2 x 1")),
     (lambda: vstack([]), ("no matrices",)),
     (lambda: hstack([A12, A21]), ("1 x 2", "2 x 1")),
@@ -422,7 +426,7 @@ A12, A21, A31 = (Mat(1, 2, [[1, 2]]), Mat(2, 1, [[1], [2]]),
     (lambda: mul_kron_identity(A12, A21, 2), ("1 x 2", "2 x 1", "I_2")),
     (lambda: Subspace.from_rows(3, A12), ("length 2", "Q^3")),
     (lambda: inverse(A12), ("1 x 2",)),
-], ids=["add", "sub", "matmul", "apply", "vstack", "vstack_empty",
+], ids=["add", "sub", "matmul", "vstack", "vstack_empty",
         "hstack", "hstack_empty", "mul_kron_identity", "subspace",
         "inverse"])
 def test_shape_mismatch_is_a_value_error(op, shapes):

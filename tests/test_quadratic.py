@@ -173,12 +173,7 @@ class _Ambient:
     def restrict(self, i, T):
         """T on V^(x)i restricted to K_i, in its coordinates; None if K_i
         is not invariant."""
-        image = T @ self.K[i].basis.transpose()
-        coords = [self.K[i].coordinates(image.col(c))
-                  for c in range(image.cols)]
-        if None in coords:
-            return None
-        return Mat.from_rows(coords, self.K[i].dim).transpose()
+        return self.K[i].coordinates(T @ self.K[i].basis.transpose())
 
     def contract(self, i, theta, r, first):
         """K_i -> K_{i-r} contracting the first (or last) r letters against
@@ -190,11 +185,9 @@ class _Ambient:
                                     for w in range(self.n ** r)]])
         rest = Mat.identity(self.n ** (i - r))
         T = kron(row, rest) if first else kron(rest, row)
-        image = T @ self.K[i].basis.transpose()
-        coords = [self.K[i - r].coordinates(image.col(c))
-                  for c in range(image.cols)]
-        assert None not in coords
-        return Mat.from_rows(coords, self.K[i - r].dim).transpose()
+        coords = self.K[i - r].coordinates(T @ self.K[i].basis.transpose())
+        assert coords is not None
+        return coords
 
     def h_action(self, provider, i):
         return [self.proj[i] @ T @ self.sect[i]
@@ -510,13 +503,13 @@ def test_contract_sign_sym2():
     alg = grow(sym_presentation(2), 3)
     K2 = _Ambient(sym_presentation(2), 3).K[2]
     assert alg.incl_right(2).transpose() @ Mat.identity(4) == K2.basis
-    gen = K2.basis.row(0)
-    assert gen == [F0, F1, -F1, F0]
+    gen = K2.basis.transpose()
+    assert gen == Mat(4, 1, [[F0], [F1], [-F1], [F0]])
     theta = _unit_vector(2, 0)  # first dual generator
     m = contract_right(alg, 2, theta, 1)
-    out = m.apply(K2.coordinates(gen))
+    out = m @ K2.coordinates(gen)
     # coordinates in K_1 = V: expect -x2
-    assert out == [F0, -F1]
+    assert out == Mat(2, 1, [[F0], [-F1]])
 
 
 def test_contractions_factor_through_dual():

@@ -2,6 +2,8 @@
 
 import ast
 import pathlib
+from collections import Counter
+from itertools import chain
 
 import koszulkit
 
@@ -77,3 +79,41 @@ def test_no_assert_in_src():
                      for node in ast.walk(tree)
                      if isinstance(node, ast.Assert))
     assert found == []
+
+
+def _definitions(tree):
+    """The (name, node) of every function, class and method that the module
+    tree defines, dunders aside."""
+    return [(node.name, node) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not (node.name.startswith("__")
+                     and node.name.endswith("__"))]
+
+
+def _names(tree):
+    """Every name that the tree reads or writes, as a variable, an
+    attribute or an imported name, once per occurrence."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_definition_is_used():
+    # a function, class or method of the package that nothing names
+    # outside its own definition, in the package, the tests or the demos,
+    # is dead code
+    paths = (sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+             + sorted(DEMOS.glob("*.py")))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in paths}
+    counts = Counter(chain.from_iterable(map(_names, trees.values())))
+    unused = ["%s:%d %s" % (path.name, node.lineno, name)
+              for path in sorted(SRC.glob("*.py"))
+              for name, node in _definitions(trees[path])
+              if counts[name] == Counter(_names(node))[name]]
+    assert unused == []
