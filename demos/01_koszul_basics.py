@@ -32,6 +32,7 @@ print("d^2 = 0:", check_d_squared(cx)[0])
 rep = homology(cx)
 print("homology is one-dimensional and concentrated at (0, 0):",
       rep.nonzero_valid_cells() == [(0, 0)] and rep.dim(0, 0) == 1)
-res = koszulity_check(pres, N, alg)
+# the Koszulity verdict reads its degree from alg: alg.N, set by grow
+res = koszulity_check(alg)
 print("verdict:", "Koszul up to %d" % N if res["koszul_up_to_N"]
       else "fails at %s" % res["first_failure"])

@@ -17,6 +17,8 @@ from koszulkit.fixtures import c2_modules, c2_sign_provider, sym_presentation
 from koszulkit.graded import homology
 from koszulkit.quadratic import DualityPairing, grow, quadratic_dual
 
+# the one degree window: every complex and verifier below works up to
+# alg.N, the degree to which the algebras are grown here
 N = 4
 pres = sym_presentation(1)
 provider = c2_sign_provider()
@@ -27,7 +29,7 @@ mats = c2_modules()["sign"]
 
 print("== Injective-side complex of the sign module ==")
 X = degree_zero_module(provider, alg, mats)
-icx = I_complex(X, N)
+icx = I_complex(X)
 rep = homology(icx.cx)
 cells = [c for c in rep.nonzero_valid_cells() if icx.is_complete(*c)]
 print("nonzero homology cells:", cells)
@@ -38,25 +40,25 @@ print("boundary diagonal vanishes:", diagonal_vanishing(icx) == (True, None))
 print()
 print("== Projective side over the co-opposite smash ==")
 Xd = degree_zero_module(dual_action(provider), dual, mats)
-pcx = P_complex(Xd, N)
+pcx = P_complex(Xd)
 print("degree-zero homology certificate:",
       h0_certificate(pcx, Xd) == (True, None))
 
 print()
 print("== The socle subcomplex is the projective model ==")
-res = identify_socI(X, pairing, N)
+res = identify_socI(X, pairing)
 print("bijective equivariant identification:", res["ok"])
 
 print()
 print("== Round trips ==")
-ra = roundtrip_A(provider, pairing, mats, N)
-rb = roundtrip_B(provider, pairing, mats, N)
+ra = roundtrip_A(provider, pairing, mats)
+rb = roundtrip_B(provider, pairing, mats)
 print("injective-side round trip:", ra["checks"])
 print("projective-side round trip:", rb["checks"])
 
 print()
 print("== Three Koszulity verdicts must coincide ==")
-kv = koszulity_via_duality(provider, pairing, mats, N)
+kv = koszulity_via_duality(provider, pairing, mats)
 print("per-degree (injective side):", kv["per_degree_injective"])
 print("all verdicts agree:", kv["agree"])
 print("assumed, not checked:", kv["assumptions"][0])

@@ -151,16 +151,16 @@ def _check_validate(pres, acting, provider, modules):
     return "pass", details
 
 
-def _check_hilbert(alg, dual_alg, N):
+def _check_hilbert(alg, dual_alg):
     hs = alg.hdims()
     ks = alg.kdims()
     details = {"algebra_dims": [str(x) for x in hs],
                "koszul_subspace_dims": [str(x) for x in ks],
-               "euler_identity": euler_identity(alg.pres, N, alg, dual_alg)}
+               "euler_identity": euler_identity(alg, dual_alg)}
     return ("pass" if details["euler_identity"] else "fail"), details
 
 
-def _check_dual(pres, alg, dual_alg, N):
+def _check_dual(pres, alg, dual_alg):
     dd = quadratic_dual(quadratic_dual(pres))
     details = {
         "dual_dims": [str(x) for x in dual_alg.hdims()],
@@ -174,16 +174,16 @@ def _check_dual(pres, alg, dual_alg, N):
     return "pass", details
 
 
-def _check_koszul(pres, alg, N):
+def _check_koszul(alg):
     try:
-        res = koszulity_check(pres, N, alg)
+        res = koszulity_check(alg)
     except DSquaredError as exc:
         raise InternalInvariant("Koszul complex: %s" % exc)
     details = {
         "per_degree": {str(d): v for d, v in res["per_degree"].items()},
         "koszul_up_to_N": res["koszul_up_to_N"],
         "first_failure": res["first_failure"],
-        "verdict": ("Koszul up to %d" % N) if res["koszul_up_to_N"]
+        "verdict": ("Koszul up to %d" % alg.N) if res["koszul_up_to_N"]
         else ("not Koszul at degree %d" % res["first_failure"][1]),
     }
     return "pass", details
@@ -265,7 +265,7 @@ def _duality_inputs(acting, provider, modules, need_alg):
             "complexes": {}, "failure": None, "bad_modules": bad_modules}
 
 
-def _check_duality(shared, N):
+def _check_duality(shared):
     if shared["failure"]:
         return "fail", {"failure": shared["failure"]}
     from koszulkit.duality import (
@@ -284,7 +284,14 @@ def _check_duality(shared, N):
             continue
         mats = modules[name]
         X = degree_zero_module(provider, alg, mats)
-        res = koszulity_via_duality(provider, pairing, mats, N)
+        try:
+            res = koszulity_via_duality(provider, pairing, mats)
+            soc = identify_socI(X, pairing)
+            Y = socI_model_module(provider, pairing, mats)
+            top = identify_topP(Y, pairing)
+        except DSquaredError as exc:
+            raise InternalInvariant("duality complex of module %r: %s"
+                                    % (name, exc))
         entry = {
             "per_degree_injective":
                 {str(k): v for k, v in res["per_degree_injective"].items()},
@@ -298,12 +305,14 @@ def _check_duality(shared, N):
             "assumptions": res["assumptions"],
         }
         if not res["agree"]:
+            per = [res["per_degree_%s" % side]
+                   for side in ("injective", "projective", "koszul_complex")]
+            deg = min(d for d in per[0] if len({p[d] for p in per}) > 1)
             raise InternalInvariant(
-                "duality verdicts disagree for module %r: %r" % (name, res))
-        soc = identify_socI(X, pairing, N)
+                "duality verdicts disagree for module %r at degree %d: "
+                "injective %s, projective %s, Koszul complex %s"
+                % ((name, deg) + tuple(p[deg] for p in per)))
         entry["socle_identification"] = soc["ok"]
-        Y = socI_model_module(provider, pairing, mats, N)
-        top = identify_topP(Y, pairing, N)
         entry["top_identification"] = top["ok"]
         shared["complexes"][name] = {"icx": res["complexes"]["I"],
                                      "pcx": res["complexes"]["P"],
@@ -320,13 +329,13 @@ def _check_duality(shared, N):
     return status, details
 
 
-def _check_roundtrip(shared, N):
+def _check_roundtrip(shared):
     if shared["failure"]:
         return "fail", {"failure": shared["failure"]}
     from koszulkit.duality import roundtrip_A, roundtrip_B
     pairing, provider = shared["pairing"], shared["provider"]
-    # over the whole window, once: every roundtrip_A reads this verdict
-    ok_psi, where = verify_psi_intertwiner(pairing, N)
+    # up to the grown degree, once: every roundtrip_A reads this verdict
+    ok_psi, where = verify_psi_intertwiner(pairing)
     if not ok_psi:
         raise InternalInvariant("pairing intertwiner fails at %r" % (where,))
     details = {"modules": {}}
@@ -340,9 +349,13 @@ def _check_roundtrip(shared, N):
         # each complex is dropped once its round trip has used it, so
         # that the complexes of all modules are not alive together
         built = shared["complexes"].pop(name, {})
-        ra = roundtrip_A(provider, pairing, mats, N, built.pop("icx", None),
-                         built.pop("zcx", None))
-        rb = roundtrip_B(provider, pairing, mats, N, built.pop("pcx", None))
+        try:
+            ra = roundtrip_A(provider, pairing, mats, built.pop("icx", None),
+                             built.pop("zcx", None))
+            rb = roundtrip_B(provider, pairing, mats, built.pop("pcx", None))
+        except DSquaredError as exc:
+            raise InternalInvariant("round-trip complex of module %r: %s"
+                                    % (name, exc))
         details["modules"][name] = {
             "injective_side": ra["checks"], "cells_A": ra["cells"],
             "projective_side": rb["checks"], "cells_B": rb["cells"],
@@ -382,22 +395,22 @@ def property_cases_report(seed, count):
     )
     from koszulkit.fixtures import trivial_provider
     rng = random.Random(seed)
+    N = 3
     stats = {"cases": 0, "d_squared_ok": 0, "euler_ok": 0,
              "equivariance_checked": 0, "koszul_count": 0}
     failures = []
     for case in range(count):
         pres = _random_presentation(rng)
-        N = 3
         alg = grow(pres, N)
         stats["cases"] += 1
         try:
-            koszul = koszulity_check(pres, N, alg)["koszul_up_to_N"]
+            koszul = koszulity_check(alg)["koszul_up_to_N"]
             stats["d_squared_ok"] += 1
         except DSquaredError as exc:
             koszul = False
             failures.append({"case": case, "kind": "d_squared",
                              "at": list(exc.where)})
-        if euler_identity(pres, N, alg):
+        if euler_identity(alg, grow(quadratic_dual(pres), N)):
             stats["euler_ok"] += 1
         else:
             failures.append({"case": case, "kind": "euler"})
@@ -406,7 +419,7 @@ def property_cases_report(seed, count):
         if case % 10 == 0:
             provider = trivial_provider(alg.n)
             X = degree_zero_module(provider, alg, [Mat.identity(1)])
-            icx = I_complex(X, min(N, 2))
+            icx = I_complex(X)
             ok2, where2 = validate_complex_equivariance(icx)
             stats["equivariance_checked"] += 1
             if not ok2:
@@ -509,12 +522,11 @@ def run_check(args):
                 status, details = _check_validate(pres, need_acting(),
                                                   provider, modules)
             elif name == "hilbert":
-                status, details = _check_hilbert(*need_alg(), N)
+                status, details = _check_hilbert(*need_alg())
             elif name == "dual":
-                a, d = need_alg()
-                status, details = _check_dual(pres, a, d, N)
+                status, details = _check_dual(pres, *need_alg())
             elif name == "koszul":
-                status, details = _check_koszul(pres, need_alg()[0], N)
+                status, details = _check_koszul(need_alg()[0])
             elif name == "smash":
                 if provider is None:
                     status, details = "skipped", {"reason": "no action given"}
@@ -524,9 +536,9 @@ def run_check(args):
             elif name == "takiff":
                 status, details = _check_takiff(provider, need_acting())
             elif name == "duality":
-                status, details = _check_duality(need_shared(), N)
+                status, details = _check_duality(need_shared())
             elif name == "roundtrip":
-                status, details = _check_roundtrip(need_shared(), N)
+                status, details = _check_roundtrip(need_shared())
         except InternalInvariant as exc:
             report["checks"][name] = {"status": "internal-error",
                                       "details": {"failure": str(exc)}}

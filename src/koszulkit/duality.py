@@ -34,10 +34,13 @@ verifiers here do not rank them again.  For the same reason each
 generator identity of the verifiers (identify_socI's dual multiplication,
 identify_topP's generator action, the generator checks of the round
 trips) involves the module only through the identity of X: it is checked
-once per pairing and window at dim X = 1 (DualityPairing.verdict), like
-the intertwiner, and every verifier reads that verdict.  The degree-one
+once per pairing at dim X = 1 (DualityPairing.verdict), like the
+intertwiner, and every verifier reads that verdict.  The degree-one
 action of the socle complex is built only where it meets the module,
 by validate_socI_action on the socle complex of the module.
+
+Every builder and verifier here works up to the degree alg.N to which
+quadratic.grow grew the algebra of its module or pairing.
 
 Hom coordinates: a map f: U -> X is flattened row-major with the X index
 slow, i.e. vec(f)[x * dim U + u] = coefficient of basis x in f(u).
@@ -52,23 +55,14 @@ from koszulkit.exactlin import (
     Mat, _columns, hstack, kernel, kron, mul_kron_identity, place_blocks,
     rank,
 )
-from koszulkit.graded import BigradedComplex, check_d_squared, homology
+from koszulkit.graded import (
+    BigradedComplex, DSquaredError, check_d_squared, homology,
+)
 from koszulkit.quadratic import m_bar, verify_psi_intertwiner
 
 
 # ---------------------------------------------------------------------------
 # small helpers
-
-def _window(alg, N):
-    """N, or alg.N when N is None; raises ValueError past alg.N, the
-    degree up to which alg is grown."""
-    if N is None:
-        return alg.N
-    if N > alg.N:
-        raise ValueError("window %d exceeds the grown degree %d"
-                         % (N, alg.N))
-    return N
-
 
 def _hom_action(provider, arg_right_mats, inner_left_mats):
     """Left action on Hom(W, X): (a . f)(w) = a_(1) . f(w <| a_(2)),
@@ -167,19 +161,17 @@ def degree_zero_module(provider, alg, mats):
     return GradedAModule(provider, alg, {0: dim}, {0: list(mats)}, {})
 
 
-def P0(provider, alg, mats, N=None):
+def P0(provider, alg, mats):
     """Induced module: component i is the k-model H_i (x) X, the degree-1
-    action is left multiplication into H.  Truncated above at N (alg.N
-    when None)."""
+    action is left multiplication into H.  Truncated above at alg.N."""
     dX = mats[0].rows if mats else 0
-    N = _window(alg, N)
     dims, act0, act1 = {}, {}, {}
-    for i in range(N + 1):
+    for i in range(alg.N + 1):
         dims[i] = alg.hdim(i) * dX
         if dims[i]:
             act0[i] = _induced_left_action(provider, provider.h_action(alg, i),
                                            list(mats))
-    for i in range(N):
+    for i in range(alg.N):
         if dims[i] and dims[i + 1]:
             act1[i] = kron(alg.mult(1, i), dX)
     return GradedAModule(provider, alg, dims, act0, act1,
@@ -189,7 +181,7 @@ def P0(provider, alg, mats, N=None):
 def I0(provider, alg, mats):
     """Coinduced module: component -i is Hom(H_i, X) with
     (a . f)(h) = a_(1) f(h <| a_(2)) and (v . f)(h) = f(h v).
-    Truncated below at -N."""
+    Truncated below at -alg.N."""
     dX = mats[0].rows if mats else 0
     N = alg.N
     n = alg.n
@@ -254,23 +246,24 @@ _D_SQUARED_NAMES = {"I": "injective-side", "socI": "socle",
                     "P": "projective-side", "topP": "top-quotient"}
 
 
-def _duality_complex(kind, X, N, s_range, summands, act, diff):
-    """The DualityComplex of the given kind built from X over the window
-    N; I and socI are on the injective side, P and topP on the projective
-    one.  Cell (h, s), with h = r on the injective side and h = -r on the
-    projective one, r = 0..N and s in s_range, is the direct sum of the
+def _duality_complex(kind, X, summands, act, diff):
+    """The DualityComplex of the given kind built from X; I and socI are
+    on the injective side, P and topP on the projective one.  Cell (h, s),
+    with h = r on the injective side and h = -r on the projective one,
+    r = 0..N = X.alg.N and s = X.jmax - N..X.jmax (injective) or
+    X.jmin..X.jmin + N (projective), is the direct sum of the
     summands(r, s), each a (key, j, dim) with j the degree of X it
     involves; the cell is complete when X is known in degree h + s.
     act(r, key, j) lists the matrices of the acting basis on one summand,
     and diff(r, key, j) yields the ((key', j'), matrix) blocks of the
     differential from it into the summands of cell (h + 1, s), which is
-    assembled where both cells are nonzero.  Raises ValueError, naming
+    assembled where both cells are nonzero.  Raises DSquaredError, naming
     the first cell, unless d^2 = 0."""
-    prov = X.provider
+    prov, N = X.provider, X.alg.N
     sign = 1 if kind in ("I", "socI") else -1
-    s_lo, s_hi = s_range
+    s_range = (X.jmax - N, X.jmax) if sign == 1 else (X.jmin, X.jmin + N)
     blocks, comps, complete = {}, {}, {}
-    for s in range(s_lo, s_hi + 1):
+    for s in range(s_range[0], s_range[1] + 1):
         for r in range(N + 1):
             h = sign * r
             blocks[(h, s)] = bl = list(summands(r, s))
@@ -299,19 +292,19 @@ def _duality_complex(kind, X, N, s_range, summands, act, diff):
     cx = BigradedComplex(r_range, s_range, comps, diffs)
     ok, where = check_d_squared(cx)
     if not ok:
-        raise ValueError("%s differential fails d^2=0 at %r"
-                         % (_D_SQUARED_NAMES[kind], where))
+        raise DSquaredError(where, "%s differential fails d^2=0"
+                            % _D_SQUARED_NAMES[kind])
     return DualityComplex(kind, cx, blocks, act0, prov, X.alg, complete)
 
 
-def I_complex(X, N=None):
+def I_complex(X):
     """The injective-side complex: cell (r, s) is the direct sum of
     Hom(K_r (x) H_i, X_j) over j - i = r + s; differential d + (-1)^r rho
     with d = precompose strip-and-multiply and rho = push one generator
     into the module."""
     alg = X.alg
     prov = X.provider
-    N = _window(alg, N)
+    N = alg.N
     if X.truncated_above:
         raise ValueError("input module must be genuinely bounded above")
 
@@ -337,17 +330,16 @@ def I_complex(X, N=None):
                          alg.kdim(r + 1) * alg.hdim(i))
             yield (i, j + 1), m.scale((-1) ** r)
 
-    return _duality_complex("I", X, N, (X.jmax - N, X.jmax), summands, act,
-                            diff)
+    return _duality_complex("I", X, summands, act, diff)
 
 
-def P_complex(X, N=None):
+def P_complex(X):
     """The projective-side complex: cell (-r, s) is the direct sum of the
     k-models H_i (x) K_r (x) X_j over i + j = s - r; differential
     (-1)^r (strip first K-letter into H) + (strip last K-letter into X)."""
     alg = X.alg
     prov = X.provider
-    N = _window(alg, N)
+    N = alg.N
     if X.truncated_below:
         raise ValueError("input module must be genuinely bounded below")
     inner_cache = {}
@@ -376,11 +368,10 @@ def P_complex(X, N=None):
                                     alg.incl_right(r), X.dim(j))
             yield (i, j + 1), kron(alg.hdim(i), lam)
 
-    return _duality_complex("P", X, N, (X.jmin, X.jmin + N), summands, act,
-                            diff)
+    return _duality_complex("P", X, summands, act, diff)
 
 
-def socI_complex(X, N=None):
+def socI_complex(X):
     """The socle subcomplex of the injective side: cell (r, s) is
     Hom(K_r, X_{r+s}); differential (-1)^(r+1) (push one generator into
     the module); carries the degree-zero action.  The degree-one action of
@@ -388,7 +379,6 @@ def socI_complex(X, N=None):
     it is checked, by validate_socI_action."""
     alg = X.alg
     prov = X.provider
-    N = _window(alg, N)
     if X.truncated_above:
         raise ValueError("input module must be genuinely bounded above")
 
@@ -405,8 +395,7 @@ def socI_complex(X, N=None):
                      alg.kdim(r), alg.kdim(r + 1))
         yield (r + 1, j + 1), m.scale((-1) ** (r + 1))
 
-    return _duality_complex("socI", X, N, (X.jmin - N, X.jmax), summands,
-                            act, diff)
+    return _duality_complex("socI", X, summands, act, diff)
 
 
 def _socle_generator(alg, r, a, d):
@@ -416,7 +405,7 @@ def _socle_generator(alg, r, a, d):
     return kron(d, alg.contraction(r + 1, a, "right").transpose())
 
 
-def topP_complex(Y, N=None):
+def topP_complex(Y):
     """The top quotient of the projective side over the co-opposite smash:
     cell (-r, s) is K_r (x) Y_{s-r} (K of Y's algebra); differential strips
     the last K-letter into the module (no sign); carries the degree-zero
@@ -424,7 +413,6 @@ def topP_complex(Y, N=None):
     per pairing (_topP_generator_failures)."""
     alg = Y.alg
     prov = Y.provider
-    N = _window(alg, N)
     if Y.jmin < 0:
         raise ValueError("input module must live in non-negative degrees")
 
@@ -442,7 +430,7 @@ def topP_complex(Y, N=None):
             kron(alg.kdim(r - 1), Y.act1_mat(j)), alg.incl_right(r),
             Y.dim(j))
 
-    return _duality_complex("topP", Y, N, (Y.jmin, N), summands, act, diff)
+    return _duality_complex("topP", Y, summands, act, diff)
 
 
 def validate_complex_equivariance(dcx):
@@ -616,23 +604,22 @@ def _chi_matrix(pairing, r, i, dX):
                             inverse=True))
 
 
-def socI_model_module(provider, pairing, mats_x, N=None):
+def socI_model_module(provider, pairing, mats_x):
     """The projective model of the socle complex of a degree-zero module:
     the module induced from X over the co-opposite smash of the dual, so
     component p is (dual H)_p (x) X with left multiplication as the
     degree-one action and the co-opposite legs on the degree-zero part."""
-    return P0(dual_action(provider), pairing.dual, mats_x, N)
+    return P0(dual_action(provider), pairing.dual, mats_x)
 
 
-def identify_socI(X, pairing, N=None):
+def identify_socI(X, pairing):
     """The socle complex of a bounded-above module is, bidegree by
     bidegree, the projective model over the co-opposite smash: the
     pairing-built matrices (bijective, as the pairing is) intertwine both
     the dual multiplication (checked once per pairing, at dim X = 1) and
     the degree-zero action."""
-    alg, dual = pairing.alg, pairing.dual
-    N = _window(alg, N)
-    soc = socI_complex(X, N)
+    dual = pairing.dual
+    soc = socI_complex(X)
     dprov = dual_action(X.provider)
     theta = {}
     verdict = _Verdict(theta=theta, complex=soc)
@@ -641,7 +628,7 @@ def identify_socI(X, pairing, N=None):
             continue
         j = r + s
         theta[(r, j)] = _theta_matrix(pairing, r, X.dim(j))
-    ok, where = pairing.verdict(_socI_generator_failures, N)
+    ok, where = pairing.verdict(_socI_generator_failures)
     if not ok:
         return verdict.fail("dual multiplication", *where)
     for (r, s), mats in sorted(soc.act0.items()):
@@ -657,7 +644,7 @@ def identify_socI(X, pairing, N=None):
     return verdict.result()
 
 
-def identify_topP(Y, pairing, N=None):
+def identify_topP(Y, pairing):
     """The top quotient over the co-opposite smash is, as a module over
     the original smash, the coinduced object Hom(H_r, Y): the
     pairing-built matrices (bijective, as the pairing is) intertwine the
@@ -665,8 +652,7 @@ def identify_topP(Y, pairing, N=None):
     pairing, at dim Y = 1), and transport the differential to its
     explicit coinduced-side formula."""
     alg = pairing.alg
-    N = _window(alg, N)
-    top = topP_complex(Y, N)
+    top = topP_complex(Y)
     orig = dual_action(Y.provider)
     n = alg.n
     phi = {}
@@ -697,7 +683,7 @@ def identify_topP(Y, pairing, N=None):
         b = intertwines(phi[(r, j)], mats, model)
         if b is not None:
             return verdict.fail("degree-zero action", r, j, b)
-    ok, where = pairing.verdict(_topP_generator_failures, N)
+    ok, where = pairing.verdict(_topP_generator_failures)
     if not ok:
         return verdict.fail("generator action", *where)
     return verdict.result()
@@ -708,14 +694,15 @@ def identify_topP(Y, pairing, N=None):
 # the module, after and before the comparison map, which is a pairing
 # matrix tensored with that identity up to a fixed permutation; so the
 # identity holds for every module exactly when it holds at dim X = 1.
-# Each yields the coordinates of its failures, for DualityPairing.verdict.
+# Each yields the coordinates of its failures up to the grown degree N,
+# for DualityPairing.verdict.
 
-def _socI_generator_failures(pairing, N):
+def _socI_generator_failures(pairing):
     """identify_socI's dual multiplication, where theta is g2^T: the
     contraction by the a-th dual generator, through theta, is left
     multiplication by it in the dual algebra.  Yields (r, a)."""
     alg, dual = pairing.alg, pairing.dual
-    for r in range(N):
+    for r in range(alg.N):
         if not alg.kdim(r + 1):
             continue
         theta, theta_next = (_theta_matrix(pairing, r, 1),
@@ -726,13 +713,13 @@ def _socI_generator_failures(pairing, N):
                 yield r, a
 
 
-def _topP_generator_failures(pairing, N):
+def _topP_generator_failures(pairing):
     """identify_topP's generator action, where phi is g1: the left
     contraction by the a-th predual generator on the top quotient, through
     phi, is precomposition with right multiplication by the a-th
     generator.  Yields (r, a)."""
     alg, dual = pairing.alg, pairing.dual
-    for r in range(1, N + 1):
+    for r in range(1, alg.N + 1):
         if not dual.kdim(r):
             continue
         phi_prev, phi = (_phi_matrix(pairing, r - 1, 1),
@@ -744,12 +731,13 @@ def _topP_generator_failures(pairing, N):
                 yield r, a
 
 
-def _roundtrip_A_generator_failures(pairing, N):
+def _roundtrip_A_generator_failures(pairing):
     """roundtrip_A's generator check, where phi is psi_bar: precomposition
     with right multiplication by the a-th generator, on the Hom side,
     through psi_bar, is the left contraction by it on the model side.
     Yields (r, p, a)."""
     alg, dual = pairing.alg, pairing.dual
+    N = alg.N
     for r in range(1, N + 1):
         for p in range(N + 1 - r):
             if not alg.kdim(p) * alg.hdim(r):
@@ -763,12 +751,13 @@ def _roundtrip_A_generator_failures(pairing, N):
                     yield r, p, a
 
 
-def _roundtrip_B_generator_failures(pairing, N):
+def _roundtrip_B_generator_failures(pairing):
     """roundtrip_B's generator check at dim X = 1, where the coinduced
     module Hom(H_i, X) has dimension dim H_i: the socle contraction by the
     a-th dual generator, through chi, is left multiplication by it in the
     dual algebra.  Yields (r, i, a)."""
     alg, dual = pairing.alg, pairing.dual
+    N = alg.N
     for r in range(N):
         for i in range(N - r):
             hi = alg.hdim(i)
@@ -786,34 +775,33 @@ def _roundtrip_B_generator_failures(pairing, N):
 # ---------------------------------------------------------------------------
 # round trips
 
-def roundtrip_A(provider, pairing, mats_x, N=None, icx=None, zcx=None):
+def roundtrip_A(provider, pairing, mats_x, icx=None, zcx=None):
     """Rebuild the injective-side complex of a degree-zero module by going
     through the socle model and the top quotient on the co-opposite side,
     and compare with the directly built complex through the transported
     pairing matrices phi = (psi_bar (x) id) o swap: chain, degree-zero-
-    and generator-equivariant on every bidegree in the window.
+    and generator-equivariant on every bidegree up to the grown degree.
 
     phi is bijective because psi_bar is, so the "bijective" entry records
     the invertibility of the pairing, which DualityPairing decides.  The
     chain and generator properties are identities of psi_bar tensored
-    with the identity of X, so their entries are verdicts over the window
-    computed once per pairing: the intertwiner's, and the generator
-    identity at dim X = 1.
+    with the identity of X, so their entries are verdicts computed once
+    per pairing: the intertwiner's, and the generator identity at
+    dim X = 1.
 
     icx and zcx, when given, are the injective-side complex of the module
-    and the top quotient of its socle model, already built for the same
-    window (by koszulity_via_duality and identify_topP)."""
+    and the top quotient of its socle model, already built (by
+    koszulity_via_duality and identify_topP)."""
     alg = pairing.alg
-    N = _window(alg, N)
+    N = alg.N
     dX = mats_x[0].rows if mats_x else 0
     if icx is None:
-        icx = I_complex(degree_zero_module(provider, alg, mats_x), N)
+        icx = I_complex(degree_zero_module(provider, alg, mats_x))
     if zcx is None:
-        zcx = topP_complex(socI_model_module(provider, pairing, mats_x, N),
-                           N)
+        zcx = topP_complex(socI_model_module(provider, pairing, mats_x))
     phi = {}
     verdict = _Verdict(("bijective", "chain", "act0", "generator"), phi=phi)
-    ok, where = verify_psi_intertwiner(pairing, N)
+    ok, where = verify_psi_intertwiner(pairing)
     if not ok:
         verdict.fail("chain", *where)
     for r in range(0, N + 1):
@@ -827,13 +815,13 @@ def roundtrip_A(provider, pairing, mats_x, N=None, icx=None, zcx=None):
                         zcx.act0_mats(-r, r + p))
         if b is not None:
             verdict.fail("act0", r, p, b)
-    ok, where = pairing.verdict(_roundtrip_A_generator_failures, N)
+    ok, where = pairing.verdict(_roundtrip_A_generator_failures)
     if not ok:
         verdict.fail("generator", *where)
     return verdict.result(checks=verdict.checks, cells=len(phi))
 
 
-def roundtrip_B(provider, pairing, mats_x, N=None, pcx=None):
+def roundtrip_B(provider, pairing, mats_x, pcx=None):
     """Mirror round trip: the socle complex of the coinduced module is
     compared with the directly built projective-side complex over the
     co-opposite smash.  The comparison map chi must be a chain map up to
@@ -844,16 +832,18 @@ def roundtrip_B(provider, pairing, mats_x, N=None, pcx=None):
     an identity of the pairing tensored with the identity of X, so its
     entry is the verdict at dim X = 1, computed once per pairing.
 
+    The socle complex of I0(X), in degrees -N..0, has just the cells
+    (r, -i - r), r + i <= N, that chi compares.
+
     pcx, when given, is the projective-side complex of the module over
-    the co-opposite smash, already built for the same window (by
-    koszulity_via_duality)."""
+    the co-opposite smash, already built (by koszulity_via_duality)."""
     alg, dual = pairing.alg, pairing.dual
-    N = _window(alg, N)
+    N = alg.N
     dX = mats_x[0].rows if mats_x else 0
-    soc = socI_complex(I0(provider, alg, mats_x), N)
+    soc = socI_complex(I0(provider, alg, mats_x))
     if pcx is None:
         pcx = P_complex(degree_zero_module(dual_action(provider), dual,
-                                           mats_x), N)
+                                           mats_x))
     chi = {}
     verdict = _Verdict(("bijective", "chain", "act0", "generator"), chi=chi)
     for r in range(0, N + 1):
@@ -893,7 +883,7 @@ def roundtrip_B(provider, pairing, mats_x, N=None, pcx=None):
         b = intertwines(m, soc_acts, p_acts)
         if b is not None:
             verdict.fail("act0", r, i, b)
-    ok, where = pairing.verdict(_roundtrip_B_generator_failures, N)
+    ok, where = pairing.verdict(_roundtrip_B_generator_failures)
     if not ok:
         verdict.fail("generator", *where)
     return verdict.result(
@@ -904,7 +894,7 @@ def roundtrip_B(provider, pairing, mats_x, N=None, pcx=None):
 # ---------------------------------------------------------------------------
 # the exactness criterion
 
-def koszulity_via_duality(provider, pairing, mats_x, N=None):
+def koszulity_via_duality(provider, pairing, mats_x):
     """Three verdicts that the duality theorem forces to coincide: the
     injective-side complex of the module is exact away from degree zero,
     the projective-side complex over the co-opposite smash is exact away
@@ -913,14 +903,14 @@ def koszulity_via_duality(provider, pairing, mats_x, N=None):
     flag, and the two complexes it built ("complexes": I and P)."""
     from koszulkit.quadratic import koszulity_check
     alg, dual = pairing.alg, pairing.dual
-    N = _window(alg, N)
+    N = alg.N
     X = degree_zero_module(provider, alg, mats_x)
-    icx = I_complex(X, N)
+    icx = I_complex(X)
     rep_i = homology(icx.cx)
     Xd = degree_zero_module(dual_action(provider), dual, mats_x)
-    pcx = P_complex(Xd, N)
+    pcx = P_complex(Xd)
     rep_p = homology(pcx.cx)
-    kz = koszulity_check(alg.pres, N, alg)
+    kz = koszulity_check(alg)
     top = N - 1
     per_i, per_p = {}, {}
     for d in range(1, top + 1):

@@ -103,11 +103,11 @@ class HomologyReport:
 
 class DSquaredError(ValueError):
     """A differential that does not square to zero; where = (r, s) of the
-    first cell at which d o d is nonzero."""
+    first cell at which d o d is nonzero, and the message names the
+    differential."""
 
-    def __init__(self, where):
-        super().__init__("differential does not square to zero at %r"
-                         % (where,))
+    def __init__(self, where, what="differential does not square to zero"):
+        super().__init__("%s at %r" % (what, where))
         self.where = where
 
 

@@ -206,7 +206,7 @@ class TruncatedGradedAlgebra:
         self._contractions = {}
         self._generator_mults = {}
         self._m_bar = {}
-        self._koszulity = {}
+        self._koszulity = None
 
     def _check(self, i):
         if not 0 <= i <= self.N:
@@ -506,19 +506,18 @@ def koszul_complex(alg, side):
     return BigradedComplex((-N - 1, 1), (0, N), comps, diffs)
 
 
-def koszulity_check(pres, N, alg=None):
-    """Per-internal-degree exactness of the right Koszul complex.
+def koszulity_check(alg):
+    """Per-internal-degree exactness of the right Koszul complex of alg.
 
     Returns a dict with per-degree verdicts and the first failing cell;
-    only ever asserts Koszulity up to the truncation degree.  Raises
+    only ever asserts Koszulity up to the truncation degree alg.N.  Raises
     DSquaredError, from homology, if the differential fails d^2 = 0.  The
-    verdict is kept on alg per N, so every check that asks for it shares
-    one computation."""
+    verdict is kept on alg, so every check that asks for it shares one
+    computation."""
     from koszulkit.graded import homology
-    if alg is None:
-        alg = grow(pres, N)
-    if N in alg._koszulity:
-        return alg._koszulity[N]
+    if alg._koszulity is not None:
+        return alg._koszulity
+    N = alg.N
     cx = koszul_complex(alg, "right")
     rep = homology(cx)
     per_degree = {}
@@ -534,21 +533,17 @@ def koszulity_check(pres, N, alg=None):
                 if first_failure is None:
                     first_failure = (r, s)
         per_degree[s] = good
-    alg._koszulity[N] = {"per_degree": per_degree,
-                         "koszul_up_to_N": all(per_degree.values()),
-                         "first_failure": first_failure,
-                         "homology": rep}
-    return alg._koszulity[N]
+    alg._koszulity = {"per_degree": per_degree,
+                      "koszul_up_to_N": all(per_degree.values()),
+                      "first_failure": first_failure}
+    return alg._koszulity
 
 
-def euler_identity(pres, N, alg=None, dual_alg=None):
+def euler_identity(alg, dual_alg):
     """Alternating-sum dimension check: sum_i (-1)^i dim H!_i dim H_{s-i}
-    equals 1 at s = 0 and 0 for 0 < s <= N."""
-    if alg is None:
-        alg = grow(pres, N)
-    if dual_alg is None:
-        dual_alg = grow(quadratic_dual(pres), N)
-    for s in range(N + 1):
+    equals 1 at s = 0 and 0 for 0 < s <= alg.N, with H! read from
+    dual_alg, the quadratic dual grown to at least alg.N."""
+    for s in range(alg.N + 1):
         total = sum((-1) ** i * dual_alg.hdim(i) * alg.hdim(s - i)
                     for i in range(s + 1))
         if total != (1 if s == 0 else 0):
@@ -636,16 +631,16 @@ class DualityPairing:
     def g2_inv(self, j):
         return self._get(self._ginv, 2, j)
 
-    def verdict(self, failures, window):
+    def verdict(self, failures):
         """(True, None), or (False, where) with where the first coordinates
-        that failures(self, window) yields: the verdict of an identity that
-        holds for the pairing alone, computed once per pairing and window
-        (failures is the identity's generator of failing coordinates)."""
-        key = (failures, window)
-        if key not in self._verdicts:
-            where = next(failures(self, window), None)
-            self._verdicts[key] = (where is None, where)
-        return self._verdicts[key]
+        that failures(self) yields: the verdict of an identity that holds
+        for the pairing alone, up to the grown degree, computed once per
+        pairing (failures is the identity's generator of failing
+        coordinates)."""
+        if failures not in self._verdicts:
+            where = next(failures(self), None)
+            self._verdicts[failures] = (where is None, where)
+        return self._verdicts[failures]
 
     def psi_bar(self, i, j):
         """Invertible matrix (K_j (x) H_i)* -> K!_i (x) H!_j.
@@ -662,27 +657,25 @@ class DualityPairing:
         return m
 
 
-def verify_psi_intertwiner(pairing, max_total):
+def verify_psi_intertwiner(pairing):
     """Exact-matrix check of the compatibility of psi_bar with the two
     strip-and-multiply maps: precomposing a functional with
     K_{j+1} (x) H_{i-1} -> K_j (x) H_i transports, under psi_bar, to the
     dual-side strip-and-multiply K!_i (x) H!_j -> K!_{i-1} (x) H!_{j+1},
-    for every i >= 1 with i + j <= max_total.  Returns (True, None) or
-    (False, (i, j)) at the first failure; the verdict is memoized per
-    pairing and window.
+    for every i >= 1 with i + j <= N, the grown degree.  Returns
+    (True, None) or (False, (i, j)) at the first failure; the verdict is
+    memoized on the pairing.
 
     This is the arbiter of every pairing convention in the package; a
     mismatch anywhere upstream makes it fail loudly."""
-    if not 0 <= max_total <= pairing.alg.N:
-        raise ValueError("intertwiner window %d outside 0..%d"
-                         % (max_total, pairing.alg.N))
-    return pairing.verdict(_intertwiner_failures, max_total)
+    return pairing.verdict(_intertwiner_failures)
 
 
-def _intertwiner_failures(pairing, max_total):
+def _intertwiner_failures(pairing):
     alg, dual = pairing.alg, pairing.dual
-    return ((i, j) for i in range(1, max_total + 1)
-            for j in range(max_total - i + 1)
+    N = alg.N
+    return ((i, j) for i in range(1, N + 1)
+            for j in range(N - i + 1)
             if pairing.psi_bar(i - 1, j + 1)
             @ m_bar(alg, j + 1, i - 1, "right").transpose()
             != m_bar(dual, i, j, "right") @ pairing.psi_bar(i, j))

@@ -243,6 +243,70 @@ def test_koszul_d_squared_failure_is_internal_error(tmp_path):
     assert "square to zero" in report["checks"]["koszul"]["details"]["failure"]
 
 
+def test_duality_d_squared_failure_is_internal_error(tmp_path):
+    # the same corruption breaks d^2 = 0 on the injective-side complex,
+    # which the duality check builds first: exit 3 with the cell, also
+    # under -O, not a traceback
+    pres, _ = emit(tmp_path, "sym_2")
+    out = tmp_path / "r.json"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(koszulkit.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CORRUPT_KOSZUL, "check", "--input", pres,
+         "--checks", "duality", "--max-degree", "3", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(out.read_text())["checks"]["duality"] == {
+        "status": "internal-error",
+        "details": {"failure": "duality complex of module 'k': "
+                    "injective-side differential fails d^2=0 at (0, -2)"}}
+
+
+def test_roundtrip_d_squared_failure_is_internal_error(tmp_path,
+                                                       monkeypatch):
+    # the round trip builds its own complexes when run alone; a d^2
+    # failure there is an internal invariant too (injected, since any
+    # corruption of the algebra fails the pairing intertwiner first)
+    import koszulkit.duality as duality
+    monkeypatch.setattr(duality, "check_d_squared",
+                        lambda cx: (False, (0, -1)))
+    pres, _ = emit(tmp_path, "sym_2")
+    out = tmp_path / "r.json"
+    assert run(["check", "--input", pres, "--checks", "roundtrip",
+                "--max-degree", "3", "--out", str(out)]) == 3
+    assert json.loads(out.read_text())["checks"]["roundtrip"] == {
+        "status": "internal-error",
+        "details": {"failure": "round-trip complex of module 'k': "
+                    "injective-side differential fails d^2=0 at (0, -1)"}}
+
+
+def test_verdict_disagreement_is_a_deterministic_internal_error(
+        tmp_path, monkeypatch):
+    # the Koszul-complex verdict made to say no at degree 2: the report
+    # names that degree and the three verdicts there, and two runs write
+    # the same report
+    import koszulkit.quadratic as quadratic
+    real = quadratic.koszulity_check
+
+    def says_no_at_2(*args):
+        res = dict(real(*args))
+        res["per_degree"] = {**res["per_degree"], 2: False}
+        return res
+
+    monkeypatch.setattr(quadratic, "koszulity_check", says_no_at_2)
+    pres, _ = emit(tmp_path, "sym_2")
+    outs = [str(tmp_path / ("r%d.json" % k)) for k in (1, 2)]
+    for out in outs:
+        assert run(["check", "--input", pres, "--checks", "duality",
+                    "--max-degree", "3", "--out", out]) == 3
+    assert json.loads(open(outs[0]).read())["checks"]["duality"] == {
+        "status": "internal-error",
+        "details": {"failure": "duality verdicts disagree for module 'k' at "
+                    "degree 2: injective True, projective True, Koszul "
+                    "complex False"}}
+    assert run(["report-diff"] + outs) == 0
+
+
 def _lopsided_swap(tmp_path):
     # the swap of two generators as a C2 action does not stabilize the
     # single relation x1 (x) x2
