@@ -238,12 +238,17 @@ class LieAction(_Bracket):
 
     @staticmethod
     def from_json_obj(obj, modules_obj=None):
-        names = list(obj["basis"])
+        names = _json_field(obj["basis"], list, "lie basis")
+        if (not all(isinstance(g, str) for g in names)
+                or len(set(names)) != len(names)):
+            raise ValueError("lie basis must list distinct names, got %r"
+                             % (names,))
         pos = {g: i for i, g in enumerate(names)}
         dim = len(names)
         brackets = {}
         given = set()
-        for key, terms in obj.get("brackets", {}).items():
+        for key, terms in _json_field(obj.get("brackets", {}), dict,
+                                      "lie brackets").items():
             a_name, b_name = key.split(",")
             a, b = pos[a_name], pos[b_name]
             vec = [F0] * dim
@@ -254,7 +259,8 @@ class LieAction(_Bracket):
         for (a, b) in list(given):
             if a != b and (b, a) not in given:
                 brackets[(b, a)] = [-x for x in brackets[(a, b)]]
-        rho = _mats_from_json([(name, obj["action"][name]) for name in names],
+        action = _json_field(obj["action"], dict, "lie action")
+        rho = _mats_from_json([(name, action[name]) for name in names],
                               "action of")
         modules = {}
         for mname, mobj in (modules_obj or {}).items():
@@ -632,6 +638,14 @@ def _mat_to_json(m):
     return [[rat_to_str(x) for x in row] for row in m.tolist()]
 
 
+def _json_field(value, kind, field):
+    """value if it is of kind (list or dict), else ValueError naming field."""
+    if not isinstance(value, kind):
+        raise ValueError("%s must be a JSON %s, got %r" % (
+            field, "array" if kind is list else "object", value))
+    return value
+
+
 def _mats_from_json(items, what, dim=None):
     """Square matrices of one size, dim when given (else that of the
     first), from (label, JSON rows) pairs; raises ValueError naming the
@@ -681,6 +695,8 @@ def action_bundle_to_json(provider, modules=None):
 def action_bundle_from_json(obj):
     """Parse an action file; returns (provider, modules) where modules maps
     names to lists of left-action matrices aligned with the acting basis."""
+    obj = _json_field(obj, dict, "an action file")
+    modules_obj = _json_field(obj.get("modules", {}), dict, "modules")
     if "bialgebra" in obj:
         b = Bialgebra.from_json_obj(obj["bialgebra"])
         mats = _mats_from_json(enumerate(obj.get("action", [])),
@@ -689,7 +705,7 @@ def action_bundle_from_json(obj):
             raise ValueError("need one action matrix per basis element")
         provider = ActionProvider.from_bialgebra(b, mats)
         modules = {}
-        for name, mobj in obj.get("modules", {}).items():
+        for name, mobj in modules_obj.items():
             mmats = _mats_from_json(enumerate(mobj["action"]),
                                     "module %r, matrix" % name,
                                     mobj.get("dim"))
@@ -698,7 +714,7 @@ def action_bundle_from_json(obj):
             modules[name] = mmats
         return provider, modules
     if "lie" in obj:
-        lie = LieAction.from_json_obj(obj["lie"], obj.get("modules"))
+        lie = LieAction.from_json_obj(obj["lie"], modules_obj)
         return ActionProvider.from_lie(lie), dict(lie.modules)
     raise ValueError("action file needs a 'bialgebra' or 'lie' key")
 

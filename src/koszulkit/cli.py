@@ -245,9 +245,8 @@ def _duality_inputs(acting, provider, modules, need_alg):
     """What the duality and roundtrip checks share in one run: the failure
     of the acting object's axioms, all they then report, or one pairing
     (need_alg grows the algebras), the acting object (the trivial one when
-    none is given) with its modules, the modules whose laws fail, and the
-    complexes built so far, by module name.  A pairing that is not
-    invertible is an internal invariant."""
+    none is given) with its modules, and the modules whose laws fail.  A
+    pairing that is not invertible is an internal invariant."""
     failure, bad_modules = acting[2:] if acting else (None, {})
     if failure:
         return {"failure": failure}
@@ -262,7 +261,7 @@ def _duality_inputs(acting, provider, modules, need_alg):
     except ValueError as exc:
         raise InternalInvariant(str(exc))
     return {"pairing": pairing, "provider": provider, "modules": modules,
-            "complexes": {}, "failure": None, "bad_modules": bad_modules}
+            "failure": None, "bad_modules": bad_modules}
 
 
 def _check_duality(shared):
@@ -314,9 +313,6 @@ def _check_duality(shared):
                 % ((name, deg) + tuple(p[deg] for p in per)))
         entry["socle_identification"] = soc["ok"]
         entry["top_identification"] = top["ok"]
-        shared["complexes"][name] = {"icx": res["complexes"]["I"],
-                                     "pcx": res["complexes"]["P"],
-                                     "zcx": top["complex"]}
         if not (soc["ok"] and top["ok"]):
             raise InternalInvariant(
                 "identification failed for module %r at %r" %
@@ -346,13 +342,9 @@ def _check_roundtrip(shared):
             status = "fail"
             continue
         mats = shared["modules"][name]
-        # each complex is dropped once its round trip has used it, so
-        # that the complexes of all modules are not alive together
-        built = shared["complexes"].pop(name, {})
         try:
-            ra = roundtrip_A(provider, pairing, mats, built.pop("icx", None),
-                             built.pop("zcx", None))
-            rb = roundtrip_B(provider, pairing, mats, built.pop("pcx", None))
+            ra = roundtrip_A(provider, pairing, mats)
+            rb = roundtrip_B(provider, pairing, mats)
         except DSquaredError as exc:
             raise InternalInvariant("round-trip complex of module %r: %s"
                                     % (name, exc))

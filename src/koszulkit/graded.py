@@ -85,10 +85,10 @@ def check_d_squared(c):
 
 
 class HomologyReport:
-    """Per-cell kernel/image/homology dimensions with validity flags."""
+    """Per-cell homology dimensions with validity flags."""
 
     def __init__(self, cells):
-        self.cells = cells  # dict (r,s) -> dict(ker=, im=, dim=, valid=)
+        self.cells = cells  # dict (r,s) -> dict(dim=, valid=)
 
     def dim(self, r, s):
         return self.cells[(r, s)]["dim"]
@@ -128,7 +128,6 @@ def homology(c):
         if h < 0:
             raise ValueError("the image at %r has rank %d, above the kernel "
                              "dimension %d" % ((r, s), rk_in, ker))
-        cells[(r, s)] = {"ker": ker, "im": rk_in, "dim": h,
-                         "valid": c.cell_valid(r, s)}
+        cells[(r, s)] = {"dim": h, "valid": c.cell_valid(r, s)}
     return HomologyReport(cells)
 

@@ -631,16 +631,17 @@ class DualityPairing:
     def g2_inv(self, j):
         return self._get(self._ginv, 2, j)
 
-    def verdict(self, failures):
+    def verdict(self, failures, *args):
         """(True, None), or (False, where) with where the first coordinates
-        that failures(self) yields: the verdict of an identity that holds
-        for the pairing alone, up to the grown degree, computed once per
-        pairing (failures is the identity's generator of failing
-        coordinates)."""
-        if failures not in self._verdicts:
-            where = next(failures(self), None)
-            self._verdicts[failures] = (where is None, where)
-        return self._verdicts[failures]
+        that failures(self, *args) yields: the verdict of an identity that
+        holds for the pairing alone, or for it and the acting object args
+        give, up to the grown degree, computed once per (failures, args)
+        (failures is the identity's generator of failing coordinates)."""
+        key = (failures,) + args
+        if key not in self._verdicts:
+            where = next(failures(self, *args), None)
+            self._verdicts[key] = (where is None, where)
+        return self._verdicts[key]
 
     def psi_bar(self, i, j):
         """Invertible matrix (K_j (x) H_i)* -> K!_i (x) H!_j.

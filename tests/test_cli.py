@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import koszulkit
 from koszulkit.cli import main, property_cases_report
@@ -264,9 +267,9 @@ def test_duality_d_squared_failure_is_internal_error(tmp_path):
 
 def test_roundtrip_d_squared_failure_is_internal_error(tmp_path,
                                                        monkeypatch):
-    # the round trip builds its own complexes when run alone; a d^2
-    # failure there is an internal invariant too (injected, since any
-    # corruption of the algebra fails the pairing intertwiner first)
+    # the round trip builds the complexes it reads; a d^2 failure there
+    # is an internal invariant too (injected, since any corruption of the
+    # algebra fails the pairing intertwiner first)
     import koszulkit.duality as duality
     monkeypatch.setattr(duality, "check_d_squared",
                         lambda cx: (False, (0, -1)))
@@ -390,9 +393,26 @@ def _edit(bundle, path, value):
     ("c2_sign_takiff",
      _edit(_c2_bundle(), ("bialgebra", "mult"), [[["1", "0"]]]),
      "list index out of range"),
+    ("c2_sign_takiff", _edit(_c2_bundle(), ("modules",), []),
+     "modules must be a JSON object, got []"),
+    ("c2_sign_takiff", _edit(_c2_bundle(), ("modules",), ["x"]),
+     "modules must be a JSON object, got ['x']"),
+    ("sl2_adjoint_takiff", _edit(_sl2_bundle(), ("modules",), ["x"]),
+     "modules must be a JSON object, got ['x']"),
+    ("sl2_adjoint_takiff",
+     _edit(_sl2_bundle(), ("lie", "brackets"),
+           sorted(_sl2_bundle()["lie"]["brackets"])),
+     "lie brackets must be a JSON object"),
+    ("sl2_adjoint_takiff",
+     _edit(_sl2_bundle(), ("lie", "basis"), ["e", "h", "f", "e"]),
+     "lie basis must list distinct names"),
+    ("sl2_adjoint_takiff", _edit(_sl2_bundle(), ("lie", "basis"), "ehf"),
+     "lie basis must be a JSON array, got 'ehf'"),
 ], ids=["lie-not-square", "lie-ragged", "lie-sizes-differ", "lie-wrong-space",
         "lie-module-dim", "bialgebra-module-dim", "bialgebra-not-square",
-        "bialgebra-short-mult"])
+        "bialgebra-short-mult", "bialgebra-modules-empty-array",
+        "bialgebra-modules-array", "lie-modules-array", "lie-brackets-array",
+        "lie-repeated-name", "lie-basis-string"])
 def test_malformed_action_is_parse_error(tmp_path, capsys, fixture, bundle,
                                          message):
     # shapes are input checks, not asserts: the same exit 2 under -O
@@ -641,3 +661,87 @@ def test_check_run_loads_neither_openssl_nor_the_fixtures(tmp_path):
         timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# ---------------------------------------------------------------------------
+# both JSON parsers under generated input: a fixture's presentation or
+# action file with one or two entries replaced by small JSON values, run
+# in process through main
+
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
+              st.sampled_from(["0", "1", "-1", "1/2", "1/0", "x", "y", "e",
+                               "h", "f", "x,y", "e,f", ""])),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["c", "m", "b", "dim", "action",
+                                         "terms", "e", "x", "e,f"]),
+                        inner, max_size=3)),
+    max_leaves=8)
+
+
+def _mutate(data, doc):
+    """doc with one or two entries, each at a path drawn by data, replaced
+    by a drawn JSON value."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(data.draw(st.integers(1, 2))):
+        parent, key, node = None, None, doc
+        while (isinstance(node, (dict, list)) and node
+               and data.draw(st.booleans())):
+            key = data.draw(st.sampled_from(
+                sorted(node) if isinstance(node, dict)
+                else range(len(node))))
+            parent, node = node, node[key]
+        value = data.draw(_JSON)
+        if parent is None:
+            doc = value
+        else:
+            parent[key] = value
+    return doc
+
+
+def _check_in_process(tmp_dir, pres_obj, action_obj=None):
+    pres = os.path.join(tmp_dir, "p.json")
+    with open(pres, "w") as f:
+        json.dump(pres_obj, f)
+    argv = ["check", "--input", pres, "--checks", "all", "--max-degree", "2"]
+    if action_obj is not None:
+        argv += ["--action", os.path.join(tmp_dir, "a.json")]
+        with open(argv[-1], "w") as f:
+            json.dump(action_obj, f)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz"))
+
+
+_FUZZ = settings(max_examples=100, derandomize=True, database=None,
+                 deadline=None,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+
+@_FUZZ
+@given(data=st.data(),
+       name=st.sampled_from(["sym_2", "ext_2", "free_2", "dual_numbers"]))
+def test_generated_presentation_files_never_end_in_a_traceback(
+        fuzz_dir, data, name):
+    from koszulkit.fixtures import fixture_bundle
+    pres = _mutate(data, fixture_bundle(name)["presentation"])
+    assert _check_in_process(fuzz_dir, pres) in (0, 1, 2)
+
+
+@_FUZZ
+@given(data=st.data(),
+       name=st.sampled_from(["c2_sign_takiff", "sl2_adjoint_takiff",
+                             "sweedler_optional"]))
+def test_generated_action_files_never_end_in_a_traceback(
+        fuzz_dir, data, name):
+    from koszulkit.fixtures import fixture_bundle
+    bundle = fixture_bundle(name)
+    action = _mutate(data, bundle["action"])
+    assert _check_in_process(fuzz_dir, bundle["presentation"],
+                             action) in (0, 1, 2)

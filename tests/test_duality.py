@@ -1,12 +1,12 @@
 import pytest
 
 from koszulkit.action import (
-    ActionProvider, action_bundle_from_json, dual_action,
-    validate_left_modules,
+    ActionProvider, action_bundle_from_json, dual_action, intertwines,
+    tensor_action, validate_left_modules,
 )
 from koszulkit.duality import (
-    GradedAModule, I0, I_complex, P0, P_complex, _induced_left_action,
-    _model_map, _phi_matrix, _theta_matrix,
+    GradedAModule, I0, I_complex, P0, P_complex, _chi_matrix, _hom_action,
+    _induced_left_action, _model_map, _phi_matrix, _theta_matrix,
     degree_zero_module, diagonal_vanishing, h0_certificate, identify_socI,
     identify_topP, koszulity_via_duality,
     roundtrip_A, roundtrip_B,
@@ -343,9 +343,10 @@ def test_socle_module_law_failure():
     X = degree_zero_module(provider, alg, mats)
     assert identify_socI(X, pairing)["first_failure"] == (
         "module law", 0, 0, 0, 0)
-    # the socle complex's own action perturbed on cell (0, 0)
+    # the socle complex's own action perturbed on cell (0, 0), read (and
+    # so built) before it is bumped
     soc = socI_complex(degree_zero_module(c2_sign_provider(), alg, mats))
-    soc.act0[(0, 0)] = [_bumped(m) for m in soc.act0[(0, 0)]]
+    soc.act0[(0, 0)] = [_bumped(m) for m in soc.act0_mats(0, 0)]
     assert validate_socI_action(soc) == (False, (0, 0, 0, 0))
 
 
@@ -609,34 +610,25 @@ def test_generator_identities_fail_once_per_pairing(perturb, socI, topP, A,
 
 
 def test_roundtrip_reports_the_first_failure():
-    # a degree-zero action doubled on the injective side breaks only the
-    # act0 comparison, first at the first cell and basis element
+    # the action of g on H_2 of the algebra perturbed once it is memoized:
+    # both round trips fail only their act0 comparison, at the first cell
+    # that reads H_2 and at g
     provider = c2_sign_provider()
     alg, dual, pairing = _setup(sym_presentation(1), provider, 3)
+    on_h2 = provider.h_action(alg, 2)
+    on_h2[1] = _bumped(on_h2[1])
     mats = c2_modules()["sign"]
-    icx = I_complex(degree_zero_module(provider, alg, mats))
-    icx.act0 = {cell: [m.scale(2) for m in acts]
-                for cell, acts in icx.act0.items()}
-    res = roundtrip_A(provider, pairing, mats, icx=icx)
-    assert not res["ok"]
-    assert res["checks"] == {"bijective": True, "chain": True,
-                             "act0": False, "generator": True}
-    assert res["first_failure"] == ("act0", 0, 0, 0)
-    # the same on the projective side, through roundtrip_B's pcx
-    pcx = P_complex(degree_zero_module(dual_action(provider), dual, mats))
-    pcx.act0 = {cell: [m.scale(2) for m in acts]
-                for cell, acts in pcx.act0.items()}
-    res = roundtrip_B(provider, pairing, mats, pcx=pcx)
-    assert res["checks"] == {"bijective": True, "chain": True,
-                             "act0": False, "generator": True}
-    assert res["first_failure"] == ("act0", 0, 0, 0)
+    for rt, want in ((roundtrip_A, ("act0", 2, 0, 1)),
+                     (roundtrip_B, ("act0", 0, 2, 1))):
+        res = rt(provider, pairing, mats)
+        assert res["checks"] == {"bijective": True, "chain": True,
+                                 "act0": False, "generator": True}
+        assert res["first_failure"] == want
 
 
-@pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_comparison_maps_are_bijective(name):
-    # the verifiers take bijectivity from the pairing; this oracle ranks
-    # every comparison map they build: theta, phi, psi_bar (x) id and chi
-    N = 5
+def _fixture_setup(name, N):
+    # a built-in fixture's acting object (the trivial one when it has
+    # none), its modules and its pairing, grown to degree N
     bundle = fixture_bundle(name)
     pres = QuadraticPresentation.from_json_obj(bundle["presentation"])
     if bundle["action"] is None:
@@ -644,19 +636,157 @@ def test_comparison_maps_are_bijective(name):
     else:
         provider, modules = action_bundle_from_json(bundle["action"])
     alg, dual, pairing = _setup(pres, provider, N)
+    return provider, modules, alg, dual, pairing
+
+
+def _comparison_maps(provider, pairing, mats):
+    """The comparison maps of the four verifiers on the module mats, by
+    cell: theta of identify_socI, phi of identify_topP, psi_bar (x) id of
+    roundtrip_A and chi of roundtrip_B."""
+    alg, N = pairing.alg, pairing.alg.N
+    dX = mats[0].rows
+    X = degree_zero_module(provider, alg, mats)
+    Y = socI_model_module(provider, pairing, mats)
+    return {
+        "theta": {(r, r + s): _theta_matrix(pairing, r, X.dim(r + s))
+                  for (r, s), bl in socI_complex(X).blocks.items() if bl},
+        "phi": {(-mr, s + mr): _phi_matrix(pairing, -mr, Y.dim(s + mr))
+                for (mr, s), bl in topP_complex(Y).blocks.items() if bl},
+        "psi_bar (x) id": {
+            (r, p): _model_map(pairing.psi_bar(r, p), dX, inverse=True)
+            for r in range(N + 1) for p in range(N + 1 - r)
+            if alg.kdim(p) * alg.hdim(r)},
+        "chi": {(r, i): _chi_matrix(pairing, r, i, dX)
+                for r in range(N + 1) for i in range(N + 1 - r)
+                if alg.kdim(r) * alg.hdim(i)},
+    }
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_comparison_maps_are_bijective(name):
+    # the verifiers take bijectivity from the pairing; this oracle ranks
+    # every comparison map they compare through: theta, phi,
+    # psi_bar (x) id and chi
+    provider, modules, alg, dual, pairing = _fixture_setup(name, 5)
     for module, mats in sorted(modules.items()):
-        X = degree_zero_module(provider, alg, mats)
-        Y = socI_model_module(provider, pairing, mats)
-        maps = {
-            "theta": identify_socI(X, pairing)["theta"],
-            "phi": identify_topP(Y, pairing)["phi"],
-            "psi_bar (x) id": roundtrip_A(provider, pairing, mats)["phi"],
-            "chi": roundtrip_B(provider, pairing, mats)["chi"],
-        }
-        for kind, cells in maps.items():
+        for kind, cells in _comparison_maps(provider, pairing,
+                                            mats).items():
             assert cells, (module, kind)
             for cell, m in cells.items():
                 assert m.rows == m.cols == rank(m), (module, kind, cell)
+
+
+def per_module_act0_failures(provider, pairing, mats):
+    """The degree-zero-action oracle: the four comparisons of the
+    verifiers run on the module itself, cell by cell, as they were before
+    the verifiers checked them once per pairing at the trivial module.
+    Returns the first failing (cell, b) of each, or None."""
+    alg, dual = pairing.alg, pairing.dual
+    dprov = dual_action(provider)
+    maps = _comparison_maps(provider, pairing, mats)
+    X = degree_zero_module(provider, alg, mats)
+    Y = socI_model_module(provider, pairing, mats)
+    soc, top = socI_complex(X), topP_complex(Y)
+    icx = I_complex(X)
+    soc_w = socI_complex(I0(provider, alg, mats))
+    pcx = P_complex(degree_zero_module(dprov, dual, mats))
+    sides = {
+        "theta": lambda r, j: (
+            tensor_action(dprov, dprov.h_action(dual, r), X.act0_mats(j),
+                          reverse=True),
+            soc.act0_mats(r, j - r)),
+        "phi": lambda r, j: (
+            top.act0_mats(-r, j + r),
+            _hom_action(provider, provider.h_action(alg, r),
+                        Y.act0_mats(j))),
+        "psi_bar (x) id": lambda r, p: (icx.act0_mats(p, -r - p),
+                                        top.act0_mats(-r, r + p)),
+        "chi": lambda r, i: (soc_w.act0_mats(r, -i - r),
+                             pcx.act0_mats(-i, r + i)),
+    }
+    first = dict.fromkeys(sides)
+    for kind, cells in maps.items():
+        for cell, m in cells.items():
+            b = intertwines(m, *sides[kind](*cell))
+            if b is not None:
+                first[kind] = (cell, b)
+                break
+    return first
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_degree_zero_identities_hold_for_every_module(name):
+    # what the verifiers check once per pairing at the trivial module
+    # holds on every module of every fixture, cell by cell
+    provider, modules, alg, dual, pairing = _fixture_setup(name, 4)
+    for module, mats in sorted(modules.items()):
+        failures = per_module_act0_failures(provider, pairing, mats)
+        assert set(failures.values()) == {None}, (module, failures)
+
+
+@pytest.mark.parametrize("name", ["c2_sign_takiff", "sl2_adjoint_takiff"])
+def test_a_perturbed_action_on_H_fails_every_module(name):
+    # one entry of the memoized action of the last basis element on H_2
+    # bumped: identify_topP and both round trips fail their degree-zero
+    # comparison for every module, and so does the per-module oracle;
+    # identify_socI, which reads no action on H, still passes
+    provider, modules, alg, dual, pairing = _fixture_setup(name, 4)
+    on_h2 = provider.h_action(alg, 2)
+    on_h2[-1] = _bumped(on_h2[-1])
+    for module, mats in sorted(modules.items()):
+        X = degree_zero_module(provider, alg, mats)
+        Y = socI_model_module(provider, pairing, mats)
+        assert identify_socI(X, pairing)["ok"]
+        assert identify_topP(Y, pairing)["first_failure"][0] == (
+            "degree-zero action")
+        for rt in (roundtrip_A, roundtrip_B):
+            assert rt(provider, pairing, mats)["checks"] == {
+                "bijective": True, "chain": True, "act0": False,
+                "generator": True}, (module, rt.__name__)
+        oracle = per_module_act0_failures(provider, pairing, mats)
+        assert oracle["theta"] is None
+        assert None not in (oracle["phi"], oracle["psi_bar (x) id"],
+                            oracle["chi"]), module
+
+
+def test_pairing_verdicts_run_once_per_pairing_and_acting_object(
+        monkeypatch):
+    # every identity read through DualityPairing.verdict runs once for a
+    # pairing and an acting object, whatever the modules and the order of
+    # the verifiers; a second acting object runs those that read it again
+    import koszulkit.duality as duality
+    import koszulkit.quadratic as quadratic
+    calls = {}
+
+    def counted(module, name):
+        failures = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return failures(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    per_pair = ["_socI_failures", "_topP_failures",
+                "_roundtrip_A_act0_failures", "_roundtrip_B_act0_failures"]
+    per_pairing = ["_roundtrip_A_generator_failures",
+                   "_roundtrip_B_generator_failures"]
+    for name in per_pair + per_pairing:
+        counted(duality, name)
+    counted(quadratic, "_intertwiner_failures")
+    alg, dual, pairing = _setup(sym_presentation(3), None, 3)
+    trivial_modules = {"k": [Mat.identity(1)], "k2": [Mat.identity(2)]}
+    for provider, modules in ((sl2_provider(), sl2_lie_action().modules),
+                              (trivial_provider(3), trivial_modules)):
+        for module, mats in sorted(modules.items()):
+            for rt in (roundtrip_B, roundtrip_A):
+                assert rt(provider, pairing, mats)["ok"]
+            assert identify_topP(socI_model_module(provider, pairing, mats),
+                                 pairing)["ok"]
+            assert identify_socI(degree_zero_module(provider, alg, mats),
+                                 pairing)["ok"]
+    assert calls == {**dict.fromkeys(per_pair, 2),
+                     **dict.fromkeys(per_pairing, 1),
+                     "_intertwiner_failures": 1}
 
 
 @pytest.mark.parametrize("name", ["sl2_adjoint_takiff", "sweedler_optional"])
@@ -664,13 +794,12 @@ def test_roundtrip_B_builds_only_the_socle_cells_chi_reads(monkeypatch,
                                                            name):
     # the socle complex of the coinduced module has exactly the nonzero
     # cells (r, -i - r) that chi compares, and none of the larger ones
-    # with s < -N
+    # with s < -N; the once-per-pairing check at the trivial module is
+    # run first, so that only the module's own socle complex is recorded
     import koszulkit.duality as duality
     N = 4
-    bundle = fixture_bundle(name)
-    pres = QuadraticPresentation.from_json_obj(bundle["presentation"])
-    provider, modules = action_bundle_from_json(bundle["action"])
-    alg, dual, pairing = _setup(pres, provider, N)
+    provider, modules, alg, dual, pairing = _fixture_setup(name, N)
+    pairing.verdict(duality._roundtrip_B_act0_failures, provider)
     built = []
     socI = duality.socI_complex
 
@@ -685,4 +814,5 @@ def test_roundtrip_B_builds_only_the_socle_cells_chi_reads(monkeypatch,
         soc, = built
         built.clear()
         assert {cell for cell, bl in soc.blocks.items() if bl} == {
-            (r, -i - r) for r, i in res["chi"]}, module
+            (r, -i - r) for r in range(N + 1) for i in range(N + 1 - r)
+            if alg.kdim(r) * alg.hdim(i)}, module
