@@ -131,7 +131,18 @@ class Bialgebra:
 
     @staticmethod
     def from_json_obj(obj):
-        d = int(obj["dim"])
+        d = obj["dim"]
+        if isinstance(d, bool) or not isinstance(d, int):
+            raise ValueError("bialgebra dim must be a JSON integer, got %r"
+                             % (d,))
+        # every table's shape first, so that nothing of size dim is made
+        # for a dim that the tables do not have
+        for field, shape in (("mult", (d, d, d)), ("unit", (d,)),
+                             ("comult", (d * d, d)), ("counit", (d,))):
+            if not _has_shape(obj[field], shape):
+                raise ValueError("bialgebra %s must be a %s JSON array for "
+                                 "dim %d" % (field, " x ".join(
+                                     map(str, shape)), d))
         table = obj["mult"]
         mult = Mat.from_entries(d, d * d, (
             (c, a * d + b, rat_from_str(table[a][b][c]))
@@ -141,6 +152,14 @@ class Bialgebra:
                                 for row in obj["comult"]])
         counit = Mat(1, d, [[rat_from_str(x) for x in obj["counit"]]])
         return Bialgebra(d, mult, unit, comult, counit, obj.get("names"))
+
+
+def _has_shape(value, shape):
+    """Whether value is nested lists of the given lengths, outermost
+    first."""
+    return (isinstance(value, list) and len(value) == shape[0]
+            and (len(shape) == 1
+                 or all(_has_shape(v, shape[1:]) for v in value)))
 
 
 def validate_bialgebra(b):

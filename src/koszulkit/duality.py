@@ -27,18 +27,36 @@ differentials up to (-1)^(r+i+1) and re-verifies that as an exact
 identity, on every bidegree.
 
 Every comparison map (theta, phi, psi_bar (x) id, chi) is a permuted
-Kronecker product of the pairings g1/g2 of quadratic.DualityPairing, or
-of their inverses, with the identity of the module X.  So it is
-bijective exactly when those pairings are invertible, which
-DualityPairing decides once; the verifiers here do not rank them again.
-For the same reason every identity that involves X only through id_X
-and its degree-zero action is checked once per (pairing, acting object),
-through DualityPairing.verdict: a generator identity at dim X = 1, a
-degree-zero one at the trivial module k, on which the acting basis acts
-by the counit (each verifier's docstring says why k suffices).  What
-stays per module involves the degree-one action of X: the complexes and
-their d^2, the chain identities, h0_certificate and the socle's module
-law.  A cell's degree-zero action is built when it is first read.
+Kronecker product of the pairings g1 (of H with K!) and g2 (of H! with
+K) of quadratic.DualityPairing, or of their inverses, with id_X: theta
+is g2^T, phi is g1, psi_bar is g1^-1 (x) g2^-T after a swap, and chi is
+theta^-1 followed by phi^-1.  So each is bijective exactly when the
+pairings are invertible, which DualityPairing decides once.  For the
+same reason every degree-zero and generator identity of the four
+verifiers follows from four identities of g1 and g2, read through
+DualityPairing.verdict, once per pairing (generators) or per pairing
+and acting object (actions), with no complex built:
+  * g2 generators: theta carries left multiplication by a dual
+    generator to the socle contraction by it (identify_socI,
+    roundtrip_B);
+  * g2 action: theta(r) carries the dual action on H!_r to the action
+    on Hom(K_r, k) (identify_socI, both round trips);
+  * g1 action: phi(r) carries the dual action on K!_r to the action on
+    Hom(H_r, k) (identify_topP, both round trips);
+  * g1 generators: phi carries the left contraction by a predual
+    generator to precomposition with right multiplication by it
+    (identify_topP, roundtrip_A).
+Why these suffice: at the trivial module k, which acts by the counit, X
+sits on the first leg on both sides of every comparison, so by the
+counit law each cell action is the action on the X-free factors and an
+identity at k gives it for every X, term by term; the action on a
+tensor cell is tensor_action of the factors' actions, so a Kronecker
+product or a composite of intertwiners intertwines, term by term over
+the legs; and psi_bar's generator identity is g1's with an identity
+tensored in, chi's is theta's.  What stays per module involves the
+degree-one action of X: the complexes and their d^2, the chain
+identities, h0_certificate and the socle's module law.  A module's or a
+cell's degree-zero action is built when it is first read.
 
 Every builder and verifier here works up to the degree alg.N to which
 quadratic.grow grew the algebra of its module or pairing.
@@ -112,14 +130,16 @@ def _induced_left_action(provider, mid_mats, inner_left_mats):
 class GradedAModule:
     """Graded left module over the semidirect product, in components.
 
-    dims[j] is the dimension of X_j; act0[j] lists the left action of each
-    acting basis element on X_j; act1[j] is the degree-raising action map
-    V (x) X_j -> X_{j+1} (V is the generator space of the graded algebra,
-    or its dual on the co-opposite side).  Components outside the stored
-    window are genuinely zero except past a truncation edge, where they
-    are unknown."""
+    dims[j] is the dimension of X_j; act0_mats(j) lists the left action of
+    each acting basis element on X_j, built by component_action(j) when
+    first read and kept in act0 (the zero action where it gives None);
+    act1[j] is the degree-raising action map V (x) X_j -> X_{j+1} (V is
+    the generator space of the graded algebra, or its dual on the
+    co-opposite side).  Components outside the stored window are
+    genuinely zero except past a truncation edge, where they are
+    unknown."""
 
-    def __init__(self, provider, alg, dims, act0, act1,
+    def __init__(self, provider, alg, dims, component_action, act1,
                  truncated_below=False, truncated_above=False):
         self.provider = provider
         self.alg = alg
@@ -129,7 +149,8 @@ class GradedAModule:
             self.jmax = max(self.dims)
         else:
             self.jmin = self.jmax = 0
-        self.act0 = dict(act0)
+        self.act0 = {}
+        self._component_action = component_action
         self.act1 = dict(act1)
         self.truncated_below = truncated_below
         self.truncated_above = truncated_above
@@ -138,11 +159,14 @@ class GradedAModule:
         return self.dims.get(j, 0)
 
     def act0_mats(self, j):
-        """The recorded action on X_j, or the zero action when none is."""
         mats = self.act0.get(j)
         if mats is None:
             d = self.dim(j)
-            mats = [Mat.zeros(d, d) for _ in range(self.provider.basis_size)]
+            mats = self._component_action(j) if d else None
+            if mats is None:
+                mats = [Mat.zeros(d, d)
+                        for _ in range(self.provider.basis_size)]
+            self.act0[j] = mats
         return mats
 
     def act1_mat(self, j):
@@ -155,24 +179,24 @@ class GradedAModule:
 def degree_zero_module(provider, alg, mats):
     """Module concentrated in degree zero (the degree-1 action is zero)."""
     dim = mats[0].rows if mats else 0
-    return GradedAModule(provider, alg, {0: dim}, {0: list(mats)}, {})
+    return GradedAModule(provider, alg, {0: dim}, {0: list(mats)}.get, {})
 
 
 def P0(provider, alg, mats):
     """Induced module: component i is the k-model H_i (x) X, the degree-1
     action is left multiplication into H.  Truncated above at alg.N."""
+    if not provider.cop:
+        # the induced action reads S^-1: fail here, not when it is read
+        provider.base.inverse_antipode
     dX = mats[0].rows if mats else 0
-    dims, act0, act1 = {}, {}, {}
-    for i in range(alg.N + 1):
-        dims[i] = alg.hdim(i) * dX
-        if dims[i]:
-            act0[i] = _induced_left_action(provider, provider.h_action(alg, i),
-                                           list(mats))
-    for i in range(alg.N):
-        if dims[i] and dims[i + 1]:
-            act1[i] = kron(alg.mult(1, i), dX)
-    return GradedAModule(provider, alg, dims, act0, act1,
-                         truncated_above=True)
+    dims = {i: alg.hdim(i) * dX for i in range(alg.N + 1)}
+    act1 = {i: kron(alg.mult(1, i), dX) for i in range(alg.N)
+            if dims[i] and dims[i + 1]}
+    return GradedAModule(
+        provider, alg, dims,
+        lambda i: _induced_left_action(provider, provider.h_action(alg, i),
+                                       list(mats)),
+        act1, truncated_above=True)
 
 
 def I0(provider, alg, mats):
@@ -180,22 +204,16 @@ def I0(provider, alg, mats):
     (a . f)(h) = a_(1) f(h <| a_(2)) and (v . f)(h) = f(h v).
     Truncated below at -alg.N."""
     dX = mats[0].rows if mats else 0
-    N = alg.N
-    n = alg.n
-    dims, act0, act1 = {}, {}, {}
-    for i in range(N + 1):
-        dims[-i] = dX * alg.hdim(i)
-        if dims[-i]:
-            act0[-i] = _hom_action(provider, provider.h_action(alg, i),
-                                   list(mats))
-    for i in range(1, N + 1):
-        if not (dims[-i] and dims[-i + 1]):
-            continue
-        act1[-i] = hstack([
-            kron(dX, alg.generator_mult(i - 1, a, "right").transpose())
-            for a in range(n)])
-    return GradedAModule(provider, alg, dims, act0, act1,
-                         truncated_below=True)
+    dims = {-i: dX * alg.hdim(i) for i in range(alg.N + 1)}
+    act1 = {-i: hstack([
+        kron(dX, alg.generator_mult(i - 1, a, "right").transpose())
+        for a in range(alg.n)])
+        for i in range(1, alg.N + 1) if dims[-i] and dims[-i + 1]}
+    return GradedAModule(
+        provider, alg, dims,
+        lambda j: _hom_action(provider, provider.h_action(alg, -j),
+                              list(mats)),
+        act1, truncated_below=True)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +434,7 @@ def topP_complex(Y):
     cell (-r, s) is K_r (x) Y_{s-r} (K of Y's algebra); differential strips
     the last K-letter into the module (no sign); carries the degree-zero
     action.  Its generator action, by left contraction, is checked once
-    per pairing and acting object (_topP_failures)."""
+    per pairing (the g1 generators of identify_topP)."""
     alg = Y.alg
     prov = Y.provider
     if Y.jmin < 0:
@@ -610,18 +628,21 @@ def identify_socI(X, pairing):
     """The socle complex of a bounded-above module is, bidegree by
     bidegree, the projective model over the co-opposite smash: the
     pairing-built matrices theta (bijective, as the pairing is)
-    intertwine the dual multiplication and the degree-zero action, checked
-    once per pairing and acting object (_socI_failures), and the socle
-    satisfies the module law of the smash (validate_socI_action).
+    intertwine the dual multiplication (the g2 generators) and the
+    degree-zero action (the g2 action), and the socle satisfies the module
+    law of the smash (validate_socI_action).
 
     theta is g2^T (x) id_X up to a swap.  b acts on the socle cell as the
     sum over its legs of coeff * X(c1) (x) K_r^T(c2), on the model as that
     of coeff * H!_r(c2) (x) X(c1): X on the first leg on both sides.  At
     k, X(c1) is eps(c1), and by the counit law b then acts on the X-free
-    factor alone, so the identity at k gives it for every X, term by
-    term."""
+    factor alone, so the g2 action, the identity at k, gives it for every
+    X, term by term; the dual multiplication is the g2 generators with
+    id_X tensored in."""
     soc = socI_complex(X)
-    ok, where = pairing.verdict(_socI_failures, X.provider)
+    ok, where = pairing.verdict(_g2_generator_failures)
+    if ok:
+        ok, where = pairing.verdict(_g2_action_failures, X.provider)
     if ok:
         ok, law = validate_socI_action(soc)
         where = None if ok else ("module law",) + law
@@ -632,16 +653,18 @@ def identify_topP(Y, pairing):
     """The top quotient over the co-opposite smash is, as a module over
     the original smash, the coinduced object Hom(H_r, Y): the
     pairing-built matrices phi (bijective, as the pairing is) transport
-    the differential to its explicit coinduced-side formula, and
-    intertwine the degree-zero and generator actions, checked once per
-    pairing and acting object (_topP_failures).
+    the differential to its explicit coinduced-side formula, checked per
+    module, and intertwine the degree-zero action (the g1 action) and the
+    generator action (the g1 generators).
 
     phi is g1 (x) id_Y up to a swap.  b acts on the top cell as the sum
     over its legs of coeff * K_r(c2) (x) Y(c1), on the model as that of
     coeff * Y(c1) (x) H_r^T(c2): Y on the first leg on both sides.  At k,
     Y(c1) is eps(c1), and by the counit law b then acts on the Y-free
-    factor alone, so the identity at k gives it for every Y, term by
-    term."""
+    factor alone, so the g1 action, the identity at k, gives it for every
+    Y, term by term; the generator action is the g1 generators with id_Y
+    tensored in.  Y.provider acts on the co-opposite side, so the g1
+    action is read for its dual, the provider of the original smash."""
     alg, n = pairing.alg, pairing.alg.n
     top = topP_complex(Y)
     # chain property against the explicit coinduced-side differential
@@ -655,20 +678,22 @@ def identify_topP(Y, pairing):
         if (_phi_matrix(pairing, r - 1, Y.dim(j + 1)) @ dmat
                 != dio @ _phi_matrix(pairing, r, Y.dim(j))):
             return {"ok": False, "first_failure": ("chain", r, j)}
-    ok, where = pairing.verdict(_topP_failures, Y.provider)
+    ok, where = pairing.verdict(_g1_action_failures,
+                                dual_action(Y.provider))
+    if ok:
+        ok, where = pairing.verdict(_g1_generator_failures)
     return {"ok": ok, "first_failure": where}
 
 
-# The identities checked once per pairing, or per pairing and acting
-# object (module docstring): each yields the coordinates of its failures
-# up to the grown degree N, for DualityPairing.verdict.
+# The four identities of the pairings (module docstring), each read
+# through DualityPairing.verdict: each yields the coordinates of its
+# failures up to the grown degree N.
 
-def _socI_failures(pairing, provider):
-    """identify_socI's identities, theta being g2^T: the dual
-    multiplication (the contraction by the a-th dual generator, through
-    theta, is left multiplication by it), yielding ("dual
-    multiplication", r, a), then the degree-zero action at k, yielding
-    ("degree-zero action", r, 0, b)."""
+def _g2_generator_failures(pairing):
+    """theta = g2^T carries left multiplication by the a-th dual
+    generator, H!_r -> H!_{r+1}, to the socle contraction by it,
+    Hom(K_r, k) -> Hom(K_{r+1}, k).  Yields ("dual multiplication", r,
+    a)."""
     alg, dual = pairing.alg, pairing.dual
     for r in range(alg.N):
         if not alg.kdim(r + 1):
@@ -679,35 +704,48 @@ def _socI_failures(pairing, provider):
             if (_socle_generator(alg, r, a, 1) @ theta
                     != theta_next @ dual.generator_mult(r, a, "left")):
                 yield "dual multiplication", r, a
+
+
+def _g2_action_failures(pairing, provider):
+    """theta(r, 1) carries the dual action on H!_r (x) k to the action on
+    Hom(K_r, k), provider acting on the algebra.  Yields
+    ("degree-zero action", r, 0, b)."""
+    alg, dual = pairing.alg, pairing.dual
     dprov, k = dual_action(provider), provider.tensor_mats(0)
-    soc = socI_complex(degree_zero_module(provider, alg, k))
     for r in range(alg.N + 1):
         if alg.kdim(r):
-            model = tensor_action(dprov, dprov.h_action(dual, r), k,
-                                  reverse=True)
-            b = intertwines(_theta_matrix(pairing, r, 1), model,
-                            soc.act0_mats(r, -r))
+            b = intertwines(_theta_matrix(pairing, r, 1),
+                            tensor_action(dprov, dprov.h_action(dual, r), k,
+                                          reverse=True),
+                            _hom_action(provider, provider.k_action(alg, r),
+                                        k))
             if b is not None:
                 yield "degree-zero action", r, 0, b
 
 
-def _topP_failures(pairing, provider):
-    """identify_topP's identities, phi being g1 and provider acting on the
-    co-opposite side: the degree-zero action at k, r falling as in the
-    complex, yielding ("degree-zero action", r, 0, b), then the generator
-    action (the left contraction by the a-th predual generator, through
-    phi, is precomposition with right multiplication by the a-th
-    generator), yielding ("generator action", r, a)."""
+def _g1_action_failures(pairing, provider):
+    """phi(r, 1) carries the dual action on K!_r (x) k to the action on
+    Hom(H_r, k), r falling, provider acting on the algebra.  Yields
+    ("degree-zero action", r, 0, b)."""
     alg, dual = pairing.alg, pairing.dual
-    orig, k = dual_action(provider), provider.tensor_mats(0)
-    top = topP_complex(degree_zero_module(provider, dual, k))
+    dprov, k = dual_action(provider), provider.tensor_mats(0)
     for r in range(alg.N, -1, -1):
         if dual.kdim(r):
-            model = _hom_action(orig, orig.h_action(alg, r), k)
-            b = intertwines(_phi_matrix(pairing, r, 1), top.act0_mats(-r, r),
-                            model)
+            b = intertwines(_phi_matrix(pairing, r, 1),
+                            tensor_action(dprov, dprov.k_action(dual, r), k,
+                                          reverse=True),
+                            _hom_action(provider, provider.h_action(alg, r),
+                                        k))
             if b is not None:
                 yield "degree-zero action", r, 0, b
+
+
+def _g1_generator_failures(pairing):
+    """phi = g1 carries the left contraction by the a-th predual
+    generator, K!_r -> K!_{r-1}, to precomposition with right
+    multiplication by the a-th generator, Hom(H_r, k) -> Hom(H_{r-1}, k).
+    Yields ("generator action", r, a)."""
+    alg, dual = pairing.alg, pairing.dual
     for r in range(1, alg.N + 1):
         if not dual.kdim(r):
             continue
@@ -720,81 +758,12 @@ def _topP_failures(pairing, provider):
                 yield "generator action", r, a
 
 
-def _roundtrip_A_act0_failures(pairing, provider):
-    """roundtrip_A's degree-zero action at k, through psi_bar: the
-    injective-side complex of k against the top quotient of its socle
-    model, at H-degree r and dual degree p.  Yields (r, p, b)."""
-    alg = pairing.alg
-    k = provider.tensor_mats(0)
-    icx = I_complex(degree_zero_module(provider, alg, k))
-    zcx = topP_complex(socI_model_module(provider, pairing, k))
-    for r in range(alg.N + 1):
-        for p in range(alg.N + 1 - r):
-            if alg.kdim(p) * alg.hdim(r):
-                b = intertwines(pairing.psi_bar(r, p),
-                                icx.act0_mats(p, -r - p),
-                                zcx.act0_mats(-r, r + p))
-                if b is not None:
-                    yield r, p, b
-
-
-def _roundtrip_A_generator_failures(pairing):
-    """roundtrip_A's generator check, where phi is psi_bar: precomposition
-    with right multiplication by the a-th generator, on the Hom side,
-    through psi_bar, is the left contraction by it on the model side.
-    Yields (r, p, a)."""
-    alg, dual = pairing.alg, pairing.dual
-    N = alg.N
-    for r in range(1, N + 1):
-        for p in range(N + 1 - r):
-            if not alg.kdim(p) * alg.hdim(r):
-                continue
-            for a in range(alg.n):
-                hom_v = kron(alg.kdim(p), alg.generator_mult(
-                    r - 1, a, "right").transpose())
-                mod_v = kron(dual.contraction(r, a, "left"), dual.hdim(p))
-                if (pairing.psi_bar(r - 1, p) @ hom_v
-                        != mod_v @ pairing.psi_bar(r, p)):
-                    yield r, p, a
-
-
-def _roundtrip_B_act0_failures(pairing, provider):
-    """roundtrip_B's degree-zero action at k, through chi: the socle
-    complex of I0(k) against the projective side of k.  Yields
-    (r, i, b)."""
-    alg, dual = pairing.alg, pairing.dual
-    k = provider.tensor_mats(0)
-    soc = socI_complex(I0(provider, alg, k))
-    pcx = P_complex(degree_zero_module(dual_action(provider), dual, k))
-    for r in range(alg.N + 1):
-        for i in range(alg.N + 1 - r):
-            if alg.kdim(r) * alg.hdim(i):
-                b = intertwines(_chi_matrix(pairing, r, i, 1),
-                                soc.act0_mats(r, -i - r),
-                                pcx.act0_mats(-i, r + i))
-                if b is not None:
-                    yield r, i, b
-
-
-def _roundtrip_B_generator_failures(pairing):
-    """roundtrip_B's generator check at dim X = 1, where the coinduced
-    module Hom(H_i, X) has dimension dim H_i: the socle contraction by the
-    a-th dual generator, through chi, is left multiplication by it in the
-    dual algebra.  Yields (r, i, a)."""
-    alg, dual = pairing.alg, pairing.dual
-    N = alg.N
-    for r in range(N):
-        for i in range(N - r):
-            hi = alg.hdim(i)
-            if not alg.kdim(r + 1) * hi:
-                continue
-            chi, chi_next = (_chi_matrix(pairing, r, i, 1),
-                             _chi_matrix(pairing, r + 1, i, 1))
-            for a in range(alg.n):
-                p_d1 = kron(dual.generator_mult(r, a, "left"), hi)
-                if (chi_next @ _socle_generator(alg, r, a, hi)
-                        != p_d1 @ chi):
-                    yield r, i, a
+def _act0_verdict(pairing, provider):
+    """Both round trips' degree-zero-action entry: the g1 action, then the
+    g2 action."""
+    ok, where = pairing.verdict(_g1_action_failures, provider)
+    return pairing.verdict(_g2_action_failures, provider) if ok else (
+        ok, where)
 
 
 # ---------------------------------------------------------------------------
@@ -808,17 +777,23 @@ def roundtrip_A(provider, pairing, mats_x):
     and generator-equivariant on every bidegree up to the grown degree.
 
     Every entry is a verdict of the pairing, or of it and the acting
-    object, so no complex of the module is built here: "bijective"
-    records the invertibility of psi_bar, which DualityPairing decides,
-    "chain" the intertwiner, "generator" the identity at dim X = 1 and
-    "act0" the identity at k (_roundtrip_A_act0_failures).  b acts on
+    object, so no complex is built here: "bijective" records the
+    invertibility of psi_bar, which DualityPairing decides, "chain" the
+    intertwiner, "act0" the g1 action and the g2 action, and "generator"
+    the g1 generators.
+
+    psi_bar is g1^-1 (x) g2^-T after a swap.  b acts on
     Hom(K_p (x) H_r, X) through (id (x) Delta) Delta and on
     K!_r (x) H!_p (x) X through (Delta (x) id) Delta, X on the first leg
     on both sides.  The two bracketings are equal by coassociativity,
     which validate_bialgebra checks and primitive Lie legs satisfy.  At
     k, X(c1) is eps(c1), and by the counit law b then acts on the X-free
-    factor alone, so the identity at k gives it for every X, term by
-    term."""
+    factors alone, Hom(K_p, k) (x) Hom(H_r, k) against K!_r (x) H!_p, by
+    tensor_action of the factors' actions; so the Kronecker product of
+    the inverses of the intertwiners phi(r, 1) and theta(p, 1)
+    intertwines them, term by term over the legs, for every X.  The
+    generator identity through psi_bar is that of phi = g1 with an
+    identity tensored in."""
     alg = pairing.alg
     N = alg.N
     dX = mats_x[0].rows if mats_x else 0
@@ -827,8 +802,8 @@ def roundtrip_A(provider, pairing, mats_x):
     return _roundtrip_result({
         "bijective": (True, None),
         "chain": verify_psi_intertwiner(pairing),
-        "act0": pairing.verdict(_roundtrip_A_act0_failures, provider),
-        "generator": pairing.verdict(_roundtrip_A_generator_failures),
+        "act0": _act0_verdict(pairing, provider),
+        "generator": pairing.verdict(_g1_generator_failures),
     }, cells=cells)
 
 
@@ -839,15 +814,19 @@ def roundtrip_B(provider, pairing, mats_x):
     the fixed sign (-1)^(r+i+1), re-verified here as an exact identity on
     every bidegree, and intertwine both actions.  chi is bijective because
     the pairing is, so the "bijective" entry records the invertibility of
-    the pairing, which DualityPairing decides.  The generator and
-    degree-zero entries are verdicts of the pairing, or of it and the
-    acting object: at dim X = 1 and at k (_roundtrip_B_act0_failures).
+    the pairing, which DualityPairing decides.  The degree-zero entry is
+    roundtrip_A's, the g1 action and the g2 action; the generator entry
+    is the g2 generators.
 
-    chi is a pairing matrix (x) id_X up to a fixed permutation.  b acts on
-    Hom(K_r, Hom(H_i, X)) and on H!_r (x) K!_i (x) X through
+    chi is theta^-1 followed by id (x) phi^-1, up to a fixed permutation.
+    b acts on Hom(K_r, Hom(H_i, X)) and on H!_r (x) K!_i (x) X through
     (Delta (x) id) Delta, X on the first leg on both sides.  At k, X(c1)
-    is eps(c1), and by the counit law b then acts on the X-free factor
-    alone, so the identity at k gives it for every X, term by term.
+    is eps(c1), and by the counit law b then acts on the X-free factors
+    alone, Hom(K_r, Hom(H_i, k)) against H!_r (x) K!_i, by tensor_action
+    of the factors' actions; so the composite of the inverses of theta
+    and phi intertwines them, term by term over the legs, for every X.
+    The generator identity through chi is that of theta = g2^T with an
+    identity tensored in.
 
     The socle complex of I0(X), in degrees -N..0, has just the cells
     (r, -i - r), r + i <= N, that chi compares."""
@@ -876,8 +855,8 @@ def roundtrip_B(provider, pairing, mats_x):
     return _roundtrip_result({
         "bijective": (True, None),
         "chain": (chain is None, chain),
-        "act0": pairing.verdict(_roundtrip_B_act0_failures, provider),
-        "generator": pairing.verdict(_roundtrip_B_generator_failures),
+        "act0": _act0_verdict(pairing, provider),
+        "generator": pairing.verdict(_g2_generator_failures),
     }, cells=len(chi),
         sign_convention="(-1)**(dual_degree+1) on the strip map")
 

@@ -312,6 +312,34 @@ def test_action_json_errors():
         action_bundle_from_json(obj)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("dim", 10 ** 6, "bialgebra mult must be a 1000000 x 1000000 x 1000000 "
+     "JSON array for dim 1000000"),
+    ("unit", ["1"], "bialgebra unit must be a 2 JSON array for dim 2"),
+    ("comult", [["1", "0"]] * 3, "bialgebra comult must be a 4 x 2 JSON "
+     "array for dim 2"),
+    ("counit", ["1", "1", "0"], "bialgebra counit must be a 2 JSON array "
+     "for dim 2"),
+    ("dim", 2.5, "bialgebra dim must be a JSON integer, got 2.5"),
+], ids=["huge-dim", "unit", "comult", "counit", "float-dim"])
+def test_bialgebra_tables_are_checked_against_dim_first(field, value,
+                                                        message):
+    # dim is an integer, and the shapes of the tables are read before
+    # anything of size dim is made: the C2 tables with dim 10^6 fail at
+    # once, in under 1 MB, and dim 2.5 is not read as 2
+    import tracemalloc
+    obj = dict(c2_group_algebra().to_json_obj(), **{field: value})
+    tracemalloc.start()
+    try:
+        with pytest.raises(Exception) as info:
+            Bialgebra.from_json_obj(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert info.type is ValueError and str(info.value) == message
+
+
 def test_validate_left_modules_failure():
     mods = c2_modules()
     mods["bad"] = [Mat.identity(1), Mat(1, 1, [[2]])]

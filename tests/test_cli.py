@@ -267,9 +267,10 @@ def test_duality_d_squared_failure_is_internal_error(tmp_path):
 
 def test_roundtrip_d_squared_failure_is_internal_error(tmp_path,
                                                        monkeypatch):
-    # the round trip builds the complexes it reads; a d^2 failure there
-    # is an internal invariant too (injected, since any corruption of the
-    # algebra fails the pairing intertwiner first)
+    # the round trip builds the complexes it reads, the socle complex of
+    # the coinduced module first; a d^2 failure there is an internal
+    # invariant too (injected, since any corruption of the algebra fails
+    # the pairing intertwiner first)
     import koszulkit.duality as duality
     monkeypatch.setattr(duality, "check_d_squared",
                         lambda cx: (False, (0, -1)))
@@ -280,7 +281,43 @@ def test_roundtrip_d_squared_failure_is_internal_error(tmp_path,
     assert json.loads(out.read_text())["checks"]["roundtrip"] == {
         "status": "internal-error",
         "details": {"failure": "round-trip complex of module 'k': "
-                    "injective-side differential fails d^2=0 at (0, -1)"}}
+                    "socle differential fails d^2=0 at (0, -1)"}}
+
+
+@pytest.mark.parametrize("method,key,checks,failure", [
+    ("generator_mult", (1, 0, "left"), "duality",
+     "identification failed for module 'k' at ('dual multiplication', 1, 0)"),
+    ("contraction", (2, 1, "left"), "duality",
+     "identification failed for module 'k' at ('generator action', 2, 1)"),
+    ("contraction", (2, 1, "left"), "roundtrip",
+     "round trip A failed for 'k' at ('generator', 'generator action', 2, "
+     "1)"),
+    ("generator_mult", (1, 0, "left"), "roundtrip",
+     "round trip B failed for 'k' at ('generator', 'dual multiplication', "
+     "1, 0)"),
+], ids=["socle", "top", "roundtrip-A", "roundtrip-B"])
+def test_failed_identity_of_the_pairings_is_internal_error(
+        tmp_path, monkeypatch, method, key, checks, failure):
+    # one entry of a generator map of the dual perturbed: the identity of
+    # the pairings that reads it fails, and the check that reads that
+    # identity maps the failure to exit 3 with its coordinates
+    from koszulkit.exactlin import F1, Mat
+    from koszulkit.quadratic import TruncatedGradedAlgebra
+    real = getattr(TruncatedGradedAlgebra, method)
+
+    def bumped(self, *args):
+        m = real(self, *args)
+        if args != key or not self.pres.gen_names[0].endswith("*"):
+            return m
+        return m + Mat.from_entries(m.rows, m.cols, [(0, 0, F1)])
+
+    monkeypatch.setattr(TruncatedGradedAlgebra, method, bumped)
+    pres, _ = emit(tmp_path, "sym_2")
+    out = tmp_path / "r.json"
+    assert run(["check", "--input", pres, "--checks", checks,
+                "--max-degree", "3", "--out", str(out)]) == 3
+    assert json.loads(out.read_text())["checks"][checks] == {
+        "status": "internal-error", "details": {"failure": failure}}
 
 
 def test_verdict_disagreement_is_a_deterministic_internal_error(
@@ -392,7 +429,7 @@ def _edit(bundle, path, value):
      "action matrix 1 is not a square matrix"),
     ("c2_sign_takiff",
      _edit(_c2_bundle(), ("bialgebra", "mult"), [[["1", "0"]]]),
-     "list index out of range"),
+     "bialgebra mult must be a 2 x 2 x 2 JSON array for dim 2"),
     ("c2_sign_takiff", _edit(_c2_bundle(), ("modules",), []),
      "modules must be a JSON object, got []"),
     ("c2_sign_takiff", _edit(_c2_bundle(), ("modules",), ["x"]),

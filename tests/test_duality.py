@@ -6,7 +6,8 @@ from koszulkit.action import (
 )
 from koszulkit.duality import (
     GradedAModule, I0, I_complex, P0, P_complex, _chi_matrix, _hom_action,
-    _induced_left_action, _model_map, _phi_matrix, _theta_matrix,
+    _induced_left_action, _model_map, _phi_matrix, _socle_generator,
+    _theta_matrix,
     degree_zero_module, diagonal_vanishing, h0_certificate, identify_socI,
     identify_topP, koszulity_via_duality,
     roundtrip_A, roundtrip_B,
@@ -235,7 +236,7 @@ def _relation_breaking_module():
     alg = grow(ext_presentation(1), 3)
     one = Mat.identity(1)
     return GradedAModule(trivial_provider(1), alg, {0: 1, 1: 1, 2: 1},
-                         {j: [one] for j in range(3)}, {0: one, 1: one})
+                         {j: [one] for j in range(3)}.get, {0: one, 1: one})
 
 
 @pytest.mark.parametrize("build,message", [
@@ -374,7 +375,7 @@ def test_P_complex_multidegree_input():
     alg, dual, pairing = _setup(sym_presentation(1), provider, 3)
     P = GradedAModule(provider, alg, {0: 1, 1: 1},
                       {0: c2_modules()["triv"],
-                       1: c2_modules()["sign"]},
+                       1: c2_modules()["sign"]}.get,
                       {0: Mat(1, 1, [[1]])})
     assert validate_module(P) == (True, None)
     pcx = P_complex(P)
@@ -494,7 +495,7 @@ def test_adjunction_graded_target():
     mods = c2_modules()
     alg = grow(sym_presentation(1), 4)
     Y = GradedAModule(provider, alg, {0: 1, 1: 1},
-                      {0: mods["triv"], 1: mods["sign"]},
+                      {0: mods["triv"], 1: mods["sign"]}.get,
                       {0: Mat(1, 1, [[1]])})
     assert validate_module(Y) == (True, None)
     for xa in ("triv", "sign"):
@@ -581,16 +582,20 @@ def _bump(cache, key):
 @pytest.mark.parametrize("perturb,socI,topP,A,B", [
     # left multiplication by x1 on the dual, H!_1 -> H!_2
     (lambda alg, dual: _bump(dual._generator_mults, (1, 0, "left")),
-     ("dual multiplication", 1, 0), None, None, ("generator", 1, 0, 0)),
+     ("dual multiplication", 1, 0), None, None,
+     ("generator", "dual multiplication", 1, 0)),
     # the left contraction by x2* on the dual, K!_2 -> K!_1
     (lambda alg, dual: _bump(dual._contractions, (2, 1, "left")),
-     None, ("generator action", 2, 1), ("generator", 2, 0, 1), None),
+     None, ("generator action", 2, 1),
+     ("generator", "generator action", 2, 1), None),
 ], ids=["dual_generator_mult", "dual_contraction"])
 def test_generator_identities_fail_once_per_pairing(perturb, socI, topP, A,
                                                     B):
-    # the generator identities are checked once per pairing at dim X = 1;
-    # one perturbed entry that they read fails them, with coordinates, for
-    # every module of the pairing and nothing else
+    # the generator identities are checked once per pairing at dim X = 1,
+    # those of g2 by identify_socI and roundtrip_B, those of g1 by
+    # identify_topP and roundtrip_A; one perturbed entry that they read
+    # fails them, with coordinates, for every module of the pairing and
+    # nothing else
     N = 3
     provider = trivial_provider(2)
     alg, dual, pairing = _setup(sym_presentation(2), provider, N)
@@ -609,21 +614,41 @@ def test_generator_identities_fail_once_per_pairing(perturb, socI, topP, A,
                                      "act0": True, "generator": not want}
 
 
+def test_top_identification_fails_its_chain_check():
+    # left multiplication by x1, H_1 -> H_2, perturbed once it is
+    # memoized: only identify_topP's per-module chain check reads it, so
+    # the top identification fails there for every module, and the socle
+    # identification and both round trips still pass
+    provider = trivial_provider(2)
+    alg, dual, pairing = _setup(sym_presentation(2), provider, 3)
+    alg.generator_mult(1, 0, "left")
+    _bump(alg._generator_mults, (1, 0, "left"))
+    for mats in ([Mat.identity(1)], [Mat.identity(2)]):
+        X = degree_zero_module(provider, alg, mats)
+        Y = socI_model_module(provider, pairing, mats)
+        assert identify_topP(Y, pairing) == {
+            "ok": False, "first_failure": ("chain", 2, 0)}
+        assert identify_socI(X, pairing)["ok"]
+        for rt in (roundtrip_A, roundtrip_B):
+            assert rt(provider, pairing, mats)["ok"], rt.__name__
+
+
 def test_roundtrip_reports_the_first_failure():
-    # the action of g on H_2 of the algebra perturbed once it is memoized:
-    # both round trips fail only their act0 comparison, at the first cell
-    # that reads H_2 and at g
+    # the action of g on H_2 of the algebra perturbed once it is memoized,
+    # and so on H_3, which is grown from it: both round trips fail only
+    # their act0 entry, at the first failure of the g1 action, which runs
+    # r falling, and at g
     provider = c2_sign_provider()
     alg, dual, pairing = _setup(sym_presentation(1), provider, 3)
     on_h2 = provider.h_action(alg, 2)
     on_h2[1] = _bumped(on_h2[1])
     mats = c2_modules()["sign"]
-    for rt, want in ((roundtrip_A, ("act0", 2, 0, 1)),
-                     (roundtrip_B, ("act0", 0, 2, 1))):
+    for rt in (roundtrip_A, roundtrip_B):
         res = rt(provider, pairing, mats)
         assert res["checks"] == {"bijective": True, "chain": True,
                                  "act0": False, "generator": True}
-        assert res["first_failure"] == want
+        assert res["first_failure"] == ("act0", "degree-zero action", 3, 0,
+                                        1)
 
 
 def _fixture_setup(name, N):
@@ -751,9 +776,12 @@ def test_a_perturbed_action_on_H_fails_every_module(name):
 
 def test_pairing_verdicts_run_once_per_pairing_and_acting_object(
         monkeypatch):
-    # every identity read through DualityPairing.verdict runs once for a
-    # pairing and an acting object, whatever the modules and the order of
-    # the verifiers; a second acting object runs those that read it again
+    # the four identities of the pairings, read through
+    # DualityPairing.verdict, run once for a pairing (generators) or for a
+    # pairing and an acting object (actions), whatever the modules and the
+    # order of the verifiers; a second acting object runs the action ones
+    # again.  No verifier builds a module, and so a complex, from anything
+    # but the module's own matrices: none is built at the trivial module
     import koszulkit.duality as duality
     import koszulkit.quadratic as quadratic
     calls = {}
@@ -766,24 +794,33 @@ def test_pairing_verdicts_run_once_per_pairing_and_acting_object(
             return failures(*args)
         monkeypatch.setattr(module, name, wrapper)
 
-    per_pair = ["_socI_failures", "_topP_failures",
-                "_roundtrip_A_act0_failures", "_roundtrip_B_act0_failures"]
-    per_pairing = ["_roundtrip_A_generator_failures",
-                   "_roundtrip_B_generator_failures"]
+    per_pair = ["_g1_action_failures", "_g2_action_failures"]
+    per_pairing = ["_g1_generator_failures", "_g2_generator_failures"]
     for name in per_pair + per_pairing:
         counted(duality, name)
     counted(quadratic, "_intertwiner_failures")
+    built_from = []
+    for name in ("degree_zero_module", "I0", "P0"):
+        build = getattr(duality, name)
+
+        def recorded(provider, alg, mats, build=build):
+            built_from.append(mats)
+            return build(provider, alg, mats)
+        monkeypatch.setattr(duality, name, recorded)
     alg, dual, pairing = _setup(sym_presentation(3), None, 3)
     trivial_modules = {"k": [Mat.identity(1)], "k2": [Mat.identity(2)]}
     for provider, modules in ((sl2_provider(), sl2_lie_action().modules),
                               (trivial_provider(3), trivial_modules)):
         for module, mats in sorted(modules.items()):
+            Y = socI_model_module(provider, pairing, mats)
+            X = degree_zero_module(provider, alg, mats)
+            built_from.clear()
             for rt in (roundtrip_B, roundtrip_A):
                 assert rt(provider, pairing, mats)["ok"]
-            assert identify_topP(socI_model_module(provider, pairing, mats),
-                                 pairing)["ok"]
-            assert identify_socI(degree_zero_module(provider, alg, mats),
-                                 pairing)["ok"]
+            assert identify_topP(Y, pairing)["ok"]
+            assert identify_socI(X, pairing)["ok"]
+            assert len(built_from) == 2, module
+            assert all(m is mats for m in built_from), module
     assert calls == {**dict.fromkeys(per_pair, 2),
                      **dict.fromkeys(per_pairing, 1),
                      "_intertwiner_failures": 1}
@@ -794,25 +831,136 @@ def test_roundtrip_B_builds_only_the_socle_cells_chi_reads(monkeypatch,
                                                            name):
     # the socle complex of the coinduced module has exactly the nonzero
     # cells (r, -i - r) that chi compares, and none of the larger ones
-    # with s < -N; the once-per-pairing check at the trivial module is
-    # run first, so that only the module's own socle complex is recorded
+    # with s < -N; it is the only socle complex roundtrip_B builds, and
+    # the coinduced module is that of the module, so none is built at the
+    # trivial module
     import koszulkit.duality as duality
     N = 4
     provider, modules, alg, dual, pairing = _fixture_setup(name, N)
-    pairing.verdict(duality._roundtrip_B_act0_failures, provider)
-    built = []
-    socI = duality.socI_complex
+    built, coinduced_from = [], []
+    socI, I0_ = duality.socI_complex, duality.I0
 
-    def recorded(*args):
-        built.append(socI(*args))
+    def recorded(X):
+        built.append(socI(X))
         return built[-1]
 
+    def recorded_I0(provider, alg, mats):
+        coinduced_from.append(mats)
+        return I0_(provider, alg, mats)
+
     monkeypatch.setattr(duality, "socI_complex", recorded)
+    monkeypatch.setattr(duality, "I0", recorded_I0)
     for module, mats in sorted(modules.items()):
         res = roundtrip_B(provider, pairing, mats)
         assert res["ok"], res["first_failure"]
         soc, = built
+        source, = coinduced_from
+        assert source is mats, module
         built.clear()
+        coinduced_from.clear()
         assert {cell for cell, bl in soc.blocks.items() if bl} == {
             (r, -i - r) for r in range(N + 1) for i in range(N + 1 - r)
             if alg.kdim(r) * alg.hdim(i)}, module
+
+
+def roundtrip_A_generator_oracle(pairing):
+    """roundtrip_A's generator identity through psi_bar itself, cell by
+    cell, as it was checked before it was read from the g1 generators:
+    precomposition with right multiplication by the a-th generator, on
+    the Hom side, is the left contraction by it on the model side.
+    Yields (r, p, a)."""
+    alg, dual = pairing.alg, pairing.dual
+    N = alg.N
+    for r in range(1, N + 1):
+        for p in range(N + 1 - r):
+            if not alg.kdim(p) * alg.hdim(r):
+                continue
+            for a in range(alg.n):
+                hom_v = kron(alg.kdim(p), alg.generator_mult(
+                    r - 1, a, "right").transpose())
+                mod_v = kron(dual.contraction(r, a, "left"), dual.hdim(p))
+                if (pairing.psi_bar(r - 1, p) @ hom_v
+                        != mod_v @ pairing.psi_bar(r, p)):
+                    yield r, p, a
+
+
+def roundtrip_B_generator_oracle(pairing):
+    """roundtrip_B's generator identity through chi itself at dim X = 1,
+    cell by cell, as it was checked before it was read from the g2
+    generators: the socle contraction by the a-th dual generator, through
+    chi, is left multiplication by it in the dual algebra.  Yields
+    (r, i, a)."""
+    alg, dual = pairing.alg, pairing.dual
+    N = alg.N
+    for r in range(N):
+        for i in range(N - r):
+            hi = alg.hdim(i)
+            if not alg.kdim(r + 1) * hi:
+                continue
+            chi, chi_next = (_chi_matrix(pairing, r, i, 1),
+                             _chi_matrix(pairing, r + 1, i, 1))
+            for a in range(alg.n):
+                p_d1 = kron(dual.generator_mult(r, a, "left"), hi)
+                if (chi_next @ _socle_generator(alg, r, a, hi)
+                        != p_d1 @ chi):
+                    yield r, i, a
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_round_trip_generator_oracles_hold_on_every_fixture(name):
+    # what the round trips read from the g1 and g2 generators holds
+    # through psi_bar and chi themselves, cell by cell
+    pairing = _fixture_setup(name, 4)[-1]
+    assert list(roundtrip_A_generator_oracle(pairing)) == []
+    assert list(roundtrip_B_generator_oracle(pairing)) == []
+
+
+@pytest.mark.parametrize("perturb", [
+    lambda dual: _bump(dual._generator_mults, (1, 0, "left")),
+    lambda dual: _bump(dual._contractions, (2, 1, "left")),
+], ids=["dual_generator_mult", "dual_contraction"])
+def test_round_trip_generator_oracles_fail_where_the_pairings_do(perturb):
+    # under each perturbation the oracles fail at the degrees and
+    # generators where the identities of the pairings fail, in every
+    # cell: psi_bar's at those of the g1 generators, chi's at those of
+    # the g2 generators
+    import koszulkit.duality as duality
+    alg, dual, pairing = _setup(sym_presentation(2), None, 3)
+    dual.generator_mult(1, 0, "left")
+    dual.contraction(2, 1, "left")
+    perturb(dual)
+    failing = 0
+    for oracle, family in (
+            (roundtrip_A_generator_oracle, duality._g1_generator_failures),
+            (roundtrip_B_generator_oracle, duality._g2_generator_failures)):
+        want = {(r, a) for _name, r, a in family(pairing)}
+        assert {(r, a) for r, _cell, a in oracle(pairing)} == want
+        failing += len(want)
+    assert failing
+
+
+@pytest.mark.parametrize("name", ["sweedler_optional", "sl2_adjoint_takiff"])
+def test_a_perturbed_action_on_K_fails_the_g2_action(name):
+    # one entry of the memoized action of the last basis element on K_2
+    # bumped, once K is grown to N: identify_socI and both round trips
+    # fail their degree-zero comparison for every module, and so does the
+    # per-module oracle through theta, psi_bar and chi; identify_topP,
+    # which reads no action on K of the algebra, still passes
+    provider, modules, alg, dual, pairing = _fixture_setup(name, 4)
+    provider.k_action(alg, alg.N)
+    on_k2 = provider.k_action(alg, 2)
+    on_k2[-1] = _bumped(on_k2[-1])
+    for module, mats in sorted(modules.items()):
+        X = degree_zero_module(provider, alg, mats)
+        Y = socI_model_module(provider, pairing, mats)
+        assert identify_socI(X, pairing)["first_failure"][:2] == (
+            "degree-zero action", 2)
+        assert identify_topP(Y, pairing)["ok"]
+        for rt in (roundtrip_A, roundtrip_B):
+            assert rt(provider, pairing, mats)["checks"] == {
+                "bijective": True, "chain": True, "act0": False,
+                "generator": True}, (module, rt.__name__)
+        oracle = per_module_act0_failures(provider, pairing, mats)
+        assert oracle["phi"] is None
+        assert None not in (oracle["theta"], oracle["psi_bar (x) id"],
+                            oracle["chi"]), module
