@@ -1,8 +1,11 @@
 """Walkthrough: the injective/projective duality complexes and round trips.
 
 Builds both duality complexes for the sign module of C2 acting on the
-one-variable polynomial algebra, certifies the degree-zero homology, and
-runs both round-trip comparisons.
+one-variable polynomial algebra and certifies the degree-zero homology.
+The identifications, the round trips and the three Koszulity verdicts
+take no module: they are computed once, at the trivial module k (the
+counit action), and hold for every degree-zero module whose laws hold,
+the sign module included.
 
 Run with:  python3 demos/03_duality_roundtrip.py
 """
@@ -45,20 +48,20 @@ print("degree-zero homology certificate:",
       h0_certificate(pcx, Xd) == (True, None))
 
 print()
-print("== The socle subcomplex is the projective model ==")
-res = identify_socI(X, pairing)
+print("== The socle subcomplex is the projective model (at k) ==")
+res = identify_socI(provider, pairing)
 print("bijective equivariant identification:", res["ok"])
 
 print()
-print("== Round trips ==")
-ra = roundtrip_A(provider, pairing, mats)
-rb = roundtrip_B(provider, pairing, mats)
+print("== Round trips (at k) ==")
+ra = roundtrip_A(provider, pairing)
+rb = roundtrip_B(provider, pairing)
 print("injective-side round trip:", ra["checks"])
 print("projective-side round trip:", rb["checks"])
 
 print()
-print("== Three Koszulity verdicts must coincide ==")
-kv = koszulity_via_duality(provider, pairing, mats)
+print("== Three Koszulity verdicts must coincide (at k) ==")
+kv = koszulity_via_duality(provider, pairing)
 print("per-degree (injective side):", kv["per_degree_injective"])
 print("all verdicts agree:", kv["agree"])
 print("assumed, not checked:", kv["assumptions"][0])

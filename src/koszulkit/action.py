@@ -151,7 +151,14 @@ class Bialgebra:
         comult = Mat(d * d, d, [[rat_from_str(x) for x in row]
                                 for row in obj["comult"]])
         counit = Mat(1, d, [[rat_from_str(x) for x in obj["counit"]]])
-        return Bialgebra(d, mult, unit, comult, counit, obj.get("names"))
+        names = obj.get("names")
+        if "names" in obj and not (
+                isinstance(names, list) and all(isinstance(g, str)
+                                                for g in names)
+                and len(set(names)) == len(names) == d):
+            raise ValueError("bialgebra names must be a JSON array of %d "
+                             "distinct strings, got %r" % (d, names))
+        return Bialgebra(d, mult, unit, comult, counit, names)
 
 
 def _has_shape(value, shape):
@@ -731,11 +738,16 @@ def action_bundle_from_json(obj):
             if len(mmats) != b.dim:
                 raise ValueError("module %r: wrong matrix count" % name)
             modules[name] = mmats
-        return provider, modules
-    if "lie" in obj:
+    elif "lie" in obj:
         lie = LieAction.from_json_obj(obj["lie"], modules_obj)
-        return ActionProvider.from_lie(lie), dict(lie.modules)
-    raise ValueError("action file needs a 'bialgebra' or 'lie' key")
+        provider, modules = ActionProvider.from_lie(lie), dict(lie.modules)
+    else:
+        raise ValueError("action file needs a 'bialgebra' or 'lie' key")
+    for name, mats in sorted(modules.items()):
+        # no check could read an action on a module of dimension 0
+        if mats and not mats[0].rows:
+            raise ValueError("module %r has dimension 0" % name)
+    return provider, modules
 
 
 def validate_left_modules(provider, modules):

@@ -245,8 +245,9 @@ def _duality_inputs(acting, provider, modules, need_alg):
     """What the duality and roundtrip checks share in one run: the failure
     of the acting object's axioms, all they then report, or one pairing
     (need_alg grows the algebras), the acting object (the trivial one when
-    none is given) with its modules, and the modules whose laws fail.  A
-    pairing that is not invertible is an internal invariant."""
+    none is given), the names of its modules, sorted, and the modules whose
+    laws fail.  A pairing that is not invertible is an internal
+    invariant."""
     failure, bad_modules = acting[2:] if acting else (None, {})
     if failure:
         return {"failure": failure}
@@ -255,113 +256,97 @@ def _duality_inputs(acting, provider, modules, need_alg):
     alg, dual_alg = need_alg()
     if provider is None:
         from koszulkit.fixtures import trivial_provider
-        provider, modules = trivial_provider(alg.n), {"k": [Mat.identity(1)]}
+        provider, modules = trivial_provider(alg.n), ["k"]
     try:
         pairing = DualityPairing(alg, dual_alg)
     except ValueError as exc:
         raise InternalInvariant(str(exc))
-    return {"pairing": pairing, "provider": provider, "modules": modules,
-            "failure": None, "bad_modules": bad_modules}
+    return {"pairing": pairing, "provider": provider,
+            "modules": sorted(modules), "failure": None,
+            "bad_modules": bad_modules}
 
 
-def _check_duality(shared):
+def _module_entries(shared, what, entry_at_k):
+    """The details of the duality or roundtrip check: a module whose laws
+    fail reports that failure, and every other module reads one entry,
+    which entry_at_k(pairing, provider, name) computes at the trivial
+    module k (duality module docstring) when the first such module, in
+    sorted order, is reached.  An internal invariant, or a d^2 failure of
+    the complexes that what names, is reported for that module."""
     if shared["failure"]:
         return "fail", {"failure": shared["failure"]}
-    from koszulkit.duality import (
-        degree_zero_module, identify_socI, identify_topP,
-        koszulity_via_duality, socI_model_module,
-    )
-    pairing, provider = shared["pairing"], shared["provider"]
-    modules = shared["modules"]
-    alg = pairing.alg
-    details = {"modules": {}}
-    status = "pass"
-    for name in sorted(modules):
+    details, status, entry = {"modules": {}}, "pass", None
+    for name in shared["modules"]:
         if name in shared["bad_modules"]:
             details["modules"][name] = {"failure": shared["bad_modules"][name]}
             status = "fail"
             continue
-        mats = modules[name]
-        X = degree_zero_module(provider, alg, mats)
-        try:
-            res = koszulity_via_duality(provider, pairing, mats)
-            soc = identify_socI(X, pairing)
-            Y = socI_model_module(provider, pairing, mats)
-            top = identify_topP(Y, pairing)
-        except DSquaredError as exc:
-            raise InternalInvariant("duality complex of module %r: %s"
-                                    % (name, exc))
-        entry = {
-            "per_degree_injective":
-                {str(k): v for k, v in res["per_degree_injective"].items()},
-            "per_degree_projective":
-                {str(k): v for k, v in res["per_degree_projective"].items()},
-            "per_degree_koszul_complex":
-                {str(k): v
-                 for k, v in res["per_degree_koszul_complex"].items()},
-            "h0_isomorphic_to_module": res["h0_injective"]
-            and res["h0_projective"],
-            "assumptions": res["assumptions"],
-        }
-        if not res["agree"]:
-            per = [res["per_degree_%s" % side]
-                   for side in ("injective", "projective", "koszul_complex")]
-            deg = min(d for d in per[0] if len({p[d] for p in per}) > 1)
-            raise InternalInvariant(
-                "duality verdicts disagree for module %r at degree %d: "
-                "injective %s, projective %s, Koszul complex %s"
-                % ((name, deg) + tuple(p[deg] for p in per)))
-        entry["socle_identification"] = soc["ok"]
-        entry["top_identification"] = top["ok"]
-        if not (soc["ok"] and top["ok"]):
-            raise InternalInvariant(
-                "identification failed for module %r at %r" %
-                (name, soc["first_failure"] or top["first_failure"]))
-        entry["verdict"] = res["verdict"]
+        if entry is None:
+            try:
+                entry = entry_at_k(shared["pairing"], shared["provider"], name)
+            except DSquaredError as exc:
+                raise InternalInvariant("%s of module %r: %s"
+                                        % (what, name, exc))
         details["modules"][name] = entry
-        if not res["verdict"]:
-            # not-Koszul is data, not a failure; disagreement was fatal above
-            entry["note"] = "algebra not Koszul up to requested degree"
     return status, details
+
+
+def _duality_entry(pairing, provider, name):
+    from koszulkit.duality import (
+        identify_socI, identify_topP, koszulity_via_duality,
+    )
+    res = koszulity_via_duality(provider, pairing)
+    soc = identify_socI(provider, pairing)
+    top = identify_topP(provider, pairing)
+    sides = ("injective", "projective", "koszul_complex")
+    per = [res["per_degree_%s" % side] for side in sides]
+    if not res["agree"]:
+        deg = min(d for d in per[0] if len({p[d] for p in per}) > 1)
+        raise InternalInvariant(
+            "duality verdicts disagree for module %r at degree %d: "
+            "injective %s, projective %s, Koszul complex %s"
+            % ((name, deg) + tuple(p[deg] for p in per)))
+    if not (soc["ok"] and top["ok"]):
+        raise InternalInvariant(
+            "identification failed for module %r at %r" %
+            (name, soc["first_failure"] or top["first_failure"]))
+    entry = {"per_degree_%s" % side: {str(d): v for d, v in p.items()}
+             for side, p in zip(sides, per)}
+    entry.update({
+        "h0_isomorphic_to_module": res["h0_injective"]
+        and res["h0_projective"],
+        "assumptions": res["assumptions"],
+        "socle_identification": True, "top_identification": True,
+        "verdict": res["verdict"]})
+    if not res["verdict"]:
+        # not-Koszul is data, not a failure; disagreement was fatal above
+        entry["note"] = "algebra not Koszul up to requested degree"
+    return entry
+
+
+def _roundtrip_entry(pairing, provider, name):
+    from koszulkit.duality import roundtrip_A, roundtrip_B
+    ra = roundtrip_A(provider, pairing)
+    rb = roundtrip_B(provider, pairing)
+    if not ra["ok"]:
+        raise InternalInvariant(
+            "round trip A failed for %r at %r" % (name, ra["first_failure"]))
+    if not rb["ok"]:
+        raise InternalInvariant(
+            "round trip B failed for %r at %r" % (name, rb["first_failure"]))
+    return {"injective_side": ra["checks"], "cells_A": ra["cells"],
+            "projective_side": rb["checks"], "cells_B": rb["cells"],
+            "sign_convention": rb["sign_convention"]}
 
 
 def _check_roundtrip(shared):
-    if shared["failure"]:
-        return "fail", {"failure": shared["failure"]}
-    from koszulkit.duality import roundtrip_A, roundtrip_B
-    pairing, provider = shared["pairing"], shared["provider"]
-    # up to the grown degree, once: every roundtrip_A reads this verdict
-    ok_psi, where = verify_psi_intertwiner(pairing)
-    if not ok_psi:
-        raise InternalInvariant("pairing intertwiner fails at %r" % (where,))
-    details = {"modules": {}}
-    status = "pass"
-    for name in sorted(shared["modules"]):
-        if name in shared["bad_modules"]:
-            details["modules"][name] = {"failure": shared["bad_modules"][name]}
-            status = "fail"
-            continue
-        mats = shared["modules"][name]
-        try:
-            ra = roundtrip_A(provider, pairing, mats)
-            rb = roundtrip_B(provider, pairing, mats)
-        except DSquaredError as exc:
-            raise InternalInvariant("round-trip complex of module %r: %s"
-                                    % (name, exc))
-        details["modules"][name] = {
-            "injective_side": ra["checks"], "cells_A": ra["cells"],
-            "projective_side": rb["checks"], "cells_B": rb["cells"],
-            "sign_convention": rb["sign_convention"],
-        }
-        if not ra["ok"]:
-            raise InternalInvariant(
-                "round trip A failed for %r at %r" % (name,
-                                                      ra["first_failure"]))
-        if not rb["ok"]:
-            raise InternalInvariant(
-                "round trip B failed for %r at %r" % (name,
-                                                      rb["first_failure"]))
-    return status, details
+    if not shared["failure"]:
+        # up to the grown degree, once: every roundtrip_A reads this verdict
+        ok_psi, where = verify_psi_intertwiner(shared["pairing"])
+        if not ok_psi:
+            raise InternalInvariant("pairing intertwiner fails at %r"
+                                    % (where,))
+    return _module_entries(shared, "round-trip complex", _roundtrip_entry)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +513,8 @@ def run_check(args):
             elif name == "takiff":
                 status, details = _check_takiff(provider, need_acting())
             elif name == "duality":
-                status, details = _check_duality(need_shared())
+                status, details = _module_entries(
+                    need_shared(), "duality complex", _duality_entry)
             elif name == "roundtrip":
                 status, details = _check_roundtrip(need_shared())
         except InternalInvariant as exc:

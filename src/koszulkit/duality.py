@@ -53,9 +53,20 @@ identity at k gives it for every X, term by term; the action on a
 tensor cell is tensor_action of the factors' actions, so a Kronecker
 product or a composite of intertwiners intertwines, term by term over
 the legs; and psi_bar's generator identity is g1's with an identity
-tensored in, chi's is theta's.  What stays per module involves the
-degree-one action of X: the complexes and their d^2, the chain
-identities, h0_certificate and the socle's module law.  A module's or a
+tensored in, chi's is theta's.
+
+The four verifiers and koszulity_via_duality take no module: they build
+their complexes at k (provider.tensor_mats(0)), and their verdicts and
+cell counts are those of every degree-zero module X, dim X >= 1, whose
+laws hold.  X has no degree-one action, and those of I0(X) and P0(X) are
+mult (x) id_X, so every construction is additive in the vector space X:
+each differential of the I, P, socle and top complexes of X is the one
+at k tensored with id_X, up to a fixed permutation.  So homology ranks
+scale by dim X, and d^2 and each chain identity hold at X exactly when
+they do at k.  Only h0_certificate's equivariance on cell (0, 0) and the
+socle's module law read X's action; in both X sits on the first Sweedler
+leg, so by the counit law and coassociativity, validated for every
+acting object, the identity at k gives it for every X.  A module's or a
 cell's degree-zero action is built when it is first read.
 
 Every builder and verifier here works up to the degree alg.N to which
@@ -616,21 +627,14 @@ def _chi_matrix(pairing, r, i, dX):
                             inverse=True))
 
 
-def socI_model_module(provider, pairing, mats_x):
-    """The projective model of the socle complex of a degree-zero module:
-    the module induced from X over the co-opposite smash of the dual, so
-    component p is (dual H)_p (x) X with left multiplication as the
-    degree-one action and the co-opposite legs on the degree-zero part."""
-    return P0(dual_action(provider), pairing.dual, mats_x)
-
-
-def identify_socI(X, pairing):
-    """The socle complex of a bounded-above module is, bidegree by
-    bidegree, the projective model over the co-opposite smash: the
-    pairing-built matrices theta (bijective, as the pairing is)
-    intertwine the dual multiplication (the g2 generators) and the
+def identify_socI(provider, pairing):
+    """The socle complex of a degree-zero module X is, bidegree by
+    bidegree, the projective model P0(X) over the co-opposite smash of
+    the dual: the pairing-built matrices theta (bijective, as the pairing
+    is) intertwine the dual multiplication (the g2 generators) and the
     degree-zero action (the g2 action), and the socle satisfies the module
-    law of the smash (validate_socI_action).
+    law of the smash (validate_socI_action).  Checked at k, for every X
+    (module docstring).
 
     theta is g2^T (x) id_X up to a swap.  b acts on the socle cell as the
     sum over its legs of coeff * X(c1) (x) K_r^T(c2), on the model as that
@@ -639,23 +643,25 @@ def identify_socI(X, pairing):
     factor alone, so the g2 action, the identity at k, gives it for every
     X, term by term; the dual multiplication is the g2 generators with
     id_X tensored in."""
-    soc = socI_complex(X)
+    soc = socI_complex(degree_zero_module(provider, pairing.alg,
+                                          provider.tensor_mats(0)))
     ok, where = pairing.verdict(_g2_generator_failures)
     if ok:
-        ok, where = pairing.verdict(_g2_action_failures, X.provider)
+        ok, where = pairing.verdict(_g2_action_failures, provider)
     if ok:
         ok, law = validate_socI_action(soc)
         where = None if ok else ("module law",) + law
     return {"ok": ok, "first_failure": where}
 
 
-def identify_topP(Y, pairing):
-    """The top quotient over the co-opposite smash is, as a module over
-    the original smash, the coinduced object Hom(H_r, Y): the
-    pairing-built matrices phi (bijective, as the pairing is) transport
-    the differential to its explicit coinduced-side formula, checked per
-    module, and intertwine the degree-zero action (the g1 action) and the
-    generator action (the g1 generators).
+def identify_topP(provider, pairing):
+    """The top quotient of Y = P0(X) over the co-opposite smash of the
+    dual, X a degree-zero module, is, as a module over the original smash,
+    the coinduced object Hom(H_r, Y): the pairing-built matrices phi
+    (bijective, as the pairing is) transport the differential to its
+    explicit coinduced-side formula, and intertwine the degree-zero action
+    (the g1 action) and the generator action (the g1 generators).  Checked
+    at k, for every X (module docstring).
 
     phi is g1 (x) id_Y up to a swap.  b acts on the top cell as the sum
     over its legs of coeff * K_r(c2) (x) Y(c1), on the model as that of
@@ -663,9 +669,9 @@ def identify_topP(Y, pairing):
     Y(c1) is eps(c1), and by the counit law b then acts on the Y-free
     factor alone, so the g1 action, the identity at k, gives it for every
     Y, term by term; the generator action is the g1 generators with id_Y
-    tensored in.  Y.provider acts on the co-opposite side, so the g1
-    action is read for its dual, the provider of the original smash."""
+    tensored in."""
     alg, n = pairing.alg, pairing.alg.n
+    Y = P0(dual_action(provider), pairing.dual, provider.tensor_mats(0))
     top = topP_complex(Y)
     # chain property against the explicit coinduced-side differential
     # f |-> sum over a of act1(x_a) o f o (left multiplication by x_a)
@@ -678,8 +684,7 @@ def identify_topP(Y, pairing):
         if (_phi_matrix(pairing, r - 1, Y.dim(j + 1)) @ dmat
                 != dio @ _phi_matrix(pairing, r, Y.dim(j))):
             return {"ok": False, "first_failure": ("chain", r, j)}
-    ok, where = pairing.verdict(_g1_action_failures,
-                                dual_action(Y.provider))
+    ok, where = pairing.verdict(_g1_action_failures, provider)
     if ok:
         ok, where = pairing.verdict(_g1_generator_failures)
     return {"ok": ok, "first_failure": where}
@@ -769,7 +774,7 @@ def _act0_verdict(pairing, provider):
 # ---------------------------------------------------------------------------
 # round trips
 
-def roundtrip_A(provider, pairing, mats_x):
+def roundtrip_A(provider, pairing):
     """Rebuild the injective-side complex of a degree-zero module by going
     through the socle model and the top quotient on the co-opposite side,
     and compare with the directly built complex through the transported
@@ -780,7 +785,7 @@ def roundtrip_A(provider, pairing, mats_x):
     object, so no complex is built here: "bijective" records the
     invertibility of psi_bar, which DualityPairing decides, "chain" the
     intertwiner, "act0" the g1 action and the g2 action, and "generator"
-    the g1 generators.
+    the g1 generators.  "cells" is counted at k (module docstring).
 
     psi_bar is g1^-1 (x) g2^-T after a swap.  b acts on
     Hom(K_p (x) H_r, X) through (id (x) Delta) Delta and on
@@ -796,9 +801,8 @@ def roundtrip_A(provider, pairing, mats_x):
     identity tensored in."""
     alg = pairing.alg
     N = alg.N
-    dX = mats_x[0].rows if mats_x else 0
     cells = sum(1 for r in range(N + 1) for p in range(N + 1 - r)
-                if dX * alg.kdim(p) * alg.hdim(r))
+                if alg.kdim(p) * alg.hdim(r))
     return _roundtrip_result({
         "bijective": (True, None),
         "chain": verify_psi_intertwiner(pairing),
@@ -807,7 +811,7 @@ def roundtrip_A(provider, pairing, mats_x):
     }, cells=cells)
 
 
-def roundtrip_B(provider, pairing, mats_x):
+def roundtrip_B(provider, pairing):
     """Mirror round trip: the socle complex of the coinduced module is
     compared with the directly built projective-side complex over the
     co-opposite smash.  The comparison map chi must be a chain map up to
@@ -828,16 +832,17 @@ def roundtrip_B(provider, pairing, mats_x):
     The generator identity through chi is that of theta = g2^T with an
     identity tensored in.
 
-    The socle complex of I0(X), in degrees -N..0, has just the cells
-    (r, -i - r), r + i <= N, that chi compares."""
+    Checked at k, for every X (module docstring).  The socle complex of
+    I0(k), in degrees -N..0, has just the cells (r, -i - r), r + i <= N,
+    that chi compares."""
     alg, dual = pairing.alg, pairing.dual
     N = alg.N
-    dX = mats_x[0].rows if mats_x else 0
-    soc = socI_complex(I0(provider, alg, mats_x))
-    pcx = P_complex(degree_zero_module(dual_action(provider), dual, mats_x))
-    chi = {(r, i): _chi_matrix(pairing, r, i, dX)
+    k = provider.tensor_mats(0)
+    soc = socI_complex(I0(provider, alg, k))
+    pcx = P_complex(degree_zero_module(dual_action(provider), dual, k))
+    chi = {(r, i): _chi_matrix(pairing, r, i, 1)
            for r in range(N + 1) for i in range(N + 1 - r)
-           if alg.kdim(r) * dX * alg.hdim(i)}
+           if alg.kdim(r) * alg.hdim(i)}
     # Chain property, from cell (r, -i - r) of the socle complex and cell
     # (-i, r + i) of the projective side.  chi is a chain isomorphism onto
     # the model whose strip map carries (-1)^(r+1), r the degree of the
@@ -864,36 +869,29 @@ def roundtrip_B(provider, pairing, mats_x):
 # ---------------------------------------------------------------------------
 # the exactness criterion
 
-def koszulity_via_duality(provider, pairing, mats_x):
+def koszulity_via_duality(provider, pairing):
     """Three verdicts that the duality theorem forces to coincide: the
-    injective-side complex of the module is exact away from degree zero,
-    the projective-side complex over the co-opposite smash is exact away
-    from degree zero, and the Koszul-complex criterion for the underlying
-    quadratic algebra.  Returns per-degree verdicts plus the agreement
-    flag."""
+    injective-side complex of a degree-zero module is exact away from
+    degree zero, the projective-side complex over the co-opposite smash
+    is exact away from degree zero, and the Koszul-complex criterion for
+    the underlying quadratic algebra.  Returns per-degree verdicts plus
+    the agreement flag.  Computed at k, for every X (module docstring)."""
     from koszulkit.quadratic import koszulity_check
     alg, dual = pairing.alg, pairing.dual
     N = alg.N
-    X = degree_zero_module(provider, alg, mats_x)
+    k = provider.tensor_mats(0)
+    X = degree_zero_module(provider, alg, k)
     icx = I_complex(X)
     rep_i = homology(icx.cx)
-    Xd = degree_zero_module(dual_action(provider), dual, mats_x)
+    Xd = degree_zero_module(dual_action(provider), dual, k)
     pcx = P_complex(Xd)
     rep_p = homology(pcx.cx)
     kz = koszulity_check(alg)
     top = N - 1
-    per_i, per_p = {}, {}
-    for d in range(1, top + 1):
-        good = True
-        for r in range(0, N):
-            if rep_i.valid(r, -d) and rep_i.dim(r, -d) != 0:
-                good = False
-        per_i[d] = good
-        good = True
-        for r in range(0, N):
-            if rep_p.valid(-r, d) and rep_p.dim(-r, d) != 0:
-                good = False
-        per_p[d] = good
+    per_i = {d: all(rep_i.dim(r, -d) == 0 for r in range(N)
+                    if rep_i.valid(r, -d)) for d in range(1, top + 1)}
+    per_p = {d: all(rep_p.dim(-r, d) == 0 for r in range(N)
+                    if rep_p.valid(-r, d)) for d in range(1, top + 1)}
     per_k = {d: kz["per_degree"][d] for d in range(1, top + 1)}
     h0_i = h0_certificate(icx, X)
     h0_p = h0_certificate(pcx, Xd)

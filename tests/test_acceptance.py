@@ -16,7 +16,7 @@ from koszulkit.cli import property_cases_report
 from koszulkit.duality import (
     I_complex, P_complex, degree_zero_module, diagonal_vanishing,
     h0_certificate, identify_socI, identify_topP,
-    koszulity_via_duality, roundtrip_A, roundtrip_B, socI_model_module,
+    koszulity_via_duality, roundtrip_A, roundtrip_B,
 )
 from koszulkit.exactlin import Mat
 from koszulkit.fixtures import (
@@ -29,6 +29,10 @@ from koszulkit.graded import check_d_squared, homology
 from koszulkit.quadratic import (
     DualityPairing, grow, koszul_complex, quadratic_dual,
     verify_psi_intertwiner,
+)
+from module_oracle import (
+    identify_socI_of, identify_topP_of, koszulity_via_duality_of,
+    roundtrip_A_of, roundtrip_B_of,
 )
 
 
@@ -176,11 +180,11 @@ def test_criterion_08_identifications():
         alg = grow(pres, N)
         dual = grow(quadratic_dual(pres), N)
         pairing = DualityPairing(alg, dual)
-        X = degree_zero_module(provider, alg, mats)
-        soc = identify_socI(X, pairing)
-        Y = socI_model_module(provider, pairing, mats)
-        top = identify_topP(Y, pairing)
-        ok = ok and soc["ok"] and top["ok"]
+        soc = identify_socI(provider, pairing)
+        top = identify_topP(provider, pairing)
+        ok = ok and soc["ok"] and top["ok"] \
+            and soc == identify_socI_of(provider, pairing, mats) \
+            and top == identify_topP_of(provider, pairing, mats)
     _verdict(8, ok, "socle and top identifications are bijective "
              "equivariant chain maps for the C2 and sl2 fixtures at N=4")
 
@@ -192,17 +196,19 @@ def test_criterion_09_round_trips():
     alg = grow(pres, 5)
     dual = grow(quadratic_dual(pres), 5)
     pairing = DualityPairing(alg, dual)
-    prov = trivial_provider(2)
-    ok = ok and roundtrip_A(prov, pairing, [Mat.identity(1)])["ok"]
-    ok = ok and roundtrip_B(prov, pairing, [Mat.identity(1)])["ok"]
+    cases = [(trivial_provider(2), pairing, [Mat.identity(1)])]
     pres = sym_presentation(3)
     alg = grow(pres, 4)
     dual = grow(quadratic_dual(pres), 4)
     pairing = DualityPairing(alg, dual)
+    provider = sl2_provider()
     for mod in ("triv", "adjoint"):
-        mats = sl2_lie_action().modules[mod]
-        ok = ok and roundtrip_A(sl2_provider(), pairing, mats)["ok"]
-        ok = ok and roundtrip_B(sl2_provider(), pairing, mats)["ok"]
+        cases.append((provider, pairing, sl2_lie_action().modules[mod]))
+    for provider, pairing, mats in cases:
+        for rt, oracle in ((roundtrip_A, roundtrip_A_of),
+                           (roundtrip_B, roundtrip_B_of)):
+            res = rt(provider, pairing)
+            ok = ok and res["ok"] and res == oracle(provider, pairing, mats)
     dt = time.monotonic() - t0
     ok = ok and dt < 300.0
     _verdict(9, ok, "both round trips pass for trivial/S(V) at N=5 and for "
@@ -216,8 +222,10 @@ def test_criterion_10_three_verdicts_agree():
         alg = grow(pres, N)
         dual = grow(quadratic_dual(pres), N)
         pairing = DualityPairing(alg, dual)
-        res = koszulity_via_duality(provider, pairing, mats)
+        res = koszulity_via_duality(provider, pairing)
         good = res["agree"] and res["h0_injective"] and res["h0_projective"]
+        good = good and res == koszulity_via_duality_of(provider, pairing,
+                                                        mats)
         # every built-in fixture is Koszul, so all three must also say yes
         good = good and res["verdict"]
         if not good:

@@ -363,6 +363,73 @@ def _lopsided_swap(tmp_path):
     return str(pres), str(act)
 
 
+def test_complexes_built_do_not_depend_on_the_modules(tmp_path,
+                                                      monkeypatch):
+    # duality and roundtrip compute their entries once, at the trivial
+    # module k: a run with both modules builds the same complexes as a run
+    # with either one, and the same entries
+    import koszulkit.duality as duality
+    built = []
+    build = duality._duality_complex
+
+    def counted(kind, *args):
+        built.append(kind)
+        return build(kind, *args)
+
+    monkeypatch.setattr(duality, "_duality_complex", counted)
+    pres, act = emit(tmp_path, "sl2_adjoint_takiff")
+    entries = {}
+    for module in ("triv", "adjoint", None):
+        built.clear()
+        out = tmp_path / ("%s.json" % module)
+        assert run(["check", "--input", pres, "--action", act, "--checks",
+                    "duality,roundtrip", "--max-degree", "3", "--out",
+                    str(out)] + (["--module", module] if module else [])) == 0
+        assert sorted(built) == ["I", "P", "P", "socI", "socI", "topP"]
+        checks = json.loads(out.read_text())["checks"]
+        for name in ("duality", "roundtrip"):
+            for mod, entry in checks[name]["details"]["modules"].items():
+                assert entries.setdefault((name, mod), entry) == entry
+
+
+def test_zero_dimensional_module_is_parse_error(tmp_path, capsys):
+    # k<x1, x2>/(x1^2 + x2 x1 + x2^2, x1 x2) is not Koszul at degree 4;
+    # the complexes of a module of dimension 0 are exact there, so its
+    # duality verdicts disagreed (exit 3) instead of naming the module
+    from koszulkit.fixtures import trivial_bialgebra
+    pres = tmp_path / "p.json"
+    pres.write_text(json.dumps({"generators": ["x1", "x2"], "relations": [
+        {"terms": [{"c": "1", "m": ["x1", "x1"]},
+                   {"c": "1", "m": ["x2", "x1"]},
+                   {"c": "1", "m": ["x2", "x2"]}]},
+        {"terms": [{"c": "1", "m": ["x1", "x2"]}]}]}))
+    act = tmp_path / "a.json"
+    act.write_text(json.dumps({
+        "bialgebra": trivial_bialgebra().to_json_obj(),
+        "action": [[["1", "0"], ["0", "1"]]],
+        "modules": {"zero": {"dim": 0, "action": [[]]}}}))
+    assert run(["check", "--input", str(pres), "--action", str(act),
+                "--module", "zero", "--max-degree", "5"]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: bad action bundle in %s: module 'zero' has dimension "
+        "0\n" % act)
+
+
+@pytest.mark.parametrize("names", [["g"], "ab"], ids=["short", "string"])
+def test_bialgebra_names_are_checked(tmp_path, capsys, names):
+    # the relation of the lopsided swap escapes at g, and the failure
+    # names g from the bialgebra's names: a list one short ended in an
+    # IndexError (exit 1), and a string was read as two names
+    pres, act = _lopsided_swap(tmp_path)
+    bundle = json.loads(open(act).read())
+    bundle["bialgebra"]["names"] = names
+    with open(act, "w") as f:
+        json.dump(bundle, f)
+    assert run(["check", "--input", pres, "--action", act]) == 2
+    assert ("bialgebra names must be a JSON array of 2 distinct strings, "
+            "got %r" % (names,)) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("checks", ["duality", "roundtrip", "all"])
 def test_unstable_action_fails_duality_checks(tmp_path, capsys, checks):
     pres, act = _lopsided_swap(tmp_path)
@@ -445,11 +512,28 @@ def _edit(bundle, path, value):
      "lie basis must list distinct names"),
     ("sl2_adjoint_takiff", _edit(_sl2_bundle(), ("lie", "basis"), "ehf"),
      "lie basis must be a JSON array, got 'ehf'"),
+    ("sl2_adjoint_takiff",
+     _edit(_sl2_bundle(), ("modules", "zero"),
+           {"dim": 0, "action": {"e": [], "h": [], "f": []}}),
+     "module 'zero' has dimension 0"),
+    ("c2_sign_takiff",
+     _edit(_c2_bundle(), ("modules", "zero"), {"action": [[], []]}),
+     "module 'zero' has dimension 0"),
+    ("c2_sign_takiff", _edit(_c2_bundle(), ("bialgebra", "names"), ["g"]),
+     "bialgebra names must be a JSON array of 2 distinct strings, got "
+     "['g']"),
+    ("c2_sign_takiff", _edit(_c2_bundle(), ("bialgebra", "names"), "ab"),
+     "bialgebra names must be a JSON array of 2 distinct strings, got 'ab'"),
+    ("c2_sign_takiff",
+     _edit(_c2_bundle(), ("bialgebra", "names"), ["g", "g"]),
+     "bialgebra names must be a JSON array of 2 distinct strings"),
 ], ids=["lie-not-square", "lie-ragged", "lie-sizes-differ", "lie-wrong-space",
         "lie-module-dim", "bialgebra-module-dim", "bialgebra-not-square",
         "bialgebra-short-mult", "bialgebra-modules-empty-array",
         "bialgebra-modules-array", "lie-modules-array", "lie-brackets-array",
-        "lie-repeated-name", "lie-basis-string"])
+        "lie-repeated-name", "lie-basis-string", "lie-module-dim-0",
+        "bialgebra-module-dim-0", "bialgebra-names-short",
+        "bialgebra-names-string", "bialgebra-names-repeated"])
 def test_malformed_action_is_parse_error(tmp_path, capsys, fixture, bundle,
                                          message):
     # shapes are input checks, not asserts: the same exit 2 under -O
