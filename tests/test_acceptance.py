@@ -18,7 +18,7 @@ from koszulkit.duality import (
     h0_certificate, identify_socI, identify_topP,
     koszulity_via_duality, roundtrip_A, roundtrip_B,
 )
-from koszulkit.exactlin import Mat
+from koszulkit.exactlin import F0, F1, Mat, Subspace
 from koszulkit.fixtures import (
     PRESENTATION_FIXTURES, c2_modules, c2_sign_provider,
     dual_numbers_presentation, ext_presentation, free_presentation,
@@ -27,8 +27,8 @@ from koszulkit.fixtures import (
 )
 from koszulkit.graded import check_d_squared, homology
 from koszulkit.quadratic import (
-    DualityPairing, grow, koszul_complex, quadratic_dual,
-    verify_psi_intertwiner,
+    DualityPairing, QuadraticPresentation, euler_identity, grow,
+    koszul_complex, koszulity_check, quadratic_dual, verify_psi_intertwiner,
 )
 from module_oracle import (
     identify_socI_of, identify_topP_of, koszulity_via_duality_of,
@@ -231,8 +231,30 @@ def test_criterion_10_three_verdicts_agree():
         if not good:
             bad.append(name)
         ok = ok and good
+    # k<x1,x2>/(x1^2 + x2x1 + x2^2, x1x2) is not Koszul: the three verdicts
+    # must still agree degreewise, and all say no at degree 4
+    pres = QuadraticPresentation(["x1", "x2"], Subspace.from_rows(
+        4, [[F1, F0, F1, F1], [F0, F1, F0, F0]]))
+    alg = grow(pres, 5)
+    dual = grow(quadratic_dual(pres), 5)
+    provider = trivial_provider(2)
+    pairing = DualityPairing(alg, dual)
+    res = koszulity_via_duality(provider, pairing)
+    per_degree = {1: True, 2: True, 3: True, 4: False}
+    good = (alg.hdims() == [1, 2, 2, 1, 0, 0]
+            and koszulity_check(alg)["first_failure"] == (-2, 4)
+            and not euler_identity(alg, dual)
+            and res["agree"] and not res["verdict"]
+            and res["per_degree_injective"] == per_degree
+            and res["per_degree_projective"] == per_degree
+            and res == koszulity_via_duality_of(provider, pairing,
+                                                [Mat.identity(1)]))
+    if not good:
+        bad.append("non-Koszul/k")
+    ok = ok and good
     _verdict(10, ok, "injective-side, projective-side and Koszul-complex "
-             "verdicts coincide degreewise for every fixture module%s"
+             "verdicts coincide degreewise for every fixture module and "
+             "for a non-Koszul input, where all three fail at degree 4%s"
              % ("" if ok else "; failed: %r" % bad))
 
 

@@ -12,7 +12,7 @@ from koszulkit.duality import P0
 from koszulkit.exactlin import F0, F1, Mat, Subspace, kron
 from koszulkit.fixtures import (
     c2_group_algebra, c2_modules, c2_sign_provider, dual_numbers_presentation,
-    sl2_lie_action, sl2_provider, sweedler_bialgebra,
+    ext_presentation, sl2_lie_action, sl2_provider, sweedler_bialgebra,
     sweedler_modules, sweedler_provider, sym_presentation,
     trivial_bialgebra, trivial_provider,
 )
@@ -33,6 +33,69 @@ def test_validate_bialgebra_failure():
                     b.names)
     ok, axiom = validate_bialgebra(bad)
     assert not ok and axiom == "counit law"
+
+
+def _edited_bialgebra(b, field, i, j, value):
+    """b with entry (i, j) of one structure map set to value; the unit and
+    the counit are read as one-row matrices."""
+    maps = {"mult": b.mult, "unit": Mat(1, b.dim, [b.unit]),
+            "comult": b.comult, "counit": Mat(1, b.dim, [b.counit])}
+    m = maps[field]
+    maps[field] = m + Mat.from_entries(m.rows, m.cols,
+                                       [(i, j, value - m.row(i)[j])])
+    return Bialgebra(b.dim, maps["mult"], maps["unit"].row(0),
+                     maps["comult"], maps["counit"], b.names)
+
+
+@pytest.mark.parametrize("mk,field,i,j,value,axiom", [
+    # 1 * 1 = 0 (C2: basis 1, g; the columns of mult are 11, 1g, g1, gg)
+    (c2_group_algebra, "mult", 0, 0, 0, "associativity"),
+    # the unit is given as 1 + g
+    (c2_group_algebra, "unit", 0, 1, 1, "unit law"),
+    # Delta(g) = g (x) g + 1 (x) g
+    (c2_group_algebra, "comult", 1, 1, 1, "coassociativity"),
+    # g * g = 2: k[g]/(g^2 - 2) is a unital algebra, but Delta(g g) =
+    # 2 (1 (x) 1) while Delta(g) Delta(g) = 4 (1 (x) 1)
+    (c2_group_algebra, "mult", 0, 3, 2, "comultiplication not "
+     "multiplicative"),
+    # g * g = 0: Delta(g) Delta(g) = 0 too, but eps(g g) = 0 != eps(g)^2
+    (c2_group_algebra, "mult", 0, 3, 0, "counit not multiplicative"),
+    # Sweedler's x x = 1 (basis 1, g, x, gx; column 10 is x x)
+    (sweedler_bialgebra, "mult", 0, 10, 1, "associativity"),
+], ids=["assoc", "unit", "coassoc", "comult-mult", "counit-mult",
+        "sweedler-assoc"])
+def test_each_bialgebra_axiom_fails_on_its_own(mk, field, i, j, value,
+                                               axiom):
+    # one entry of a structure map is off, and the first axiom that
+    # validate_bialgebra names is the one that entry breaks
+    assert validate_bialgebra(mk()) == (True, None)
+    assert validate_bialgebra(_edited_bialgebra(mk(), field, i, j, value)) \
+        == (False, axiom)
+
+
+def test_comultiplication_of_the_unit_fails_on_its_own():
+    # C2 in its idempotent basis p = (1 + g)/2, q = (1 - g)/2: p p = p,
+    # q q = q, unit p + q, Delta(p) = p (x) p + q (x) q, Delta(q) =
+    # p (x) q + q (x) p, eps = (1, 0).  Without the term q (x) q of
+    # Delta(p), Delta is still coassociative, counital and multiplicative,
+    # but Delta(1) = 1 (x) 1 - q (x) q.  No edit of one entry of C2 or
+    # Sweedler in the fixtures' bases, to -2, -1, 0, 1, 2 or 1/2, reaches
+    # this axiom: an earlier one always fails first
+    c2 = Bialgebra(2, Mat(2, 4, [[1, 0, 0, 0], [0, 0, 0, 1]]), [1, 1],
+                   Mat(4, 2, [[1, 0], [0, 1], [0, 1], [1, 0]]),
+                   Mat(1, 2, [[1, 0]]), ["p", "q"])
+    assert validate_bialgebra(c2) == (True, None)
+    assert validate_bialgebra(_edited_bialgebra(c2, "comult", 3, 0, 0)) \
+        == (False, "comultiplication of the unit")
+
+
+def test_counit_of_the_unit_fails_only_on_the_zero_algebra():
+    # once the earlier axioms hold, eps(1) is 0 or 1 (eps is
+    # multiplicative), and 0 would make eps zero (eps(x) = eps(1) eps(x)),
+    # against the counit law, unless the algebra is zero: only there,
+    # where 1 = 0, can this axiom fail
+    zero = Bialgebra(0, Mat(0, 0, []), [], Mat(0, 0, []), Mat(1, 0, [[]]))
+    assert validate_bialgebra(zero) == (False, "counit of the unit")
 
 
 def _idempotent_bialgebra():
@@ -78,6 +141,16 @@ def test_bialgebra_without_antipode():
 
 def test_validate_lie_sl2():
     assert validate_lie(sl2_lie_action()) == (True, None)
+
+
+def test_validate_lie_antisymmetry_failure():
+    # [h, e] = 3e while [e, h] = -2e: the first pair that breaks
+    # antisymmetry is (e, h)
+    lie = sl2_lie_action()
+    brackets = dict(lie.brackets)
+    brackets[(1, 0)] = [3, 0, 0]
+    bad = LieAction(lie.names, brackets, lie.rho)
+    assert validate_lie(bad) == (False, ("antisymmetry", 0, 1))
 
 
 def test_validate_lie_failure():
@@ -194,8 +267,8 @@ def test_dual_action_pairing_compatibility():
         for r in (1, 2, 3):
             rev = perm_matrix(reversal_perm(n, r))
             for b in range(d):
-                T = provider.act_basis_on_tensor(b, r)
-                Tdual = dprov.act_basis_on_tensor(b, r)
+                T = provider.tensor_mats(r)[b]
+                Tdual = dprov.tensor_mats(r)[b]
                 assert Tdual == rev @ T.transpose() @ rev
 
 
@@ -259,6 +332,99 @@ def test_smash_leibniz_failure():
     m = alg.mult(1, 1)
     alg._mult[(1, 1)] = m + Mat.from_entries(m.rows, m.cols, [(0, 0, F1)])
     assert smash_ok(provider, alg) == (False, ("leibniz", 0, 1, 1))
+
+
+_SMASH_CASES = {
+    "sl2/sym_3": (sl2_provider, lambda: sym_presentation(3)),
+    "sl2/ext_3": (sl2_provider, lambda: ext_presentation(3)),
+    "c2/sym_1": (c2_sign_provider, lambda: sym_presentation(1)),
+    "sweedler": (sweedler_provider, dual_numbers_presentation),
+}
+
+
+def _smash_input(case, side, N):
+    """The provider and the algebra grown to N of a case, or on the dual
+    side, its dual action and the quadratic dual."""
+    mkprov, mkpres = _SMASH_CASES[case]
+    provider, pres = mkprov(), mkpres()
+    if side == "dual":
+        provider, pres = dual_action(provider), quadratic_dual(pres)
+    return provider, grow(pres, N)
+
+
+@pytest.mark.parametrize("case", ["sl2/sym_3", "c2/sym_1", "sweedler"])
+@pytest.mark.parametrize("side", ["plain", "dual"])
+def test_passing_smash_reads_2N_plus_3_cells(monkeypatch, case, side):
+    # a pass reads the laws on H_0 and H_1 and the Leibniz rows 0 and 1:
+    # 2N + 3 cells for N >= 1, 2 at N = 0, not (N + 1)(N + 4)/2
+    import koszulkit.action as action
+    cells = []
+
+    def counted(kind, check):
+        def wrapper(*args):
+            cells.append(kind)
+            return check(*args)
+        return wrapper
+
+    monkeypatch.setattr(action, "_laws_ok", counted("law", action._laws_ok))
+    monkeypatch.setattr(action, "intertwines",
+                        counted("leibniz", action.intertwines))
+    for N in range(5):
+        provider, alg = _smash_input(case, side, N)
+        del cells[:]
+        assert smash_ok(provider, alg) == (True, None)
+        assert len(cells) == (2 * N + 3 if N else 2)
+        assert cells.count("law") == min(N, 1) + 1
+
+
+@pytest.mark.parametrize("case,side,N,b,where", [
+    ("sl2/sym_3", "plain", 2, 2, ("law", 0, 2, 2)),
+    ("sl2/sym_3", "plain", 3, 2, ("law", 0, 2, 3)),
+    ("sl2/sym_3", "plain", 5, 2, ("law", 0, 2, 5)),
+    ("sl2/sym_3", "dual", 2, 2, ("law", 0, 2, 2)),
+    ("sl2/sym_3", "dual", 3, 2, ("law", 1, 2, 3)),
+    ("sl2/ext_3", "plain", 2, 2, ("law", 0, 2, 2)),
+    ("sl2/ext_3", "plain", 3, 2, ("law", 1, 2, 3)),
+    ("sl2/ext_3", "dual", 2, 2, ("law", 0, 2, 2)),
+    ("sl2/ext_3", "dual", 3, 2, ("law", 0, 2, 3)),
+    ("sl2/ext_3", "dual", 5, 2, ("law", 0, 2, 5)),
+    ("sl2/ext_3", "dual", 5, 0, ("law", 0, 1, 5)),
+    ("c2/sym_1", "plain", 2, 1, ("law", 1, 1, 2)),
+    ("c2/sym_1", "plain", 3, 1, ("law", 1, 1, 3)),
+    ("c2/sym_1", "plain", 5, 1, ("law", 1, 1, 5)),
+    ("c2/sym_1", "plain", 5, 0, ("law", "unit", 5)),
+])
+def test_a_fault_at_the_top_degree_is_caught(case, side, N, b, where):
+    # one entry of the memoized action on H_N is off: the short scan sees
+    # it at the Leibniz cell (1, N - 1), and the full scan then reports
+    # the first failing cell, a law on H_N.  H_N is zero, so has no entry,
+    # for Lambda(V) (the plain side of ext_3 and the dual side of sym_3)
+    # at N = 5 and for the dual k[x]/(x^2) of sym_1 from N = 2
+    provider, alg = _smash_input(case, side, N)
+    mats = provider.h_action(alg, N)
+    mats[b] = _bump(mats[b], 0, 0)
+    assert smash_ok(provider, alg) == (False, where)
+
+
+def test_actions_in_degrees_zero_and_one_are_copies():
+    # editing the list that h_action, k_action or tensor_mats returns in
+    # degree 0 or 1 leaves the provider's own matrices, and a dual made
+    # afterwards, as they were
+    provider = sl2_provider()
+    alg = grow(sym_presentation(3), 2)
+    mats, transposed = list(provider.mats), [m.transpose()
+                                             for m in provider.mats]
+    powers = [list(provider.tensor_mats(r)) for r in (0, 1)]
+    for grown in (provider.h_action, provider.k_action):
+        for r in (0, 1):
+            got = grown(alg, r)
+            got[0] = _bump(got[0], 0, 0)
+    assert [provider.tensor_mats(r) for r in (0, 1)] == powers
+    for r in (0, 1):
+        got = provider.tensor_mats(r)
+        got[0] = _bump(got[0], 0, 0)
+    assert provider.mats == mats
+    assert dual_action(provider).mats == transposed
 
 
 def test_takiff_even_and_super():

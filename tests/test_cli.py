@@ -392,6 +392,45 @@ def test_complexes_built_do_not_depend_on_the_modules(tmp_path,
                 assert entries.setdefault((name, mod), entry) == entry
 
 
+@pytest.mark.parametrize("fault,failure", [
+    ("h-plain", "smash product not associative at ('law', 0, 2, 3)"),
+    ("h-dual", "dual side: smash product not associative at "
+     "('law', 1, 2, 3)"),
+    ("tensor-dual", "dual side: not a module algebra: "
+     "('relation escapes', 'e')"),
+], ids=["plain", "dual", "dual-module-algebra"])
+def test_smash_failure_branches(tmp_path, monkeypatch, fault, failure):
+    # the shared verdict passes, so smash can fail only on a fault of the
+    # implementation: one entry of the memoized action of f on H_3, of the
+    # provider or of its dual, or of e on the dual's V* (x) V*, is off
+    import koszulkit.cli as cli
+    from koszulkit.action import dual_action
+    from koszulkit.exactlin import F1, Mat
+    check_smash = cli._check_smash
+
+    def faulty(provider, acting, alg, dual_alg):
+        dual = dual_action(provider)
+        if fault == "tensor-dual":
+            mats, b, entry = dual.tensor_mats(2), 0, (1, 0)
+        else:
+            side, on = ((provider, alg) if fault == "h-plain"
+                        else (dual, dual_alg))
+            mats, b, entry = side.h_action(on, on.N), 2, (0, 0)
+        m = mats[b]
+        mats[b] = m + Mat.from_entries(m.rows, m.cols, [entry + (F1,)])
+        return check_smash(provider, acting, alg, dual_alg)
+
+    monkeypatch.setattr(cli, "_check_smash", faulty)
+    pres, act = emit(tmp_path, "sl2_adjoint_takiff")
+    args = cli.build_parser().parse_args([
+        "check", "--input", pres, "--action", act, "--checks", "smash",
+        "--max-degree", "3"])
+    report, code = cli.run_check(args)
+    assert code == 1 and report["verdict"] == "fail"
+    assert report["checks"] == {"smash": {"status": "fail",
+                                          "details": {"failure": failure}}}
+
+
 def test_zero_dimensional_module_is_parse_error(tmp_path, capsys):
     # k<x1, x2>/(x1^2 + x2 x1 + x2^2, x1 x2) is not Koszul at degree 4;
     # the complexes of a module of dimension 0 are exact there, so its
