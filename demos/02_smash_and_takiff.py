@@ -1,14 +1,21 @@
-"""Walkthrough: symmetry actions, smash products and Takiff Lie algebras.
+"""Walkthrough: symmetry actions, smash products and Takiff algebras.
 
 Run with:  python3 demos/02_smash_and_takiff.py
 """
 
+import contextlib
+import io
+import json
+import os
+import tempfile
+
 from koszulkit.action import (
-    dual_action, smash_ok, takiff, takiff_graded_dims, validate_jacobi,
-    validate_module_algebra,
+    action_bundle_to_json, dual_action, smash_ok, validate_module_algebra,
 )
+from koszulkit.cli import main
 from koszulkit.fixtures import (
-    c2_sign_provider, sl2_lie_action, sl2_provider, sym_presentation,
+    c2_sign_provider, ext_presentation, sl2_lie_action, sl2_provider,
+    sym_presentation,
 )
 from koszulkit.quadratic import grow, quadratic_dual
 
@@ -27,14 +34,27 @@ print("dual smash associative:",
       smash_ok(dual_action(provider), dual_alg) == (True, None))
 
 print()
-print("== sl2 and its Takiff extensions ==")
-lie = sl2_lie_action()
-print("sl2 on S(sl2): relations stable:",
-      validate_module_algebra(sl2_provider(), sym_presentation(3))
-      == (True, None))
-for parity in ("even", "super"):
-    t = takiff(lie, parity)
-    pbw, grown = takiff_graded_dims(t, 3)
-    print("%s Takiff: Jacobi holds: %s; graded dims %r match: %s"
-          % (parity, validate_jacobi(t) == (True, None), grown,
-             pbw == grown))
+print("== sl2 and its Takiff algebras ==")
+# By PBW, the enveloping algebra of the Takiff algebra sl2 + V, [V, V] = 0,
+# is the smash product U(sl2) # S(V), and with V odd it is
+# U(sl2) # Lambda(V); the takiff check reads which of the two the input
+# presentation is.
+with tempfile.TemporaryDirectory() as tmp:
+    action = os.path.join(tmp, "sl2.action.json")
+    with open(action, "w") as f:
+        json.dump(action_bundle_to_json(sl2_provider(),
+                                        sl2_lie_action().modules), f)
+    for label, pres in (("S(sl2)", sym_presentation(3)),
+                        ("Lambda(sl2)", ext_presentation(3))):
+        path = os.path.join(tmp, "p.json")
+        report = os.path.join(tmp, "r.json")
+        with open(path, "w") as f:
+            json.dump(pres.to_json_obj(), f)
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["check", "--input", path, "--action", action, "--checks",
+                  "takiff", "--max-degree", "3", "--out", report])
+        with open(report) as f:
+            takiff = json.load(f)["checks"]["takiff"]["details"]
+        print("sl2 on %s: smash product associative: %s; Takiff algebra: %s"
+              % (label, smash_ok(sl2_provider(), grow(pres, 3))
+                 == (True, None), takiff["takiff_algebra"]))

@@ -5,7 +5,7 @@ Submodules:
                kernels, kron
   graded    -- graded spaces, bigraded complexes, homology with windows
   quadratic -- quadratic algebras, duals, Koszul complexes, contractions
-  action    -- bialgebras, Lie actions, module algebras, smash products, Takiff
+  action    -- bialgebras, Lie actions, module algebras, smash products
   duality   -- I/P complexes, socle/top complexes, identifications, round trips
   fixtures  -- built-in presentations, actions and modules used by the CLI/tests
   cli       -- `koszulkit check | fixtures | report-diff`

@@ -1,5 +1,5 @@
-"""Degree-zero-side structure: acting objects, module algebras,
-semidirect (smash) products and Takiff-type Lie (super)algebras.
+"""Degree-zero-side structure: acting objects, module algebras and
+semidirect (smash) products.
 
 An acting object is a finite basis together with five pieces of data,
 which each source format computes once and ActionProvider reads:
@@ -211,23 +211,15 @@ def validate_bialgebra(b):
 # ---------------------------------------------------------------------------
 # Lie actions
 
-class _Bracket:
-    """A bracket by structure constants: brackets[(a, b)] is the
-    coefficient vector of [x_a, x_b] over a basis of size dim; missing
-    keys are zero."""
-
-    def bracket_basis(self, a, b):
-        return list(self.brackets.get((a, b), [F0] * self.dim))
-
-
-class LieAction(_Bracket):
+class LieAction:
     """Lie algebra by structure constants with a representation on V and
     optional representations on named test modules.
 
-    rho[a] is the matrix of x_a on V (a left action).  legs, counit, unit,
-    laws and inverse_antipode are the acting-object data of the module
-    docstring: every basis element is primitive, and the laws are the
-    brackets."""
+    brackets[(a, b)] is the coefficient vector of [x_a, x_b]; missing keys
+    are zero.  rho[a] is the matrix of x_a on V (a left action).  legs,
+    counit, unit, laws and inverse_antipode are the acting-object data of
+    the module docstring: every basis element is primitive, and the laws
+    are the brackets."""
 
     def __init__(self, names, brackets, rho, modules=None):
         self.names = list(names)
@@ -247,6 +239,9 @@ class LieAction(_Bracket):
         self.laws = [(self.bracket_basis(a, b), [(F1, a, b), (-F1, b, a)])
                      for a in range(self.dim) for b in range(self.dim)]
         self.inverse_antipode = (-Mat.identity(self.dim)).tolist()
+
+    def bracket_basis(self, a, b):
+        return list(self.brackets.get((a, b), [F0] * self.dim))
 
     def to_json_obj(self):
         br = {}
@@ -296,30 +291,23 @@ class LieAction(_Bracket):
         return LieAction(names, brackets, rho, modules)
 
 
-def _jacobi_ok(br, parities):
-    """Graded antisymmetry plus the graded cyclic Jacobi identity of the
-    bracket br on all basis triples; plain Lie is the all-even case."""
-    dim, bracket_basis = br.dim, br.bracket_basis
+def _jacobi_ok(l):
+    """Antisymmetry plus the cyclic Jacobi identity of the bracket of l on
+    all basis triples."""
+    dim, bracket_basis = l.dim, l.bracket_basis
     for a in range(dim):
         for b in range(dim):
-            sign = -1 if (parities[a] and parities[b]) else 1
-            lhs = bracket_basis(a, b)
-            rhs = [sign * -x for x in bracket_basis(b, a)]
-            if lhs != rhs:
+            if bracket_basis(a, b) != [-x for x in bracket_basis(b, a)]:
                 return False, ("antisymmetry", a, b)
     for a in range(dim):
         for b in range(dim):
             for c in range(dim):
-                s_ac = -1 if (parities[a] and parities[c]) else 1
-                s_ba = -1 if (parities[b] and parities[a]) else 1
-                s_cb = -1 if (parities[c] and parities[b]) else 1
                 total = [F0] * dim
-                for s, (x, y, z) in ((s_ac, (a, b, c)), (s_ba, (b, c, a)),
-                                     (s_cb, (c, a, b))):
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
                     for w, u in enumerate(bracket_basis(y, z)):
                         if u:
                             for i, t in enumerate(bracket_basis(x, w)):
-                                total[i] += s * u * t
+                                total[i] += u * t
                 if any(total):
                     return False, ("jacobi", a, b, c)
     return True, None
@@ -328,7 +316,7 @@ def _jacobi_ok(br, parities):
 def validate_lie(l):
     """Antisymmetry, Jacobi, and the representation property on V; the
     test modules are checked on their own (validate_left_modules)."""
-    ok, where = _jacobi_ok(l, [0] * l.dim)
+    ok, where = _jacobi_ok(l)
     if not ok:
         return ok, where
     ok, where = _laws_ok(l.laws, l.rho)
@@ -616,79 +604,6 @@ def _smash_failure(provider, alg, top):
             if a is not None:
                 return ("leibniz", a, i, j)
     return None
-
-
-# ---------------------------------------------------------------------------
-# Takiff constructions
-
-class TakiffLie(_Bracket):
-    """Lie (super)algebra on g + V: the bracket restricts to g, g acts on
-    V, and V brackets to zero.  In the super case V sits in odd parity.
-
-    The mixed bracket is stored in its graded-antisymmetric form
-    [x, v] = xv, [v, x] = -xv for both parities; with V odd this is the
-    unique graded-antisymmetric completion, and it is the one that
-    satisfies the super Jacobi identity."""
-
-    def __init__(self, lie, parity):
-        if parity not in ("even", "super"):
-            raise ValueError("parity must be 'even' or 'super', not %r"
-                             % (parity,))
-        self.base = lie
-        self.parity = parity
-        m, k = lie.dim, lie.v_dim
-        self.dim = m + k
-        self.names = list(lie.names) + ["v%d" % (i + 1) for i in range(k)]
-        self.parities = [0] * m + ([1] * k if parity == "super" else [0] * k)
-        self.brackets = {}
-        for (a, b), vec in lie.brackets.items():
-            self.brackets[(a, b)] = list(vec) + [F0] * k
-        for a in range(m):
-            rho = lie.rho[a]
-            for i in range(k):
-                col = rho.col(i)
-                if any(col):
-                    self.brackets[(a, m + i)] = [F0] * m + col
-                    self.brackets[(m + i, a)] = [F0] * m + [-x for x in col]
-
-
-def validate_jacobi(t):
-    """Graded antisymmetry + graded Jacobi on all basis triples."""
-    return _jacobi_ok(t, t.parities)
-
-
-def takiff(lie, parity):
-    ok, where = validate_lie(lie)
-    if not ok:
-        raise ValueError("invalid Lie action: %r" % (where,))
-    t = TakiffLie(lie, parity)
-    ok, where = validate_jacobi(t)
-    if not ok:
-        raise ValueError("Takiff bracket fails Jacobi at %r" % (where,))
-    return t
-
-
-def takiff_graded_dims(t, D):
-    """Dimension bookkeeping for the enveloping algebra of the Takiff
-    (super)algebra, graded by V-degree and truncated at D.
-
-    Returns (pbw_counts, grown_dims): the count of ordered monomials with
-    d factors from V predicted by a PBW basis, against the degree-d
-    dimension of the corresponding quadratic algebra on V (symmetric for
-    even parity, exterior for super), computed independently by the
-    relation-growth engine."""
-    from math import comb
-    from koszulkit.quadratic import ext_presentation, grow, sym_presentation
-    k = t.base.v_dim
-    if t.parity == "super":
-        pbw = [comb(k, d) for d in range(D + 1)]
-    else:
-        pbw = [1] + [comb(k + d - 1, d) for d in range(1, D + 1)]
-    if k == 0:
-        return pbw, [1] + [0] * D
-    pres = (ext_presentation(k) if t.parity == "super"
-            else sym_presentation(k))
-    return pbw, grow(pres, D).hdims()
 
 
 # ---------------------------------------------------------------------------

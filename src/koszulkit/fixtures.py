@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from koszulkit.exactlin import F1, Subspace
 # the standard presentations live in quadratic, so that a check run (the
-# Takiff dimensions) builds them without loading this module
+# takiff check's comparison) builds them without loading this module
 from koszulkit.quadratic import (
     QuadraticPresentation, ext_presentation, free_presentation,
     sym_presentation,

@@ -8,10 +8,7 @@ import json
 import time
 from math import comb
 
-from koszulkit.action import (
-    dual_action, smash_ok, takiff, takiff_graded_dims, validate_jacobi,
-    validate_module_algebra,
-)
+from koszulkit.action import dual_action, smash_ok, validate_module_algebra
 from koszulkit.cli import property_cases_report
 from koszulkit.duality import (
     I_complex, P_complex, degree_zero_module, diagonal_vanishing,
@@ -34,6 +31,7 @@ from module_oracle import (
     identify_socI_of, identify_topP_of, koszulity_via_duality_of,
     roundtrip_A_of, roundtrip_B_of,
 )
+from takiff_oracle import takiff, takiff_graded_dims, validate_jacobi
 
 
 def _verdict(num, ok, text):

@@ -4,9 +4,9 @@ import pytest
 
 from koszulkit.action import (
     ActionProvider, Bialgebra, LieAction, action_bundle_from_json,
-    action_bundle_to_json, dual_action, smash_ok, takiff, takiff_graded_dims, tensor_action, validate_action_multiplicative,
-    validate_bialgebra, validate_jacobi, validate_left_modules, validate_lie,
-    validate_module_algebra,
+    action_bundle_to_json, dual_action, smash_ok, tensor_action,
+    validate_action_multiplicative, validate_bialgebra, validate_left_modules,
+    validate_lie, validate_module_algebra,
 )
 from koszulkit.duality import P0
 from koszulkit.exactlin import F0, F1, Mat, Subspace, kron
@@ -18,6 +18,9 @@ from koszulkit.fixtures import (
 )
 from koszulkit.quadratic import (
     QuadraticPresentation, grow, quadratic_dual, reversal_perm,
+)
+from takiff_oracle import (
+    TakiffLie, takiff, takiff_graded_dims, validate_jacobi,
 )
 
 
@@ -516,6 +519,55 @@ def test_validate_left_modules_failure():
 def _bump(m, i, j):
     """m with one added to its entry (i, j)."""
     return m + Mat.from_entries(m.rows, m.cols, [(i, j, F1)])
+
+
+def _lie_inputs():
+    """Lie inputs by name, valid and not: sl2 on its adjoint and standard
+    representations, a one-dimensional Lie algebra on a nilpotent matrix
+    and on V = 0, and sl2 with one entry of f on V, one bracket or one
+    antisymmetric pair off."""
+    sl2 = sl2_lie_action()
+    std = [Mat.from_rows(m) for m in ([[0, 1], [0, 0]], [[1, 0], [0, -1]],
+                                      [[0, 0], [1, 0]])]
+    bad_f = [sl2.rho[0], sl2.rho[1], _bump(sl2.rho[2], 0, 2)]
+    jacobi = dict(sl2.brackets)
+    jacobi[(1, 0)], jacobi[(0, 1)] = [3, 0, 0], [-3, 0, 0]
+    antisym = dict(sl2.brackets)
+    antisym[(1, 0)] = [3, 0, 0]
+    return {
+        "sl2_adjoint": sl2,
+        "sl2_standard": LieAction(sl2.names, sl2.brackets, std),
+        "line_nilpotent": LieAction(["z"], {}, [Mat.from_rows([[0, 1],
+                                                               [0, 0]])]),
+        "line_on_zero": LieAction(["z"], {}, [Mat.zeros(0, 0)]),
+        "sl2_bad_f": LieAction(sl2.names, sl2.brackets, bad_f),
+        "sl2_bad_bracket": LieAction(sl2.names, jacobi, sl2.rho),
+        "sl2_bad_antisymmetry": LieAction(sl2.names, antisym, sl2.rho),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_lie_inputs()))
+def test_takiff_oracle_behind_the_kept_keys(name):
+    # the takiff check reads its Jacobi and PBW keys from the Lie verdict:
+    # the Takiff bracket on g + V satisfies (super-)Jacobi exactly when
+    # validate_lie passes, and the PBW counts it reports are the grown
+    # dimensions of S(V) and Lambda(V)
+    from koszulkit.cli import _check_takiff
+    lie = _lie_inputs()[name]
+    valid = validate_lie(lie) == (True, None)
+    assert valid == name.startswith(("sl2_adjoint", "sl2_standard", "line"))
+    if valid:
+        status, details = _check_takiff(sym_presentation(lie.v_dim),
+                                        ActionProvider.from_lie(lie),
+                                        ("lie", None, None, {}))
+        assert status == "pass"
+    for parity in ("even", "super"):
+        t = TakiffLie(lie, parity)
+        assert (validate_jacobi(t) == (True, None)) == valid, parity
+        if valid:
+            pbw, grown = takiff_graded_dims(t, 3)
+            assert pbw == grown == details["%s_graded_dims" % parity]
+            assert details["%s_jacobi" % parity] is True
 
 
 def test_law_failures_lie():

@@ -87,6 +87,30 @@ def test_check_sl2_all(tmp_path):
     assert report["checks"]["duality"]["status"] == "pass"
 
 
+@pytest.mark.parametrize("presentation,algebra", [
+    ("sym_presentation", "even"), ("ext_presentation", "super"),
+    ("free_presentation", "neither")])
+def test_takiff_reads_which_takiff_algebra_the_input_is(tmp_path,
+                                                        presentation,
+                                                        algebra):
+    # sl2 on S(sl2) and on Lambda(sl2) is the even and the super Takiff
+    # algebra, and on the free algebra neither; the Lie axioms hold in all
+    # three, so the kept keys read the same
+    import koszulkit.quadratic as quadratic
+    _, act = emit(tmp_path, "sl2_adjoint_takiff")
+    pres = tmp_path / "p.json"
+    pres.write_text(json.dumps(
+        getattr(quadratic, presentation)(3).to_json_obj()))
+    out = tmp_path / "r.json"
+    assert run(["check", "--input", str(pres), "--action", act, "--checks",
+                "takiff", "--max-degree", "3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["checks"]["takiff"] == {
+        "status": "pass",
+        "details": {"even_jacobi": True, "even_graded_dims": [1, 3, 6, 10],
+                    "super_jacobi": True, "super_graded_dims": [1, 3, 3, 1],
+                    "takiff_algebra": algebra}}
+
+
 def test_check_module_restriction(tmp_path):
     pres, act = emit(tmp_path, "c2_sign_takiff")
     out = str(tmp_path / "r.json")
@@ -282,6 +306,85 @@ def test_roundtrip_d_squared_failure_is_internal_error(tmp_path,
         "status": "internal-error",
         "details": {"failure": "round-trip complex of module 'k': "
                     "socle differential fails d^2=0 at (0, -1)"}}
+
+
+RAISE_IN_K_ACTION = """
+import sys
+import koszulkit.cli as cli
+from koszulkit.action import ActionProvider
+
+k_action = ActionProvider.k_action
+
+def raising(self, alg, r):
+    if r == 2:
+        raise ValueError("subspace K_2 is not invariant under the action")
+    return k_action(self, alg, r)
+
+ActionProvider.k_action = raising
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_value_error_inside_a_check_is_internal_error(tmp_path):
+    # a ValueError raised below a check is an implementation error: exit 3
+    # with its message in the report, not a traceback and exit 1
+    pres, act = emit(tmp_path, "sl2_adjoint_takiff")
+    out = tmp_path / "r.json"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(koszulkit.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", RAISE_IN_K_ACTION, "check", "--input", pres,
+         "--action", act, "--checks", "duality", "--max-degree", "3",
+         "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads(out.read_text())
+    assert report["verdict"] == "internal-error"
+    assert report["checks"]["duality"] == {
+        "status": "internal-error",
+        "details": {"failure": "subspace K_2 is not invariant under the "
+                    "action"}}
+
+
+def test_double_dual_that_loses_the_relations_is_internal_error(
+        tmp_path, monkeypatch):
+    import koszulkit.cli as cli
+    from koszulkit.exactlin import Subspace
+    from koszulkit.quadratic import QuadraticPresentation
+    quadratic_dual = cli.quadratic_dual
+
+    def lossy(pres):
+        dual = quadratic_dual(pres)
+        if not pres.gen_names[0].endswith("*"):
+            return dual
+        return QuadraticPresentation(dual.gen_names, Subspace.zero(
+            dual.n ** 2))
+
+    monkeypatch.setattr(cli, "quadratic_dual", lossy)
+    pres, _ = emit(tmp_path, "sym_2")
+    out = tmp_path / "r.json"
+    assert run(["check", "--input", pres, "--checks", "dual",
+                "--max-degree", "3", "--out", str(out)]) == 3
+    assert json.loads(out.read_text())["checks"]["dual"] == {
+        "status": "internal-error",
+        "details": {"failure": "double dual lost the relation space"}}
+
+
+def test_koszul_subspace_dims_off_the_dual_are_internal_error(
+        tmp_path, monkeypatch):
+    from koszulkit.quadratic import TruncatedGradedAlgebra
+    # K_2 counted one too large
+    kdims = TruncatedGradedAlgebra.kdims
+    monkeypatch.setattr(TruncatedGradedAlgebra, "kdims", lambda self: [
+        d + (i == 2) for i, d in enumerate(kdims(self))])
+    pres, _ = emit(tmp_path, "sym_2")
+    out = tmp_path / "r.json"
+    assert run(["check", "--input", pres, "--checks", "dual",
+                "--max-degree", "3", "--out", str(out)]) == 3
+    assert json.loads(out.read_text())["checks"]["dual"] == {
+        "status": "internal-error",
+        "details": {"failure": "Koszul subspace dims differ from the dual"}}
 
 
 @pytest.mark.parametrize("method,key,checks,failure", [
@@ -648,6 +751,25 @@ def test_failed_acting_object_builds_no_pairing(tmp_path, monkeypatch,
             assert report["checks"][name] == {
                 "status": "fail",
                 "details": {"failure": "bialgebra axiom: counit law"}}
+
+
+def test_action_that_is_not_unital_is_reported_as_such(tmp_path):
+    # C2 with 1 and g both acting by diag(1, 0) on sym_2 satisfies the
+    # laws on V and V (x) V and keeps the relations, but the unit does not
+    # act as the identity
+    pres, _ = emit(tmp_path, "sym_2")
+    proj = [["1", "0"], ["0", "0"]]
+    act = tmp_path / "projection.json"
+    act.write_text(json.dumps(_edit(_c2_bundle(), ("action",),
+                                    [proj, proj])))
+    out = tmp_path / "r.json"
+    assert run(["check", "--input", pres, "--action", str(act), "--checks",
+                "all", "--max-degree", "3", "--out", str(out)]) == 1
+    checks = json.loads(out.read_text())["checks"]
+    for name in ("validate", "smash", "duality", "roundtrip"):
+        assert checks[name]["status"] == "fail", name
+        assert checks[name]["details"]["failure"] == (
+            "action not unital: ('unit law',)"), name
 
 
 NO_ANTIPODE = {

@@ -34,6 +34,18 @@ def test_check_d_squared_failure():
         homology(c)
 
 
+def test_homology_rank_check_behind_a_stale_d_squared_verdict():
+    # homology reads the memoized d^2 verdict; preset to a pass on a
+    # complex with d^2 != 0, its rank check still refuses a negative
+    # homology dimension
+    c = BigradedComplex((0, 2), (0, 0), {(0, 0): 1, (1, 0): 1, (2, 0): 1},
+                        {(0, 0): Mat.identity(1), (1, 0): Mat.identity(1)})
+    c._d_squared = (True, None)
+    with pytest.raises(ValueError, match=r"^the image at \(1, 0\) has rank "
+                       r"1, above the kernel dimension 0$"):
+        homology(c)
+
+
 def test_homology_zero_and_identity():
     zc = BigradedComplex((0, 2), (0, 1), {}, {})
     rep = homology(zc)

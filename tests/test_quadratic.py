@@ -425,6 +425,48 @@ def test_m_bar_matches_kron_expression():
                         @ kron(ih, alg.incl_left(j))), (name, j, i)
 
 
+def _associativity_failure(alg):
+    """The first (i, j), i >= 2, at which mult(i, j) o (mult(1, i - 1) (x)
+    id) differs from mult(1, i - 1 + j) o (id (x) mult(i - 1, j)) on
+    V (x) H_(i-1) (x) H_j; None when the grown products are associative.
+    The products at i = 1 or j = 0 meet the identity trivially."""
+    for i in range(2, alg.N + 1):
+        for j in range(alg.N + 1 - i):
+            lhs = alg.mult(i, j) @ kron(alg.mult(1, i - 1), alg.hdim(j))
+            rhs = alg.mult(1, i - 1 + j) @ kron(alg.n, alg.mult(i - 1, j))
+            if lhs != rhs:
+                return i, j
+    return None
+
+
+def test_grown_products_are_associative():
+    for name in FIXTURE_NAMES:
+        pres = QuadraticPresentation.from_json_obj(
+            fixture_bundle(name)["presentation"])
+        for p in (pres, quadratic_dual(pres)):
+            assert _associativity_failure(grow(p, 6)) is None, (name, p)
+
+
+@pytest.mark.parametrize("pres,entries", [(sym_presentation(3), 180),
+                                          (ext_presentation(3), 9)],
+                         ids=["sym_3", "ext_3"])
+def test_associativity_catches_every_one_entry_fault(pres, entries):
+    # every product is memoized first: a product not yet built would be
+    # grown from the faulty mult(2, 1), and the fault would hide
+    alg = grow(pres, 3)
+    for i in range(4):
+        for j in range(4 - i):
+            alg.mult(i, j)
+    good = alg.mult(2, 1)
+    caught = 0
+    for r in range(good.rows):
+        for c in range(good.cols):
+            alg._mult[(2, 1)] = good + Mat.from_entries(
+                good.rows, good.cols, [(r, c, F1)])
+            caught += _associativity_failure(alg) == (2, 1)
+    assert caught == good.rows * good.cols == entries
+
+
 def test_generator_mult_is_the_kron_product():
     # multiplication by one generator is a column slice of mult; the
     # product with a standard basis column is its definition
@@ -469,6 +511,23 @@ def test_singular_pairing_names_the_pairing_and_degree(monkeypatch):
             with pytest.raises(ValueError,
                                match=r"pairing g%d\(2\) is singular" % which):
                 DualityPairing(alg, dual)
+
+
+def test_pairing_that_is_not_square_names_the_pairing_and_degree(
+        monkeypatch):
+    # K!_2 included with its last column dropped: g1(2) pairs the six
+    # normal words of degree 2 with five Koszul vectors
+    pres = sym_presentation(3)
+    alg, dual = grow(pres, 3), grow(quadratic_dual(pres), 3)
+    incl_left = dual.incl_left
+    m = incl_left(2)
+    narrow = Mat.from_entries(m.rows, m.cols - 1, [
+        (r, c, x) for r, c, x in m.entries() if c != m.cols - 1])
+    monkeypatch.setattr(dual, "incl_left",
+                        lambda i: narrow if i == 2 else incl_left(i))
+    with pytest.raises(ValueError,
+                       match=r"^pairing g1\(2\) is 6 x 5, not square$"):
+        DualityPairing(alg, dual)
 
 
 def test_koszulity_check():
