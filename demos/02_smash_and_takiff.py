@@ -13,11 +13,10 @@ from koszulkit.action import (
     action_bundle_to_json, dual_action, smash_ok, validate_module_algebra,
 )
 from koszulkit.cli import main
-from koszulkit.fixtures import (
-    c2_sign_provider, ext_presentation, sl2_lie_action, sl2_provider,
-    sym_presentation,
+from koszulkit.fixtures import c2_sign_provider, sl2_lie_action, sl2_provider
+from koszulkit.quadratic import (
+    ext_presentation, grow, quadratic_dual, sym_presentation,
 )
-from koszulkit.quadratic import grow, quadratic_dual
 
 print("== C2 flipping the sign of the polynomial generator ==")
 provider = c2_sign_provider()

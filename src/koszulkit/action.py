@@ -471,6 +471,20 @@ class ActionProvider:
         return grown[i]
 
 
+def trivial_bialgebra():
+    """The one-dimensional bialgebra k."""
+    return Bialgebra(1, Mat.identity(1), [1], Mat.identity(1),
+                     Mat.identity(1), ["1"])
+
+
+def trivial_provider(n):
+    """k acting on a space of dimension n (no symmetry): every module over
+    it is just a vector space.  The checks use it when no action file is
+    given."""
+    return ActionProvider.from_bialgebra(trivial_bialgebra(),
+                                         [Mat.identity(n)])
+
+
 def tensor_action(provider, mats1, mats2, reverse=False):
     """Matrices of the acting basis on W1 (x) W2, given its matrices on W1
     and on W2: b acts as the sum over its legs of

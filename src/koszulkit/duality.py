@@ -557,22 +557,6 @@ def h0_certificate(dcx, X):
     return True, None
 
 
-def diagonal_vanishing(dcx):
-    """Vanishing of the homology on the boundary diagonal: for the
-    injective side H_r at internal degree -r (r > 0), for the projective
-    side H_{-r} at internal degree r (r > 0)."""
-    rep = homology(dcx.cx)
-    sign = 1 if dcx.kind in ("I", "socI") else -1
-    for (r, s) in dcx.cx.cells():
-        if r * sign <= 0 or s != -r:
-            continue
-        if not rep.valid(r, s) or not dcx.is_complete(r, s):
-            continue
-        if rep.dim(r, s) != 0:
-            return False, (r, s)
-    return True, None
-
-
 # ---------------------------------------------------------------------------
 # the model identifications
 

@@ -608,11 +608,6 @@ def kernel(m):
     return Subspace.from_rows(m.cols, _mat(len(rows), m.cols, rows, b._frac))
 
 
-def image(m):
-    """Canonical basis of the column span of m (as a subspace of Q^rows)."""
-    return Subspace.from_rows(m.rows, m.transpose())
-
-
 def quotient(ambient_dim, s):
     """Projection/section pair for Q^ambient / s.
 

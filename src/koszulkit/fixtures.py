@@ -1,179 +1,194 @@
-"""Built-in example inputs: presentations, actions and test modules.
+"""Built-in example inputs, held as data.
 
-These are the canonical small inputs used by the test suite and emitted by
-`koszulkit fixtures`.  Generator names follow x1, x2, ... except where a
-classical letter is clearer (t for one variable, e/h/f for sl2).
+The ten inputs that `koszulkit fixtures` writes are kept here as the JSON
+objects of their files: a quadratic presentation each, and for three of
+them an action file (the acting object, its action on the generators and
+named test modules).  Generator names follow x1, x2, ... except where a
+classical letter is clearer (t for one variable, e/h/f for sl2).  This
+module imports no algebra layer at module level, so `koszulkit fixtures`
+loads none.
+
+The builders at the end give the same inputs as koszulkit objects, for
+the tests, the demos and library use.  Each parses the data with the
+parser that `check` runs on a file (QuadraticPresentation.from_json_obj,
+action_bundle_from_json), so the data is the one source of truth.
 """
 
 from __future__ import annotations
 
-from koszulkit.exactlin import F1, Subspace
-# the standard presentations live in quadratic, so that a check run (the
-# takiff check's comparison) builds them without loading this module
-from koszulkit.quadratic import (
-    QuadraticPresentation, ext_presentation, free_presentation,
-    sym_presentation,
-)
+import json
+
+_SYM_1 = {"generators": ["t"], "relations": []}
+_SYM_3 = {"generators": ["x1", "x2", "x3"], "relations": [
+    {"terms": [{"c": "1", "m": ["x1", "x2"]},
+               {"c": "-1", "m": ["x2", "x1"]}]},
+    {"terms": [{"c": "1", "m": ["x1", "x3"]},
+               {"c": "-1", "m": ["x3", "x1"]}]},
+    {"terms": [{"c": "1", "m": ["x2", "x3"]},
+               {"c": "-1", "m": ["x3", "x2"]}]}]}
+# one generator squaring to zero
+_DUAL_NUMBERS = {"generators": ["t"], "relations": [
+    {"terms": [{"c": "1", "m": ["t", "t"]}]}]}
+
+# the relation spaces are written in their canonical (RREF) bases
+_PRESENTATIONS = {
+    "sym_1": _SYM_1,
+    "sym_2": {"generators": ["x1", "x2"], "relations": [
+        {"terms": [{"c": "1", "m": ["x1", "x2"]},
+                   {"c": "-1", "m": ["x2", "x1"]}]}]},
+    "sym_3": _SYM_3,
+    "ext_2": {"generators": ["x1", "x2"], "relations": [
+        {"terms": [{"c": "1", "m": ["x1", "x1"]}]},
+        {"terms": [{"c": "1", "m": ["x1", "x2"]},
+                   {"c": "1", "m": ["x2", "x1"]}]},
+        {"terms": [{"c": "1", "m": ["x2", "x2"]}]}]},
+    "ext_3": {"generators": ["x1", "x2", "x3"], "relations": [
+        {"terms": [{"c": "1", "m": ["x1", "x1"]}]},
+        {"terms": [{"c": "1", "m": ["x1", "x2"]},
+                   {"c": "1", "m": ["x2", "x1"]}]},
+        {"terms": [{"c": "1", "m": ["x1", "x3"]},
+                   {"c": "1", "m": ["x3", "x1"]}]},
+        {"terms": [{"c": "1", "m": ["x2", "x2"]}]},
+        {"terms": [{"c": "1", "m": ["x2", "x3"]},
+                   {"c": "1", "m": ["x3", "x2"]}]},
+        {"terms": [{"c": "1", "m": ["x3", "x3"]}]}]},
+    "free_2": {"generators": ["x1", "x2"], "relations": []},
+    "dual_numbers": _DUAL_NUMBERS,
+}
+
+# the adjoint representation of sl2 in the basis e, h, f
+_AD_SL2 = {"e": [["0", "-2", "0"], ["0", "0", "1"], ["0", "0", "0"]],
+           "h": [["2", "0", "0"], ["0", "0", "0"], ["0", "0", "-2"]],
+           "f": [["0", "0", "0"], ["-1", "0", "0"], ["0", "2", "0"]]}
+
+# name: (presentation, action file); tensor squares are flattened row-major
+_ACTIONS = {
+    # the group algebra of C2 (basis 1, g with g*g = 1) acting on k[t] by
+    # t <| g = -t; test modules: the trivial and the sign module
+    "c2_sign_takiff": (_SYM_1, {
+        "bialgebra": {
+            "dim": 2, "names": ["1", "g"], "unit": ["1", "0"],
+            "counit": ["1", "1"],
+            "mult": [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]],
+            "comult": [["1", "0"], ["0", "0"], ["0", "0"], ["0", "1"]]},
+        "action": [[["1"]], [["-1"]]],
+        "modules": {"triv": {"dim": 1, "action": [[["1"]], [["1"]]]},
+                    "sign": {"dim": 1, "action": [[["1"]], [["-1"]]]}}}),
+    # sl2 acting on S(sl2) through its adjoint representation, the even
+    # Takiff algebra; test modules: the trivial and the adjoint module
+    "sl2_adjoint_takiff": (_SYM_3, {
+        "lie": {"basis": ["e", "h", "f"],
+                "brackets": {"e,f": [{"c": "1", "b": "h"}],
+                             "e,h": [{"c": "-2", "b": "e"}],
+                             "h,f": [{"c": "-2", "b": "f"}]},
+                "action": _AD_SL2},
+        "modules": {
+            "triv": {"dim": 1, "action": {"e": [["0"]], "h": [["0"]],
+                                          "f": [["0"]]}},
+            "adjoint": {"dim": 3, "action": _AD_SL2}}}),
+    # the 4-dimensional non-cocommutative Sweedler algebra, basis 1, g, x,
+    # gx with g*g = 1, x*x = 0, x*g = -g*x, g group-like and x
+    # skew-primitive (x |-> x (x) 1 + g (x) x), acting on the dual numbers
+    # with g by -1 and x by 0 (forced on a one-dimensional space by x*x = 0
+    # and the module-algebra law); test module: m0, m1 with g diag(1, -1)
+    # and x sending m0 to m1, which exercises the order of the legs
+    "sweedler_optional": (_DUAL_NUMBERS, {
+        "bialgebra": {
+            "dim": 4, "names": ["1", "g", "x", "gx"],
+            "unit": ["1", "0", "0", "0"], "counit": ["1", "1", "0", "0"],
+            # mult[a][b] is the product of basis elements a and b
+            "mult": [
+                [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                 ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+                [["0", "1", "0", "0"], ["1", "0", "0", "0"],
+                 ["0", "0", "0", "1"], ["0", "0", "1", "0"]],
+                [["0", "0", "1", "0"], ["0", "0", "0", "-1"],
+                 ["0", "0", "0", "0"], ["0", "0", "0", "0"]],
+                [["0", "0", "0", "1"], ["0", "0", "-1", "0"],
+                 ["0", "0", "0", "0"], ["0", "0", "0", "0"]]],
+            # column b is the image of basis element b in the tensor square
+            "comult": [
+                ["1", "0", "0", "0"], ["0", "0", "0", "0"],
+                ["0", "0", "0", "0"], ["0", "0", "0", "1"],
+                ["0", "0", "0", "0"], ["0", "1", "0", "0"],
+                ["0", "0", "1", "0"], ["0", "0", "0", "0"],
+                ["0", "0", "1", "0"], ["0", "0", "0", "0"],
+                ["0", "0", "0", "0"], ["0", "0", "0", "0"],
+                ["0", "0", "0", "0"], ["0", "0", "0", "1"],
+                ["0", "0", "0", "0"], ["0", "0", "0", "0"]]},
+        "action": [[["1"]], [["-1"]], [["0"]], [["0"]]],
+        "modules": {"two_dim": {"dim": 2, "action": [
+            [["1", "0"], ["0", "1"]], [["1", "0"], ["0", "-1"]],
+            [["0", "0"], ["1", "0"]], [["0", "0"], ["-1", "0"]]]}}}),
+}
+
+FIXTURE_NAMES = sorted([*_PRESENTATIONS, *_ACTIONS])
+
+
+def fixture_bundle(name):
+    """{"presentation": JSON object, "action": JSON object or None} of the
+    named input, a fresh copy that shares nothing with the data or within
+    itself; KeyError for an unknown name."""
+    if name in _PRESENTATIONS:
+        pres, action = _PRESENTATIONS[name], None
+    elif name in _ACTIONS:
+        pres, action = _ACTIONS[name]
+    else:
+        raise KeyError("unknown fixture %r" % name)
+    return json.loads(json.dumps({"presentation": pres, "action": action}))
+
+
+# ---------------------------------------------------------------------------
+# the inputs as koszulkit objects, parsed from the data
+
+def _presentation(name):
+    from koszulkit.quadratic import QuadraticPresentation
+    return QuadraticPresentation.from_json_obj(
+        fixture_bundle(name)["presentation"])
+
+
+def _action(name):
+    """(provider, modules) of the named input's action file."""
+    from koszulkit.action import action_bundle_from_json
+    return action_bundle_from_json(fixture_bundle(name)["action"])
+
+
+PRESENTATION_FIXTURES = {name: (lambda name=name: _presentation(name))
+                         for name in _PRESENTATIONS}
 
 
 def dual_numbers_presentation():
-    """One generator squaring to zero."""
-    return QuadraticPresentation(["t"], Subspace.from_rows(1, [[F1]]))
-
-
-PRESENTATION_FIXTURES = {
-    "sym_1": lambda: sym_presentation(1),
-    "sym_2": lambda: sym_presentation(2),
-    "sym_3": lambda: sym_presentation(3),
-    "ext_2": lambda: ext_presentation(2),
-    "ext_3": lambda: ext_presentation(3),
-    "free_2": lambda: free_presentation(2),
-    "dual_numbers": dual_numbers_presentation,
-}
-
-
-# ---------------------------------------------------------------------------
-# acting objects
-
-def _m(rows):
-    from koszulkit.exactlin import Mat
-    return Mat.from_rows(rows)
-
-
-def trivial_bialgebra():
-    from koszulkit.action import Bialgebra
-    return Bialgebra(1, _m([[1]]), [1], _m([[1]]), _m([[1]]), ["1"])
-
-
-def c2_group_algebra():
-    """Group algebra of the order-2 group; basis 1, g with g*g = 1."""
-    from koszulkit.action import Bialgebra
-    mult = _m([[1, 0, 0, 1],
-               [0, 1, 1, 0]])
-    comult = _m([[1, 0], [0, 0], [0, 0], [0, 1]])
-    counit = _m([[1, 1]])
-    return Bialgebra(2, mult, [1, 0], comult, counit, ["1", "g"])
-
-
-def sweedler_bialgebra():
-    """The 4-dimensional non-cocommutative Hopf algebra: basis 1, g, x, gx
-    with g*g = 1, x*x = 0, x*g = -g*x, comultiplication g group-like and
-    x skew-primitive (x |-> x (x) 1 + g (x) x)."""
-    from koszulkit.action import Bialgebra
-    from koszulkit.exactlin import Mat
-    names = ["1", "g", "x", "gx"]
-    table = {
-        (0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (0, 3): {3: 1},
-        (1, 0): {1: 1}, (1, 1): {0: 1}, (1, 2): {3: 1}, (1, 3): {2: 1},
-        (2, 0): {2: 1}, (2, 1): {3: -1}, (2, 2): {}, (2, 3): {},
-        (3, 0): {3: 1}, (3, 1): {2: -1}, (3, 2): {}, (3, 3): {},
-    }
-    mult = Mat.from_entries(4, 16, ((c, a * 4 + b, v)
-                                    for (a, b), out in table.items()
-                                    for c, v in out.items()))
-    # columns: images of 1, g, x, gx in the 16-dim tensor square
-    comult = Mat.from_entries(16, 4, [
-        (0 * 4 + 0, 0, 1),          # 1 (x) 1
-        (1 * 4 + 1, 1, 1),          # g (x) g
-        (2 * 4 + 0, 2, 1),          # x (x) 1
-        (1 * 4 + 2, 2, 1),          # g (x) x
-        (3 * 4 + 1, 3, 1),          # gx (x) g
-        (0 * 4 + 3, 3, 1),          # 1 (x) gx
-    ])
-    counit = _m([[1, 1, 0, 0]])
-    return Bialgebra(4, mult, [1, 0, 0, 0], comult, counit, names)
-
-
-def trivial_provider(n):
-    """The one-dimensional acting bialgebra (no symmetry): every module
-    over it is just a vector space."""
-    from koszulkit.action import ActionProvider
-    from koszulkit.exactlin import Mat
-    return ActionProvider.from_bialgebra(trivial_bialgebra(),
-                                         [Mat.identity(n)])
+    return _presentation("dual_numbers")
 
 
 def c2_sign_provider():
-    """C2 acting on the one-variable polynomial algebra by t <| g = -t."""
-    from koszulkit.action import ActionProvider
-    return ActionProvider.from_bialgebra(
-        c2_group_algebra(), [_m([[1]]), _m([[-1]])])
+    return _action("c2_sign_takiff")[0]
+
+
+def c2_group_algebra():
+    return c2_sign_provider().base
 
 
 def c2_modules():
-    """Trivial and sign one-dimensional left modules over the C2 algebra."""
-    return {"triv": [_m([[1]]), _m([[1]])],
-            "sign": [_m([[1]]), _m([[-1]])]}
+    return _action("c2_sign_takiff")[1]
 
 
 def sweedler_provider():
-    """Sweedler algebra acting on the dual-numbers generator: g by -1,
-    the skew-primitive x by 0 (forced on a one-dimensional space by
-    x*x = 0 and the module-algebra law)."""
-    from koszulkit.action import ActionProvider
-    return ActionProvider.from_bialgebra(
-        sweedler_bialgebra(),
-        [_m([[1]]), _m([[-1]]), _m([[0]]), _m([[0]])])
+    return _action("sweedler_optional")[0]
+
+
+def sweedler_bialgebra():
+    return sweedler_provider().base
 
 
 def sweedler_modules():
-    """A two-dimensional left module m0, m1 with g diag(1,-1) and x
-    sending m0 to m1; exercises the non-cocommutative leg order."""
-    return {"two_dim": [_m([[1, 0], [0, 1]]),
-                        _m([[1, 0], [0, -1]]),
-                        _m([[0, 0], [1, 0]]),
-                        _m([[0, 0], [-1, 0]])]}
-
-
-def sl2_lie_action():
-    """sl2 with basis e, h, f acting on its adjoint representation;
-    registered test modules: trivial and adjoint."""
-    from koszulkit.action import LieAction
-    ad_e = _m([[0, -2, 0], [0, 0, 1], [0, 0, 0]])
-    ad_h = _m([[2, 0, 0], [0, 0, 0], [0, 0, -2]])
-    ad_f = _m([[0, 0, 0], [-1, 0, 0], [0, 2, 0]])
-    brackets = {
-        (0, 2): [0, 1, 0], (2, 0): [0, -1, 0],   # [e,f] = h
-        (1, 0): [2, 0, 0], (0, 1): [-2, 0, 0],   # [h,e] = 2e
-        (1, 2): [0, 0, -2], (2, 1): [0, 0, 2],   # [h,f] = -2f
-    }
-    zero1 = _m([[0]])
-    modules = {"triv": [zero1, zero1, zero1],
-               "adjoint": [ad_e, ad_h, ad_f]}
-    return LieAction(["e", "h", "f"], brackets, [ad_e, ad_h, ad_f], modules)
+    return _action("sweedler_optional")[1]
 
 
 def sl2_provider():
-    from koszulkit.action import ActionProvider
-    return ActionProvider.from_lie(sl2_lie_action())
+    return _action("sl2_adjoint_takiff")[0]
 
 
-# ---------------------------------------------------------------------------
-# named fixture bundles for the CLI
-
-def fixture_bundle(name):
-    """Returns {"presentation": json-obj, "action": json-obj-or-None}."""
-    from koszulkit.action import action_bundle_to_json
-    if name in PRESENTATION_FIXTURES:
-        return {"presentation": PRESENTATION_FIXTURES[name]().to_json_obj(),
-                "action": None}
-    if name == "c2_sign_takiff":
-        return {"presentation": sym_presentation(1).to_json_obj(),
-                "action": action_bundle_to_json(c2_sign_provider(),
-                                                c2_modules())}
-    if name == "sl2_adjoint_takiff":
-        lie = sl2_lie_action()
-        from koszulkit.action import ActionProvider
-        provider = ActionProvider.from_lie(lie)
-        return {"presentation": sym_presentation(3).to_json_obj(),
-                "action": action_bundle_to_json(provider, lie.modules)}
-    if name == "sweedler_optional":
-        return {"presentation": dual_numbers_presentation().to_json_obj(),
-                "action": action_bundle_to_json(sweedler_provider(),
-                                                sweedler_modules())}
-    raise KeyError("unknown fixture %r" % name)
-
-
-FIXTURE_NAMES = sorted(list(PRESENTATION_FIXTURES)
-                       + ["c2_sign_takiff", "sl2_adjoint_takiff",
-                          "sweedler_optional"])
+def sl2_lie_action():
+    """The LieAction of sl2, with its test modules in .modules."""
+    return sl2_provider().base

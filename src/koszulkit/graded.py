@@ -96,10 +96,6 @@ class HomologyReport:
     def valid(self, r, s):
         return self.cells[(r, s)]["valid"]
 
-    def nonzero_valid_cells(self):
-        return sorted((r, s) for (r, s), c in self.cells.items()
-                      if c["valid"] and c["dim"] != 0)
-
 
 class DSquaredError(ValueError):
     """A differential that does not square to zero; where = (r, s) of the

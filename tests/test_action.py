@@ -5,19 +5,20 @@ import pytest
 from koszulkit.action import (
     ActionProvider, Bialgebra, LieAction, action_bundle_from_json,
     action_bundle_to_json, dual_action, smash_ok, tensor_action,
-    validate_action_multiplicative, validate_bialgebra, validate_left_modules,
-    validate_lie, validate_module_algebra,
+    trivial_bialgebra, trivial_provider, validate_action_multiplicative,
+    validate_bialgebra, validate_left_modules, validate_lie,
+    validate_module_algebra,
 )
 from koszulkit.duality import P0
 from koszulkit.exactlin import F0, F1, Mat, Subspace, kron
 from koszulkit.fixtures import (
     c2_group_algebra, c2_modules, c2_sign_provider, dual_numbers_presentation,
-    ext_presentation, sl2_lie_action, sl2_provider, sweedler_bialgebra,
-    sweedler_modules, sweedler_provider, sym_presentation,
-    trivial_bialgebra, trivial_provider,
+    sl2_lie_action, sl2_provider, sweedler_bialgebra, sweedler_modules,
+    sweedler_provider,
 )
 from koszulkit.quadratic import (
-    QuadraticPresentation, grow, quadratic_dual, reversal_perm,
+    QuadraticPresentation, ext_presentation, grow, quadratic_dual,
+    reversal_perm, sym_presentation,
 )
 from takiff_oracle import (
     TakiffLie, takiff, takiff_graded_dims, validate_jacobi,
@@ -552,7 +553,7 @@ def test_takiff_oracle_behind_the_kept_keys(name):
     # the Takiff bracket on g + V satisfies (super-)Jacobi exactly when
     # validate_lie passes, and the PBW counts it reports are the grown
     # dimensions of S(V) and Lambda(V)
-    from koszulkit.cli import _check_takiff
+    from koszulkit.check import _check_takiff
     lie = _lie_inputs()[name]
     valid = validate_lie(lie) == (True, None)
     assert valid == name.startswith(("sl2_adjoint", "sl2_standard", "line"))

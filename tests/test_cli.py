@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import koszulkit
-from koszulkit.cli import main, property_cases_report
+from koszulkit.check import property_cases_report
+from koszulkit.cli import main
 
 
 def run(argv):
@@ -239,7 +240,8 @@ def test_check_non_koszul_reports_failing_degree(tmp_path):
 # the commutator, so the right Koszul complex fails d^2 = 0.
 CORRUPT_KOSZUL = """
 import sys
-import koszulkit.cli as cli
+import koszulkit.check as check
+from koszulkit.cli import main
 from koszulkit.exactlin import F1, Mat
 from koszulkit.quadratic import grow
 
@@ -249,8 +251,8 @@ def corrupt_grow(pres, N):
     alg._mult[(1, 1)] = bad
     return alg
 
-cli.grow = corrupt_grow
-sys.exit(cli.main(sys.argv[1:]))
+check.grow = corrupt_grow
+sys.exit(main(sys.argv[1:]))
 """
 
 
@@ -349,10 +351,10 @@ def test_value_error_inside_a_check_is_internal_error(tmp_path):
 
 def test_double_dual_that_loses_the_relations_is_internal_error(
         tmp_path, monkeypatch):
-    import koszulkit.cli as cli
+    import koszulkit.check as check
     from koszulkit.exactlin import Subspace
     from koszulkit.quadratic import QuadraticPresentation
-    quadratic_dual = cli.quadratic_dual
+    quadratic_dual = check.quadratic_dual
 
     def lossy(pres):
         dual = quadratic_dual(pres)
@@ -361,7 +363,7 @@ def test_double_dual_that_loses_the_relations_is_internal_error(
         return QuadraticPresentation(dual.gen_names, Subspace.zero(
             dual.n ** 2))
 
-    monkeypatch.setattr(cli, "quadratic_dual", lossy)
+    monkeypatch.setattr(check, "quadratic_dual", lossy)
     pres, _ = emit(tmp_path, "sym_2")
     out = tmp_path / "r.json"
     assert run(["check", "--input", pres, "--checks", "dual",
@@ -506,10 +508,11 @@ def test_smash_failure_branches(tmp_path, monkeypatch, fault, failure):
     # the shared verdict passes, so smash can fail only on a fault of the
     # implementation: one entry of the memoized action of f on H_3, of the
     # provider or of its dual, or of e on the dual's V* (x) V*, is off
+    import koszulkit.check as check
     import koszulkit.cli as cli
     from koszulkit.action import dual_action
     from koszulkit.exactlin import F1, Mat
-    check_smash = cli._check_smash
+    check_smash = check._check_smash
 
     def faulty(provider, acting, alg, dual_alg):
         dual = dual_action(provider)
@@ -523,12 +526,12 @@ def test_smash_failure_branches(tmp_path, monkeypatch, fault, failure):
         mats[b] = m + Mat.from_entries(m.rows, m.cols, [entry + (F1,)])
         return check_smash(provider, acting, alg, dual_alg)
 
-    monkeypatch.setattr(cli, "_check_smash", faulty)
+    monkeypatch.setattr(check, "_check_smash", faulty)
     pres, act = emit(tmp_path, "sl2_adjoint_takiff")
     args = cli.build_parser().parse_args([
         "check", "--input", pres, "--action", act, "--checks", "smash",
         "--max-degree", "3"])
-    report, code = cli.run_check(args)
+    report, code = check.run_check(args)
     assert code == 1 and report["verdict"] == "fail"
     assert report["checks"] == {"smash": {"status": "fail",
                                           "details": {"failure": failure}}}
@@ -538,7 +541,7 @@ def test_zero_dimensional_module_is_parse_error(tmp_path, capsys):
     # k<x1, x2>/(x1^2 + x2 x1 + x2^2, x1 x2) is not Koszul at degree 4;
     # the complexes of a module of dimension 0 are exact there, so its
     # duality verdicts disagreed (exit 3) instead of naming the module
-    from koszulkit.fixtures import trivial_bialgebra
+    from koszulkit.action import trivial_bialgebra
     pres = tmp_path / "p.json"
     pres.write_text(json.dumps({"generators": ["x1", "x2"], "relations": [
         {"terms": [{"c": "1", "m": ["x1", "x1"]},
@@ -732,9 +735,9 @@ def test_failed_acting_object_builds_no_pairing(tmp_path, monkeypatch,
                                                 checks):
     # duality and roundtrip report only the acting object's failure, so
     # they build no pairing and, run on their own, grow no algebra
-    import koszulkit.cli as cli
+    import koszulkit.check as check
     built = []
-    monkeypatch.setattr(cli, "DualityPairing",
+    monkeypatch.setattr(check, "DualityPairing",
                         lambda *algs: built.append(algs))
     pres, _ = emit(tmp_path, "c2_sign_takiff")
     act = tmp_path / "bad_counit.json"
@@ -918,31 +921,87 @@ def test_report_digests_are_the_sha256_of_the_inputs(tmp_path):
         assert inputs[key]["sha256"] == want, key
 
 
-LOADED = """
-import sys
+# Runs main once per argv (a JSON list of argument lists) and prints, after
+# each, which of the watched modules (a JSON list) are loaded.
+LOADED_AFTER_EACH = """
+import json, sys
 from koszulkit.cli import main
-code = main(sys.argv[1:])
-print(sorted(m for m in ("hashlib", "_hashlib", "koszulkit.fixtures")
-             if m in sys.modules))
-sys.exit(code)
+watched = json.loads(sys.argv[2])
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    print(json.dumps([code, sorted(m for m in watched if m in sys.modules)]))
 """
 
 
+def _loaded_after_each(argvs, watched):
+    # -S: no site hooks, so only what koszulkit imports is loaded
+    src = os.path.dirname(os.path.dirname(os.path.abspath(koszulkit.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", LOADED_AFTER_EACH, json.dumps(argvs),
+         json.dumps(watched)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines()
+            if line.startswith("[")]
+
+
 def test_check_run_loads_neither_openssl_nor_the_fixtures(tmp_path):
-    # the input digests come from CPython's built-in SHA-256, and only a
-    # run without an action file needs the built-in trivial action
+    # the input digests come from CPython's built-in SHA-256, and the
+    # built-in inputs are not read by a check
     import importlib.util
     if not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
         pytest.skip("no built-in SHA-256 module")
     pres, act = emit(tmp_path, "sl2_adjoint_takiff")
+    assert _loaded_after_each(
+        [["check", "--input", pres, "--action", act, "--checks", "all",
+          "--max-degree", "3"]],
+        ["hashlib", "_hashlib", "koszulkit.fixtures"]) == [[0, []]]
+
+
+def test_fixtures_and_report_diff_load_no_algebra_layer(tmp_path):
+    # the built-in inputs are data, and the check pipeline is imported only
+    # for check: writing every fixture, listing them and diffing reports
+    # load no layer of the algebra and no exact arithmetic
+    from koszulkit.fixtures import FIXTURE_NAMES
+    watched = ["fractions"] + ["koszulkit." + m for m in (
+        "exactlin", "graded", "quadratic", "action", "duality", "check")]
+    reports = []
+    for k, seed in enumerate((1, 1, 2)):
+        reports.append(str(tmp_path / ("r%d.json" % k)))
+        with open(reports[-1], "w") as f:
+            json.dump({"inputs": {"seed": seed}, "timing": {"grow": k}}, f)
+    argvs = ([["fixtures", "--name", name, "--out-dir", str(tmp_path)]
+              for name in FIXTURE_NAMES]
+             + [["fixtures", "--list"], ["report-diff"] + reports[:2],
+                ["report-diff", reports[0], reports[2]]])
+    results = _loaded_after_each(argvs, watched)
+    assert results == [[0, []]] * (len(FIXTURE_NAMES) + 2) + [[1, []]]
+
+
+@pytest.mark.parametrize("checks,error", [
+    ("koszul", "parse error: cannot read"),
+    ("bogus", "usage error: unknown checks: bogus"),
+])
+def test_module_run_maps_check_errors_to_exit_2(checks, error):
+    # run as `python -m koszulkit.cli`, the errors that koszulkit.check
+    # raises reach the handlers of main
     src = os.path.dirname(os.path.dirname(os.path.abspath(koszulkit.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-c", LOADED, "check", "--input", pres, "--action",
-         act, "--checks", "all", "--max-degree", "3"],
+        [sys.executable, "-m", "koszulkit.cli", "check", "--input",
+         "/nonexistent.json", "--checks", checks],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
         timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(error)
+
+
+def test_check_imports_random_only_for_the_property_sweep(tmp_path):
+    pres, _ = emit(tmp_path, "sym_2")
+    argv = ["check", "--input", pres, "--checks", "all", "--max-degree", "2"]
+    results = _loaded_after_each(
+        [argv, argv + ["--property-cases", "1"]], ["random"])
+    assert results == [[0, []], [0, ["random"]]]
 
 
 # ---------------------------------------------------------------------------

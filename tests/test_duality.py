@@ -2,13 +2,13 @@ import pytest
 
 from koszulkit.action import (
     ActionProvider, action_bundle_from_json, dual_action, intertwines,
-    tensor_action, validate_left_modules,
+    tensor_action, trivial_provider, validate_left_modules,
 )
 from koszulkit.duality import (
     GradedAModule, I0, I_complex, P0, P_complex, _chi_matrix, _hom_action,
     _induced_left_action, _model_map, _phi_matrix, _socle_generator,
     _theta_matrix,
-    degree_zero_module, diagonal_vanishing, h0_certificate, identify_socI,
+    degree_zero_module, h0_certificate, identify_socI,
     identify_topP, koszulity_via_duality,
     roundtrip_A, roundtrip_B, socI_complex, topP_complex,
     validate_complex_equivariance, validate_socI_action,
@@ -18,14 +18,15 @@ from koszulkit.exactlin import (
 )
 from koszulkit.fixtures import (
     FIXTURE_NAMES, c2_modules, c2_sign_provider, dual_numbers_presentation,
-    ext_presentation, free_presentation, sl2_lie_action, sl2_provider,
-    fixture_bundle, sweedler_bialgebra, sweedler_modules, sweedler_provider,
-    sym_presentation, trivial_provider,
+    fixture_bundle, sl2_lie_action, sl2_provider, sweedler_bialgebra,
+    sweedler_modules, sweedler_provider,
 )
 from koszulkit.graded import check_d_squared, homology
 from koszulkit.quadratic import (
-    DualityPairing, QuadraticPresentation, grow, quadratic_dual,
+    DualityPairing, QuadraticPresentation, ext_presentation,
+    free_presentation, grow, quadratic_dual, sym_presentation,
 )
+from homology_oracle import diagonal_vanishing, nonzero_valid_cells
 from module_oracle import (
     disagreements, identify_socI_of, identify_topP_of,
     koszulity_via_duality_of, roundtrip_A_of, roundtrip_B_of,
@@ -312,6 +313,34 @@ def test_h0_certificate_projective_image_not_invariant():
     assert h0_certificate(pcx, M) == (False, ("kernel not invariant", 1, 0))
 
 
+def _coinduced_complex():
+    # the injective-side complex of the coinduced sign module I0 over the
+    # one-variable polynomial algebra: cell (0, -1) is X_-1 + Hom(H_1, X_0),
+    # one dimension each, with the summand of X_-1 first
+    provider = c2_sign_provider()
+    M = I0(provider, grow(sym_presentation(1), 3), c2_modules()["sign"])
+    icx = I_complex(M)
+    assert icx.blocks[(0, -1)] == [(0, -1, 1), (1, 0, 1)]
+    assert h0_certificate(icx, M) == (True, None)
+    return icx, M
+
+
+def test_h0_certificate_missing_block():
+    # a cell whose blocks lost the summand of X_s, the kernel still of the
+    # dimension of X_s
+    icx, M = _coinduced_complex()
+    icx.blocks[(0, -1)] = [(1, 0, 1)]
+    assert h0_certificate(icx, M) == (False, ("missing block", -1))
+
+
+def test_h0_certificate_not_bijective():
+    # a differential whose kernel has the dimension of X_s but lies in the
+    # other summand, so the comparison map onto X_s is zero
+    icx, M = _coinduced_complex()
+    icx.cx.differentials[(0, -1)] = Mat(1, 2, [[1, 0]])
+    assert h0_certificate(icx, M) == (False, ("not bijective", -1))
+
+
 def test_identifications_fail_on_the_degree_zero_action():
     # the model's action of g on the first graded piece perturbed, for the
     # socle (the dual's action on its own H_1) and for the top quotient
@@ -546,7 +575,7 @@ def test_I_complex_homology_values_c2():
     X = degree_zero_module(provider, alg, c2_modules()["sign"])
     icx = I_complex(X)
     rep = homology(icx.cx)
-    nz = [c for c in rep.nonzero_valid_cells() if icx.is_complete(*c)]
+    nz = [c for c in nonzero_valid_cells(rep) if icx.is_complete(*c)]
     assert nz == [(0, 0)]
     assert rep.dim(0, 0) == 1
 

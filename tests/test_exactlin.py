@@ -5,10 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from koszulkit.exactlin import (
-    Mat, Subspace, _columns, hstack, image, inverse, kernel, kron, kron_sum,
+    Mat, Subspace, _columns, hstack, inverse, kernel, kron, kron_sum,
     mul_kron_identity, perm_matrix, place_blocks, quotient, rank,
     rat_from_str, rat_to_str, rref, vstack,
 )
+
+
+def image(m):
+    """Canonical basis of the column span of m, as a subspace of Q^rows;
+    an oracle, as no check reads a column span."""
+    return Subspace.from_rows(m.rows, m.transpose())
 
 
 def unit_vector(n, i):
