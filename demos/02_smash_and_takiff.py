@@ -9,13 +9,11 @@ import json
 import os
 import tempfile
 
-from koszulkit.action import (
-    action_bundle_to_json, dual_action, smash_ok, validate_module_algebra,
-)
+from koszulkit.action import dual_action, smash_ok, validate_module_algebra
 from koszulkit.cli import main
-from koszulkit.fixtures import c2_sign_provider, sl2_lie_action, sl2_provider
+from koszulkit.fixtures import c2_sign_provider, fixture_bundle, sl2_provider
 from koszulkit.quadratic import (
-    ext_presentation, grow, quadratic_dual, sym_presentation,
+    QuadraticPresentation, grow, quadratic_dual, sym_presentation,
 )
 
 print("== C2 flipping the sign of the polynomial generator ==")
@@ -37,18 +35,18 @@ print("== sl2 and its Takiff algebras ==")
 # By PBW, the enveloping algebra of the Takiff algebra sl2 + V, [V, V] = 0,
 # is the smash product U(sl2) # S(V), and with V odd it is
 # U(sl2) # Lambda(V); the takiff check reads which of the two the input
-# presentation is.
+# presentation is.  The input files are the built-in data.
 with tempfile.TemporaryDirectory() as tmp:
     action = os.path.join(tmp, "sl2.action.json")
     with open(action, "w") as f:
-        json.dump(action_bundle_to_json(sl2_provider(),
-                                        sl2_lie_action().modules), f)
-    for label, pres in (("S(sl2)", sym_presentation(3)),
-                        ("Lambda(sl2)", ext_presentation(3))):
+        json.dump(fixture_bundle("sl2_adjoint_takiff")["action"], f)
+    for label, name in (("S(sl2)", "sym_3"), ("Lambda(sl2)", "ext_3")):
         path = os.path.join(tmp, "p.json")
         report = os.path.join(tmp, "r.json")
+        obj = fixture_bundle(name)["presentation"]
         with open(path, "w") as f:
-            json.dump(pres.to_json_obj(), f)
+            json.dump(obj, f)
+        pres = QuadraticPresentation.from_json_obj(obj)
         with contextlib.redirect_stdout(io.StringIO()):
             main(["check", "--input", path, "--action", action, "--checks",
                   "takiff", "--max-degree", "3", "--out", report])

@@ -4,11 +4,11 @@ Submodules:
   exactlin  -- exact int-or-Fraction matrices, canonical (RREF) subspaces,
                kernels, kron
   graded    -- graded spaces, bigraded complexes, homology with windows
-  quadratic -- quadratic algebras, the standard presentations
-               (sym_/ext_/free_presentation), duals, Koszul complexes,
-               contractions
-  action    -- bialgebras, Lie actions, module algebras, smash products,
-               the trivial acting object k
+  quadratic -- quadratic algebras, the presentation-file parser, the
+               standard presentations (sym_/ext_/free_presentation),
+               duals, Koszul complexes, contractions
+  action    -- bialgebras, Lie actions, the action-file parser, module
+               algebras, smash products, the trivial acting object k
   duality   -- I/P complexes, socle/top complexes, identifications, round trips
   fixtures  -- the built-in inputs as JSON data, and the objects parsed from
                it

@@ -54,8 +54,8 @@ from functools import cached_property
 from itertools import chain
 
 from koszulkit.exactlin import (
-    F0, F1, Mat, _columns, _exact, inverse, kron, kron_sum, rat_from_str,
-    rat_to_str, rref,
+    F0, F1, Mat, _columns, _exact, inverse, kron, kron_sum, perm_matrix,
+    rat_from_str, rref,
 )
 
 
@@ -115,26 +115,9 @@ class Bialgebra:
         s_inv = inverse(Mat(d, d, [sol[i * d:i * d + d] for i in range(d)]))
         return s_inv.transpose().tolist()
 
-    def to_json_obj(self):
-        d = self.dim
-        mult = self.mult.tolist()
-        return {
-            "dim": d,
-            "names": list(self.names),
-            "mult": [[[rat_to_str(mult[c][a * d + b])
-                       for c in range(d)] for b in range(d)]
-                     for a in range(d)],
-            "unit": [rat_to_str(x) for x in self.unit],
-            "comult": _mat_to_json(self.comult),
-            "counit": [rat_to_str(x) for x in self.counit],
-        }
-
     @staticmethod
     def from_json_obj(obj):
-        d = obj["dim"]
-        if isinstance(d, bool) or not isinstance(d, int):
-            raise ValueError("bialgebra dim must be a JSON integer, got %r"
-                             % (d,))
+        d = _json_int(obj["dim"], "bialgebra dim")
         # every table's shape first, so that nothing of size dim is made
         # for a dim that the tables do not have
         for field, shape in (("mult", (d, d, d)), ("unit", (d,)),
@@ -184,17 +167,10 @@ def validate_bialgebra(b):
     if (kron(counit, d) @ b.comult != idm
             or kron(d, counit) @ b.comult != idm):
         return False, "counit law"
-    # comultiplication and counit are algebra maps
-    mid_swap = [0] * d ** 4
-    for a in range(d):
-        for x in range(d):
-            for y in range(d):
-                for c in range(d):
-                    src = ((a * d + x) * d + y) * d + c
-                    dst = ((a * d + y) * d + x) * d + c
-                    mid_swap[src] = dst
-    from koszulkit.exactlin import perm_matrix
-    tau = perm_matrix(mid_swap)
+    # comultiplication and counit are algebra maps; tau swaps the middle
+    # factors of B^(x)4, sending a (x) x (x) y (x) c to a (x) y (x) x (x) c
+    tau = perm_matrix([((a * d + y) * d + x) * d + c for a in range(d)
+                       for x in range(d) for y in range(d) for c in range(d)])
     lhs = b.comult @ b.mult
     rhs = kron(b.mult, b.mult) @ tau @ kron(b.comult, b.comult)
     if lhs != rhs:
@@ -243,20 +219,6 @@ class LieAction:
     def bracket_basis(self, a, b):
         return list(self.brackets.get((a, b), [F0] * self.dim))
 
-    def to_json_obj(self):
-        br = {}
-        for (a, b), vec in sorted(self.brackets.items()):
-            if a < b:
-                br["%s,%s" % (self.names[a], self.names[b])] = [
-                    {"c": rat_to_str(x), "b": self.names[c]}
-                    for c, x in enumerate(vec) if x]
-        return {
-            "basis": list(self.names),
-            "brackets": br,
-            "action": {self.names[a]: _mat_to_json(self.rho[a])
-                       for a in range(self.dim)},
-        }
-
     @staticmethod
     def from_json_obj(obj, modules_obj=None):
         names = _json_field(obj["basis"], list, "lie basis")
@@ -267,27 +229,27 @@ class LieAction:
         pos = {g: i for i, g in enumerate(names)}
         dim = len(names)
         brackets = {}
-        given = set()
         for key, terms in _json_field(obj.get("brackets", {}), dict,
                                       "lie brackets").items():
-            a_name, b_name = key.split(",")
-            a, b = pos[a_name], pos[b_name]
+            pair = key.split(",")
+            if len(pair) != 2 or not all(g in pos for g in pair):
+                raise ValueError("lie brackets key %r is not two basis names "
+                                 "joined by ','" % (key,))
+            a, b = pos[pair[0]], pos[pair[1]]
             vec = [F0] * dim
             for t in terms:
                 vec[pos[t["b"]]] += rat_from_str(t["c"])
             brackets[(a, b)] = vec
-            given.add((a, b))
-        for (a, b) in list(given):
-            if a != b and (b, a) not in given:
+        for (a, b) in list(brackets):
+            if a != b and (b, a) not in brackets:
                 brackets[(b, a)] = [-x for x in brackets[(a, b)]]
-        action = _json_field(obj["action"], dict, "lie action")
-        rho = _mats_from_json([(name, action[name]) for name in names],
+        rho = _mats_from_json(_by_basis(obj["action"], pos, "lie action"),
                               "action of")
         modules = {}
         for mname, mobj in (modules_obj or {}).items():
             modules[mname] = _mats_from_json(
-                [(name, mobj["action"][name]) for name in names],
-                "module %r, action of" % mname, mobj.get("dim"))
+                _by_basis(mobj["action"], pos, "module %r action" % mname),
+                "module %r, action of" % mname, _module_dim(mname, mobj))
         return LieAction(names, brackets, rho, modules)
 
 
@@ -380,14 +342,6 @@ class ActionProvider:
         self._on = {}
         self._dual = None
 
-    @property
-    def basis_size(self):
-        return self.base.dim
-
-    @staticmethod
-    def from_bialgebra(b, act_mats):
-        return ActionProvider(b, act_mats)
-
     @staticmethod
     def from_lie(l):
         return ActionProvider(l, [-m for m in l.rho])
@@ -411,11 +365,6 @@ class ActionProvider:
             else:
                 T.append(tensor_action(self, T[k - 1], self.mats))
         return T[r]
-
-    def act_on_tensor(self, elem, r):
-        """Matrix of the action of the element (a coefficient vector over
-        the acting basis) on the r-th tensor power of the space."""
-        return _combine(self.tensor_mats(r), elem)
 
     def h_action(self, alg, i):
         """Matrices of the acting basis on H_i, in normal-word coordinates,
@@ -481,8 +430,7 @@ def trivial_provider(n):
     """k acting on a space of dimension n (no symmetry): every module over
     it is just a vector space.  The checks use it when no action file is
     given."""
-    return ActionProvider.from_bialgebra(trivial_bialgebra(),
-                                         [Mat.identity(n)])
+    return ActionProvider(trivial_bialgebra(), [Mat.identity(n)])
 
 
 def tensor_action(provider, mats1, mats2, reverse=False):
@@ -535,12 +483,13 @@ def validate_module_algebra(provider, pres):
     if provider.space_dim != n:
         raise ValueError("the action is on dimension %d, not %d"
                          % (provider.space_dim, n))
-    for b in range(provider.basis_size):
+    for b in range(provider.base.dim):
         T = provider.tensor_mats(2)[b]
         if R.coordinates(T @ R.basis.transpose()) is None:
             return False, ("relation escapes", provider.base.names[b])
     if (provider.unit is not None
-            and provider.act_on_tensor(provider.unit, 1) != Mat.identity(n)):
+            and _combine(provider.tensor_mats(1), provider.unit)
+            != Mat.identity(n)):
         return False, ("unit law",)
     return True, None
 
@@ -621,11 +570,7 @@ def _smash_failure(provider, alg, top):
 
 
 # ---------------------------------------------------------------------------
-# action-file serialization
-
-def _mat_to_json(m):
-    return [[rat_to_str(x) for x in row] for row in m.tolist()]
-
+# action files, which are only read
 
 def _json_field(value, kind, field):
     """value if it is of kind (list or dict), else ValueError naming field."""
@@ -633,6 +578,30 @@ def _json_field(value, kind, field):
         raise ValueError("%s must be a JSON %s, got %r" % (
             field, "array" if kind is list else "object", value))
     return value
+
+
+def _json_int(value, field):
+    """value if it is a JSON integer, else ValueError naming field."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("%s must be a JSON integer, got %r" % (field, value))
+    return value
+
+
+def _module_dim(name, mobj):
+    """The optional "dim" of module name's JSON object, a JSON integer."""
+    if "dim" not in mobj:
+        return None
+    return _json_int(mobj["dim"], "module %r dim" % name)
+
+
+def _by_basis(value, pos, field):
+    """(name, value[name]) for each basis name, in the order of pos, from
+    value, a JSON object keyed by basis names; ValueError naming field and
+    the first key that names no basis element."""
+    for key in _json_field(value, dict, field):
+        if key not in pos:
+            raise ValueError("%s key %r names no basis element" % (field, key))
+    return [(name, value[name]) for name in pos]
 
 
 def _mats_from_json(items, what, dim=None):
@@ -655,35 +624,14 @@ def _mats_from_json(items, what, dim=None):
     return mats
 
 
-def action_bundle_to_json(provider, modules=None):
-    """Serialize a provider plus its named left test modules.
+def action_bundle_from_json(obj):
+    """Parse an action file; returns (provider, modules) where modules maps
+    names to lists of left-action matrices aligned with the acting basis.
 
     Bialgebra form: {"bialgebra": ..., "action": [matrix per basis
     element], "modules": {name: {"dim": d, "action": [matrices]}}}.
     Lie form: {"lie": {..., "action": {gen: matrix}}, "modules":
     {name: {"dim": d, "action": {gen: matrix}}}}."""
-    modules = modules or {}
-    if isinstance(provider.base, Bialgebra):
-        return {
-            "bialgebra": provider.base.to_json_obj(),
-            "action": [_mat_to_json(m) for m in provider.mats],
-            "modules": {name: {"dim": mats[0].rows,
-                               "action": [_mat_to_json(m) for m in mats]}
-                        for name, mats in sorted(modules.items())},
-        }
-    lie = provider.base
-    return {
-        "lie": lie.to_json_obj(),
-        "modules": {name: {"dim": mats[0].rows,
-                           "action": {lie.names[a]: _mat_to_json(mats[a])
-                                      for a in range(lie.dim)}}
-                    for name, mats in sorted(modules.items())},
-    }
-
-
-def action_bundle_from_json(obj):
-    """Parse an action file; returns (provider, modules) where modules maps
-    names to lists of left-action matrices aligned with the acting basis."""
     obj = _json_field(obj, dict, "an action file")
     modules_obj = _json_field(obj.get("modules", {}), dict, "modules")
     if "bialgebra" in obj:
@@ -692,12 +640,12 @@ def action_bundle_from_json(obj):
                                "action matrix")
         if len(mats) != b.dim:
             raise ValueError("need one action matrix per basis element")
-        provider = ActionProvider.from_bialgebra(b, mats)
+        provider = ActionProvider(b, mats)
         modules = {}
         for name, mobj in modules_obj.items():
             mmats = _mats_from_json(enumerate(mobj["action"]),
                                     "module %r, matrix" % name,
-                                    mobj.get("dim"))
+                                    _module_dim(name, mobj))
             if len(mmats) != b.dim:
                 raise ValueError("module %r: wrong matrix count" % name)
             modules[name] = mmats

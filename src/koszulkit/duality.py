@@ -175,8 +175,7 @@ class GradedAModule:
             d = self.dim(j)
             mats = self._component_action(j) if d else None
             if mats is None:
-                mats = [Mat.zeros(d, d)
-                        for _ in range(self.provider.basis_size)]
+                mats = [Mat.zeros(d, d) for _ in range(self.provider.base.dim)]
             self.act0[j] = mats
         return mats
 
@@ -323,7 +322,7 @@ def _duality_complex(kind, X, summands, act, diff):
                      for key, j, _d in bl]
         return [place_blocks(total, total,
                              [(off, off, mats[b]) for off, mats in per_block])
-                for b in range(prov.basis_size)]
+                for b in range(prov.base.dim)]
 
     r_range = (-1, N) if sign == 1 else (-N - 1, 1)
     cx = BigradedComplex(r_range, s_range, comps, diffs)

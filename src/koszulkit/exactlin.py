@@ -658,17 +658,16 @@ def swap_matrix(a, b):
     return perm_matrix([w * a + x for x in range(a) for w in range(b)])
 
 
-def rat_to_str(x):
-    return str(_exact(x))
-
-
 def rat_from_str(s):
     """Exact entry from an int or a string such as "-2/5" or "0.25".
 
-    Raises ValueError for anything else: a float is not exact, and a zero
-    denominator is no number."""
+    Raises ValueError for anything else: a float is not exact, a zero
+    denominator is no number, and exponent notation is not read, as
+    Fraction would build the power of ten of "1e999999999" first."""
     if isinstance(s, bool) or not isinstance(s, (int, str)):
         raise ValueError("not an exact rational: %r" % (s,))
+    if isinstance(s, str) and "e" in s.lower():
+        raise ValueError("not an int, p/q or decimal: %r" % (s,))
     try:
         return _exact(Fraction(s))
     except ZeroDivisionError:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from koszulkit.exactlin import (
     F0, F1, Mat, Subspace, _columns, inverse, kernel, kron, mul_kron_identity,
-    quotient, rat_from_str, rat_to_str, read_off, swap_matrix, vstack,
+    quotient, rat_from_str, read_off, swap_matrix, vstack,
 )
 from koszulkit.graded import BigradedComplex
 
@@ -87,19 +87,6 @@ class QuadraticPresentation:
     def __repr__(self):
         return "QuadraticPresentation(%r, dim R=%d)" % (self.gen_names,
                                                         self.relations.dim)
-
-    def to_json_obj(self):
-        n = self.n
-        rels = []
-        for row in self.relations.basis.tolist():
-            terms = []
-            for idx, c in enumerate(row):
-                if c:
-                    a, b = index_word(idx, n, 2)
-                    terms.append({"c": rat_to_str(c),
-                                  "m": [self.gen_names[a], self.gen_names[b]]})
-            rels.append({"terms": terms})
-        return {"generators": list(self.gen_names), "relations": rels}
 
     @staticmethod
     def from_json_obj(obj):
@@ -415,10 +402,6 @@ def grow(pres, N):
 # ---------------------------------------------------------------------------
 # quadratic dual
 
-def dual_gen_names(gen_names):
-    return [g + "*" for g in gen_names]
-
-
 def quadratic_dual(pres):
     """Presentation of the dual algebra: relations = annihilator of R
     under the order-reversing pairing of dual words with words."""
@@ -428,7 +411,7 @@ def quadratic_dual(pres):
     if pres.relations.dim + dual_rel.dim != n * n:
         raise ValueError("the annihilator of R has dimension %d, not %d"
                          % (dual_rel.dim, n * n - pres.relations.dim))
-    return QuadraticPresentation(dual_gen_names(pres.gen_names), dual_rel)
+    return QuadraticPresentation([g + "*" for g in pres.gen_names], dual_rel)
 
 
 # ---------------------------------------------------------------------------

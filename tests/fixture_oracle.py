@@ -1,16 +1,14 @@
 """The built-in inputs built as koszulkit objects, the oracle for the data
 of koszulkit.fixtures.
 
-koszulkit.fixtures holds each input as the JSON objects of its files and
-parses them; here each is constructed directly, from structure constants
-and the standard presentations, and serialized with the writers
-(QuadraticPresentation.to_json_obj, action_bundle_to_json).  The two must
-give the same files.
+koszulkit.fixtures holds each input as the JSON objects of its files; here
+each is constructed directly, from structure constants and the standard
+presentations.  differences(name, pres, action) compares the objects
+that the parsers of `check` read from the data with these constructions,
+field by field.
 """
 
-from koszulkit.action import (
-    ActionProvider, Bialgebra, LieAction, action_bundle_to_json,
-)
+from koszulkit.action import ActionProvider, Bialgebra, LieAction
 from koszulkit.exactlin import F1, Mat, Subspace
 from koszulkit.quadratic import (
     QuadraticPresentation, ext_presentation, free_presentation,
@@ -76,7 +74,7 @@ def sweedler_bialgebra():
 
 def c2_sign_provider():
     """C2 acting on the one-variable polynomial algebra by t <| g = -t."""
-    return ActionProvider.from_bialgebra(
+    return ActionProvider(
         c2_group_algebra(), [_m([[1]]), _m([[-1]])])
 
 
@@ -89,7 +87,7 @@ def c2_modules():
 def sweedler_provider():
     """Sweedler algebra acting on the dual-numbers generator: g by -1,
     the skew-primitive x by 0."""
-    return ActionProvider.from_bialgebra(
+    return ActionProvider(
         sweedler_bialgebra(),
         [_m([[1]]), _m([[-1]]), _m([[0]]), _m([[0]])])
 
@@ -120,22 +118,41 @@ def sl2_lie_action():
     return LieAction(["e", "h", "f"], brackets, [ad_e, ad_h, ad_f], modules)
 
 
-def fixture_bundle(name):
-    """{"presentation": json-obj, "action": json-obj-or-None}."""
-    if name in PRESENTATION_FIXTURES:
-        return {"presentation": PRESENTATION_FIXTURES[name]().to_json_obj(),
-                "action": None}
-    if name == "c2_sign_takiff":
-        return {"presentation": sym_presentation(1).to_json_obj(),
-                "action": action_bundle_to_json(c2_sign_provider(),
-                                                c2_modules())}
-    if name == "sl2_adjoint_takiff":
-        lie = sl2_lie_action()
-        return {"presentation": sym_presentation(3).to_json_obj(),
-                "action": action_bundle_to_json(ActionProvider.from_lie(lie),
-                                                lie.modules)}
-    if name == "sweedler_optional":
-        return {"presentation": dual_numbers_presentation().to_json_obj(),
-                "action": action_bundle_to_json(sweedler_provider(),
-                                                sweedler_modules())}
-    raise KeyError("unknown fixture %r" % name)
+# name: (presentation, provider and modules of the action file, or None)
+CONSTRUCTIONS = {
+    **{name: (build, None) for name, build in PRESENTATION_FIXTURES.items()},
+    "c2_sign_takiff": (lambda: sym_presentation(1),
+                       lambda: (c2_sign_provider(), c2_modules())),
+    "sl2_adjoint_takiff": (lambda: sym_presentation(3), lambda: (
+        ActionProvider.from_lie(sl2_lie_action()), sl2_lie_action().modules)),
+    "sweedler_optional": (dual_numbers_presentation,
+                          lambda: (sweedler_provider(), sweedler_modules())),
+}
+
+# the data that defines each object, read field by field
+PROVIDER_FIELDS = ("mats", "space_dim", "cop", "legs", "counit", "unit",
+                   "laws")
+BASE_FIELDS = {
+    Bialgebra: ("dim", "names", "mult", "unit", "comult", "counit"),
+    LieAction: ("dim", "names", "brackets", "rho", "modules"),
+}
+
+
+def differences(name, pres, action):
+    """The fields in which pres and action, the named input as parsed from
+    its data (action as action_bundle_from_json returns it, or None), are
+    not the construction here; [] when they agree."""
+    build_pres, build_action = CONSTRUCTIONS[name]
+    out = [] if pres == build_pres() else ["presentation"]
+    if build_action is None or action is None:
+        if (build_action is None) != (action is None):
+            out.append("action")
+        return out
+    (provider, modules), (want, want_modules) = action, build_action()
+    out += [f for f in PROVIDER_FIELDS
+            if getattr(provider, f) != getattr(want, f)]
+    if type(provider.base) is not type(want.base):
+        return out + ["base"]
+    out += ["base." + f for f in BASE_FIELDS[type(want.base)]
+            if getattr(provider.base, f) != getattr(want.base, f)]
+    return out + ([] if modules == want_modules else ["modules"])

@@ -96,12 +96,17 @@ def test_takiff_reads_which_takiff_algebra_the_input_is(tmp_path,
                                                         algebra):
     # sl2 on S(sl2) and on Lambda(sl2) is the even and the super Takiff
     # algebra, and on the free algebra neither; the Lie axioms hold in all
-    # three, so the kept keys read the same
-    import koszulkit.quadratic as quadratic
+    # three, so the kept keys read the same.  The data of sym_3 and ext_3
+    # is that of the standard presentations at 3, and free_3 is sym_3
+    # without its relations
+    from koszulkit.fixtures import fixture_bundle
     _, act = emit(tmp_path, "sl2_adjoint_takiff")
+    obj = fixture_bundle("ext_3" if presentation == "ext_presentation"
+                         else "sym_3")["presentation"]
+    if presentation == "free_presentation":
+        obj["relations"] = []
     pres = tmp_path / "p.json"
-    pres.write_text(json.dumps(
-        getattr(quadratic, presentation)(3).to_json_obj()))
+    pres.write_text(json.dumps(obj))
     out = tmp_path / "r.json"
     assert run(["check", "--input", str(pres), "--action", act, "--checks",
                 "takiff", "--max-degree", "3", "--out", str(out)]) == 0
@@ -189,6 +194,10 @@ def _one_relation(c, m=("x", "y")):
     ({"generators": "xy", "relations": []}, "list of names"),
     ({"generators": ["x", 1], "relations": []}, "list of names"),
     (_one_relation("1", "xy"), "bad monomial"),
+    # Fraction reads exponent notation by building the power of ten, so
+    # "1e999999999" would make a billion-digit integer; none is read
+    (_one_relation("1e2"), "not an int, p/q or decimal: '1e2'"),
+    (_one_relation("2E-3"), "not an int, p/q or decimal: '2E-3'"),
 ])
 def test_malformed_presentation_is_parse_error(tmp_path, capsys, obj,
                                                message):
@@ -455,16 +464,13 @@ def test_verdict_disagreement_is_a_deterministic_internal_error(
 def _lopsided_swap(tmp_path):
     # the swap of two generators as a C2 action does not stabilize the
     # single relation x1 (x) x2
-    from koszulkit.action import ActionProvider, action_bundle_to_json
-    from koszulkit.exactlin import Mat
-    from koszulkit.fixtures import c2_group_algebra, c2_modules
-    swap = ActionProvider.from_bialgebra(
-        c2_group_algebra(), [Mat.identity(2), Mat(2, 2, [[0, 1], [1, 0]])])
+    swap = _edit(_c2_bundle(), ("action",),
+                 [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]])
     pres = tmp_path / "lopsided.json"
     pres.write_text(json.dumps({"generators": ["x1", "x2"], "relations": [
         {"terms": [{"c": "1", "m": ["x1", "x2"]}]}]}))
     act = tmp_path / "swap.json"
-    act.write_text(json.dumps(action_bundle_to_json(swap, c2_modules())))
+    act.write_text(json.dumps(swap))
     return str(pres), str(act)
 
 
@@ -541,7 +547,6 @@ def test_zero_dimensional_module_is_parse_error(tmp_path, capsys):
     # k<x1, x2>/(x1^2 + x2 x1 + x2^2, x1 x2) is not Koszul at degree 4;
     # the complexes of a module of dimension 0 are exact there, so its
     # duality verdicts disagreed (exit 3) instead of naming the module
-    from koszulkit.action import trivial_bialgebra
     pres = tmp_path / "p.json"
     pres.write_text(json.dumps({"generators": ["x1", "x2"], "relations": [
         {"terms": [{"c": "1", "m": ["x1", "x1"]},
@@ -550,7 +555,8 @@ def test_zero_dimensional_module_is_parse_error(tmp_path, capsys):
         {"terms": [{"c": "1", "m": ["x1", "x2"]}]}]}))
     act = tmp_path / "a.json"
     act.write_text(json.dumps({
-        "bialgebra": trivial_bialgebra().to_json_obj(),
+        "bialgebra": {"dim": 1, "names": ["1"], "mult": [[["1"]]],
+                      "unit": ["1"], "comult": [["1"]], "counit": ["1"]},
         "action": [[["1", "0"], ["0", "1"]]],
         "modules": {"zero": {"dim": 0, "action": [[]]}}}))
     assert run(["check", "--input", str(pres), "--action", str(act),
@@ -672,13 +678,38 @@ def _edit(bundle, path, value):
     ("c2_sign_takiff",
      _edit(_c2_bundle(), ("bialgebra", "names"), ["g", "g"]),
      "bialgebra names must be a JSON array of 2 distinct strings"),
+    # a module's dim is a JSON integer, as the bialgebra's is: true and
+    # 1.0 were read as 1, and "1" failed as "expected '1' x '1'"
+    *[(fixture, _edit(bundle(), ("modules", "triv", "dim"), value),
+       "module 'triv' dim must be a JSON integer, got %r" % (value,))
+      for fixture, bundle in (("c2_sign_takiff", _c2_bundle),
+                              ("sl2_adjoint_takiff", _sl2_bundle))
+      for value in (True, 1.0, "1")],
+    # a key that names no basis element was ignored, and a brackets key
+    # that is not a pair failed without naming it
+    ("sl2_adjoint_takiff",
+     _edit(_sl2_bundle(), ("lie", "action", "q"), [["0"] * 3] * 3),
+     "lie action key 'q' names no basis element"),
+    ("sl2_adjoint_takiff",
+     _edit(_sl2_bundle(), ("modules", "adjoint", "action", "q"),
+           [["0"] * 3] * 3),
+     "module 'adjoint' action key 'q' names no basis element"),
+    *[("sl2_adjoint_takiff",
+       _edit(_sl2_bundle(), ("lie", "brackets", key), [{"c": "1", "b": "h"}]),
+       "lie brackets key %r is not two basis names joined by ','" % (key,))
+      for key in ("ef", "e,q", "e,f,h")],
 ], ids=["lie-not-square", "lie-ragged", "lie-sizes-differ", "lie-wrong-space",
         "lie-module-dim", "bialgebra-module-dim", "bialgebra-not-square",
         "bialgebra-short-mult", "bialgebra-modules-empty-array",
         "bialgebra-modules-array", "lie-modules-array", "lie-brackets-array",
         "lie-repeated-name", "lie-basis-string", "lie-module-dim-0",
         "bialgebra-module-dim-0", "bialgebra-names-short",
-        "bialgebra-names-string", "bialgebra-names-repeated"])
+        "bialgebra-names-string", "bialgebra-names-repeated",
+        "bialgebra-module-dim-true", "bialgebra-module-dim-float",
+        "bialgebra-module-dim-string", "lie-module-dim-true",
+        "lie-module-dim-float", "lie-module-dim-string", "lie-action-key",
+        "lie-module-action-key", "lie-brackets-key-no-comma",
+        "lie-brackets-key-unknown-name", "lie-brackets-key-three-names"])
 def test_malformed_action_is_parse_error(tmp_path, capsys, fixture, bundle,
                                          message):
     # shapes are input checks, not asserts: the same exit 2 under -O

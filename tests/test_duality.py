@@ -51,7 +51,7 @@ def validate_module(X):
         a1 = X.act1_mat(j)
         rj1 = X.act0_mats(j + 1)
         pushed = _induced_left_action(prov, prov.mats, X.act0_mats(j))
-        for b in range(prov.basis_size):
+        for b in range(prov.base.dim):
             if rj1[b] @ a1 != a1 @ pushed[b]:
                 return False, ("act1 equivariance", j, b)
     for j in range(X.jmin, top_known):
@@ -74,7 +74,7 @@ def sweedler_on_V_provider():
     """Sweedler algebra on two commuting generators with g = diag(1, -1)
     and the skew-primitive x nonzero on V, so that a module law read
     through S^-1 tells it from S and from the identity."""
-    return ActionProvider.from_bialgebra(
+    return ActionProvider(
         sweedler_bialgebra(),
         [Mat.identity(2), Mat(2, 2, [[1, 0], [0, -1]]),
          Mat(2, 2, [[0, 1], [0, 0]]), Mat(2, 2, [[0, -1], [0, 0]])])
@@ -433,7 +433,7 @@ def hom_A0_dim(provider, mats_x, mats_y):
         return 0
     eqs = [kron(mats_y[b], Mat.identity(dx))
            - kron(Mat.identity(dy), mats_x[b].transpose())
-           for b in range(provider.basis_size)]
+           for b in range(provider.base.dim)]
     return kernel(vstack(eqs)).dim
 
 
@@ -465,7 +465,7 @@ def hom_graded_A_dim(P, Y):
 
     for j in degrees:
         dy, dp = Y.dim(j), P.dim(j)
-        for b in range(prov.basis_size):
+        for b in range(prov.base.dim):
             m = (kron(Y.act0_mats(j)[b], Mat.identity(dp))
                  - kron(Mat.identity(dy),
                         P.act0_mats(j)[b].transpose()))

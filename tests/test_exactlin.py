@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from koszulkit.exactlin import (
     Mat, Subspace, _columns, hstack, inverse, kernel, kron, kron_sum,
     mul_kron_identity, perm_matrix, place_blocks, quotient, rank,
-    rat_from_str, rat_to_str, rref, vstack,
+    rat_from_str, rref, vstack,
 )
 
 
@@ -104,9 +104,17 @@ def test_stack_perm_image():
 
 
 def test_rat_strings():
-    assert rat_to_str(Fraction(3, 1)) == "3"
-    assert rat_to_str(Fraction(-3, 6)) == "-1/2"
     assert rat_from_str("-1/2") == Fraction(-1, 2)
+    assert rat_from_str("0.25") == Fraction(1, 4)
+    assert rat_from_str("-6/3") == -2 and type(rat_from_str("6/3")) is int
+    # a float is not exact, and exponent notation is not read: Fraction
+    # would build the power of ten first
+    for bad, message in ((0.5, "not an exact rational"),
+                         ("1/0", "zero denominator"),
+                         ("1e2", "not an int, p/q or decimal"),
+                         ("2E-3", "not an int, p/q or decimal")):
+        with pytest.raises(ValueError, match=message):
+            rat_from_str(bad)
 
 
 def test_random_properties():

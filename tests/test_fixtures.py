@@ -5,7 +5,8 @@ import hashlib
 
 import pytest
 
-from koszulkit.action import action_bundle_from_json, action_bundle_to_json
+from koszulkit.action import action_bundle_from_json
+from koszulkit.check import _load_action, _load_presentation
 from koszulkit.cli import main
 from koszulkit.fixtures import FIXTURE_NAMES, fixture_bundle
 from koszulkit.quadratic import (
@@ -55,38 +56,76 @@ def test_written_files_keep_their_digests(tmp_path, capsys):
     assert written == DIGESTS
 
 
+def _parsed(bundle):
+    """(presentation, action or None) of a bundle, as the parsers read it."""
+    action = bundle["action"]
+    return (QuadraticPresentation.from_json_obj(bundle["presentation"]),
+            None if action is None else action_bundle_from_json(action))
+
+
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_data_is_the_constructed_input(name):
-    assert fixture_bundle(name) == fixture_oracle.fixture_bundle(name)
+    assert fixture_oracle.differences(name, *_parsed(fixture_bundle(name))) \
+        == []
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_data_round_trips_through_the_parsers(name):
+def test_data_round_trips_through_the_parsers(name, tmp_path, capsys):
+    # the files that `koszulkit fixtures` writes, read back by the loaders
+    # of `check`, are the constructed input
+    assert main(["fixtures", "--name", name, "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    pres = _load_presentation(str(tmp_path / (name + ".presentation.json")))
+    act = tmp_path / (name + ".action.json")
+    action = _load_action(str(act)) if act.exists() else None
+    assert fixture_oracle.differences(name, pres, action) == []
+
+
+@pytest.mark.parametrize("name,path,value,fields", [
+    ("sym_2", ["presentation", "relations", 0, "terms", 1], None,
+     ["presentation"]),
+    ("c2_sign_takiff", ["action", "action", 1, 0, 0], "1", ["mats"]),
+    ("c2_sign_takiff", ["action", "modules", "sign"], None, ["modules"]),
+    ("sweedler_optional", ["action", "bialgebra", "comult", 8, 2], "0",
+     ["legs", "base.comult"]),
+    ("sl2_adjoint_takiff", ["action", "lie", "brackets", "e,f"], None,
+     ["laws", "base.brackets"]),
+    ("sl2_adjoint_takiff",
+     ["action", "modules", "adjoint", "action", "h", 0, 0], "3",
+     ["base.modules", "modules"]),
+], ids=["relation", "action", "module", "comult", "bracket", "lie-module"])
+def test_the_oracle_sees_an_edit(name, path, value, fields):
+    # one entry of the data set to value, or removed when it is None,
+    # shows in the fields that it defines
     bundle = fixture_bundle(name)
-    pres = QuadraticPresentation.from_json_obj(bundle["presentation"])
-    assert pres.to_json_obj() == bundle["presentation"]
-    if bundle["action"] is not None:
-        assert (action_bundle_to_json(*action_bundle_from_json(
-            bundle["action"])) == bundle["action"])
+    *head, last = path
+    node = bundle
+    for key in head:
+        node = node[key]
+    if value is None:
+        del node[last]
+    else:
+        node[last] = value
+    assert fixture_oracle.differences(name, *_parsed(bundle)) == fields
 
 
 def test_takiff_references_are_the_standard_presentations():
     # the takiff check compares an input's relations with those of
     # sym_presentation(k) and ext_presentation(k); the data of sym_3 and
     # ext_3 is theirs at k = 3
-    assert fixture_bundle("sym_3")["presentation"] == (
-        sym_presentation(3).to_json_obj())
-    assert fixture_bundle("ext_3")["presentation"] == (
-        ext_presentation(3).to_json_obj())
+    for name, build in (("sym_3", sym_presentation),
+                        ("ext_3", ext_presentation)):
+        assert QuadraticPresentation.from_json_obj(
+            fixture_bundle(name)["presentation"]) == build(3)
 
 
 def test_bundles_are_fresh_copies():
     # editing one bundle, even where two entries hold the same data (sl2's
     # action on V and its adjoint module), changes nothing else
+    before = fixture_bundle("sl2_adjoint_takiff")
     bundle = fixture_bundle("sl2_adjoint_takiff")
     bundle["action"]["lie"]["action"]["e"][0][0] = "7"
     bundle["presentation"]["generators"][0] = "y"
     assert bundle["action"]["modules"]["adjoint"]["action"]["e"][0][0] == "0"
-    assert fixture_bundle("sl2_adjoint_takiff") == (
-        fixture_oracle.fixture_bundle("sl2_adjoint_takiff"))
+    assert fixture_bundle("sl2_adjoint_takiff") == before
     assert fixture_bundle("sym_3")["presentation"]["generators"][0] == "x1"

@@ -271,8 +271,7 @@ def _fixture_actions():
         out.append((pres, provider, N))
         out.append((quadratic_dual(pres), dual_action(provider), N))
     out.append((sym_presentation(3), dual_action(sl2_provider()), 5))
-    two = ActionProvider.from_bialgebra(sweedler_bialgebra(),
-                                        sweedler_modules()["two_dim"])
+    two = ActionProvider(sweedler_bialgebra(), sweedler_modules()["two_dim"])
     square = [presentation_from_relation_rows(["a", "b"], [row])
               for row in ([1, 0, 0, 0], [0, 0, 0, 1])]
     out += [(ext_presentation(2), two, 5), (square[1], two, 5),
@@ -611,11 +610,18 @@ def test_psi_intertwiner_sym2_ext2():
 
 
 def test_presentation_json_roundtrip():
-    for pres in (sym_presentation(2), ext_presentation(3),
-                 free_presentation(2), dual_numbers_presentation()):
-        obj = pres.to_json_obj()
-        back = QuadraticPresentation.from_json_obj(obj)
-        assert back == pres
+    # a relation space in any basis, with repeated monomials summed,
+    # parses to the canonical one of the construction
+    x1, x2 = ["x1", "x1"], ["x2", "x2"]
+    for terms, build in (
+            ([[("2", ["x1", "x2"]), ("-1/2", ["x2", "x1"]),
+               ("-3/2", ["x2", "x1"])]], sym_presentation),
+            ([[("1", x1), ("1", x2)], [("1", x1), ("-1", x2)],
+              [("1", ["x2", "x1"]), ("1", ["x1", "x2"])]], ext_presentation),
+            ([], free_presentation)):
+        obj = {"generators": ["x1", "x2"], "relations": [
+            {"terms": [{"c": c, "m": m} for c, m in rel]} for rel in terms]}
+        assert QuadraticPresentation.from_json_obj(obj) == build(2)
 
 
 def test_presentation_json_errors():
