@@ -27,7 +27,7 @@ print("matches ext_3:", dual.hdims() == grow(ext_presentation(3), N).hdims())
 
 print()
 print("== The Koszul complex certifies Koszulity ==")
-cx = koszul_complex(alg, "right")
+cx = koszul_complex(alg)
 print("d^2 = 0:", check_d_squared(cx)[0])
 rep = homology(cx)
 nonzero = [c for c in sorted(cx.cells()) if rep.valid(*c) and rep.dim(*c)]

@@ -238,6 +238,9 @@ class LieAction:
             a, b = pos[pair[0]], pos[pair[1]]
             vec = [F0] * dim
             for t in terms:
+                if t["b"] not in pos:
+                    raise ValueError("lie brackets %r term names no basis "
+                                     "element: %r" % (key, t["b"]))
                 vec[pos[t["b"]]] += rat_from_str(t["c"])
             brackets[(a, b)] = vec
         for (a, b) in list(brackets):
@@ -597,10 +600,14 @@ def _module_dim(name, mobj):
 def _by_basis(value, pos, field):
     """(name, value[name]) for each basis name, in the order of pos, from
     value, a JSON object keyed by basis names; ValueError naming field and
-    the first key that names no basis element."""
+    the first key that names no basis element, or the first basis name
+    that is no key."""
     for key in _json_field(value, dict, field):
         if key not in pos:
             raise ValueError("%s key %r names no basis element" % (field, key))
+    for name in pos:
+        if name not in value:
+            raise ValueError("%s has no key %r" % (field, name))
     return [(name, value[name]) for name in pos]
 
 
@@ -634,6 +641,8 @@ def action_bundle_from_json(obj):
     {name: {"dim": d, "action": {gen: matrix}}}}."""
     obj = _json_field(obj, dict, "an action file")
     modules_obj = _json_field(obj.get("modules", {}), dict, "modules")
+    for name, mobj in modules_obj.items():
+        _json_field(mobj, dict, "module %r" % name)
     if "bialgebra" in obj:
         b = Bialgebra.from_json_obj(obj["bialgebra"])
         mats = _mats_from_json(enumerate(obj.get("action", [])),

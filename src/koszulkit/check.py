@@ -240,13 +240,12 @@ def _duality_inputs(acting, provider, modules, need_alg):
             "bad_modules": bad_modules}
 
 
-def _module_entries(shared, what, entry_at_k):
+def _module_entries(shared, entry_at_k):
     """The details of the duality or roundtrip check: a module whose laws
     fail reports that failure, and every other module reads one entry,
     which entry_at_k(pairing, provider, name) computes at the trivial
     module k (duality module docstring) when the first such module, in
-    sorted order, is reached.  An internal invariant, or a d^2 failure of
-    the complexes that what names, is reported for that module."""
+    sorted order, is reached."""
     if shared["failure"]:
         return "fail", {"failure": shared["failure"]}
     details, status, entry = {"modules": {}}, "pass", None
@@ -256,11 +255,7 @@ def _module_entries(shared, what, entry_at_k):
             status = "fail"
             continue
         if entry is None:
-            try:
-                entry = entry_at_k(shared["pairing"], shared["provider"], name)
-            except DSquaredError as exc:
-                raise InternalInvariant("%s of module %r: %s"
-                                        % (what, name, exc))
+            entry = entry_at_k(shared["pairing"], shared["provider"], name)
         details["modules"][name] = entry
     return status, details
 
@@ -269,9 +264,14 @@ def _duality_entry(pairing, provider, name):
     from koszulkit.duality import (
         identify_socI, identify_topP, koszulity_via_duality,
     )
-    res = koszulity_via_duality(provider, pairing)
-    soc = identify_socI(provider, pairing)
-    top = identify_topP(provider, pairing)
+    try:
+        # the only check that builds complexes, each checked for d^2 = 0
+        res = koszulity_via_duality(provider, pairing)
+        soc = identify_socI(provider, pairing)
+        top = identify_topP(provider, pairing)
+    except DSquaredError as exc:
+        raise InternalInvariant("duality complex of module %r: %s"
+                                % (name, exc))
     sides = ("injective", "projective", "koszul_complex")
     per = [res["per_degree_%s" % side] for side in sides]
     if not res["agree"]:
@@ -316,11 +316,11 @@ def _roundtrip_entry(pairing, provider, name):
 def _check_roundtrip(shared):
     if not shared["failure"]:
         # up to the grown degree, once: every roundtrip_A reads this verdict
-        ok_psi, where = verify_psi_intertwiner(shared["pairing"])
+        ok_psi, where = verify_psi_intertwiner(shared["pairing"], "right")
         if not ok_psi:
             raise InternalInvariant("pairing intertwiner fails at %r"
                                     % (where,))
-    return _module_entries(shared, "round-trip complex", _roundtrip_entry)
+    return _module_entries(shared, _roundtrip_entry)
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +481,8 @@ def run_check(args):
                 status, details = _check_takiff(pres, provider,
                                                 need_acting())
             elif name == "duality":
-                status, details = _module_entries(
-                    need_shared(), "duality complex", _duality_entry)
+                status, details = _module_entries(need_shared(),
+                                                  _duality_entry)
             elif name == "roundtrip":
                 status, details = _check_roundtrip(need_shared())
         except (InternalInvariant, ValueError) as exc:

@@ -21,21 +21,24 @@ Everything here is computed in finite k-linear models:
 
 Sign conventions: the injective-side differential is d + (-1)^r rho, the
 projective-side one is (-1)^r (strip-into-algebra) + (strip-into-module),
-and the socle subcomplex carries (-1)^(r+1).  The one sign the
-round-trip comparison maps need is fixed: roundtrip_B compares the
-differentials up to (-1)^(r+i+1) and re-verifies that as an exact
-identity, on every bidegree.
+and the socle subcomplex carries (-1)^(r+1).  The round trips build
+none of these complexes: at k, the two that a round trip compares are
+the Koszul complexes of A, dualized, and of A! on one side (right for
+roundtrip_A, left for roundtrip_B, where the signs cancel), so its chain
+identity is the intertwiner of DualityPairing.psi_bar of that side with
+the unsigned Koszul maps m_bar (quadratic.verify_psi_intertwiner).
 
 Every comparison map (theta, phi, psi_bar (x) id, chi) is a permuted
 Kronecker product of the pairings g1 (of H with K!) and g2 (of H! with
 K) of quadratic.DualityPairing, or of their inverses, with id_X: theta
-is g2^T, phi is g1, psi_bar is g1^-1 (x) g2^-T after a swap, and chi is
-theta^-1 followed by phi^-1.  So each is bijective exactly when the
-pairings are invertible, which DualityPairing decides once.  For the
-same reason every degree-zero and generator identity of the four
-verifiers follows from four identities of g1 and g2, read through
-DualityPairing.verdict, once per pairing (generators) or per pairing
-and acting object (actions), with no complex built:
+is g2^T, phi is g1, psi_bar is g1^-1 (x) g2^-T after a swap, and chi,
+theta^-1 followed by id (x) phi^-1, is the left psi_bar, g2^-T (x) g1^-1
+after a swap.  So each is bijective exactly when the pairings are
+invertible, which DualityPairing decides once.  For the same reason
+every degree-zero and generator identity of the four verifiers follows
+from four identities of g1 and g2, read through DualityPairing.verdict,
+once per pairing (generators) or per pairing and acting object
+(actions), with no complex built:
   * g2 generators: theta carries left multiplication by a dual
     generator to the socle contraction by it (identify_socI,
     roundtrip_B);
@@ -52,14 +55,16 @@ counit law each cell action is the action on the X-free factors and an
 identity at k gives it for every X, term by term; the action on a
 tensor cell is tensor_action of the factors' actions, so a Kronecker
 product or a composite of intertwiners intertwines, term by term over
-the legs; and psi_bar's generator identity is g1's with an identity
-tensored in, chi's is theta's.
+the legs; and the generator identity of the right psi_bar is g1's with
+an identity tensored in, that of the left one, chi, theta's.
 
-The four verifiers and koszulity_via_duality take no module: they build
-their complexes at k (provider.tensor_mats(0)), and their verdicts and
-cell counts are those of every degree-zero module X, dim X >= 1, whose
-laws hold.  X has no degree-one action, and those of I0(X) and P0(X) are
-mult (x) id_X, so every construction is additive in the vector space X:
+The four verifiers and koszulity_via_duality take no module: the
+identifications and koszulity_via_duality build their complexes at k
+(provider.tensor_mats(0)), the round trips build none, and their
+verdicts and cell counts are those of every degree-zero module X,
+dim X >= 1, whose laws hold.  X has no degree-one action, and those of
+its coinduced module Hom(A, X) and of P0(X) are mult (x) id_X, so every
+construction is additive in the vector space X:
 each differential of the I, P, socle and top complexes of X is the one
 at k tensored with id_X, up to a fixed permutation.  So homology ranks
 scale by dim X, and d^2 and each chain identity hold at X exactly when
@@ -207,23 +212,6 @@ def P0(provider, alg, mats):
         lambda i: _induced_left_action(provider, provider.h_action(alg, i),
                                        list(mats)),
         act1, truncated_above=True)
-
-
-def I0(provider, alg, mats):
-    """Coinduced module: component -i is Hom(H_i, X) with
-    (a . f)(h) = a_(1) f(h <| a_(2)) and (v . f)(h) = f(h v).
-    Truncated below at -alg.N."""
-    dX = mats[0].rows if mats else 0
-    dims = {-i: dX * alg.hdim(i) for i in range(alg.N + 1)}
-    act1 = {-i: hstack([
-        kron(dX, alg.generator_mult(i - 1, a, "right").transpose())
-        for a in range(alg.n)])
-        for i in range(1, alg.N + 1) if dims[-i] and dims[-i + 1]}
-    return GradedAModule(
-        provider, alg, dims,
-        lambda j: _hom_action(provider, provider.h_action(alg, -j),
-                              list(mats)),
-        act1, truncated_below=True)
 
 
 # ---------------------------------------------------------------------------
@@ -559,55 +547,25 @@ def h0_certificate(dcx, X):
 # ---------------------------------------------------------------------------
 # the model identifications
 
-def _roundtrip_result(checks, **more):
-    """A round trip's result from the verdicts (ok, where) of its named
-    checks, in order: the first failure, with its name, and which hold."""
-    first = next(((name,) + where for name, (ok, where) in checks.items()
-                  if not ok), None)
-    return {"ok": first is None, "first_failure": first,
-            "checks": {name: ok for name, (ok, _w) in checks.items()},
-            **more}
-
-
-def _model_map(g, d, inverse=False):
+def _model_map(g, d):
     """g (x) id_d with the two tensor factors of its source in the other
-    order: entry g[a, b] at row (y, a) and column (b, y), for every y < d.
-    With inverse set, g is the inverse of such a g and the matrix is the
-    inverse map: entry g[a, b] at row (a, y) and column (y, b)."""
-    C = g.cols
+    order: entry g[a, b] at row (y, a) and column (b, y), for every y < d."""
     if d == 1:
         return g
-    if inverse:
-        # kron(g, I_d), its column (b, y) moved to (y, b)
-        return _columns(kron(g, d), [b * d + y for y in range(d)
-                                     for b in range(C)])
     # kron(I_d, g), its column (y, b) moved to (b, y)
+    C = g.cols
     return _columns(kron(d, g), [y * C + b for b in range(C)
                                  for y in range(d)])
 
 
-def _theta_matrix(pairing, r, dX, inverse=False):
-    """Model-to-socle matrix: eta (x) x |-> (u |-> <eta, u> x), or its
-    inverse, from the cached inverse pairing."""
-    g = pairing.g2_inv(r) if inverse else pairing.g2(r)
-    return _model_map(g.transpose(), dX, inverse)
+def _theta_matrix(pairing, r, dX):
+    """Model-to-socle matrix: eta (x) x |-> (u |-> <eta, u> x)."""
+    return _model_map(pairing.g2(r).transpose(), dX)
 
 
-def _phi_matrix(pairing, r, dY, inverse=False):
-    """Model-to-coinduced matrix: theta (x) y |-> (h |-> <theta, h> y), or
-    its inverse, from the cached inverse pairing."""
-    g = pairing.g1_inv(r) if inverse else pairing.g1(r)
-    return _model_map(g, dY, inverse)
-
-
-def _chi_matrix(pairing, r, i, dX):
-    """roundtrip_B's socle-to-model matrix at dual degree r and H-degree
-    i: the inverse theta of the coinduced component Hom(H_i, X), then the
-    inverse phi on it."""
-    return (kron(pairing.dual.hdim(r),
-                 _phi_matrix(pairing, i, dX, inverse=True))
-            @ _theta_matrix(pairing, r, dX * pairing.alg.hdim(i),
-                            inverse=True))
+def _phi_matrix(pairing, r, dY):
+    """Model-to-coinduced matrix: theta (x) y |-> (h |-> <theta, h> y)."""
+    return _model_map(pairing.g1(r), dY)
 
 
 def identify_socI(provider, pairing):
@@ -757,18 +715,40 @@ def _act0_verdict(pairing, provider):
 # ---------------------------------------------------------------------------
 # round trips
 
+def _roundtrip(provider, pairing, side, generator_failures, **more):
+    """The round trip of the given side, from verdicts of the pairing, or
+    of it and the acting object, so no complex is built: "bijective"
+    records the invertibility of psi_bar, which DualityPairing decides,
+    "chain" its intertwiner on that side, "act0" the g1 action and the g2
+    action, and "generator" the identity generator_failures of the
+    pairings.  The first failure is named with its entry; "cells" counts
+    the nonzero K_j (x) H_i, i + j <= N, at k (module docstring)."""
+    alg = pairing.alg
+    N = alg.N
+    checks = {
+        "bijective": (True, None),
+        "chain": verify_psi_intertwiner(pairing, side),
+        "act0": _act0_verdict(pairing, provider),
+        "generator": pairing.verdict(generator_failures),
+    }
+    first = next(((name,) + where for name, (ok, where) in checks.items()
+                  if not ok), None)
+    return {"ok": first is None, "first_failure": first,
+            "checks": {name: ok for name, (ok, _w) in checks.items()},
+            "cells": sum(1 for i in range(N + 1) for j in range(N + 1 - i)
+                         if alg.kdim(j) * alg.hdim(i)),
+            **more}
+
+
 def roundtrip_A(provider, pairing):
     """Rebuild the injective-side complex of a degree-zero module by going
     through the socle model and the top quotient on the co-opposite side,
     and compare with the directly built complex through the transported
     pairing matrices phi = (psi_bar (x) id) o swap: chain, degree-zero-
     and generator-equivariant on every bidegree up to the grown degree.
-
-    Every entry is a verdict of the pairing, or of it and the acting
-    object, so no complex is built here: "bijective" records the
-    invertibility of psi_bar, which DualityPairing decides, "chain" the
-    intertwiner, "act0" the g1 action and the g2 action, and "generator"
-    the g1 generators.  "cells" is counted at k (module docstring).
+    At k the two are the right Koszul complexes of A, dualized, and of
+    A!, so the chain entry is the right intertwiner of psi_bar, and the
+    generator entry is the g1 generators (_roundtrip).
 
     psi_bar is g1^-1 (x) g2^-T after a swap.  b acts on
     Hom(K_p (x) H_r, X) through (id (x) Delta) Delta and on
@@ -782,28 +762,20 @@ def roundtrip_A(provider, pairing):
     intertwines them, term by term over the legs, for every X.  The
     generator identity through psi_bar is that of phi = g1 with an
     identity tensored in."""
-    alg = pairing.alg
-    N = alg.N
-    cells = sum(1 for r in range(N + 1) for p in range(N + 1 - r)
-                if alg.kdim(p) * alg.hdim(r))
-    return _roundtrip_result({
-        "bijective": (True, None),
-        "chain": verify_psi_intertwiner(pairing),
-        "act0": _act0_verdict(pairing, provider),
-        "generator": pairing.verdict(_g1_generator_failures),
-    }, cells=cells)
+    return _roundtrip(provider, pairing, "right", _g1_generator_failures)
 
 
 def roundtrip_B(provider, pairing):
-    """Mirror round trip: the socle complex of the coinduced module is
-    compared with the directly built projective-side complex over the
-    co-opposite smash.  The comparison map chi must be a chain map up to
-    the fixed sign (-1)^(r+i+1), re-verified here as an exact identity on
-    every bidegree, and intertwine both actions.  chi is bijective because
-    the pairing is, so the "bijective" entry records the invertibility of
-    the pairing, which DualityPairing decides.  The degree-zero entry is
-    roundtrip_A's, the g1 action and the g2 action; the generator entry
-    is the g2 generators.
+    """Mirror round trip: the socle complex of the coinduced module
+    Hom(A, X) is compared with the directly built projective-side complex
+    of X over the co-opposite smash of the dual through chi (x) id_X,
+    chi the left psi_bar.  At k the two are the left Koszul complexes of
+    A, dualized, and of A!: the socle complex has the block
+    m_bar(alg, r + 1, i - 1, "left")^T (-1)^(r+1), the projective one the
+    block m_bar(dual, i, r, "left") (-1)^i, and their relative sign
+    (-1)^(r+i+1), which sign_convention names, cancels them.  So the
+    chain entry is the left intertwiner of psi_bar, and the generator
+    entry is the g2 generators (_roundtrip).
 
     chi is theta^-1 followed by id (x) phi^-1, up to a fixed permutation.
     b acts on Hom(K_r, Hom(H_i, X)) and on H!_r (x) K!_i (x) X through
@@ -813,40 +785,10 @@ def roundtrip_B(provider, pairing):
     of the factors' actions; so the composite of the inverses of theta
     and phi intertwines them, term by term over the legs, for every X.
     The generator identity through chi is that of theta = g2^T with an
-    identity tensored in.
-
-    Checked at k, for every X (module docstring).  The socle complex of
-    I0(k), in degrees -N..0, has just the cells (r, -i - r), r + i <= N,
-    that chi compares."""
-    alg, dual = pairing.alg, pairing.dual
-    N = alg.N
-    k = provider.tensor_mats(0)
-    soc = socI_complex(I0(provider, alg, k))
-    pcx = P_complex(degree_zero_module(dual_action(provider), dual, k))
-    chi = {(r, i): _chi_matrix(pairing, r, i, 1)
-           for r in range(N + 1) for i in range(N + 1 - r)
-           if alg.kdim(r) * alg.hdim(i)}
-    # Chain property, from cell (r, -i - r) of the socle complex and cell
-    # (-i, r + i) of the projective side.  chi is a chain isomorphism onto
-    # the model whose strip map carries (-1)^(r+1), r the degree of the
-    # leading dual factor; the stored differential signs it by the
-    # K-degree instead, so the factor relative to it is (-1)^(r+i+1).
-    chain = None
-    for (r, i), m in chi.items():
-        nxt = chi.get((r + 1, i - 1))
-        d_soc = soc.cx.differentials.get((r, -i - r))
-        d_p = pcx.cx.differentials.get((-i, r + i))
-        if (nxt is not None and d_soc is not None and d_p is not None
-                and nxt @ d_soc != (d_p @ m).scale((-1) ** (r + i + 1))):
-            chain = (r, i)
-            break
-    return _roundtrip_result({
-        "bijective": (True, None),
-        "chain": (chain is None, chain),
-        "act0": _act0_verdict(pairing, provider),
-        "generator": pairing.verdict(_g2_generator_failures),
-    }, cells=len(chi),
-        sign_convention="(-1)**(dual_degree+1) on the strip map")
+    identity tensored in."""
+    return _roundtrip(provider, pairing, "left", _g2_generator_failures,
+                      sign_convention="(-1)**(dual_degree+1) on the strip "
+                      "map")
 
 
 # ---------------------------------------------------------------------------

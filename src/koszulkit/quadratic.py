@@ -473,11 +473,10 @@ def _m_bar(alg, j, i, side):
     return Mat.from_entries(kp * hn, kj * hi, entries())
 
 
-def koszul_complex(alg, side):
-    """The Koszul complex of alg on the given side: components (-i, s) =
-    K_i (x) H_{s-i} ("right") or H_{s-i} (x) K_i ("left"); the
-    differential is m_bar.  All cells with s <= N are genuinely complete,
-    so the whole window is valid."""
+def koszul_complex(alg):
+    """The right Koszul complex of alg: components (-i, s) =
+    K_i (x) H_{s-i}; the differential is m_bar.  All cells with s <= N are
+    genuinely complete, so the whole window is valid."""
     N = alg.N
     comps = {}
     diffs = {}
@@ -485,7 +484,7 @@ def koszul_complex(alg, side):
         for i in range(s + 1):
             comps[(-i, s)] = alg.kdim(i) * alg.hdim(s - i)
         for i in range(1, s + 1):
-            diffs[(-i, s)] = m_bar(alg, i, s - i, side)
+            diffs[(-i, s)] = m_bar(alg, i, s - i, "right")
     return BigradedComplex((-N - 1, 1), (0, N), comps, diffs)
 
 
@@ -501,7 +500,7 @@ def koszulity_check(alg):
     if alg._koszulity is not None:
         return alg._koszulity
     N = alg.N
-    cx = koszul_complex(alg, "right")
+    cx = koszul_complex(alg)
     rep = homology(cx)
     per_degree = {}
     first_failure = None
@@ -540,7 +539,8 @@ def euler_identity(alg, dual_alg):
 class DualityPairing:
     """Caches the perfect pairings between H_i and the dual Koszul subspace
     K!_i (G1) and between H!_j and K_j (G2), and the transported matrices
-    psi_bar(i, j): (K_j (x) H_i)* -> K!_i (x) H!_j.
+    psi_bar(i, j, side): (K_j (x) H_i)* -> K!_i (x) H!_j and its left
+    mirror.
 
     Functionals are represented by coefficient vectors in the dual basis,
     flattened with the same row-major rule as the underlying space."""
@@ -626,40 +626,47 @@ class DualityPairing:
             self._verdicts[key] = (where is None, where)
         return self._verdicts[key]
 
-    def psi_bar(self, i, j):
-        """Invertible matrix (K_j (x) H_i)* -> K!_i (x) H!_j.
+    def psi_bar(self, i, j, side):
+        """Invertible matrix (K_j (x) H_i)* -> K!_i (x) H!_j (side "right"),
+        or its mirror (H_i (x) K_j)* -> H!_j (x) K!_i ("left").
 
         g1(i) has rows H_i and columns K!_i, so the K!_i coordinates of the
         dual basis of H_i are the columns of g1(i)^-1; g2(j) has rows H!_j
         and columns K_j, so the H!_j coordinates of the dual basis of K_j
         are the columns of (g2(j)^-1)^T."""
-        m = self._psi.get((i, j))
+        m = self._psi.get((i, j, side))
         if m is None:
-            m = self._psi[(i, j)] = (
-                kron(self.g1_inv(i), self.g2_inv(j).transpose())
-                @ swap_matrix(self.alg.kdim(j), self.alg.hdim(i)))
+            g1, g2 = self.g1_inv(i), self.g2_inv(j).transpose()
+            kj, hi = self.alg.kdim(j), self.alg.hdim(i)
+            m = self._psi[(i, j, side)] = (
+                kron(g1, g2) @ swap_matrix(kj, hi) if side == "right"
+                else kron(g2, g1) @ swap_matrix(hi, kj))
         return m
 
 
-def verify_psi_intertwiner(pairing):
+def verify_psi_intertwiner(pairing, side):
     """Exact-matrix check of the compatibility of psi_bar with the two
-    strip-and-multiply maps: precomposing a functional with
-    K_{j+1} (x) H_{i-1} -> K_j (x) H_i transports, under psi_bar, to the
-    dual-side strip-and-multiply K!_i (x) H!_j -> K!_{i-1} (x) H!_{j+1},
-    for every i >= 1 with i + j <= N, the grown degree.  Returns
-    (True, None) or (False, (i, j)) at the first failure; the verdict is
-    memoized on the pairing.
+    strip-and-multiply maps of the given side: precomposing a functional
+    with m_bar(alg, j + 1, i - 1, side), K_{j+1} (x) H_{i-1} -> K_j (x) H_i
+    ("right") or H_{i-1} (x) K_{j+1} -> H_i (x) K_j ("left"), transports,
+    under psi_bar, to m_bar(dual, i, j, side), K!_i (x) H!_j ->
+    K!_{i-1} (x) H!_{j+1} or H!_j (x) K!_i -> H!_{j+1} (x) K!_{i-1}, for
+    every i >= 1 with i + j <= N, the grown degree.  Returns (True, None)
+    or (False, (i, j)) at the first failure; the verdict is memoized on
+    the pairing, per side.
 
-    This is the arbiter of every pairing convention in the package; a
-    mismatch anywhere upstream makes it fail loudly."""
-    return pairing.verdict(_intertwiner_failures)
+    The right side is the arbiter of every pairing convention in the
+    package; a mismatch anywhere upstream makes it fail loudly.  The left
+    side is the chain identity of the left Koszul complexes, which
+    duality.roundtrip_B reads."""
+    return pairing.verdict(_intertwiner_failures, side)
 
 
-def _intertwiner_failures(pairing):
+def _intertwiner_failures(pairing, side):
     alg, dual = pairing.alg, pairing.dual
     N = alg.N
     return ((i, j) for i in range(1, N + 1)
             for j in range(N - i + 1)
-            if pairing.psi_bar(i - 1, j + 1)
-            @ m_bar(alg, j + 1, i - 1, "right").transpose()
-            != m_bar(dual, i, j, "right") @ pairing.psi_bar(i, j))
+            if pairing.psi_bar(i - 1, j + 1, side)
+            @ m_bar(alg, j + 1, i - 1, side).transpose()
+            != m_bar(dual, i, j, side) @ pairing.psi_bar(i, j, side))

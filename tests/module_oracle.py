@@ -1,25 +1,66 @@
 """Per-module oracle for the duality verifiers.
 
-The verifiers of koszulkit.duality, and koszulity_via_duality, build their
-complexes once, at the trivial module k, and give the verdict of every
-degree-zero module whose laws hold.  Each function here computes the same
-result the other way: on the module itself, from the complexes of that
-module, as the verifiers did when they took one.  Tests assert that the
-two are equal, module by module.
+The verifiers of koszulkit.duality, and koszulity_via_duality, compute
+their results once, at the trivial module k (the round trips from
+identities of the pairings, with no complex), and give the verdict of
+every degree-zero module whose laws hold.  Each function here computes
+the same result the other way: on the module itself, from the complexes
+of that module.  Round trip B's oracle compares the socle complex of the
+coinduced module I0(X) with the projective-side complex of X over the
+dual through chi (x) id_X, chi from the inverses of theta and phi that an
+elimination finds.  Tests assert that the two are equal, module by
+module.
 """
 
 from koszulkit.action import dual_action
 from koszulkit.duality import (
-    I0, I_complex, P0, P_complex, _act0_verdict, _chi_matrix,
+    GradedAModule, I_complex, P0, P_complex, _act0_verdict,
     _g1_action_failures, _g1_generator_failures, _g2_action_failures,
-    _g2_generator_failures, _phi_matrix, _rho_hom, _roundtrip_result,
-    degree_zero_module, h0_certificate, identify_socI, identify_topP,
-    koszulity_via_duality, roundtrip_A, roundtrip_B, socI_complex,
-    topP_complex, validate_socI_action,
+    _g2_generator_failures, _hom_action, _phi_matrix, _rho_hom,
+    _theta_matrix, degree_zero_module, h0_certificate, identify_socI,
+    identify_topP, koszulity_via_duality, roundtrip_A, roundtrip_B,
+    socI_complex, topP_complex, validate_socI_action,
 )
-from koszulkit.exactlin import vstack
+from koszulkit.exactlin import hstack, inverse, kron, vstack
 from koszulkit.graded import homology
 from koszulkit.quadratic import koszulity_check, verify_psi_intertwiner
+
+
+def I0(provider, alg, mats):
+    """Coinduced module: component -i is Hom(H_i, X) with
+    (a . f)(h) = a_(1) f(h <| a_(2)) and (v . f)(h) = f(h v).
+    Truncated below at -alg.N."""
+    dX = mats[0].rows if mats else 0
+    dims = {-i: dX * alg.hdim(i) for i in range(alg.N + 1)}
+    act1 = {-i: hstack([
+        kron(dX, alg.generator_mult(i - 1, a, "right").transpose())
+        for a in range(alg.n)])
+        for i in range(1, alg.N + 1) if dims[-i] and dims[-i + 1]}
+    return GradedAModule(
+        provider, alg, dims,
+        lambda j: _hom_action(provider, provider.h_action(alg, -j),
+                              list(mats)),
+        act1, truncated_below=True)
+
+
+def chi_matrix(pairing, r, i, dX):
+    """Round trip B's socle-to-model matrix chi (x) id_X at dual degree r
+    and H-degree i, dim X = dX: the inverse theta of the coinduced
+    component Hom(H_i, X), then the inverse phi on it, each inverted by
+    elimination."""
+    return (kron(pairing.dual.hdim(r),
+                 inverse(_phi_matrix(pairing, i, dX)))
+            @ inverse(_theta_matrix(pairing, r, dX * pairing.alg.hdim(i))))
+
+
+def _roundtrip_result(checks, **more):
+    """A round trip's result from the verdicts (ok, where) of its named
+    checks, in order: the first failure, with its name, and which hold."""
+    first = next(((name,) + where for name, (ok, where) in checks.items()
+                  if not ok), None)
+    return {"ok": first is None, "first_failure": first,
+            "checks": {name: ok for name, (ok, _w) in checks.items()},
+            **more}
 
 
 def koszulity_via_duality_of(provider, pairing, mats):
@@ -98,7 +139,7 @@ def roundtrip_A_of(provider, pairing, mats):
                 if dX * alg.kdim(p) * alg.hdim(r))
     return _roundtrip_result({
         "bijective": (True, None),
-        "chain": verify_psi_intertwiner(pairing),
+        "chain": verify_psi_intertwiner(pairing, "right"),
         "act0": _act0_verdict(pairing, provider),
         "generator": pairing.verdict(_g1_generator_failures),
     }, cells=cells)
@@ -106,23 +147,25 @@ def roundtrip_A_of(provider, pairing, mats):
 
 def roundtrip_B_of(provider, pairing, mats):
     """Round trip B on the socle complex of I0(X) against the
-    projective-side complex of X over the dual, through chi with id_X."""
+    projective-side complex of X over the dual, through chi with id_X: the
+    differentials agree up to the sign (-1)^(r+i+1) from cell (r, -i - r)
+    of the socle complex and cell (-i, r + i) of the projective side, the
+    first failure named (i, r), as the left intertwiner of psi_bar names
+    it."""
     alg, dual = pairing.alg, pairing.dual
     N, dX = alg.N, mats[0].rows
     soc = socI_complex(I0(provider, alg, mats))
     pcx = P_complex(degree_zero_module(dual_action(provider), dual, mats))
-    chi = {(r, i): _chi_matrix(pairing, r, i, dX)
+    chi = {(r, i): chi_matrix(pairing, r, i, dX)
            for r in range(N + 1) for i in range(N + 1 - r)
            if alg.kdim(r) * dX * alg.hdim(i)}
-    chain = None
-    for (r, i), m in chi.items():
-        nxt = chi.get((r + 1, i - 1))
-        d_soc = soc.cx.differentials.get((r, -i - r))
-        d_p = pcx.cx.differentials.get((-i, r + i))
-        if (nxt is not None and d_soc is not None and d_p is not None
-                and nxt @ d_soc != (d_p @ m).scale((-1) ** (r + i + 1))):
-            chain = (r, i)
-            break
+    chain = next(((i, r) for i in range(1, N + 1) for r in range(N + 1 - i)
+                  if (r, i) in chi and (r + 1, i - 1) in chi
+                  and (r, -i - r) in soc.cx.differentials
+                  and (-i, r + i) in pcx.cx.differentials
+                  and chi[(r + 1, i - 1)] @ soc.cx.differentials[(r, -i - r)]
+                  != (pcx.cx.differentials[(-i, r + i)] @ chi[(r, i)]).scale(
+                      (-1) ** (r + i + 1))), None)
     return _roundtrip_result({
         "bijective": (True, None),
         "chain": (chain is None, chain),

@@ -65,7 +65,7 @@ def test_criterion_01_koszul_complex_homology_sym():
     for n in (1, 2, 3):
         t0 = time.monotonic()
         alg = grow(sym_presentation(n), 6)
-        cx = koszul_complex(alg, "right")
+        cx = koszul_complex(alg)
         good = check_d_squared(cx)[0]
         for s in range(7):
             for i in range(s + 1):
@@ -114,7 +114,8 @@ def test_criterion_04_pairing_intertwiner():
     for pres in (sym_presentation(2), ext_presentation(2)):
         alg = grow(pres, 5)
         dual = grow(quadratic_dual(pres), 5)
-        good, where = verify_psi_intertwiner(DualityPairing(alg, dual))
+        good, where = verify_psi_intertwiner(DualityPairing(alg, dual),
+                                             "right")
         ok = ok and good
     _verdict(4, ok, "pairing comparison maps intertwine the two bar maps "
              "for sym_2 and ext_2 up to total degree 5")

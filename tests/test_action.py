@@ -234,6 +234,25 @@ def test_module_algebra_validation():
     assert not ok
 
 
+def test_module_algebra_validation_rejects_another_dimension():
+    with pytest.raises(ValueError,
+                       match="the action is on dimension 3, not 2"):
+        validate_module_algebra(trivial_provider(3), sym_presentation(2))
+
+
+def test_k_action_rejects_a_subspace_that_is_not_invariant():
+    # the swap does not stabilize K_2 = R = <x1 (x) x2>; the actions are
+    # grown without validate_module_algebra, which would report it first
+    swap = ActionProvider(c2_group_algebra(),
+                          [Mat.identity(2), Mat(2, 2, [[0, 1], [1, 0]])])
+    alg = grow(QuadraticPresentation(
+        ["x1", "x2"], Subspace.from_rows(4, [[F0, F1, F0, F0]])), 3)
+    assert len(swap.k_action(alg, 1)) == 2
+    with pytest.raises(ValueError, match="subspace K_2 is not invariant "
+                       "under the action"):
+        swap.k_action(alg, 2)
+
+
 def test_dual_action_matrices():
     p = sl2_provider()
     d = dual_action(p)

@@ -300,23 +300,31 @@ def test_duality_d_squared_failure_is_internal_error(tmp_path):
                     "injective-side differential fails d^2=0 at (0, -2)"}}
 
 
-def test_roundtrip_d_squared_failure_is_internal_error(tmp_path,
-                                                       monkeypatch):
-    # the round trip builds the complexes it reads, the socle complex of
-    # the coinduced module first; a d^2 failure there is an internal
-    # invariant too (injected, since any corruption of the algebra fails
-    # the pairing intertwiner first)
-    import koszulkit.duality as duality
-    monkeypatch.setattr(duality, "check_d_squared",
-                        lambda cx: (False, (0, -1)))
+def test_roundtrip_B_chain_failure_is_internal_error(tmp_path,
+                                                     monkeypatch):
+    # round trip B's chain entry is the left intertwiner of psi_bar, the
+    # only reader of the left Koszul maps of the algebra: one entry of
+    # m_bar(alg, 2, 0, "left") off fails it alone, at the intertwiner's
+    # cell (i, j) = (1, 1), while the right-side gate and round trip A pass
+    import koszulkit.quadratic as quadratic
+    from koszulkit.exactlin import F1, Mat
+    m_bar = quadratic._m_bar
+
+    def faulty(alg, j, i, side):
+        m = m_bar(alg, j, i, side)
+        if (alg.pres.gen_names, j, i, side) == (["x1", "x2"], 2, 0, "left"):
+            m = m + Mat.from_entries(m.rows, m.cols, [(0, 0, F1)])
+        return m
+
+    monkeypatch.setattr(quadratic, "_m_bar", faulty)
     pres, _ = emit(tmp_path, "sym_2")
     out = tmp_path / "r.json"
     assert run(["check", "--input", pres, "--checks", "roundtrip",
                 "--max-degree", "3", "--out", str(out)]) == 3
     assert json.loads(out.read_text())["checks"]["roundtrip"] == {
         "status": "internal-error",
-        "details": {"failure": "round-trip complex of module 'k': "
-                    "socle differential fails d^2=0 at (0, -1)"}}
+        "details": {"failure": "round trip B failed for 'k' at "
+                    "('chain', 1, 1)"}}
 
 
 RAISE_IN_K_ACTION = """
@@ -496,7 +504,7 @@ def test_complexes_built_do_not_depend_on_the_modules(tmp_path,
         assert run(["check", "--input", pres, "--action", act, "--checks",
                     "duality,roundtrip", "--max-degree", "3", "--out",
                     str(out)] + (["--module", module] if module else [])) == 0
-        assert sorted(built) == ["I", "P", "P", "socI", "socI", "topP"]
+        assert sorted(built) == ["I", "P", "socI", "topP"]
         checks = json.loads(out.read_text())["checks"]
         for name in ("duality", "roundtrip"):
             for mod, entry in checks[name]["details"]["modules"].items():
@@ -698,6 +706,26 @@ def _edit(bundle, path, value):
        _edit(_sl2_bundle(), ("lie", "brackets", key), [{"c": "1", "b": "h"}]),
        "lie brackets key %r is not two basis names joined by ','" % (key,))
       for key in ("ef", "e,q", "e,f,h")],
+    # a basis name left out, a bracket term in no basis element and a
+    # module given as an array failed with a bare KeyError or TypeError
+    ("sl2_adjoint_takiff",
+     _edit(_sl2_bundle(), ("lie", "action"),
+           {g: m for g, m in _sl2_bundle()["lie"]["action"].items()
+            if g != "e"}),
+     "lie action has no key 'e'"),
+    ("sl2_adjoint_takiff",
+     _edit(_sl2_bundle(), ("modules", "adjoint", "action"),
+           {"h": [["0"] * 3] * 3, "f": [["0"] * 3] * 3}),
+     "module 'adjoint' action has no key 'e'"),
+    ("sl2_adjoint_takiff",
+     _edit(_sl2_bundle(), ("lie", "brackets", "e,f"), [{"c": "1", "b": "q"}]),
+     "lie brackets 'e,f' term names no basis element: 'q'"),
+    ("sl2_adjoint_takiff",
+     _edit(_sl2_bundle(), ("modules", "triv"), [[["0"]], [["0"]], [["0"]]]),
+     "module 'triv' must be a JSON object, got [[['0']], [['0']], [['0']]]"),
+    ("c2_sign_takiff",
+     _edit(_c2_bundle(), ("modules", "sign"), [[["1"]], [["-1"]]]),
+     "module 'sign' must be a JSON object, got [[['1']], [['-1']]]"),
 ], ids=["lie-not-square", "lie-ragged", "lie-sizes-differ", "lie-wrong-space",
         "lie-module-dim", "bialgebra-module-dim", "bialgebra-not-square",
         "bialgebra-short-mult", "bialgebra-modules-empty-array",
@@ -709,7 +737,10 @@ def _edit(bundle, path, value):
         "bialgebra-module-dim-string", "lie-module-dim-true",
         "lie-module-dim-float", "lie-module-dim-string", "lie-action-key",
         "lie-module-action-key", "lie-brackets-key-no-comma",
-        "lie-brackets-key-unknown-name", "lie-brackets-key-three-names"])
+        "lie-brackets-key-unknown-name", "lie-brackets-key-three-names",
+        "lie-action-missing-name", "lie-module-action-missing-name",
+        "lie-bracket-term-unknown-name", "lie-module-array",
+        "bialgebra-module-array"])
 def test_malformed_action_is_parse_error(tmp_path, capsys, fixture, bundle,
                                          message):
     # shapes are input checks, not asserts: the same exit 2 under -O
@@ -922,8 +953,8 @@ def test_roundtrip_checks_the_intertwiner_over_the_window(tmp_path,
     from koszulkit.quadratic import DualityPairing
     psi_bar = DualityPairing.psi_bar
 
-    def doubled(self, i, j):
-        m = psi_bar(self, i, j)
+    def doubled(self, i, j, side):
+        m = psi_bar(self, i, j, side)
         return m.scale(2) if (i, j) == (5, 0) else m
 
     monkeypatch.setattr(DualityPairing, "psi_bar", doubled)

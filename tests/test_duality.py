@@ -5,9 +5,8 @@ from koszulkit.action import (
     tensor_action, trivial_provider, validate_left_modules,
 )
 from koszulkit.duality import (
-    GradedAModule, I0, I_complex, P0, P_complex, _chi_matrix, _hom_action,
-    _induced_left_action, _model_map, _phi_matrix, _socle_generator,
-    _theta_matrix,
+    GradedAModule, I_complex, P0, P_complex, _hom_action,
+    _induced_left_action, _phi_matrix, _socle_generator, _theta_matrix,
     degree_zero_module, h0_certificate, identify_socI,
     identify_topP, koszulity_via_duality,
     roundtrip_A, roundtrip_B, socI_complex, topP_complex,
@@ -28,7 +27,7 @@ from koszulkit.quadratic import (
 )
 from homology_oracle import diagonal_vanishing, nonzero_valid_cells
 from module_oracle import (
-    disagreements, identify_socI_of, identify_topP_of,
+    I0, chi_matrix, disagreements, identify_socI_of, identify_topP_of,
     koszulity_via_duality_of, roundtrip_A_of, roundtrip_B_of,
 )
 
@@ -407,6 +406,17 @@ def test_homology_reads_the_d_squared_verdict_of_the_builder(monkeypatch):
     assert products == []
 
 
+def test_rho_hom_rejects_maps_that_do_not_compose():
+    # a degree-one action V (x) X_0 -> X_1 one column too wide
+    alg = grow(sym_presentation(2), 2)
+    one = Mat.identity(1)
+    X = GradedAModule(trivial_provider(2), alg, {0: 1, 1: 1},
+                      {0: [one], 1: [one]}.get, {0: Mat.zeros(1, 3)})
+    with pytest.raises(ValueError, match="the maps of _rho_hom do not "
+                       "compose: A has 3 columns"):
+        I_complex(X)
+
+
 def test_P_complex_multidegree_input():
     provider = c2_sign_provider()
     alg, dual, pairing = _setup(sym_presentation(1), provider, 3)
@@ -583,31 +593,40 @@ def test_I_complex_homology_values_c2():
 @pytest.mark.parametrize("pres", [sym_presentation(2), ext_presentation(3),
                                   sym_presentation(3), free_presentation(2)])
 def test_model_maps_inverted_from_the_cached_pairing(pres):
-    # roundtrip_B builds the inverse comparison maps from the cached g1^-1
-    # and g2^-1; they must be the inverses an elimination finds
+    # roundtrip_B reads the left psi_bar, built from the cached g1^-1 and
+    # g2^-1; it is chi, the composite of the inverses that an elimination
+    # finds of theta(r) on the coinduced component Hom(H_i, X) and of
+    # phi(i), and chi (x) id_X is it with id_X tensored in after a swap
     alg, dual, pairing = _setup(pres, None, 3)
     for r in range(4):
-        for d in (1, 2, 3):
-            for build in (_phi_matrix, _theta_matrix):
-                m = build(pairing, r, d)
-                inv = build(pairing, r, d, inverse=True)
-                assert inv == inverse(m), (build.__name__, r, d)
+        for i in range(4 - r):
+            psi = pairing.psi_bar(i, r, "left")
+            for dX in (1, 2, 3):
+                want = (kron(psi, Mat.identity(dX))
+                        @ swap_matrix(dX, psi.cols))
+                assert chi_matrix(pairing, r, i, dX) == want, (r, i, dX)
 
 
 @pytest.mark.parametrize("pres", [sym_presentation(2), sym_presentation(3)])
 def test_roundtrip_A_phi_is_the_swapped_kron_of_psi_bar(pres):
-    # roundtrip_A places psi_bar (x) id by offset; this is the product it
-    # stands for
+    # the mirror of chi: the comparison map of roundtrip_A,
+    # Hom(K_p (x) H_r, X) -> K!_r (x) H!_p (x) X, the inverse phi(r) of
+    # Hom(H_r, Hom(K_p, X)) and then the inverse theta(p), each found by
+    # elimination, is the right psi_bar with id_X tensored in after a swap
     N = 4
     alg, dual, pairing = _setup(pres, None, N)
     for r in range(N + 1):
         for p in range(N + 1 - r):
             width = alg.kdim(p) * alg.hdim(r)
             for dX in (1, 2, 3):
-                want = (kron(pairing.psi_bar(r, p), Mat.identity(dX))
+                want = (kron(pairing.psi_bar(r, p, "right"),
+                             Mat.identity(dX))
                         @ swap_matrix(dX, width))
-                assert _model_map(pairing.psi_bar(r, p), dX,
-                                  inverse=True) == want, (r, p, dX)
+                got = (kron(dual.kdim(r),
+                            inverse(_theta_matrix(pairing, p, dX)))
+                       @ inverse(_phi_matrix(pairing, r,
+                                             dX * alg.kdim(p))))
+                assert got == want, (r, p, dX)
 
 
 def _bump(cache, key):
@@ -714,10 +733,11 @@ def _comparison_maps(provider, pairing, mats):
         "phi": {(-mr, s + mr): _phi_matrix(pairing, -mr, Y.dim(s + mr))
                 for (mr, s), bl in topP_complex(Y).blocks.items() if bl},
         "psi_bar (x) id": {
-            (r, p): _model_map(pairing.psi_bar(r, p), dX, inverse=True)
+            (r, p): kron(pairing.psi_bar(r, p, "right"), Mat.identity(dX))
+            @ swap_matrix(dX, alg.kdim(p) * alg.hdim(r))
             for r in range(N + 1) for p in range(N + 1 - r)
             if alg.kdim(p) * alg.hdim(r)},
-        "chi": {(r, i): _chi_matrix(pairing, r, i, dX)
+        "chi": {(r, i): chi_matrix(pairing, r, i, dX)
                 for r in range(N + 1) for i in range(N + 1 - r)
                 if alg.kdim(r) * alg.hdim(i)},
     }
@@ -813,11 +833,12 @@ def test_a_perturbed_action_on_H_fails_every_module(name):
 def test_pairing_verdicts_run_once_per_pairing_and_acting_object(
         monkeypatch):
     # the four identities of the pairings, read through
-    # DualityPairing.verdict, run once for a pairing (generators) or for a
-    # pairing and an acting object (actions), whatever the order of the
-    # verifiers; a second acting object runs the action ones again.  Every
-    # module a verifier builds, and so every complex, is built from the
-    # trivial module k, provider.tensor_mats(0)
+    # DualityPairing.verdict, run once for a pairing (generators, and the
+    # intertwiner of each side) or for a pairing and an acting object
+    # (actions), whatever the order of the verifiers; a second acting
+    # object runs the action ones again.  Every module a verifier builds,
+    # and so every complex, is built from the trivial module k,
+    # provider.tensor_mats(0)
     import koszulkit.duality as duality
     import koszulkit.quadratic as quadratic
     calls = {}
@@ -836,7 +857,7 @@ def test_pairing_verdicts_run_once_per_pairing_and_acting_object(
         counted(duality, name)
     counted(quadratic, "_intertwiner_failures")
     built_from = []
-    for name in ("degree_zero_module", "I0", "P0"):
+    for name in ("degree_zero_module", "P0"):
         build = getattr(duality, name)
 
         def recorded(provider, alg, mats, build=build):
@@ -852,44 +873,29 @@ def test_pairing_verdicts_run_once_per_pairing_and_acting_object(
             assert identify_topP(provider, pairing)["ok"]
             assert identify_socI(provider, pairing)["ok"]
             assert koszulity_via_duality(provider, pairing)["verdict"]
-            assert len(built_from) == 6
+            # two by koszulity_via_duality, one by each identification
+            assert len(built_from) == 4
             assert all(m is provider.tensor_mats(0) for m in built_from)
     assert calls == {**dict.fromkeys(per_pair, 2),
                      **dict.fromkeys(per_pairing, 1),
-                     "_intertwiner_failures": 1}
+                     "_intertwiner_failures": 2}
 
 
 @pytest.mark.parametrize("name", ["sl2_adjoint_takiff", "sweedler_optional"])
-def test_roundtrip_B_builds_only_the_socle_cells_chi_reads(monkeypatch,
-                                                           name):
-    # the socle complex of the coinduced module has exactly the nonzero
-    # cells (r, -i - r) that chi compares, and none of the larger ones
-    # with s < -N; it is the only socle complex roundtrip_B builds, and
-    # the coinduced module is that of the trivial module k
+def test_roundtrips_build_no_complex(monkeypatch, name):
+    # each round trip reads the intertwiner of its side and identities of
+    # the pairings: it builds no module and no complex
     import koszulkit.duality as duality
-    N = 4
-    provider, _modules, alg, dual, pairing = _fixture_setup(name, N)
-    built, coinduced_from = [], []
-    socI, I0_ = duality.socI_complex, duality.I0
-
-    def recorded(X):
-        built.append(socI(X))
-        return built[-1]
-
-    def recorded_I0(provider, alg, mats):
-        coinduced_from.append(mats)
-        return I0_(provider, alg, mats)
-
-    monkeypatch.setattr(duality, "socI_complex", recorded)
-    monkeypatch.setattr(duality, "I0", recorded_I0)
-    res = roundtrip_B(provider, pairing)
-    assert res["ok"], res["first_failure"]
-    soc, = built
-    source, = coinduced_from
-    assert source is provider.tensor_mats(0)
-    assert {cell for cell, bl in soc.blocks.items() if bl} == {
-        (r, -i - r) for r in range(N + 1) for i in range(N + 1 - r)
-        if alg.kdim(r) * alg.hdim(i)}
+    provider, _modules, alg, dual, pairing = _fixture_setup(name, 4)
+    built = []
+    for builder in ("_duality_complex", "degree_zero_module", "P0"):
+        monkeypatch.setattr(duality, builder,
+                            lambda *args, builder=builder: built.append(
+                                builder))
+    for rt in (roundtrip_A, roundtrip_B):
+        res = rt(provider, pairing)
+        assert res["ok"], (rt.__name__, res["first_failure"])
+    assert built == []
 
 
 def roundtrip_A_generator_oracle(pairing):
@@ -908,8 +914,8 @@ def roundtrip_A_generator_oracle(pairing):
                 hom_v = kron(alg.kdim(p), alg.generator_mult(
                     r - 1, a, "right").transpose())
                 mod_v = kron(dual.contraction(r, a, "left"), dual.hdim(p))
-                if (pairing.psi_bar(r - 1, p) @ hom_v
-                        != mod_v @ pairing.psi_bar(r, p)):
+                if (pairing.psi_bar(r - 1, p, "right") @ hom_v
+                        != mod_v @ pairing.psi_bar(r, p, "right")):
                     yield r, p, a
 
 
@@ -926,8 +932,8 @@ def roundtrip_B_generator_oracle(pairing):
             hi = alg.hdim(i)
             if not alg.kdim(r + 1) * hi:
                 continue
-            chi, chi_next = (_chi_matrix(pairing, r, i, 1),
-                             _chi_matrix(pairing, r + 1, i, 1))
+            chi, chi_next = (pairing.psi_bar(i, r, "left"),
+                             pairing.psi_bar(i, r + 1, "left"))
             for a in range(alg.n):
                 p_d1 = kron(dual.generator_mult(r, a, "left"), hi)
                 if (chi_next @ _socle_generator(alg, r, a, hi)

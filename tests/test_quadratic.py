@@ -15,7 +15,7 @@ from koszulkit.fixtures import (
     FIXTURE_NAMES, dual_numbers_presentation, fixture_bundle, sl2_provider,
     sweedler_bialgebra, sweedler_modules,
 )
-from koszulkit.graded import check_d_squared, homology
+from koszulkit.graded import BigradedComplex, check_d_squared, homology
 from koszulkit.quadratic import (
     DualityPairing, QuadraticPresentation, euler_identity, ext_presentation,
     free_presentation, grow, index_word, koszul_complex, koszulity_check,
@@ -376,7 +376,7 @@ def test_dim_K_equals_dim_dual_H():
 
 def test_right_koszul_complex_sym3():
     alg = grow(sym_presentation(3), 6)
-    cx = koszul_complex(alg, "right")
+    cx = koszul_complex(alg)
     ok, _ = check_d_squared(cx)
     assert ok
     for s in range(7):
@@ -388,9 +388,16 @@ def test_right_koszul_complex_sym3():
 
 
 def test_left_koszul_complex():
+    # the mirror of koszul_complex, assembled from m_bar(..., "left"):
+    # components (-i, s) = H_{s-i} (x) K_i
     for pres in (sym_presentation(2), ext_presentation(2),
                  dual_numbers_presentation()):
-        cx = koszul_complex(grow(pres, 5), "left")
+        alg = grow(pres, 5)
+        comps = {(-i, s): alg.hdim(s - i) * alg.kdim(i)
+                 for s in range(6) for i in range(s + 1)}
+        diffs = {(-i, s): m_bar(alg, i, s - i, "left")
+                 for s in range(6) for i in range(1, s + 1)}
+        cx = BigradedComplex((-6, 1), (0, 5), comps, diffs)
         assert check_d_squared(cx)[0]
         rep = homology(cx)
         assert nonzero_valid_cells(rep) == [(0, 0)]
@@ -398,7 +405,7 @@ def test_left_koszul_complex():
 
 def test_koszul_complex_dual_numbers_dims():
     alg = grow(dual_numbers_presentation(), 5)
-    cx = koszul_complex(alg, "right")
+    cx = koszul_complex(alg)
     for s in range(6):
         for i in range(s + 1):
             expect = 1 if i in (s, s - 1) else 0
@@ -484,6 +491,27 @@ def test_generator_mult_is_the_kron_product():
                         alg.mult(1, i) @ kron(e, ih)), (name, i, a)
                     assert alg.generator_mult(i, a, "right") == (
                         alg.mult(i, 1) @ kron(ih, e)), (name, i, a)
+
+
+def test_incl_left_rejects_a_Koszul_subspace_outside_V_K():
+    # K_3 of S(V), dim V = 3, is one vector in K_2 (x) V; one entry off, it
+    # leaves V (x) K_2
+    alg = grow(sym_presentation(3), 3)
+    right = alg.incl_right(3)
+    alg._incl_right[3] = right + Mat.from_entries(right.rows, right.cols,
+                                                  [(0, 0, F1)])
+    with pytest.raises(ValueError, match=r"K_3 is not inside V \(x\) K_2"):
+        alg.incl_left(3)
+
+
+def test_quadratic_dual_checks_the_annihilator_dimension(monkeypatch):
+    # an annihilator of the wrong dimension, from a faulty kernel
+    import koszulkit.quadratic as quadratic
+    monkeypatch.setattr(quadratic, "kernel",
+                        lambda m: Subspace.zero(m.cols))
+    with pytest.raises(ValueError, match="the annihilator of R has "
+                       "dimension 0, not 3"):
+        quadratic_dual(sym_presentation(2))
 
 
 def test_bad_arguments_raise_value_errors():
@@ -590,23 +618,41 @@ def test_psi_bar_degenerate_edges():
     dual = grow(quadratic_dual(sym_presentation(2)), 4)
     pairing = DualityPairing(alg, dual)
     for i in range(5):
-        m = pairing.psi_bar(i, 0)
-        assert m.rows == m.cols == alg.hdim(i)
-        m = pairing.psi_bar(0, i)
-        assert m.rows == m.cols == alg.kdim(i)
+        for side in ("right", "left"):
+            m = pairing.psi_bar(i, 0, side)
+            assert m.rows == m.cols == alg.hdim(i)
+            m = pairing.psi_bar(0, i, side)
+            assert m.rows == m.cols == alg.kdim(i)
 
 
 def test_psi_intertwiner_sym2_ext2():
     # sym_n and ext_n for n = 2, 3, 4, in both directions; on the exterior
     # algebras of 3 and 4 generators (ext_n, and the dual of sym_n) g2 is
-    # not symmetric, so its orientation in psi_bar shows
+    # not symmetric, so its orientation in psi_bar shows; on both sides
     for n in (2, 3, 4):
         for pres in (sym_presentation(n), ext_presentation(n)):
             for a, b in ((pres, quadratic_dual(pres)),
                          (quadratic_dual(pres), pres)):
                 pairing = DualityPairing(grow(a, 5), grow(b, 5))
-                ok, where = verify_psi_intertwiner(pairing)
-                assert ok, (n, a.gen_names, where)
+                for side in ("right", "left"):
+                    ok, where = verify_psi_intertwiner(pairing, side)
+                    assert ok, (n, a.gen_names, side, where)
+
+
+def test_psi_intertwiners_hold_on_random_presentations():
+    # both sides of the intertwiner hold for every quadratic algebra,
+    # Koszul or not: 60 seeded random presentations grown to degree 4
+    rng = random.Random(33)
+    koszul = set()
+    for case in range(60):
+        pres = _random_presentation(rng)
+        alg = grow(pres, 4)
+        pairing = DualityPairing(alg, grow(quadratic_dual(pres), 4))
+        for side in ("right", "left"):
+            assert verify_psi_intertwiner(pairing, side) == (True, None), (
+                case, side)
+        koszul.add(koszulity_check(alg)["koszul_up_to_N"])
+    assert koszul == {True, False}
 
 
 def test_presentation_json_roundtrip():
